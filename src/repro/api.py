@@ -39,7 +39,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from .campaign.backends import CacheBackend
 from .campaign.cache import ResultCache, cache_key

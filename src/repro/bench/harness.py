@@ -1,6 +1,6 @@
 """The ``repro bench`` harness: time the kernel, write ``BENCH_kernel.json``.
 
-Three subsystems are measured, each with best-of-``repeats`` wall-clock
+Seven sections are measured, mostly with best-of-``repeats`` wall-clock
 timing (the minimum is robust against scheduler noise):
 
 * **kernel** -- ``simulate()`` throughput in trace ops/sec for one workload
@@ -26,24 +26,6 @@ timing (the minimum is robust against scheduler noise):
   executed cold (every unique cell simulated) and then cached (every
   cell a disk hit), so a regression in the study/plan/cache plumbing
   shows up even when the kernel itself is healthy.
-* **batch** -- the vectorized batch tier on its showcase cell: the ``sc``
-  kernel at one core on a quiescence-heavy cache-resident workload
-  (:data:`BATCH_WORKLOAD`), timed at each lane width in
-  :data:`BATCH_WIDTHS` under both ``fast`` and ``batch`` engines (byte
-  identity re-asserted on every pair), plus the all-studies plan
-  executed cold under ``engine="batch"`` -- the hostile direction, where
-  the per-reason decline cooldowns must keep batch within noise of fast.
-
-* **batch_multicore** -- the batch tier's coherence-epoch path: one
-  contended-but-winnable 4-core ``sc`` cell (:data:`BATCH_MC_WORKLOAD`)
-  timed under ``fast`` and ``batch`` with byte identity asserted, plus
-  the per-reason ``batch.decline.*`` / ``batch.optout.*`` counters and
-  bulk-retired op count from a recorded (untimed) batch run.  The
-  speedup is gated within the fresh report at
-  :data:`BATCH_MC_SPEEDUP_FLOOR` -- a ratio of two timings from the same
-  process, so it survives slow CI machines that absolute ops/sec gates
-  would trip on.
-
 * **distributed** -- the work-queue tier: one study plan drained through
   a shared sqlite backend by one worker process, then by two cooperating
   worker processes (lease-claiming over the same file), with the two
@@ -51,7 +33,6 @@ timing (the minimum is robust against scheduler noise):
   overhead and the real two-worker speedup; the identity flag is what
   the baseline check gates (wall-clock parallel speedup is too
   machine-dependent to gate).
-
 * **telemetry** -- the ``sc`` kernel with no recorder, with a (disabled)
   :class:`~repro.obs.NullRecorder` attached, and with a live
   :class:`~repro.obs.TraceRecorder`.  The first two must agree: the
@@ -61,17 +42,15 @@ timing (the minimum is robust against scheduler noise):
   by :func:`check_against_baseline` at ``telemetry_tolerance`` (2% by
   default); the traced numbers are informative only.
 
-Output schema (``BENCH_kernel.json``, version 7; v6 lacked the
-``batch_multicore`` section, v5 lacked ``distributed``, v4 lacked
-``telemetry``, v3 lacked ``batch`` and the ``batch_ops_per_thread``
-preset field, v2 lacked ``studies``, v1 also lacked ``geometries`` and
-``geometry_cores``)::
+Output schema (``BENCH_kernel.json``, version 8; v4-v7 also carried
+sections timing the retired batch engine, v5 lacked ``distributed``, v4
+lacked ``telemetry``, v2 lacked ``studies``, v1 also lacked
+``geometries`` and ``geometry_cores``)::
 
     {
-      "schema": 5,
+      "schema": 8,
       "preset": {"name", "workload", "num_cores", "ops_per_thread",
-                 "seed", "repeats", "engine", "geometry_cores",
-                 "batch_ops_per_thread"},
+                 "seed", "repeats", "engine", "geometry_cores"},
       "kernels": [{"config", "total_ops", "runtime_cycles",
                    "events_processed", "best_seconds", "ops_per_sec"}],
       "campaign": {"cells", "cold_seconds", "cached_seconds",
@@ -82,19 +61,6 @@ preset field, v2 lacked ``studies``, v1 also lacked ``geometries`` and
                       "best_seconds", "ops_per_sec"}],
       "studies": {"studies", "cells", "unique_jobs", "cold_seconds",
                   "cached_seconds", "cached_speedup"},
-      "batch": {"workload", "config", "num_cores", "ops_per_thread",
-                "widths": [{"width", "total_ops", "identical",
-                            "fast_seconds", "fast_ops_per_sec",
-                            "batch_seconds", "batch_ops_per_sec",
-                            "speedup"}],
-                "studies_cold_seconds"},
-      "batch_multicore": {"workload", "config", "num_cores",
-                          "ops_per_thread", "total_ops", "identical",
-                          "fast_seconds", "fast_ops_per_sec",
-                          "batch_seconds", "batch_ops_per_sec",
-                          "speedup", "bulk_retired_ops",
-                          "declines": {reason: count},
-                          "optouts": {reason: count}},
       "distributed": {"study", "cells", "one_worker_seconds",
                       "two_worker_seconds", "speedup", "identical",
                       "one_worker_simulated", "two_worker_simulated"},
@@ -105,10 +71,10 @@ preset field, v2 lacked ``studies``, v1 also lacked ``geometries`` and
     }
 
 ``ops_per_sec`` is trace operations simulated (or spliced) per second of
-wall clock.  :func:`check_against_baseline` compares the per-kernel,
-per-geometry, and per-batch-width ``ops_per_sec`` of a fresh report
-against a committed baseline file and reports regressions beyond a
-tolerance; the CI ``bench`` job fails on it.
+wall clock.  :func:`check_against_baseline` compares the per-kernel and
+per-geometry ``ops_per_sec`` of a fresh report against a committed
+baseline file and reports regressions beyond a tolerance; the CI
+``bench`` job fails on it.
 """
 
 from __future__ import annotations
@@ -120,15 +86,13 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..campaign import CampaignExecutor, Job, ResultCache
-from ..engine.batch.lanes import simulate_batch
 from ..engine.simulator import simulate
 from ..experiments.common import ExperimentSettings, make_config
 from ..obs import NullRecorder, TraceRecorder
 from ..workloads.registry import build_trace
-from ..workloads.spec import WorkloadSpec
 
 #: bump on any change to the report layout so stale baselines are rejected.
-BENCH_SCHEMA_VERSION = 7
+BENCH_SCHEMA_VERSION = 8
 
 #: study drained by the distributed section (six configs, one workload).
 DISTRIBUTED_STUDY = "figure8"
@@ -138,56 +102,6 @@ KERNEL_CONFIGS = ("sc", "invisi_sc", "invisi_cont")
 
 #: scenario used for the splicing benchmark.
 SCENARIO_NAME = "false-sharing-storm"
-
-#: lane widths timed by the batch section.
-BATCH_WIDTHS = (1, 3, 8)
-
-#: The batch section's showcase workload: long compute/hit runs with a
-#: cache-resident footprint, so most of the trace retires as vectorized
-#: quiescent stretches.  The preset workloads deliberately stress misses
-#: and contention; this one represents the quiescence-heavy cells the
-#: batch tier exists for.
-BATCH_WORKLOAD = WorkloadSpec(
-    name="quiescent",
-    description="quiescence-heavy cache-resident kernel (batch showcase)",
-    load_fraction=0.45, store_fraction=0.15, compute_fraction=0.40,
-    compute_run_mean=2.0,
-    sync_interval=1_000_000.0, critical_section_len=1.0,
-    num_locks=4, blocks_per_lock=1, lock_affinity=1.0,
-    private_blocks=192, shared_blocks=256, shared_fraction=0.02,
-    locality=0.995, reuse_window=64,
-    store_burst_prob=0.0, migratory_fraction=0.0,
-    lockfree_atomic_prob=0.0,
-)
-
-#: cores of the multicore batch showcase cell, independent of the preset's
-#: kernel-section core count so small and default presets exercise the
-#: same cross-core epoch geometry.
-BATCH_MC_CORES = 4
-
-#: minimum fast/batch speedup the multicore cell must show.  Gated within
-#: the fresh report (a ratio of two same-process timings), so it holds on
-#: slow CI machines where absolute ops/sec floors would be meaningless.
-BATCH_MC_SPEEDUP_FLOOR = 1.5
-
-#: The multicore batch showcase: the quiescent kernel shape plus a small
-#: genuinely shared region, so the four cores exchange real coherence
-#: traffic (the epoch tracker's horizon declines are non-zero) while each
-#: still runs long cache-resident stretches between conflicts --
-#: contended enough to exercise the cross-core machinery, winnable enough
-#: that bulk retirement dominates.
-BATCH_MC_WORKLOAD = WorkloadSpec(
-    name="quiescent-mc",
-    description="contended-but-winnable multicore cell (epoch showcase)",
-    load_fraction=0.45, store_fraction=0.15, compute_fraction=0.40,
-    compute_run_mean=2.0,
-    sync_interval=1_000_000.0, critical_section_len=1.0,
-    num_locks=4, blocks_per_lock=1, lock_affinity=1.0,
-    private_blocks=192, shared_blocks=64, shared_fraction=0.02,
-    locality=0.995, reuse_window=64,
-    store_burst_prob=0.0, migratory_fraction=0.0,
-    lockfree_atomic_prob=0.0,
-)
 
 
 @dataclass(frozen=True)
@@ -203,17 +117,12 @@ class BenchPreset:
     engine: str = "fast"
     #: machine sizes timed by the per-geometry section.
     geometry_cores: Tuple[int, ...] = (4, 8, 16)
-    #: ops per thread for the batch section's showcase cell (longer than
-    #: the kernel section so the lane's static passes amortize the way
-    #: they do in real campaigns).
-    batch_ops_per_thread: int = 16000
 
     @classmethod
     def small(cls, engine: str = "fast") -> "BenchPreset":
         """CI-sized preset: fast enough for a smoke job."""
         return cls(name="small", num_cores=2, ops_per_thread=400, repeats=2,
-                   engine=engine, geometry_cores=(2, 4),
-                   batch_ops_per_thread=4000)
+                   engine=engine, geometry_cores=(2, 4))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -225,7 +134,6 @@ class BenchPreset:
             "repeats": self.repeats,
             "engine": self.engine,
             "geometry_cores": list(self.geometry_cores),
-            "batch_ops_per_thread": self.batch_ops_per_thread,
         }
 
 
@@ -337,141 +245,6 @@ def _bench_studies(preset: BenchPreset, settings: ExperimentSettings,
         "cold_seconds": cold,
         "cached_seconds": cached,
         "cached_speedup": cold / cached if cached > 0 else 0.0,
-    }
-
-
-def _bench_batch(preset: BenchPreset) -> Dict[str, Any]:
-    """Time the batch tier against the fast kernel on its showcase cell.
-
-    One ``sc`` core running :data:`BATCH_WORKLOAD`: quiescent stretches
-    dominate, so this is where the vectorized tier's speedup lives (its
-    hostile direction -- dense multicore event traffic -- is covered by
-    ``studies_cold_seconds``, which runs the whole heterogeneous study
-    plan under ``engine="batch"``; the per-reason decline cooldowns keep
-    that within noise of fast).  Byte identity is asserted on every timed
-    pair, so the
-    bench doubles as an end-to-end differential check at real scale.
-    """
-    ops = preset.batch_ops_per_thread
-    settings = ExperimentSettings(
-        num_cores=1, ops_per_thread=ops, seeds=(preset.seed,),
-        warmup_fraction=0.2)
-    config = make_config("sc", settings)
-    traces = [build_trace(BATCH_WORKLOAD, num_threads=1, ops_per_thread=ops,
-                          seed=preset.seed + i)
-              for i in range(max(BATCH_WIDTHS))]
-    for trace in traces:
-        # Warm the compile/array caches: both engines reuse them, and the
-        # section times steady-state simulation, not trace building.
-        trace[0].compiled().arrays()
-
-    widths: List[Dict[str, Any]] = []
-    for width in BATCH_WIDTHS:
-        lane = traces[:width]
-        fast_best, fast_results = _best_of(
-            preset.repeats,
-            lambda: [simulate(config, trace, warmup_fraction=0.2,
-                              engine="fast") for trace in lane])
-        batch_best, batch_results = _best_of(
-            preset.repeats,
-            lambda: simulate_batch(config, lane, warmup_fraction=0.2))
-        identical = all(a.to_json() == b.to_json()
-                        for a, b in zip(fast_results, batch_results))
-        total_ops = width * ops
-        widths.append({
-            "width": width,
-            "total_ops": total_ops,
-            "identical": identical,
-            "fast_seconds": fast_best,
-            "fast_ops_per_sec": total_ops / fast_best if fast_best > 0 else 0.0,
-            "batch_seconds": batch_best,
-            "batch_ops_per_sec": total_ops / batch_best
-            if batch_best > 0 else 0.0,
-            "speedup": fast_best / batch_best if batch_best > 0 else 0.0,
-        })
-
-    # The hostile direction: the full heterogeneous study plan (multicore,
-    # contention-heavy cells) executed cold with the batch engine.
-    from ..experiments.scaling import scaling_study
-    from ..studies import DEFAULT_STUDY_REGISTRY, compile_plan
-
-    plan_settings = ExperimentSettings(
-        num_cores=preset.num_cores, ops_per_thread=preset.ops_per_thread,
-        seeds=(preset.seed,), workloads=(preset.workload,),
-        warmup_fraction=0.0)
-    specs = [scaling_study(core_counts=preset.geometry_cores)
-             if spec.name == "scaling" else spec
-             for spec in DEFAULT_STUDY_REGISTRY.specs()]
-    plan = compile_plan(specs, plan_settings)
-    start = time.perf_counter()
-    plan.execute(plan.runner(jobs=1, cache=None, engine="batch"))
-    studies_cold = time.perf_counter() - start
-
-    return {
-        "workload": BATCH_WORKLOAD.name,
-        "config": "sc",
-        "num_cores": 1,
-        "ops_per_thread": ops,
-        "widths": widths,
-        "studies_cold_seconds": studies_cold,
-    }
-
-
-def _bench_batch_multicore(preset: BenchPreset) -> Dict[str, Any]:
-    """Time the coherence-epoch path on one contended 4-core cell.
-
-    Fast-vs-batch best-of pair on :data:`BATCH_MC_WORKLOAD` at
-    :data:`BATCH_MC_CORES` cores, byte identity asserted on the timed
-    results.  A separate untimed batch run with a live recorder collects
-    the per-reason ``batch.decline.*`` / ``batch.optout.*`` counters and
-    the bulk-retired op count, so a regression that silently stops
-    multicore bulk retirement (speedup drifting toward 1x) is
-    diagnosable straight from the report.
-    """
-    ops = preset.batch_ops_per_thread
-    settings = ExperimentSettings(
-        num_cores=BATCH_MC_CORES, ops_per_thread=ops, seeds=(preset.seed,),
-        warmup_fraction=0.2)
-    config = make_config("sc", settings)
-    trace = build_trace(BATCH_MC_WORKLOAD, num_threads=BATCH_MC_CORES,
-                        ops_per_thread=ops, seed=preset.seed)
-    for thread in range(BATCH_MC_CORES):
-        # Warm the compile/array caches (see _bench_batch).
-        trace[thread].compiled().arrays()
-    fast_best, fast_result = _best_of(
-        preset.repeats,
-        lambda: simulate(config, trace, warmup_fraction=0.2, engine="fast"))
-    batch_best, batch_result = _best_of(
-        preset.repeats,
-        lambda: simulate(config, trace, warmup_fraction=0.2, engine="batch"))
-    # Counters from one dedicated recorded run: the timed runs stay
-    # recorder-free, and best-of repeats would sum counters across runs.
-    recorder = TraceRecorder()
-    simulate(config, trace, warmup_fraction=0.2, engine="batch",
-             recorder=recorder)
-    declines = {name.split(".", 2)[2]: count
-                for name, count in sorted(recorder.counters.items())
-                if name.startswith("batch.decline.")}
-    optouts = {name.split(".", 2)[2]: count
-               for name, count in sorted(recorder.counters.items())
-               if name.startswith("batch.optout.")}
-    total_ops = trace.total_ops()
-    return {
-        "workload": BATCH_MC_WORKLOAD.name,
-        "config": "sc",
-        "num_cores": BATCH_MC_CORES,
-        "ops_per_thread": ops,
-        "total_ops": total_ops,
-        "identical": fast_result.to_json() == batch_result.to_json(),
-        "fast_seconds": fast_best,
-        "fast_ops_per_sec": total_ops / fast_best if fast_best > 0 else 0.0,
-        "batch_seconds": batch_best,
-        "batch_ops_per_sec": total_ops / batch_best
-        if batch_best > 0 else 0.0,
-        "speedup": fast_best / batch_best if batch_best > 0 else 0.0,
-        "bulk_retired_ops": recorder.counters.get("batch.retired", 0),
-        "declines": declines,
-        "optouts": optouts,
     }
 
 
@@ -651,8 +424,6 @@ def run_bench(preset: BenchPreset, cache_dir: Path) -> Dict[str, Any]:
         "scenario": _bench_scenario(preset),
         "geometries": _bench_geometries(preset),
         "studies": _bench_studies(preset, settings, cache_dir),
-        "batch": _bench_batch(preset),
-        "batch_multicore": _bench_batch_multicore(preset),
         "distributed": _bench_distributed(preset, settings, cache_dir),
         "telemetry": _bench_telemetry(preset, settings),
     }
@@ -695,30 +466,6 @@ def format_bench_report(report: Dict[str, Any]) -> str:
             f"cold {studies['cold_seconds'] * 1000:.1f} ms, cached "
             f"{studies['cached_seconds'] * 1000:.1f} ms "
             f"({studies['cached_speedup']:.1f}x)")
-    batch = report.get("batch")
-    if batch:
-        for width in batch["widths"]:
-            check = "" if width["identical"] else "  IDENTITY MISMATCH"
-            lines.append(
-                f"  batch width {width['width']:>2} "
-                f"({batch['config']} 1-core {batch['workload']}): "
-                f"{width['batch_ops_per_sec']:>12,.0f} ops/s vs fast "
-                f"{width['fast_ops_per_sec']:>12,.0f} "
-                f"({width['speedup']:.2f}x){check}")
-        lines.append(
-            f"  batch all-studies cold: "
-            f"{batch['studies_cold_seconds'] * 1000:.1f} ms")
-    multicore = report.get("batch_multicore")
-    if multicore:
-        check = "" if multicore["identical"] else "  IDENTITY MISMATCH"
-        declined = sum(multicore["declines"].values())
-        lines.append(
-            f"  batch {multicore['num_cores']}-core {multicore['workload']}: "
-            f"{multicore['batch_ops_per_sec']:>12,.0f} ops/s vs fast "
-            f"{multicore['fast_ops_per_sec']:>12,.0f} "
-            f"({multicore['speedup']:.2f}x, "
-            f"{multicore['bulk_retired_ops']} bulk ops, "
-            f"{declined} declines){check}")
     distributed = report.get("distributed")
     if distributed:
         check = "" if distributed["identical"] else "  IDENTITY MISMATCH"
@@ -765,20 +512,6 @@ def format_baseline_delta(report: Dict[str, Any],
         if base:
             rows.append((f"geometry {geometry['num_cores']} cores",
                          geometry["ops_per_sec"], base["ops_per_sec"]))
-    base_widths = {w["width"]: w for w in
-                   baseline.get("batch", {}).get("widths", [])}
-    for width in report.get("batch", {}).get("widths", []):
-        base = base_widths.get(width["width"])
-        if base:
-            rows.append((f"batch width {width['width']}",
-                         width["batch_ops_per_sec"],
-                         base["batch_ops_per_sec"]))
-    multicore = report.get("batch_multicore")
-    base_multicore = baseline.get("batch_multicore")
-    if multicore and base_multicore:
-        rows.append((f"batch {multicore['num_cores']}-core",
-                     multicore["batch_ops_per_sec"],
-                     base_multicore["batch_ops_per_sec"]))
     telemetry = report.get("telemetry")
     base_telemetry = baseline.get("telemetry")
     if telemetry and base_telemetry:
@@ -824,7 +557,7 @@ def check_against_baseline(report: Dict[str, Any], baseline: Dict[str, Any],
     report_preset = report.get("preset", {})
     baseline_preset = baseline.get("preset", {})
     for field in ("engine", "workload", "num_cores", "ops_per_thread", "seed",
-                  "geometry_cores", "batch_ops_per_thread"):
+                  "geometry_cores"):
         if report_preset.get(field) != baseline_preset.get(field):
             failures.append(
                 f"preset mismatch on {field!r}: report "
@@ -858,47 +591,6 @@ def check_against_baseline(report: Dict[str, Any], baseline: Dict[str, Any],
             failures.append(f"geometry {cores} cores: missing from baseline")
             continue
         compare("geometry", geometry, base, f"{cores} cores")
-    base_widths = {w["width"]: w for w in
-                   baseline.get("batch", {}).get("widths", [])}
-    for width in report.get("batch", {}).get("widths", []):
-        if not width["identical"]:
-            failures.append(
-                f"batch width {width['width']}: batch and fast results "
-                f"are not byte-identical")
-        base = base_widths.get(width["width"])
-        if base is None:
-            failures.append(
-                f"batch width {width['width']}: missing from baseline")
-            continue
-        floor = base["batch_ops_per_sec"] * (1.0 - tolerance)
-        if width["batch_ops_per_sec"] < floor:
-            failures.append(
-                f"batch width {width['width']}: "
-                f"{width['batch_ops_per_sec']:,.0f} ops/s is below "
-                f"{floor:,.0f} (baseline {base['batch_ops_per_sec']:,.0f} "
-                f"- {tolerance:.0%} tolerance)")
-    multicore = report.get("batch_multicore")
-    if multicore is None:
-        failures.append("batch_multicore section missing from report")
-    else:
-        # Gated within the fresh report: identity is determinism, and the
-        # fast/batch speedup is a same-process timing ratio, so both gates
-        # are meaningful regardless of how slow the machine is.
-        if not multicore["identical"]:
-            failures.append(
-                f"batch_multicore: batch and fast results on "
-                f"{multicore['workload']} at {multicore['num_cores']} cores "
-                f"are not byte-identical")
-        if multicore["speedup"] < BATCH_MC_SPEEDUP_FLOOR:
-            failures.append(
-                f"batch_multicore: speedup {multicore['speedup']:.2f}x is "
-                f"below the {BATCH_MC_SPEEDUP_FLOOR:.1f}x floor (fast "
-                f"{multicore['fast_ops_per_sec']:,.0f} ops/s vs batch "
-                f"{multicore['batch_ops_per_sec']:,.0f})")
-        if multicore["bulk_retired_ops"] <= 0:
-            failures.append(
-                "batch_multicore: no ops were bulk-retired (the epoch "
-                "path never fired)")
     distributed = report.get("distributed")
     if distributed is None:
         failures.append("distributed section missing from report")

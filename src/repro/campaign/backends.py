@@ -121,15 +121,31 @@ class CacheBackend:
     # -- entries -------------------------------------------------------------
 
     def get(self, key: str) -> Optional[RunResult]:
-        """Load the entry for ``key`` or ``None``; tallies a hit or miss."""
-        raise NotImplementedError
+        """Load the entry for ``key`` or ``None``; tallies a hit or miss.
+
+        An entry that exists but does not decode counts as a miss.
+        """
+        result = self._load(key)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
 
     def put(self, key: str, result: RunResult) -> None:
         """Atomically persist ``result`` and clear any lease on ``key``."""
         raise NotImplementedError
 
     def contains(self, key: str) -> bool:
-        """Whether an entry exists, without loading it or tallying."""
+        """Whether :meth:`get` would hit, without tallying.
+
+        A corrupt entry is not contained, so a queue worker re-claims and
+        overwrites it rather than counting it as served elsewhere.
+        """
+        return self._load(key) is not None
+
+    def _load(self, key: str) -> Optional[RunResult]:
+        """The decoded entry for ``key``; ``None`` if absent or corrupt."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -191,18 +207,12 @@ class DirectoryBackend(CacheBackend):
     def _lease_path(self, key: str) -> Path:
         return self.root / f"{key}.lease"
 
-    def get(self, key: str) -> Optional[RunResult]:
+    def _load(self, key: str) -> Optional[RunResult]:
         try:
             text = self.path_for(key).read_text(encoding="utf-8")
         except OSError:
-            self.misses += 1
             return None
-        result = _decode(text)
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return _decode(text)
 
     def put(self, key: str, result: RunResult) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -212,9 +222,6 @@ class DirectoryBackend(CacheBackend):
         os.replace(tmp, path)
         self.stores += 1
         self.release(key, owner="*")
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).is_file()
 
     def __len__(self) -> int:
         if not self.root.is_dir():
@@ -331,15 +338,10 @@ class SqliteBackend(CacheBackend):
             raise
         return conn
 
-    def get(self, key: str) -> Optional[RunResult]:
+    def _load(self, key: str) -> Optional[RunResult]:
         row = self._connect().execute(
             "SELECT body FROM entries WHERE key = ?", (key,)).fetchone()
-        result = _decode(row[0]) if row is not None else None
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return _decode(row[0]) if row is not None else None
 
     def put(self, key: str, result: RunResult) -> None:
         conn = self._connect()
@@ -354,11 +356,6 @@ class SqliteBackend(CacheBackend):
             conn.execute("ROLLBACK")
             raise
         self.stores += 1
-
-    def contains(self, key: str) -> bool:
-        row = self._connect().execute(
-            "SELECT 1 FROM entries WHERE key = ?", (key,)).fetchone()
-        return row is not None
 
     def __len__(self) -> int:
         if not self.path.is_file():

@@ -160,7 +160,7 @@ class ResultCache:
         self.stores += 1
 
     def contains(self, key: str) -> bool:
-        """Whether an entry exists, without loading or tallying it."""
+        """Whether :meth:`get` would hit (a decodable entry), without tallying."""
         return self.backend.contains(key)
 
     def __len__(self) -> int:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..config import SystemConfig
-from ..engine.batch.lanes import simulate_batch
 from ..engine.results import RunResult
 from ..engine.simulator import simulate
 from ..engine.system import validate_engine
@@ -51,11 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: -- everything a worker needs to simulate one cell, all cheaply picklable.
 _CellPayload = Tuple[SystemConfig, object, int, float, str]
 
-#: A whole same-config lane for the batch engine: (config, [(spec, seed)],
-#: warmup_fraction).  One worker simulates the lane so the vectorized
-#: static tables amortize across its runs.
-_LanePayload = Tuple[SystemConfig, List[Tuple[object, int]], float]
-
 
 def _simulate_cell(payload: _CellPayload) -> RunResult:
     """Worker entry point: build the trace and simulate one cell."""
@@ -65,15 +59,7 @@ def _simulate_cell(payload: _CellPayload) -> RunResult:
                     engine=engine)
 
 
-def _simulate_lane(payload: _LanePayload) -> List[RunResult]:
-    """Worker entry point: simulate one same-config lane with the batch tier."""
-    config, cells, warmup_fraction = payload
-    traces = [build_trace(spec, num_threads=config.num_cores, seed=seed)
-              for spec, seed in cells]
-    return simulate_batch(config, traces, warmup_fraction=warmup_fraction)
-
-
-# Timed worker variants, used only when a recorder is attached: they report
+# Timed worker variant, used only when a recorder is attached: it reports
 # epoch timestamps and the worker's pid so the parent can place each job on
 # the campaign's wall-clock tracks.  Results are unchanged -- the timing
 # wraps the exact same simulation call.
@@ -82,12 +68,6 @@ def _simulate_cell_timed(payload: _CellPayload):
     start = time.time()
     result = _simulate_cell(payload)
     return result, start, time.time(), os.getpid()
-
-
-def _simulate_lane_timed(payload: _LanePayload):
-    start = time.time()
-    results = _simulate_lane(payload)
-    return results, start, time.time(), os.getpid()
 
 
 @dataclass
@@ -157,17 +137,16 @@ class CampaignExecutor:
         self.jobs = jobs
         self.cache = cache
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        #: campaign-level observability: per-job wall-clock spans, cache
-        #: tallies, lane widths.  ``None`` (the default) records nothing;
+        #: campaign-level observability: per-job wall-clock spans and
+        #: cache tallies.  ``None`` (the default) records nothing;
         #: simulations themselves always run without an engine recorder
         #: here, so their results never depend on telemetry.
         self.recorder = active(recorder)
         #: worker pid -> small campaign tid, for stable trace tracks.
         self._worker_tids: Dict[int, int] = {}
-        #: execution kernel for missing cells.  All engines produce
+        #: execution kernel for missing cells.  Both engines produce
         #: byte-identical results, so cache keys and entries are
-        #: engine-independent; under ``"batch"`` missing cells are grouped
-        #: into same-config lanes so the vectorized tables are shared.
+        #: engine-independent.
         self.engine = validate_engine(engine)
         self.last_report = CampaignReport()
         self._traces: Dict[Tuple[str, int, int], MultiThreadedTrace] = {}
@@ -249,9 +228,7 @@ class CampaignExecutor:
         report.simulated = len(missing)
         if missing:
             workers = min(self.jobs, len(missing))
-            if self.engine == "batch":
-                simulated = self._run_lanes(missing, workers)
-            elif workers > 1:
+            if workers > 1:
                 payloads = [self._payload(job) for job in missing]
                 with multiprocessing.Pool(processes=workers) as pool:
                     if rec is not None:
@@ -302,81 +279,3 @@ class CampaignExecutor:
                 rec.count(f"cache.{label}.stores", stats.stores)
         self.last_report = report
         return [results[job] for job in jobs]
-
-    def _run_lanes(self, missing: Sequence[Job], workers: int) -> List[RunResult]:
-        """Simulate missing cells with the batch tier, laned by configuration.
-
-        Cells sharing a configuration form one lane: the batch engine
-        builds a single vectorized profile stack for the whole lane, so
-        its static passes amortize across every (workload, seed) in it.
-        Results come back in ``missing`` order, and because runs in a lane
-        share only immutable tables, they are byte-identical to per-cell
-        simulation at any lane width and under any grouping.
-
-        Lanes are dispatched widest first.  The pool hands one lane per
-        worker and wide lanes (especially multicore ones) dominate the
-        wall clock, so a wide lane scheduled last would leave the other
-        workers idle for its whole duration.  Ordering only changes
-        scheduling: results are still written back by position.
-        """
-        grouped: Dict[str, List[int]] = {}
-        for pos, job in enumerate(missing):
-            grouped.setdefault(job.config_name, []).append(pos)
-        # Stable sort: equal-width lanes keep first-appearance order, so
-        # dispatch order is deterministic for a given job list.
-        lanes: List[List[int]] = sorted(
-            grouped.values(), key=len, reverse=True)
-        rec = self.recorder
-        if rec is not None:
-            rec.count("campaign.lanes", len(lanes))
-            for members in lanes:
-                rec.observe("campaign.lane_width", len(members))
-        results: List[Optional[RunResult]] = [None] * len(missing)
-        if workers > 1 and len(lanes) > 1:
-            payloads: List[_LanePayload] = []
-            for members in lanes:
-                config = self.config_for(missing[members[0]])
-                cells = [(resolve_spec(missing[pos].workload,
-                                       self.settings.ops_per_thread),
-                          missing[pos].seed) for pos in members]
-                payloads.append((config, cells,
-                                 self.settings.warmup_fraction))
-            with multiprocessing.Pool(
-                    processes=min(workers, len(lanes))) as pool:
-                if rec is not None:
-                    timed = pool.map(_simulate_lane_timed, payloads,
-                                     chunksize=1)
-                    lane_results = []
-                    for members, (lane, start, end, pid) in zip(
-                            lanes, timed):
-                        first = missing[members[0]]
-                        rec.wall_span(
-                            self._worker_tid(pid), "lane", start, end,
-                            {"config": first.config_name,
-                             "width": len(members), "worker": pid})
-                        lane_results.append(lane)
-                else:
-                    lane_results = pool.map(_simulate_lane, payloads,
-                                            chunksize=1)
-            for members, lane in zip(lanes, lane_results):
-                for pos, result in zip(members, lane):
-                    results[pos] = result
-        else:
-            for members in lanes:
-                config = self.config_for(missing[members[0]])
-                traces = [self.trace_for(missing[pos].workload,
-                                         missing[pos].seed,
-                                         num_threads=config.num_cores)
-                          for pos in members]
-                start = time.time() if rec is not None else 0.0
-                lane = simulate_batch(
-                    config, traces,
-                    warmup_fraction=self.settings.warmup_fraction)
-                if rec is not None:
-                    rec.wall_span(
-                        0, "lane", start, time.time(),
-                        {"config": missing[members[0]].config_name,
-                         "width": len(members), "worker": os.getpid()})
-                for pos, result in zip(members, lane):
-                    results[pos] = result
-        return results  # type: ignore[return-value]

@@ -11,8 +11,9 @@ through the backend:
 
 * a cell already stored is skipped (someone finished it);
 * a missing cell is *claimed* via an atomic lease record
-  (:meth:`~repro.campaign.backends.CacheBackend.try_claim`) before
-  simulation, so no two live workers simulate the same cell;
+  (:meth:`~repro.campaign.backends.CacheBackend.try_claim`) and checked
+  once more before simulation, so no two live workers simulate the same
+  cell;
 * a lease expires after ``lease_ttl`` seconds, so cells claimed by a
   crashed or wedged worker are re-issued to its peers;
 * :meth:`~repro.campaign.backends.CacheBackend.put` clears the lease in
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from ..engine.results import RunResult
+from ..engine.system import validate_engine
 from ..errors import ReproError
 from ..obs.recorder import Recorder, active
 from ..workloads.registry import resolve_spec
@@ -87,7 +89,7 @@ class QueueWorker:
         self.plan = plan
         self.cache = cache
         self.worker_id = worker_id if worker_id else default_worker_id()
-        self.engine = engine
+        self.engine = validate_engine(engine)
         self.lease_ttl = lease_ttl
         self.poll_interval = poll_interval
         self.max_wait = max_wait
@@ -154,6 +156,13 @@ class QueueWorker:
                                              self.lease_ttl)
                 if claim is None:
                     still_pending.append((key, payload))
+                    continue
+                if self.cache.contains(key):
+                    # A peer stored the cell after the check above; its
+                    # put dropped its lease, which is why the claim won.
+                    self.cache.release(key, self.worker_id)
+                    report.served_elsewhere += 1
+                    progressed = True
                     continue
                 if claim == "expired":
                     report.reissued += 1

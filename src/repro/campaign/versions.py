@@ -12,7 +12,7 @@ Sources are therefore grouped by the machinery a cell can actually reach:
 
 ``base``
     the execution substrate every cell runs through -- the engines
-    (event loop, fast path, vectorized batch tier), CPU/core stepping,
+    (event loop, fast and reference paths), CPU/core stepping,
     coherence, consistency, store buffers, memory, interconnect, traces,
     workload generation, and the configuration model;
 ``selective`` / ``continuous`` / ``aso``

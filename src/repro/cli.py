@@ -68,7 +68,7 @@ simulates nothing and formats every table from the drained cache.
 
 ``profile`` runs one (configuration, workload-or-scenario) cell with the
 telemetry recorder attached and prints the text profile (speculation
-episodes, batch-engine introspection, coherence traffic); ``--trace-out``
+episodes, store-buffer stalls, coherence traffic); ``--trace-out``
 additionally writes a Chrome trace-event JSON loadable in Perfetto
 (https://ui.perfetto.dev), ``--telemetry-out`` a schema-versioned metrics
 artifact.  ``study run``/``figure``/``scenario run``/``sweep`` accept
@@ -420,7 +420,7 @@ def _campaign_parent() -> argparse.ArgumentParser:
     group.add_argument("--cache-dir", type=str, default=None, metavar="PATH",
                        help="deprecated alias for --cache with a directory path")
     group.add_argument("--engine", choices=list(ENGINE_KINDS), default="fast",
-                       help="execution kernel for missing cells; all engines "
+                       help="execution kernel for missing cells; both engines "
                             "produce byte-identical results and share cache "
                             "entries (default: fast)")
     group.add_argument("--telemetry", action="store_true",

@@ -77,24 +77,9 @@ class MemorySystem:
         #: when False they always decline, forcing every access down the
         #: reference path through :meth:`access`.
         self._fast = fast_path
-        #: optional ``fn(core_id, block_addr, code)`` called whenever a
-        #: coherence transaction changes an L1 block's state from outside
-        #: the plain hit path (install / downgrade / invalidate / evict).
-        #: Codes: 0 = invalid or absent, 1 = SHARED, 2 = MODIFIED/EXCLUSIVE.
-        #: The batch engine keeps its packed residency tables fresh with
-        #: this; when unset (the default) the hook costs one None check.
-        self._state_watcher = None
-        #: optional zero-argument callback fired at the start of every
-        #: coherence transaction -- the only mutator of residency,
-        #: directory sharer/owner, and eviction state (hit-path silent
-        #: E->M transitions change no residency code).  The batch
-        #: engine's epoch tracker bumps its generation counter with
-        #: this, invalidating cached cross-core horizons; when unset
-        #: (the default) the hook costs one None check per transaction.
-        self._transaction_watcher = None
-        #: observability slot; same single-``if`` discipline as the state
-        #: watcher.  Only the transaction engine hooks it, never the
-        #: allocation-free hit fast paths.
+        #: observability slot: ``None`` (telemetry off) or an enabled
+        #: recorder, checked with a single ``if``.  Only the transaction
+        #: engine hooks it, never the allocation-free hit fast paths.
         self._obs = active(recorder)
         self.transactions: List[TransactionRecord] = []
         # simple per-core counters
@@ -142,14 +127,6 @@ class MemorySystem:
     def register_listener(self, core_id: int, listener: ExternalConflictListener) -> None:
         """Register the consistency controller responsible for ``core_id``."""
         self._listeners[core_id] = listener
-
-    def set_state_watcher(self, watcher) -> None:
-        """Install the L1 state-change hook (see ``_state_watcher``)."""
-        self._state_watcher = watcher
-
-    def set_transaction_watcher(self, watcher) -> None:
-        """Install the transaction-start hook (see ``_transaction_watcher``)."""
-        self._transaction_watcher = watcher
 
     def _block(self, addr: int) -> int:
         return addr & self._block_mask
@@ -265,8 +242,6 @@ class MemorySystem:
 
     def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
                      now: int, spec_checkpoint: Optional[int]) -> AccessOutcome:
-        if self._transaction_watcher is not None:
-            self._transaction_watcher()
         config = self._config
         home = (baddr // config.block_bytes) % self._num_nodes
         entry = self._directory.entry(baddr)
@@ -338,10 +313,6 @@ class MemorySystem:
         forced_delay = self._prepare_l1_fill(core_id, baddr, now)
         completion += forced_delay
         block = self._l1s[core_id].install(baddr, new_state, dirty=is_write)
-        if self._state_watcher is not None:
-            self._state_watcher(
-                core_id, baddr,
-                1 if new_state is CoherenceState.SHARED else 2)
         if spec_checkpoint is not None:
             if is_write:
                 block.mark_spec_written(spec_checkpoint)
@@ -395,8 +366,6 @@ class MemorySystem:
             else:
                 owner_block.state = CoherenceState.SHARED
                 owner_block.dirty = False
-            if self._state_watcher is not None:
-                self._state_watcher(owner, baddr, 0 if is_write else 1)
         # The owner's (pre-speculative) data is written back to the L2.
         self._l2.install_dirty(baddr)
         l2_hit = True
@@ -432,8 +401,6 @@ class MemorySystem:
                         record.conflicts.append(sharer)
                         record.deferred_cycles = max(record.deferred_cycles, delay)
                 sharer_block.invalidate()
-                if self._state_watcher is not None:
-                    self._state_watcher(sharer, baddr, 0)
             worst = max(worst, ack)
         if self._obs is not None and fanout:
             self._obs.count("coherence.invalidations", fanout)
@@ -476,8 +443,6 @@ class MemorySystem:
 
     def _evict(self, core_id: int, victim, needs_writeback: bool) -> None:
         """Update directory/L2 state when an L1 block is evicted."""
-        if self._state_watcher is not None:
-            self._state_watcher(core_id, victim.address, 0)
         entry = self._directory.peek(victim.address)
         if entry is not None:
             entry.sharers.discard(core_id)

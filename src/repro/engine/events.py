@@ -213,18 +213,6 @@ class EventQueue:
             self._now = time
         self.processed += 1
 
-    def note_inline_bulk(self, time: int, count: int) -> None:
-        """Account ``count`` ops processed inline, the last at ``time``.
-
-        The batch engine's bulk retirement of a quiescent stretch is
-        ``count`` consecutive :meth:`note_inline` calls with monotonically
-        increasing times; only the final time matters for the clock, so
-        this collapses them into one clock advance and one counter add.
-        """
-        if time > self._now:
-            self._now = time
-        self.processed += count
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue is empty (or a bound is reached).
 

@@ -101,10 +101,9 @@ def simulate(config: SystemConfig, trace: MultiThreadedTrace,
     """Convenience wrapper: build a system for ``trace`` and run it.
 
     ``engine`` selects the execution kernel: ``"fast"`` (compiled traces,
-    batched steps, allocation-free hit path), ``"reference"`` (the
-    original one-event-per-op path), or ``"batch"`` (vectorized
-    quiescent-stretch retirement on top of the fast kernel).  Results are
-    bitwise identical across all three; an unknown name raises
+    batched steps, allocation-free hit path) or ``"reference"`` (the
+    original one-event-per-op path).  Results are bitwise identical
+    across both; an unknown name raises
     :class:`~repro.errors.ConfigurationError` naming the valid engines.
     """
     validate_engine(engine)

@@ -79,11 +79,8 @@ class System:
 #: Engine variants accepted by :func:`build_system`.  ``"fast"`` is the
 #: compiled/batched kernel; ``"reference"`` retains the original
 #: one-event-per-op, allocation-per-outcome execution path and exists so the
-#: differential suite can prove the fast path bitwise-equivalent;
-#: ``"batch"`` layers vectorized quiescent-stretch retirement on top of the
-#: fast kernel (see :mod:`repro.engine.batch`) and is likewise proven
-#: byte-identical.
-ENGINE_KINDS = ("fast", "reference", "batch")
+#: differential suite can prove the fast path bitwise-equivalent.
+ENGINE_KINDS = ("fast", "reference")
 
 
 def validate_engine(engine: str) -> str:
@@ -104,7 +101,7 @@ def validate_engine(engine: str) -> str:
 
 def build_system(config: SystemConfig, trace: MultiThreadedTrace,
                  warmup_fraction: float = 0.0, engine: str = "fast",
-                 lane=None, recorder: Optional[Recorder] = None) -> System:
+                 recorder: Optional[Recorder] = None) -> System:
     """Build a system running ``trace`` under ``config``.
 
     The trace must provide at least as many threads as the configuration
@@ -112,17 +109,13 @@ def build_system(config: SystemConfig, trace: MultiThreadedTrace,
     the surplus cores simply stay idle).  ``warmup_fraction`` of each
     thread's leading operations are executed but excluded from the
     statistics (cache warmup).  ``engine`` selects the execution kernel
-    (see :data:`ENGINE_KINDS`); all kernels produce identical results.
-
-    ``lane`` is internal plumbing for :func:`repro.engine.batch.lanes.
-    simulate_batch`: a ``(LaneProfiles, run_index)`` pair reusing a
-    profile stack already built for a whole group of runs.
+    (see :data:`ENGINE_KINDS`); both kernels produce identical results.
 
     ``recorder`` attaches the observability layer: hooks throughout the
-    stack record speculation episodes, stall spans, coherence events, and
-    batch-engine decisions into it.  ``None`` or a disabled recorder
-    leaves every hook behind its single ``is not None`` check; recorders
-    only observe, so results are byte-identical either way.
+    stack record speculation episodes, stall spans, and coherence events
+    into it.  ``None`` or a disabled recorder leaves every hook behind its
+    single ``is not None`` check; recorders only observe, so results are
+    byte-identical either way.
     """
     if trace.num_threads < config.num_cores:
         raise ConfigurationError(
@@ -133,48 +126,17 @@ def build_system(config: SystemConfig, trace: MultiThreadedTrace,
         raise ConfigurationError("warmup_fraction must lie in [0, 1)")
     validate_engine(engine)
     rec = active(recorder)
-    batch = engine == "batch"
     fast = engine != "reference"
-    profiles = run_index = None
-    if batch:
-        # Imported here: the batch package's lane bridge imports this
-        # module back, so a module-scope import would be circular.
-        from .batch.core import BatchCore
-        from .batch.epochs import EpochTracker
-        from .batch.profile import build_lane_profiles
-        if lane is not None:
-            profiles, run_index = lane
-        else:
-            profiles = build_lane_profiles(config, [trace])
-            run_index = 0
     events = EventQueue()
     memory = MemorySystem(config, fast_path=fast, recorder=rec)
-    epochs = None
-    if profiles is not None:
-        memory.set_state_watcher(profiles.make_watcher(run_index))
-        if config.num_cores > 1:
-            # Multicore bulk advance: one epoch tracker per run computes
-            # cross-core quiescence horizons from the residency mirrors;
-            # every directory transaction invalidates its cached bounds.
-            epochs = EpochTracker()
-            memory.set_transaction_watcher(epochs.on_transaction)
     cores: List[Core] = []
     phase_bounds = trace.phase_bounds
     for core_id in range(config.num_cores):
         thread_trace = trace[core_id]
         warmup_ops = int(len(thread_trace) * warmup_fraction)
-        if profiles is not None:
-            core: Core = BatchCore(
-                core_id, thread_trace, config, memory, events,
-                warmup_ops=warmup_ops, phase_bounds=phase_bounds,
-                profile=profiles.row_profile(run_index, core_id),
-                epochs=epochs)
-            if epochs is not None:
-                epochs.register(core)
-        else:
-            core = Core(core_id, thread_trace, config, memory, events,
-                        warmup_ops=warmup_ops, phase_bounds=phase_bounds,
-                        batching=fast)
+        core = Core(core_id, thread_trace, config, memory, events,
+                    warmup_ops=warmup_ops, phase_bounds=phase_bounds,
+                    batching=fast)
         core.obs = rec
         controller = make_controller(core)
         core.attach_controller(controller)

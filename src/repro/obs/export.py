@@ -161,42 +161,6 @@ def write_telemetry(recorder: TraceRecorder, path: Union[str, Path]) -> Path:
     return path
 
 
-def _batch_engine_section(recorder: TraceRecorder) -> List[str]:
-    """The batch-engine digest: bulk retirement vs. per-reason declines.
-
-    Rendered as its own section so an opt-out or a decline storm is
-    diagnosable straight from ``repro profile`` output, without loading
-    the Chrome trace or picking ``batch.*`` rows out of the flat counter
-    list (which this section replaces for ``batch.*`` names).
-    """
-    batch = {name: value for name, value in recorder.counters.items()
-             if name.startswith("batch.")}
-    if not batch:
-        return []
-    lines = ["batch engine:"]
-    retired = batch.get("batch.retired", 0)
-    stretches = recorder.histograms.get("batch.stretch_len")
-    if stretches is not None:
-        commits = sum(stretches.values())
-        mean = retired / commits if commits else 0.0
-        lines.append(f"  bulk-retired ops  {retired:>12}  "
-                     f"({commits} stretches, mean length {mean:.1f})")
-    else:
-        lines.append(f"  bulk-retired ops  {retired:>12}")
-    reasons = [(name.split(".", 2)[2], value)
-               for name, value in sorted(batch.items())
-               if name.startswith("batch.decline.")]
-    for reason, value in reasons:
-        lines.append(f"  decline {reason:<10}  {value:>12}")
-    optouts = [(name.split(".", 2)[2], value)
-               for name, value in sorted(batch.items())
-               if name.startswith("batch.optout.")]
-    for reason, value in optouts:
-        lines.append(f"  opt-out {reason:<10}  {value:>12}")
-    lines.append("")
-    return lines
-
-
 def format_profile(recorder: TraceRecorder) -> str:
     """Human-readable profile report (counters, histograms, span totals)."""
     lines: List[str] = []
@@ -213,13 +177,10 @@ def format_profile(recorder: TraceRecorder) -> str:
             lines.append(f"  {name:<{width}}  {entry['count']:>8} x  "
                          f"{entry['total_dur']:>12} dur")
         lines.append("")
-    lines.extend(_batch_engine_section(recorder))
-    plain = {name: value for name, value in recorder.counters.items()
-             if not name.startswith("batch.")}
-    if plain:
+    if recorder.counters:
         lines.append("counters:")
-        width = max(len(name) for name in plain)
-        for name, value in sorted(plain.items()):
+        width = max(len(name) for name in recorder.counters)
+        for name, value in sorted(recorder.counters.items()):
             lines.append(f"  {name:<{width}}  {value:>12}")
         lines.append("")
     if recorder.histograms:

@@ -3,7 +3,7 @@
 The observability layer is built around one contract: every hook site in
 the simulator holds a *recorder slot* that is either ``None`` (telemetry
 off -- the default everywhere) or an enabled recorder.  Hook sites guard
-their work behind a single ``if rec is not None`` so the fast and batch
+their work behind a single ``if rec is not None`` so the fast kernel's
 hot paths pay exactly one pointer comparison when telemetry is off; the
 bench harness gates that cost at <= 2% of kernel throughput.
 
@@ -13,7 +13,7 @@ exporter targets:
 * **counters** -- monotonically accumulated named integers
   (:meth:`Recorder.count`), e.g. ``coherence.invalidations``;
 * **histograms** -- named value distributions (:meth:`Recorder.observe`),
-  e.g. the batch engine's retired-stretch lengths;
+  e.g. the invalidation fan-out of each directory write;
 * **spans and instants** -- timestamped intervals / points on a
   ``(pid, tid)`` track.  Two timebases coexist: ``PID_SIM`` tracks carry
   *simulated-cycle* timestamps (speculation episodes, drain stalls,

@@ -23,15 +23,9 @@ to the exact operation it re-executes.
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from .ops import MemOp, OpKind
-
-#: Monotone id source for :attr:`TraceArrays.token` (process-wide).
-_ARRAY_TOKENS = itertools.count(1)
 
 #: Integer opcodes, stable across the project (serialization-independent).
 OP_LOAD = 0
@@ -53,38 +47,11 @@ OPCODES = {
 KIND_FOR_OPCODE = {code: kind for kind, code in OPCODES.items()}
 
 
-class TraceArrays:
-    """Read-only numpy views over one :class:`CompiledTrace`.
-
-    Built lazily by :meth:`CompiledTrace.arrays` for the batch engine's
-    2-D lane stacking; each field mirrors the corresponding flat list.
-    """
-
-    __slots__ = ("length", "kinds", "addresses", "sizes", "cycles",
-                 "instr_weights", "is_memory", "token")
-
-    def __init__(self, compiled: "CompiledTrace") -> None:
-        self.length = compiled.length
-        #: unique build id.  Batch lane profiles pin the token of every
-        #: ``TraceArrays`` they consumed; a core whose trace re-compiled
-        #: (any mutation discards the compiled form, and with it these
-        #: arrays) sees a token mismatch and opts out of bulk retirement
-        #: even when the mutated trace happens to keep the same length.
-        self.token = next(_ARRAY_TOKENS)
-        self.kinds = np.asarray(compiled.kinds, dtype=np.int8)
-        self.addresses = np.asarray(compiled.addresses, dtype=np.int64)
-        self.sizes = np.asarray(compiled.sizes, dtype=np.int64)
-        self.cycles = np.asarray(compiled.cycles, dtype=np.int64)
-        self.instr_weights = np.asarray(compiled.instr_weights,
-                                        dtype=np.int64)
-        self.is_memory = np.asarray(compiled.is_memory, dtype=np.bool_)
-
-
 class CompiledTrace:
     """Struct-of-arrays form of one program-order trace."""
 
     __slots__ = ("ops", "length", "kinds", "addresses", "sizes", "cycles",
-                 "instr_weights", "is_memory", "_arrays")
+                 "instr_weights", "is_memory")
 
     def __init__(self, ops: Sequence[MemOp]) -> None:
         self.ops: List[MemOp] = list(ops)
@@ -99,7 +66,6 @@ class CompiledTrace:
             else 1
             for op in self.ops
         ]
-        self._arrays: Optional[TraceArrays] = None
 
     def __len__(self) -> int:
         return self.length
@@ -107,15 +73,3 @@ class CompiledTrace:
     def view(self, index: int) -> MemOp:
         """The authored :class:`MemOp` at ``index`` (shared object)."""
         return self.ops[index]
-
-    def arrays(self) -> TraceArrays:
-        """Numpy views of the per-op columns, built once and cached.
-
-        The cache lives on this :class:`CompiledTrace` instance, so trace
-        mutation (``Trace.append``/``extend``), which discards the compiled
-        form, discards the arrays with it -- a stale-arrays bug cannot
-        outlive the compiled trace that spawned them.
-        """
-        if self._arrays is None or self._arrays.length != self.length:
-            self._arrays = TraceArrays(self)
-        return self._arrays

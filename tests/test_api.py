@@ -1,9 +1,5 @@
 """The public API facade and the unified campaign CLI flags."""
 
-import json
-
-import pytest
-
 import repro
 import repro.api
 from repro import (
@@ -16,9 +12,8 @@ from repro import (
     simulate,
     small_config,
 )
-from repro.campaign import ResultCache, ShardedBackend, SqliteBackend
+from repro.campaign import ResultCache, SqliteBackend
 from repro.cli import main
-from repro.errors import ReproError
 from repro.experiments.common import ExperimentSettings
 
 QUICK = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,

@@ -4,8 +4,9 @@ One parameterized suite runs every :class:`CacheBackend` implementation
 through the same contract (round-trip, stats, leases), then backend-
 specific tests pin the concurrent-writer safety of the sqlite shard, the
 deterministic key routing of the sharded composite, the URL grammar, the
-kernel-source invalidation scoping, and the byte-identity of a study
-drained by two cooperating workers versus a serial run.
+kernel-source invalidation scoping, the byte-identity of a study
+drained by two cooperating workers versus a serial run, and the
+re-simulation of a corrupt stored entry by a draining worker.
 """
 
 import json
@@ -419,6 +420,31 @@ class TestDistributedDrain:
         assert report.simulated == len(plan.unique_cells)
         assert report.reissued == len(plan.unique_cells)
 
+    def test_cell_stored_between_check_and_claim_is_not_resimulated(
+            self, tmp_path, tiny_result, monkeypatch):
+        """A peer's put drops its lease, so the claim succeeds; re-check."""
+        settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
+                                            workloads=("apache",))
+        plan = compile_study_plan("figure1", settings)
+        url = f"sqlite://{tmp_path}/q.sqlite"
+        cache = open_cache(url)
+        worker = QueueWorker(plan, cache, worker_id="w1",
+                             poll_interval=0.01, max_wait=60.0)
+        raced, _ = worker._payloads()[0]
+        peer = open_cache(url)
+        claim = cache.try_claim
+
+        def peer_finishes_first(key, owner, ttl):
+            if key == raced:
+                peer.put(key, tiny_result)
+            return claim(key, owner, ttl)
+
+        monkeypatch.setattr(cache, "try_claim", peer_finishes_first)
+        report = worker.drain()
+        assert report.simulated == len(plan.unique_cells) - 1
+        assert report.served_elsewhere == 1
+        assert cache.lease_owner(raced) is None
+
     def test_stuck_peer_lease_times_out(self, tmp_path):
         settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
                                             workloads=("apache",))
@@ -436,3 +462,51 @@ class TestDistributedDrain:
             worker.drain()
         # everything not held was still completed.
         assert worker.last_report.simulated == len(plan.unique_cells) - 1
+
+
+def _truncate_dir_entry(cache, key):
+    path = cache.path_for(key)
+    path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+
+
+def _garble_sqlite_entry(cache, key):
+    cache.backend._connect().execute(
+        "UPDATE entries SET body = ? WHERE key = ?", ("\x00garbage{", key))
+
+
+class TestCorruptEntryRecovery:
+    """A corrupt stored cell is re-claimed and overwritten, never skipped.
+
+    ``contains`` must agree with ``get``: an entry that does not decode
+    is a miss, so a queue worker claims it again instead of counting it
+    as served elsewhere (which would leave the next ``study run`` to
+    re-simulate it silently).
+    """
+
+    @pytest.mark.parametrize("url_format, corrupt", (
+        ("dir://{}/cache", _truncate_dir_entry),
+        ("sqlite://{}/q.sqlite", _garble_sqlite_entry),
+    ), ids=("dir-truncated-file", "sqlite-garbage-body"))
+    def test_drain_reclaims_and_overwrites_corrupt_entry(
+            self, tmp_path, url_format, corrupt):
+        settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
+                                            workloads=("apache",))
+        plan = compile_study_plan("figure1", settings)
+        url = url_format.format(tmp_path)
+        first = QueueWorker(plan, open_cache(url), worker_id="w1",
+                            poll_interval=0.01, max_wait=60.0)
+        assert first.drain().simulated == len(plan.unique_cells)
+
+        cache = open_cache(url)
+        key, _ = first._payloads()[0]
+        corrupt(cache, key)
+        assert not cache.contains(key)
+        assert cache.stats == CacheStats()  # contains tallies nothing
+
+        worker = QueueWorker(plan, cache, worker_id="w2",
+                             poll_interval=0.01, max_wait=60.0)
+        report = worker.drain()
+        assert report.simulated == 1
+        assert report.served_elsewhere == len(plan.unique_cells) - 1
+        assert cache.get(key) is not None
+        assert cache.stats.hits == 1 and cache.stats.misses == 0

@@ -15,12 +15,11 @@ from repro.bench import (
     run_bench,
     write_report,
 )
-from repro.bench.harness import BATCH_WIDTHS, KERNEL_CONFIGS, SCENARIO_NAME
+from repro.bench.harness import KERNEL_CONFIGS, SCENARIO_NAME
 from repro.cli import main
 
 _PRESET = BenchPreset(name="test", workload="apache", num_cores=2,
-                      ops_per_thread=120, seed=3, repeats=1,
-                      batch_ops_per_thread=800)
+                      ops_per_thread=120, seed=3, repeats=1)
 
 
 @pytest.fixture(scope="module")
@@ -58,39 +57,6 @@ class TestBenchReport:
         assert studies["cells"] > studies["unique_jobs"] > 0
         assert studies["cold_seconds"] > 0
         assert studies["cached_seconds"] > 0
-
-    def test_batch_section_timed_and_identical(self, report):
-        """Schema v4: the batch tier is timed per lane width, both engines."""
-        batch = report["batch"]
-        assert batch["config"] == "sc"
-        assert batch["num_cores"] == 1
-        assert batch["ops_per_thread"] == _PRESET.batch_ops_per_thread
-        assert tuple(w["width"] for w in batch["widths"]) == BATCH_WIDTHS
-        for width in batch["widths"]:
-            assert width["identical"], "batch results must match fast"
-            assert width["total_ops"] == (width["width"]
-                                          * _PRESET.batch_ops_per_thread)
-            assert width["fast_ops_per_sec"] > 0
-            assert width["batch_ops_per_sec"] > 0
-            assert width["speedup"] > 0
-        assert batch["studies_cold_seconds"] > 0
-
-    def test_batch_multicore_section_timed_and_identical(self, report):
-        """Schema v7: the coherence-epoch path is timed on a 4-core cell."""
-        multicore = report["batch_multicore"]
-        assert multicore["config"] == "sc"
-        assert multicore["num_cores"] == 4
-        assert multicore["ops_per_thread"] == _PRESET.batch_ops_per_thread
-        assert multicore["total_ops"] == 4 * _PRESET.batch_ops_per_thread
-        assert multicore["identical"], "batch results must match fast"
-        assert multicore["fast_ops_per_sec"] > 0
-        assert multicore["batch_ops_per_sec"] > 0
-        assert multicore["speedup"] > 0
-        # Bulk retirement must actually fire across cores, and the
-        # per-reason decline counters must be surfaced for diagnosis.
-        assert multicore["bulk_retired_ops"] > 0
-        assert isinstance(multicore["declines"], dict)
-        assert isinstance(multicore["optouts"], dict)
 
     def test_distributed_section_partitions_and_matches(self, report):
         """Schema v6: 1-vs-2-worker queue drains over one sqlite backend."""
@@ -165,47 +131,6 @@ class TestBaselineCheck:
         failures = check_against_baseline(report, baseline)
         assert any("missing from baseline" in failure for failure in failures)
 
-    def test_detects_batch_regression(self, report):
-        baseline = copy.deepcopy(report)
-        for width in baseline["batch"]["widths"]:
-            width["batch_ops_per_sec"] *= 10
-        failures = check_against_baseline(report, baseline, tolerance=0.30)
-        assert len(failures) == len(BATCH_WIDTHS)
-        assert all("batch width" in failure for failure in failures)
-
-    def test_identity_mismatch_is_a_failure(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["batch"]["widths"][0]["identical"] = False
-        failures = check_against_baseline(fresh, copy.deepcopy(report))
-        assert any("byte-identical" in failure for failure in failures)
-
-    def test_batch_multicore_identity_mismatch_is_a_failure(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["batch_multicore"]["identical"] = False
-        failures = check_against_baseline(fresh, copy.deepcopy(report))
-        assert any("batch_multicore" in failure and "byte-identical" in failure
-                   for failure in failures)
-
-    def test_batch_multicore_speedup_floor(self, report):
-        """A multicore speedup below 1.5x fails the check within-report."""
-        fresh = copy.deepcopy(report)
-        fresh["batch_multicore"]["speedup"] = 1.1
-        failures = check_against_baseline(fresh, copy.deepcopy(report))
-        assert any("below the 1.5x floor" in failure for failure in failures)
-
-    def test_batch_multicore_requires_bulk_retirement(self, report):
-        fresh = copy.deepcopy(report)
-        fresh["batch_multicore"]["bulk_retired_ops"] = 0
-        failures = check_against_baseline(fresh, copy.deepcopy(report))
-        assert any("never fired" in failure for failure in failures)
-
-    def test_missing_batch_multicore_section_is_a_failure(self, report):
-        fresh = copy.deepcopy(report)
-        del fresh["batch_multicore"]
-        failures = check_against_baseline(fresh, copy.deepcopy(report))
-        assert any("batch_multicore section missing" in failure
-                   for failure in failures)
-
     def test_distributed_identity_mismatch_is_a_failure(self, report):
         fresh = copy.deepcopy(report)
         fresh["distributed"]["identical"] = False
@@ -251,7 +176,6 @@ class TestBaselineDelta:
     def test_delta_table_covers_every_section(self, report):
         text = format_baseline_delta(report, copy.deepcopy(report))
         for label in ("kernel sc", "scenario splice", "geometry",
-                      "batch width", "batch 4-core",
                       "telemetry null recorder", "telemetry overhead"):
             assert label in text
         assert "+0.0%" in text  # identical reports: all deltas are zero
@@ -314,9 +238,12 @@ class TestBenchCLI:
 
 
 class TestCommittedBaseline:
-    def test_committed_baseline_is_well_formed(self):
-        """The CI gate's baseline file must stay loadable and schema-current."""
-        baseline = load_report("benchmarks/bench_baseline.json")
+    @pytest.mark.parametrize("path", ("benchmarks/bench_baseline.json",
+                                      "BENCH_kernel.json"))
+    def test_committed_baseline_is_well_formed(self, path):
+        """The CI gate's baseline and the committed root report must stay
+        loadable and schema-current."""
+        baseline = load_report(path)
         assert baseline["schema"] == BENCH_SCHEMA_VERSION
         assert {k["config"] for k in baseline["kernels"]} == set(KERNEL_CONFIGS)
         assert all(k["ops_per_sec"] > 0 for k in baseline["kernels"])

@@ -24,6 +24,25 @@ class TestSimulateCommand:
             main(["simulate", "--config", "bogus"])
 
 
+class TestEngineFlag:
+    @pytest.mark.parametrize("argv", (
+        ["simulate"],
+        ["figure", "8"],
+        ["sweep", "--quick"],
+        ["study", "run", "figure1", "--quick"],
+        ["scenario", "run", "false-sharing-storm", "--small"],
+        ["worker", "figure1", "--quick"],
+        ["profile", "sc", "apache", "--small"],
+        ["bench", "--small"],
+    ), ids=lambda argv: argv[0])
+    def test_retired_batch_engine_exits_2(self, argv, capsys):
+        """Every ``--engine`` flag offers only fast|reference."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--engine", "batch"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+
 class TestFigureCommand:
     def test_figure_1_runs_at_tiny_scale(self, capsys):
         code = main(["figure", "1", "--cores", "2", "--ops", "300",

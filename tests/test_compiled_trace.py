@@ -70,49 +70,3 @@ class TestTraceCaching:
         assert len(compiled) == 0
         assert compiled.kinds == []
 
-
-class TestNumpyArrayCaching:
-    """The lazy numpy views must never outlive the ops they mirror."""
-
-    def test_arrays_are_cached(self):
-        compiled = Trace(OPS).compiled()
-        assert compiled.arrays() is compiled.arrays()
-
-    def test_arrays_mirror_the_columns(self):
-        arrays = Trace(OPS).compiled().arrays()
-        assert arrays.length == len(OPS)
-        assert arrays.kinds.tolist() == [OP_LOAD, OP_STORE, OP_ATOMIC,
-                                         OP_FENCE, OP_COMPUTE]
-        assert arrays.addresses.tolist() == [0x100, 0x140, 0x180, 0, 0]
-        assert arrays.instr_weights.tolist() == [1, 1, 1, 1, 7]
-        assert arrays.is_memory.tolist() == [True, True, True, False, False]
-
-    def test_append_after_arrays_invalidates_the_views(self):
-        """Regression: mutating the trace must rebuild the numpy views.
-
-        The views are cached on the compiled form, so a mutation that
-        discards the compiled trace discards them; a stale-arrays bug
-        would leave the batch engine planning against the old op list.
-        """
-        trace = Trace(OPS)
-        stale = trace.compiled().arrays()
-        trace.append(load(0x200))
-        fresh = trace.compiled().arrays()
-        assert fresh is not stale
-        assert fresh.length == len(OPS) + 1
-        assert fresh.addresses[-1] == 0x200
-
-    def test_extend_after_arrays_invalidates_the_views(self):
-        trace = Trace(OPS)
-        trace.compiled().arrays()
-        trace.extend([store(0x240), fence()])
-        fresh = trace.compiled().arrays()
-        assert fresh.length == len(OPS) + 2
-        assert fresh.kinds[-1] == OP_FENCE
-
-    def test_rebuilt_compiled_trace_rebuilds_arrays(self):
-        """Even same-length recompilation must not serve foreign views."""
-        trace = Trace(OPS)
-        stale = trace.compiled().arrays()
-        trace._compiled = CompiledTrace(list(OPS))
-        assert trace.compiled().arrays() is not stale

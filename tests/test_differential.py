@@ -1,16 +1,15 @@
-"""Differential equivalence: the three engines must agree byte for byte.
+"""Differential equivalence: the two engines must agree byte for byte.
 
 The whole-stack kernel refactor (compiled traces, batched steps, typed
 events, allocation-free coherence hit path) is gated by one guarantee:
 ``simulate(..., engine="fast")`` and ``simulate(..., engine="reference")``
 produce *byte-identical* ``RunResult`` JSON -- every counter, every
-per-phase breakdown, every events-processed count.  The vectorized batch
-tier (``engine="batch"``) extends that guarantee: bulk-retired quiescent
-stretches commit exactly what the per-op kernel would have, at any lane
-width and for ragged-length lanes.  This suite asserts all of it across
-every built-in workload preset, every registered scenario, and the three
-controller kinds, plus warmup and rollback-heavy corners, and that
-campaign cache keys/entries are engine-independent.
+per-phase breakdown, every events-processed count.  The reference engine
+is the retained one-event-per-op path, kept as the ground truth this
+suite compares against.  It asserts the guarantee across every built-in
+workload preset, every registered scenario, and the three controller
+kinds, at two and four cores, plus warmup and rollback-heavy corners,
+and that campaign cache keys/entries are engine-independent.
 """
 
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from repro.campaign import Job, ResultCache
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import CampaignExecutor
-from repro.engine.batch.lanes import simulate_batch
 from repro.engine.simulator import simulate
 from repro.engine.system import build_system
 from repro.errors import ConfigurationError
@@ -56,19 +54,32 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             build_system(config, trace, engine="turbo")
 
-    def test_unknown_engine_message_names_the_valid_kinds(self):
-        """The error must tell the user what *is* accepted."""
+    @pytest.mark.parametrize("engine", ("turbo", "batch"))
+    def test_unknown_engine_message_names_the_valid_kinds(self, engine,
+                                                          tmp_path):
+        """The error must tell the user what *is* accepted.
+
+        ``batch`` (a retired engine) fails exactly like any other unknown
+        name, at every entry point that accepts an engine.
+        """
+        from repro.api import compile_study_plan
+        from repro.campaign.queue import QueueWorker
+
         trace = build_trace("apache", num_threads=_CORES,
                             ops_per_thread=20, seed=1)
         config = make_config("sc", _settings())
+        plan = compile_study_plan(["figure8"], _settings())
+        cache = ResultCache(tmp_path / "cache")
         for entry_point in (
-                lambda: simulate(config, trace, engine="turbo"),
-                lambda: build_system(config, trace, engine="turbo")):
+                lambda: simulate(config, trace, engine=engine),
+                lambda: build_system(config, trace, engine=engine),
+                lambda: CampaignExecutor(_settings(), engine=engine),
+                lambda: QueueWorker(plan, cache, engine=engine)):
             with pytest.raises(ConfigurationError) as excinfo:
                 entry_point()
             message = str(excinfo.value)
-            assert "turbo" in message
-            assert "fast|reference|batch" in message
+            assert repr(engine) in message
+            assert message.endswith("expected one of fast|reference")
 
     def test_simulate_rejects_unknown_engine_before_building(self):
         """Validation is eager: no partially wired system, no simulation."""
@@ -207,212 +218,29 @@ class TestQueuedInterconnectEquivalence:
         assert config.interconnect.contention == "none"
 
 
-#: the conventional consistency models, where the batch tier's bulk path
-#: is actually eligible (speculative controllers fall back to pure-exact
-#: execution inside the same BatchCore).
-CONVENTIONAL_CONFIGS = ("sc", "tso", "rmo")
-
-
-def _batch_vs_fast(config, trace, warmup: float = 0.0):
-    fast = simulate(config, trace, warmup_fraction=warmup, engine="fast")
-    batch = simulate(config, trace, warmup_fraction=warmup, engine="batch")
-    return fast, batch
-
-
-@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
-@pytest.mark.parametrize("workload", ALL_WORKLOADS)
-class TestBatchByteIdenticalResults:
-    def test_batch_vs_fast_byte_identical(self, config_name, workload):
-        """Every preset and scenario, every controller kind."""
-        trace = build_trace(workload, num_threads=_CORES,
-                            ops_per_thread=_OPS, seed=3)
-        config = make_config(config_name, _settings())
-        fast, batch = _batch_vs_fast(config, trace)
-        assert fast.to_json() == batch.to_json()
-
-
-@pytest.mark.parametrize("config_name", CONVENTIONAL_CONFIGS)
-class TestBatchConventionalModels:
-    """SC / TSO / RMO take the bulk path; warmup splits stretches."""
-
-    def test_batch_vs_fast_with_warmup(self, config_name):
-        trace = build_trace("apache", num_threads=_CORES,
-                            ops_per_thread=_OPS, seed=7)
-        config = make_config(config_name, _settings(warmup=0.25))
-        fast, batch = _batch_vs_fast(config, trace, warmup=0.25)
-        assert fast.to_json() == batch.to_json()
-
-    def test_batch_vs_fast_scenario_phases(self, config_name):
-        """Phase boundaries must break stretches without losing cycles."""
-        trace = build_trace("false-sharing-storm", num_threads=_CORES,
-                            ops_per_thread=_OPS, seed=11)
-        config = make_config(config_name, _settings(warmup=0.2))
-        fast, batch = _batch_vs_fast(config, trace, warmup=0.2)
-        assert fast.to_json() == batch.to_json()
-
-    def test_batch_vs_fast_single_core(self, config_name):
-        """Single-core runs have an empty event heap (the longest stretches)."""
-        settings = ExperimentSettings(num_cores=1, ops_per_thread=600,
-                                      seeds=(3,), warmup_fraction=0.0)
-        trace = build_trace("barnes", num_threads=1,
-                            ops_per_thread=600, seed=3)
-        config = make_config(config_name, settings)
-        fast, batch = _batch_vs_fast(config, trace)
-        assert fast.to_json() == batch.to_json()
-
-
-@pytest.mark.parametrize("cores", (2, 4))
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
 @pytest.mark.parametrize("workload", tuple(scenario_names()))
-class TestMulticoreBatchByteIdentical:
-    """The coherence-epoch path: every scenario, both machine widths.
+class TestMulticoreByteIdentical:
+    """Every scenario at four cores (``TestByteIdenticalResults`` runs two).
 
     Scenarios are the contended corner (phase-spliced storms, handoffs,
-    migratory sharing), so this is where an unsound epoch bound -- one
-    that let a stretch run past another core's first coherence traffic --
-    would actually desynchronize the engines.
+    migratory sharing); a wider machine puts more cores' coherence
+    traffic and inline-batch decisions between any two of one core's
+    steps, which is where the fast kernel's run-until-interesting
+    condition would desynchronize from the reference path.
     """
 
-    def test_batch_vs_fast_multicore(self, cores, config_name, workload):
-        trace = build_trace(workload, num_threads=cores,
+    def test_fast_vs_reference_four_cores(self, config_name, workload):
+        trace = build_trace(workload, num_threads=4,
                             ops_per_thread=_OPS, seed=3)
-        settings = ExperimentSettings(num_cores=cores, ops_per_thread=_OPS,
+        settings = ExperimentSettings(num_cores=4, ops_per_thread=_OPS,
                                       seeds=(3,), warmup_fraction=0.0)
         config = make_config(config_name, settings)
-        fast, batch = _batch_vs_fast(config, trace)
-        assert fast.to_json() == batch.to_json()
+        fast, ref = _run_both(config, trace)
+        assert fast.to_json() == ref.to_json()
 
 
-class TestMirrorInvalidation:
-    def test_mid_run_directory_invalidation_of_mirrored_line(self):
-        """A sharer's store must invalidate the numpy residency mirror.
-
-        Core 0 takes line 0 SHARED and then spins on it in long quiescent
-        stretches, so the batch engine's residency mirror holds read
-        permission for the line.  Core 1 wakes later and stores to the
-        same line: the directory invalidates core 0's copy mid-run, the
-        state watcher must zero the mirror, and the epoch tracker's
-        generation bump must discard any cached horizon -- otherwise core
-        0's next stretch would bulk-retire loads the exact kernel serves
-        as misses.
-        """
-        from repro.obs.recorder import TraceRecorder
-        from repro.trace.ops import compute, load, store
-        from repro.trace.trace import MultiThreadedTrace, Trace
-
-        spin = [load(0), compute(1)] * 120
-        # The intruder reads the line first so both cores hold it SHARED
-        # (a lone reader is tracked as an EXCLUSIVE owner, whose recall
-        # is a different directory path); its store then fans out a true
-        # sharer invalidation to the spinning core.
-        intruder = ([compute(40)] * 3 + [load(0)] + [compute(40)] * 3
-                    + [store(0)] + [compute(1)] * 20)
-        trace = MultiThreadedTrace(
-            [Trace(spin), Trace(intruder + [compute(1)] *
-                                (len(spin) - len(intruder)))],
-            name="mirror-invalidation")
-        settings = ExperimentSettings(num_cores=2,
-                                      ops_per_thread=len(spin),
-                                      seeds=(3,), warmup_fraction=0.0)
-        config = make_config("sc", settings)
-        recorder = TraceRecorder()
-        batch = simulate(config, trace, engine="batch", recorder=recorder)
-        fast = simulate(config, trace, engine="fast")
-        assert batch.to_json() == fast.to_json()
-        # The test is vacuous unless the mirror was really exercised on
-        # both sides of the invalidation: stretches retired in bulk, the
-        # directory invalidated the sharer's copy mid-run, and the
-        # downgraded mirror then declined at least one spin stretch.
-        assert recorder.counters["batch.retired"] > 0
-        assert recorder.counters["coherence.invalidations"] > 0
-        assert recorder.counters["batch.decline.residency"] > 0
-
-
-@pytest.mark.parametrize("width", (1, 3, 8))
-class TestLaneWidthIndependence:
-    """A lane's width is a performance knob, never a results dimension."""
-
-    def test_lane_matches_per_cell_fast(self, width):
-        config = make_config("sc", _settings())
-        traces = [build_trace("apache", num_threads=_CORES,
-                              ops_per_thread=_OPS, seed=100 + i)
-                  for i in range(width)]
-        lane = simulate_batch(config, traces,
-                              warmup_fraction=0.0)
-        assert len(lane) == width
-        for trace, result in zip(traces, lane):
-            fast = simulate(config, trace, engine="fast")
-            assert result.to_json() == fast.to_json()
-
-    def test_lane_matches_width_one_lanes(self, width):
-        """Runs share only immutable tables: width-N == N times width-1."""
-        config = make_config("tso", _settings())
-        traces = [build_trace("ocean", num_threads=_CORES,
-                              ops_per_thread=200, seed=40 + i)
-                  for i in range(width)]
-        wide = simulate_batch(config, traces, warmup_fraction=0.1)
-        narrow = [simulate_batch(config, [trace], warmup_fraction=0.1)[0]
-                  for trace in traces]
-        for a, b in zip(wide, narrow):
-            assert a.to_json() == b.to_json()
-
-
-class TestRaggedLanes:
-    def test_ragged_length_traces_in_one_lane(self):
-        """Rows of different lengths stack against the lane-wide maximum."""
-        config = make_config("sc", _settings())
-        traces = [build_trace("apache", num_threads=_CORES,
-                              ops_per_thread=ops, seed=5)
-                  for ops in (60, 300, 137)]
-        lane = simulate_batch(config, traces, warmup_fraction=0.0)
-        for trace, result in zip(traces, lane):
-            fast = simulate(config, trace, engine="fast")
-            assert result.to_json() == fast.to_json()
-
-    def test_mixed_workloads_in_one_lane(self):
-        """A lane only requires a shared config, not a shared workload."""
-        config = make_config("rmo", _settings())
-        traces = [build_trace(name, num_threads=_CORES,
-                              ops_per_thread=_OPS, seed=9)
-                  for name in ("apache", "barnes", "ocean")]
-        lane = simulate_batch(config, traces, warmup_fraction=0.0)
-        for trace, result in zip(traces, lane):
-            fast = simulate(config, trace, engine="fast")
-            assert result.to_json() == fast.to_json()
-
-
-class TestBatchCampaignIntegration:
-    def test_batch_warmed_cache_serves_fast_engine(self, tmp_path):
-        """Cache entries written under batch are hits for fast, bytes equal."""
-        settings = _settings()
-        cache = ResultCache(tmp_path / "cache")
-        batch_exec = CampaignExecutor(settings, jobs=1, cache=cache,
-                                      engine="batch")
-        jobs = [Job("sc", "apache", 3), Job("sc", "barnes", 3),
-                Job("invisi_sc", "apache", 3)]
-        batch_results = batch_exec.run(jobs)
-        assert batch_exec.last_report.simulated == len(jobs)
-
-        fast_exec = CampaignExecutor(settings, jobs=1, cache=cache,
-                                     engine="fast")
-        fast_results = fast_exec.run(jobs)
-        assert fast_exec.last_report.simulated == 0
-        assert fast_exec.last_report.cache_hits == len(jobs)
-        for a, b in zip(batch_results, fast_results):
-            assert a.to_json() == b.to_json()
-
-    def test_serial_batch_campaign_matches_fast_campaign(self):
-        """The executor's lane grouping changes nothing observable."""
-        settings = _settings()
-        jobs = [Job(c, w, 3) for c in ("sc", "tso")
-                for w in ("apache", "ocean")]
-        batch = CampaignExecutor(settings, engine="batch").run(jobs)
-        fast = CampaignExecutor(settings, engine="fast").run(jobs)
-        for a, b in zip(batch, fast):
-            assert a.to_json() == b.to_json()
-
-
-@pytest.mark.parametrize("engine", ("fast", "reference", "batch"))
+@pytest.mark.parametrize("engine", ("fast", "reference"))
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
 class TestTelemetryInvariance:
     """Recording telemetry must never change what is simulated.

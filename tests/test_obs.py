@@ -4,9 +4,9 @@ Covers the recorder protocol (``active`` normalization, the
 zero-overhead-when-off contract's wiring side), the Chrome trace-event
 export shape (``ph``/``ts``/``pid``/``tid``/``name`` on every event, the
 metadata track names, abort spans carrying their rollback cause), the
-schema-versioned ``telemetry.json`` payload, the batch engine's
-introspection counters, :class:`~repro.campaign.cache.CacheStats`, and
-the ``repro profile`` / ``--telemetry`` CLI surface.
+schema-versioned ``telemetry.json`` payload,
+:class:`~repro.campaign.cache.CacheStats`, and the ``repro profile`` /
+``--telemetry`` CLI surface.
 """
 
 import json
@@ -32,7 +32,6 @@ from repro.obs import (
     format_profile,
     telemetry_payload,
     write_chrome_trace,
-    write_telemetry,
 )
 from repro.workloads.registry import build_trace
 
@@ -207,21 +206,6 @@ class TestTelemetryPayload:
 
     def test_format_profile_empty_recorder(self):
         assert "no telemetry" in format_profile(TraceRecorder())
-
-
-class TestBatchIntrospection:
-    def test_batch_engine_reports_stretches_and_declines(self):
-        settings = ExperimentSettings(num_cores=1, ops_per_thread=2000,
-                                      seeds=(3,), warmup_fraction=0.0)
-        trace = build_trace("barnes", num_threads=1, ops_per_thread=2000,
-                            seed=3)
-        recorder = TraceRecorder()
-        simulate(make_config("sc", settings), trace, engine="batch",
-                 recorder=recorder)
-        assert recorder.counters["batch.retired"] > 0
-        assert "batch.stretch_len" in recorder.histograms
-        assert any(name.startswith("batch.decline.")
-                   for name in recorder.counters)
 
 
 class TestCacheStats:
