@@ -19,7 +19,7 @@ measurements to ``BENCH_kernel.json`` for the committed perf trajectory.
 
 import pytest
 
-from repro.campaign import CampaignExecutor, ResultCache, expand_jobs
+from repro.campaign import CampaignExecutor, DirectoryBackend, expand_jobs
 from repro.config import ConsistencyModel, SpeculationConfig, SpeculationMode, paper_config
 from repro.engine.simulator import simulate
 from repro.experiments.common import ExperimentSettings
@@ -98,7 +98,7 @@ def test_campaign_cold_throughput(benchmark):
 def test_campaign_cached_throughput(benchmark, tmp_path):
     """Every round serves every cell from the on-disk result cache."""
     executor = CampaignExecutor(_SWEEP_SETTINGS, jobs=1,
-                                cache=ResultCache(tmp_path / "cache"))
+                                cache=DirectoryBackend(tmp_path / "cache"))
     executor.run(_SWEEP_CELLS)  # warm the cache
     results = benchmark(executor.run, _SWEEP_CELLS)
     assert executor.last_report.simulated == 0

@@ -80,8 +80,7 @@ if __name__ == "__main__":
     parser.add_argument("out", nargs="?", default="results/full_run.txt")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for missing cells")
-    parser.add_argument("--cache", "--cache-dir", dest="cache",
-                        default="results/cache",
+    parser.add_argument("--cache", default="results/cache",
                         help="result cache URL (dir://PATH, sqlite://FILE) or "
                              "directory path ('' disables caching)")
     parser.add_argument("--quick", action="store_true",

@@ -37,11 +37,11 @@ from .api import (
     simulate,
 )
 from .campaign import (
+    CacheBackend,
     CampaignExecutor,
     ConfigRegistry,
     DEFAULT_REGISTRY,
     Job,
-    ResultCache,
     expand_jobs,
 )
 from .config import (
@@ -97,11 +97,11 @@ __all__ = [
     "paper_config",
     "small_config",
     # campaign
+    "CacheBackend",
     "CampaignExecutor",
     "ConfigRegistry",
     "DEFAULT_REGISTRY",
     "Job",
-    "ResultCache",
     "expand_jobs",
     # engine
     "RunResult",

@@ -18,9 +18,8 @@ shapes:
     through a shared executor/cache -- the bulk entry point the CLI's
     ``study run`` and the service layer queue cold jobs through;
 :func:`open_cache`
-    a result cache from a ``dir://`` / ``sqlite://`` URL (with optional
-    ``?shards=N``), a bare path, or ``None`` for the default local
-    directory.
+    a result-cache backend from a ``dir://`` / ``sqlite://`` URL, a bare
+    path, or ``None`` for the default local directory.
 
 Example::
 
@@ -41,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from .campaign.backends import CacheBackend
-from .campaign.cache import ResultCache, cache_key
+from .campaign.backends import CacheBackend, DirectoryBackend, backend_from_url
+from .campaign.cache import DEFAULT_CACHE_DIR, cache_key
 from .campaign.executor import CampaignReport
 from .campaign.registry import DEFAULT_REGISTRY
 from .config import SystemConfig
@@ -62,28 +61,26 @@ __all__ = [
 ]
 
 #: Anything :func:`open_cache` accepts.
-CacheLike = Union[None, str, "ResultCache", CacheBackend]
+CacheLike = Union[None, str, CacheBackend]
 
 
-def open_cache(cache: CacheLike = None) -> ResultCache:
-    """Open (or pass through) a result cache.
+def open_cache(cache: CacheLike = None) -> CacheBackend:
+    """Open (or pass through) a result-cache backend.
 
     * ``None`` -- the default local directory (``results/cache/``);
-    * a string or path -- a cache URL (``dir://path``, ``sqlite://file``,
-      either with ``?shards=N``) or a bare directory path;
-    * a :class:`~repro.campaign.backends.CacheBackend` -- wrapped;
-    * a :class:`~repro.campaign.cache.ResultCache` -- returned unchanged.
+    * a string or path -- a cache URL (``dir://path``, ``sqlite://file``)
+      or a bare directory path;
+    * a :class:`~repro.campaign.backends.CacheBackend` -- returned
+      unchanged.
     """
     if cache is None:
-        return ResultCache()
-    if isinstance(cache, ResultCache):
-        return cache
+        return DirectoryBackend(DEFAULT_CACHE_DIR)
     if isinstance(cache, CacheBackend):
-        return ResultCache(backend=cache)
-    return ResultCache.from_url(cache)
+        return cache
+    return backend_from_url(cache)
 
 
-def _open_optional(cache: CacheLike) -> Optional[ResultCache]:
+def _open_optional(cache: CacheLike) -> Optional[CacheBackend]:
     """Like :func:`open_cache`, but ``None`` stays ``None`` (no cache)."""
     return None if cache is None else open_cache(cache)
 
@@ -178,7 +175,7 @@ class PlanExecution:
     _results: Dict[str, Any] = field(default_factory=dict)
 
     @property
-    def cache(self) -> Optional[ResultCache]:
+    def cache(self) -> Optional[CacheBackend]:
         return self.runner.cache
 
     def names(self) -> Tuple[str, ...]:

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..campaign import CampaignExecutor, Job, ResultCache
+from ..campaign import CampaignExecutor, DirectoryBackend, Job
 from ..engine.simulator import simulate
 from ..experiments.common import ExperimentSettings, make_config
 from ..obs import NullRecorder, TraceRecorder
@@ -177,7 +177,7 @@ def _bench_campaign(preset: BenchPreset, settings: ExperimentSettings,
     cold_executor = CampaignExecutor(settings, jobs=1)
     cold, _ = _best_of(preset.repeats, lambda: cold_executor.run(cells))
     cached_executor = CampaignExecutor(settings, jobs=1,
-                                       cache=ResultCache(cache_dir))
+                                       cache=DirectoryBackend(cache_dir))
     cached_executor.run(cells)  # warm the cache
     cached, _ = _best_of(preset.repeats, lambda: cached_executor.run(cells))
     return {
@@ -230,7 +230,7 @@ def _bench_studies(preset: BenchPreset, settings: ExperimentSettings,
              if spec.name == "scaling" else spec
              for spec in DEFAULT_STUDY_REGISTRY.specs()]
     plan = compile_plan(specs, settings)
-    cache = ResultCache(Path(cache_dir) / "studies-cache")
+    cache = DirectoryBackend(Path(cache_dir) / "studies-cache")
 
     start = time.perf_counter()
     plan.execute(plan.runner(jobs=1, cache=cache))

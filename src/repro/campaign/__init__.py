@@ -12,11 +12,12 @@ cross-product into an explicit *campaign*:
 * :mod:`~repro.campaign.executor` -- :class:`CampaignExecutor`, which fans
   cells out over a ``multiprocessing`` pool (deterministic serial path for
   ``jobs=1``) and returns results in stable order;
-* :mod:`~repro.campaign.cache` -- :class:`ResultCache`, a content-addressed
-  result store so re-running a figure only simulates missing cells;
-* :mod:`~repro.campaign.backends` -- the pluggable storage behind the
-  cache: local directory, sqlite shard (concurrent-writer safe), or a
-  sharded composite, addressed by ``dir://`` / ``sqlite://`` URLs;
+* :mod:`~repro.campaign.backends` -- the result cache itself, so
+  re-running a figure only simulates missing cells: a local directory
+  or one sqlite file (concurrent-writer safe), addressed by ``dir://`` /
+  ``sqlite://`` URLs;
+* :mod:`~repro.campaign.cache` -- :func:`cache_key`, the content hash
+  every backend entry is stored under;
 * :mod:`~repro.campaign.versions` -- kernel-source fingerprints embedded
   in cache keys, so an engine refactor invalidates exactly the cells
   whose reachable sources changed;
@@ -32,13 +33,11 @@ sweeps (see the CLI's ``sweep`` subcommand).
 
 from .backends import (
     CacheBackend,
-    CacheStats,
     DirectoryBackend,
-    ShardedBackend,
     SqliteBackend,
     backend_from_url,
 )
-from .cache import DEFAULT_CACHE_DIR, DEFAULT_CACHE_URL, ResultCache, cache_key
+from .cache import DEFAULT_CACHE_DIR, DEFAULT_CACHE_URL, cache_key
 from .executor import CampaignExecutor, CampaignReport
 from .jobs import Job, dedupe_jobs, expand_jobs
 from .queue import QueueWorker, WorkerReport, default_worker_id
@@ -47,7 +46,6 @@ from .versions import group_fingerprint, groups_for, kernel_versions
 
 __all__ = [
     "CacheBackend",
-    "CacheStats",
     "CampaignExecutor",
     "CampaignReport",
     "ConfigFactory",
@@ -58,8 +56,6 @@ __all__ = [
     "DirectoryBackend",
     "Job",
     "QueueWorker",
-    "ResultCache",
-    "ShardedBackend",
     "SqliteBackend",
     "WorkerReport",
     "backend_from_url",

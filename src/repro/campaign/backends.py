@@ -1,20 +1,21 @@
-"""Pluggable cache backends: local directory, sqlite shard, sharded composite.
+"""The campaign result cache: a local directory or one sqlite file.
 
-The campaign result store is split into a small *backend* protocol
-(:class:`CacheBackend`) so one campaign API serves every deployment shape:
+A :class:`CacheBackend` *is* the result cache -- every campaign consumer
+(executor, work queue, studies, the CLI) reads and writes one directly.
+Two implementations ship:
 
 * :class:`DirectoryBackend` -- one JSON file per entry under a local
   directory (the original ``results/cache/`` layout, unchanged on disk);
-* :class:`SqliteBackend` -- one sqlite shard file in WAL mode, safe for
-  many concurrent reader and writer *processes* sharing a filesystem;
-* :class:`ShardedBackend` -- a composite routing each key to one of N
-  child backends by key prefix, so a large campaign's store splits
-  across directories, files, or disks.
+* :class:`SqliteBackend` -- one sqlite file in WAL mode, safe for many
+  concurrent reader and writer *processes* sharing a filesystem.
 
 Keys are content hashes (see :func:`~repro.campaign.cache.cache_key`), so
 entries are immutable once written: backends never need versioned
 overwrites, and concurrent writers racing on the same key write identical
-bytes.
+bytes.  Backends keep no hit/miss/store tallies; what a run did is
+counted once, by the caller's report
+(:class:`~repro.campaign.executor.CampaignReport`,
+:class:`~repro.campaign.queue.WorkerReport`).
 
 Backends double as the coordination substrate for distributed draining:
 :meth:`CacheBackend.try_claim` installs an atomic *lease record* for a
@@ -25,23 +26,20 @@ Completing a cell (:meth:`CacheBackend.put`) clears its lease.
 Backends are addressed by URL (:func:`backend_from_url`)::
 
     dir://results/cache             local directory (the default)
-    dir://results/cache?shards=4    4 directory shards, sharded composite
-    sqlite://results/cache.sqlite   one sqlite shard file
-    sqlite://cache.sqlite?shards=2  2 sqlite shard files
+    sqlite://results/cache.sqlite   one sqlite file
 
-A bare path with no scheme is a directory backend, so every pre-existing
-``--cache-dir`` value keeps meaning what it meant.
+A bare path with no scheme is a directory backend.  A URL carrying a
+``?query`` is rejected.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Union
 
 from ..engine.results import RunResult
 from ..errors import ConfigurationError
@@ -69,84 +67,35 @@ def _retry_locked(fn, attempts: int = 6, delay: float = 0.05):
             time.sleep(delay * (attempt + 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class CacheStats:
-    """Structured hit/miss/store tallies of one backend (or an aggregate)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """The delta accumulated after an ``earlier`` snapshot."""
-        return CacheStats(hits=self.hits - earlier.hits,
-                          misses=self.misses - earlier.misses,
-                          stores=self.stores - earlier.stores)
-
-    def plus(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(hits=self.hits + other.hits,
-                          misses=self.misses + other.misses,
-                          stores=self.stores + other.stores)
-
-
 class CacheBackend:
-    """The storage protocol behind :class:`~repro.campaign.cache.ResultCache`.
+    """The result-cache protocol: content-addressed entries plus leases.
 
     Implementations store serialized :class:`RunResult` entries under
-    content-addressed keys and keep their own lifetime hit/miss/store
-    tallies (:attr:`stats`), so composite backends can report per-shard
-    activity.  The lease methods implement distributed work claiming; a
-    backend that cannot coordinate writers may simply leave them
-    unsupported, but all three shipped backends implement them.
+    content-addressed keys.  The lease methods implement distributed
+    work claiming; a backend that cannot coordinate writers may simply
+    leave them unsupported, but both shipped backends implement them.
     """
 
     #: short human label, e.g. ``dir:results/cache`` (set by subclasses).
     label: str = "backend"
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @property
-    def stats(self) -> CacheStats:
-        """Lifetime tallies of this backend instance."""
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          stores=self.stores)
-
-    def backend_stats(self) -> List[Tuple[str, CacheStats]]:
-        """Per-constituent (label, stats) pairs; one entry unless sharded."""
-        return [(self.label, self.stats)]
-
     # -- entries -------------------------------------------------------------
 
     def get(self, key: str) -> Optional[RunResult]:
-        """Load the entry for ``key`` or ``None``; tallies a hit or miss.
-
-        An entry that exists but does not decode counts as a miss.
-        """
-        result = self._load(key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+        """The decoded entry for ``key``; ``None`` if absent or corrupt."""
+        raise NotImplementedError
 
     def put(self, key: str, result: RunResult) -> None:
         """Atomically persist ``result`` and clear any lease on ``key``."""
         raise NotImplementedError
 
     def contains(self, key: str) -> bool:
-        """Whether :meth:`get` would hit, without tallying.
+        """Whether :meth:`get` would hit.
 
         A corrupt entry is not contained, so a queue worker re-claims and
         overwrites it rather than counting it as served elsewhere.
         """
-        return self._load(key) is not None
-
-    def _load(self, key: str) -> Optional[RunResult]:
-        """The decoded entry for ``key``; ``None`` if absent or corrupt."""
-        raise NotImplementedError
+        return self.get(key) is not None
 
     def __len__(self) -> int:
         """Number of entries currently stored."""
@@ -188,8 +137,8 @@ def _decode(text: str) -> Optional[RunResult]:
 class DirectoryBackend(CacheBackend):
     """One JSON file per entry under a local directory.
 
-    This is the original ``ResultCache`` on-disk layout -- existing cache
-    directories are readable unchanged.  Leases are ``<key>.lease`` JSON
+    This is the original ``results/cache/`` on-disk layout -- existing
+    cache directories are readable unchanged.  Leases are ``<key>.lease`` JSON
     files created with ``O_EXCL`` (atomic on POSIX and NFSv4); takeover
     of an expired lease goes through a tempfile + ``os.replace`` with a
     read-back confirmation, so the worst race between two claimants is
@@ -197,7 +146,6 @@ class DirectoryBackend(CacheBackend):
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        super().__init__()
         self.root = Path(root)
         self.label = f"dir:{self.root}"
 
@@ -207,7 +155,7 @@ class DirectoryBackend(CacheBackend):
     def _lease_path(self, key: str) -> Path:
         return self.root / f"{key}.lease"
 
-    def _load(self, key: str) -> Optional[RunResult]:
+    def get(self, key: str) -> Optional[RunResult]:
         try:
             text = self.path_for(key).read_text(encoding="utf-8")
         except OSError:
@@ -220,7 +168,6 @@ class DirectoryBackend(CacheBackend):
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         tmp.write_text(result.to_json(), encoding="utf-8")
         os.replace(tmp, path)
-        self.stores += 1
         self.release(key, owner="*")
 
     def __len__(self) -> int:
@@ -241,10 +188,20 @@ class DirectoryBackend(CacheBackend):
     # -- leases --------------------------------------------------------------
 
     def _read_lease(self, key: str) -> Optional[Dict[str, object]]:
+        """The lease record on ``key``; ``None`` if absent or malformed.
+
+        Anything but a JSON object with a numeric ``expires`` -- a torn
+        write or garbage -- reads as no lease, so it is taken over as
+        expired.
+        """
         try:
-            return json.loads(self._lease_path(key).read_text(encoding="utf-8"))
+            lease = json.loads(self._lease_path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
+        if not isinstance(lease, dict) \
+                or not isinstance(lease.get("expires"), (int, float)):
+            return None
+        return lease
 
     def try_claim(self, key: str, owner: str, ttl: float) -> Optional[str]:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -260,7 +217,7 @@ class DirectoryBackend(CacheBackend):
         if lease is not None and lease.get("owner") == owner:
             path.write_text(record, encoding="utf-8")  # refresh own lease
             return "new"
-        if lease is not None and lease.get("expires", 0) > time.time():
+        if lease is not None and lease["expires"] > time.time():
             return None
         # Expired (or unreadable) lease: take it over.  os.replace is
         # atomic, so between racing claimants exactly one record survives;
@@ -286,13 +243,13 @@ class DirectoryBackend(CacheBackend):
 
     def lease_owner(self, key: str) -> Optional[str]:
         lease = self._read_lease(key)
-        if lease is None or lease.get("expires", 0) <= time.time():
+        if lease is None or lease["expires"] <= time.time():
             return None
         return lease.get("owner")  # type: ignore[return-value]
 
 
 class SqliteBackend(CacheBackend):
-    """One sqlite shard file, safe for concurrent writer processes.
+    """One sqlite file, safe for concurrent writer processes.
 
     WAL journaling lets readers proceed under a writer; every mutation is
     a single transaction, and lease claiming runs under ``BEGIN
@@ -303,7 +260,6 @@ class SqliteBackend(CacheBackend):
     """
 
     def __init__(self, path: Union[str, Path], timeout: float = 30.0) -> None:
-        super().__init__()
         self.path = Path(path)
         self.timeout = timeout
         self.label = f"sqlite:{self.path}"
@@ -338,7 +294,7 @@ class SqliteBackend(CacheBackend):
             raise
         return conn
 
-    def _load(self, key: str) -> Optional[RunResult]:
+    def get(self, key: str) -> Optional[RunResult]:
         row = self._connect().execute(
             "SELECT body FROM entries WHERE key = ?", (key,)).fetchone()
         return _decode(row[0]) if row is not None else None
@@ -355,7 +311,6 @@ class SqliteBackend(CacheBackend):
         except BaseException:
             conn.execute("ROLLBACK")
             raise
-        self.stores += 1
 
     def __len__(self) -> int:
         if not self.path.is_file():
@@ -425,119 +380,24 @@ class SqliteBackend(CacheBackend):
         return row[0]
 
 
-class ShardedBackend(CacheBackend):
-    """Routes each key to one of N child backends by key prefix.
-
-    The shard index is the key's leading 32 hash bits modulo the shard
-    count -- deterministic, uniform for SHA-256 keys, and independent of
-    insertion order, so any process that opens the same shard list sees
-    every entry where it expects it.  Stats aggregate across shards;
-    :meth:`backend_stats` exposes the per-shard split.
-    """
-
-    def __init__(self, shards: Sequence[CacheBackend]) -> None:
-        super().__init__()
-        if not shards:
-            raise ConfigurationError("a sharded backend needs >= 1 shard")
-        self.shards = list(shards)
-        self.label = f"sharded[{len(self.shards)}]"
-
-    def shard_for(self, key: str) -> CacheBackend:
-        try:
-            index = int(key[:8], 16) % len(self.shards)
-        except ValueError:
-            raise ConfigurationError(
-                f"cache key {key!r} is not content-addressed (hex)")
-        return self.shards[index]
-
-    @property
-    def stats(self) -> CacheStats:
-        total = CacheStats()
-        for shard in self.shards:
-            total = total.plus(shard.stats)
-        return total
-
-    def backend_stats(self) -> List[Tuple[str, CacheStats]]:
-        return [(shard.label, shard.stats) for shard in self.shards]
-
-    def get(self, key: str) -> Optional[RunResult]:
-        return self.shard_for(key).get(key)
-
-    def put(self, key: str, result: RunResult) -> None:
-        self.shard_for(key).put(key, result)
-
-    def contains(self, key: str) -> bool:
-        return self.shard_for(key).contains(key)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def clear(self) -> int:
-        return sum(shard.clear() for shard in self.shards)
-
-    def try_claim(self, key: str, owner: str, ttl: float) -> Optional[str]:
-        return self.shard_for(key).try_claim(key, owner, ttl)
-
-    def release(self, key: str, owner: str) -> None:
-        self.shard_for(key).release(key, owner)
-
-    def lease_owner(self, key: str) -> Optional[str]:
-        return self.shard_for(key).lease_owner(key)
-
-
-def _parse_url(url: str) -> Tuple[str, str, Dict[str, str]]:
-    """Split ``scheme://path?query`` without urllib's path mangling."""
-    if "://" in url:
-        scheme, rest = url.split("://", 1)
-    else:
-        scheme, rest = "dir", url
-    query: Dict[str, str] = {}
-    if "?" in rest:
-        rest, raw = rest.split("?", 1)
-        for item in raw.split("&"):
-            if not item:
-                continue
-            name, _, value = item.partition("=")
-            query[name] = value
-    if not rest:
-        raise ConfigurationError(f"cache URL {url!r} has an empty path")
-    return scheme, rest, query
-
-
-def _shard_count(url: str, query: Dict[str, str]) -> int:
-    raw = query.pop("shards", "1")
-    try:
-        shards = int(raw)
-    except ValueError:
-        shards = 0
-    if shards < 1:
-        raise ConfigurationError(
-            f"cache URL {url!r}: shards must be a positive integer")
-    if query:
-        raise ConfigurationError(
-            f"cache URL {url!r}: unknown parameter "
-            f"{', '.join(sorted(query))} (only 'shards' is recognized)")
-    return shards
-
-
 def backend_from_url(url: Union[str, Path]) -> CacheBackend:
     """Open the backend a cache URL names (see the module docstring).
 
-    A bare path (no ``scheme://``) opens a :class:`DirectoryBackend`, so
-    anything that used to be a valid ``--cache-dir`` is a valid URL.
+    A bare path (no ``scheme://``) opens a :class:`DirectoryBackend`.
     """
-    scheme, path, query = _parse_url(str(url))
-    shards = _shard_count(str(url), query)
+    text = str(url)
+    scheme, sep, path = text.partition("://")
+    if not sep:
+        scheme, path = "dir", text
+    if "?" in path:
+        raise ConfigurationError(
+            f"cache URL {text!r}: query parameters are not supported")
+    if not path:
+        raise ConfigurationError(f"cache URL {text!r} has an empty path")
     if scheme == "dir":
-        if shards == 1:
-            return DirectoryBackend(path)
-        return ShardedBackend([DirectoryBackend(Path(path) / f"shard{i}")
-                               for i in range(shards)])
+        return DirectoryBackend(path)
     if scheme == "sqlite":
-        if shards == 1:
-            return SqliteBackend(path)
-        return ShardedBackend([SqliteBackend(f"{path}.shard{i}")
-                               for i in range(shards)])
+        return SqliteBackend(path)
     raise ConfigurationError(
-        f"unknown cache URL scheme {scheme!r} in {url!r} "
+        f"unknown cache URL scheme {scheme!r} in {text!r} "
         f"(known: dir://, sqlite://)")

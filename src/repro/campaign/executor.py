@@ -9,9 +9,11 @@ pool.  Because traces are generated deterministically from their seed and
 the simulator itself is deterministic, both paths produce bitwise-identical
 results.
 
-When a :class:`~repro.campaign.cache.ResultCache` is attached, cached cells
-are served from disk and only the missing cells are simulated; freshly
-simulated cells are written back, so a repeated campaign simulates nothing.
+When a cache backend (:class:`~repro.campaign.backends.CacheBackend`) is
+attached, cached cells are served from it and only the missing cells are
+simulated; freshly simulated cells are written back, so a repeated
+campaign simulates nothing.  The executor makes exactly one ``get`` per
+unique cell and one ``put`` per simulated cell.
 
 Worker processes rebuild each trace from its (spec, seed) rather than
 receiving it pickled: a trace is orders of magnitude bigger than its spec
@@ -39,7 +41,8 @@ from ..engine.system import validate_engine
 from ..obs.recorder import Recorder, active
 from ..trace.trace import MultiThreadedTrace
 from ..workloads.registry import build_trace, resolve_spec
-from .cache import CacheStats, ResultCache, cache_key
+from .backends import CacheBackend
+from .cache import cache_key
 from .jobs import Job, dedupe_jobs
 from .registry import DEFAULT_REGISTRY, ConfigRegistry
 
@@ -79,29 +82,12 @@ class CampaignReport:
     cache_hits: int = 0
     #: duplicate cells folded into one simulation.
     deduplicated: int = 0
-    #: cache tallies accumulated by this run (``None`` without a cache).
-    cache_stats: Optional[CacheStats] = None
-    #: per-backend (label, tallies) deltas for this run; more than one
-    #: entry when a sharded backend is active.
-    backend_stats: Optional[List[Tuple[str, CacheStats]]] = None
 
-    def describe(self, cache: Optional[ResultCache] = None) -> str:
-        """One-line human summary (shared by the CLI and scripts).
-
-        With a sharded backend the cache tallies are broken out per
-        shard -- a single aggregate would hide a misrouted or empty
-        shard entirely.
-        """
-        where = "no cache" if cache is None else cache.describe()
-        line = f"{self.simulated} simulated, {self.cache_hits} cache hits ({where})"
-        if self.cache_stats is not None:
-            line += f", {self.cache_stats.stores} stored"
-        if self.backend_stats is not None and len(self.backend_stats) > 1:
-            shards = "; ".join(
-                f"{label}: {stats.hits} hits/{stats.stores} stored"
-                for label, stats in self.backend_stats)
-            line += f" [{shards}]"
-        return line
+    def describe(self, cache: Optional[CacheBackend] = None) -> str:
+        """One-line human summary (shared by the CLI and scripts)."""
+        where = "no cache" if cache is None else cache.label
+        return (f"{self.simulated} simulated, {self.cache_hits} cache hits "
+                f"({where})")
 
     def merge(self, other: "CampaignReport") -> None:
         """Fold another report's tallies into this one (plan summaries)."""
@@ -109,25 +95,13 @@ class CampaignReport:
         self.simulated += other.simulated
         self.cache_hits += other.cache_hits
         self.deduplicated += other.deduplicated
-        if other.cache_stats is not None:
-            self.cache_stats = other.cache_stats if self.cache_stats is None \
-                else self.cache_stats.plus(other.cache_stats)
-        if other.backend_stats is not None:
-            if self.backend_stats is None:
-                self.backend_stats = list(other.backend_stats)
-            else:
-                merged = dict(self.backend_stats)
-                for label, stats in other.backend_stats:
-                    merged[label] = merged[label].plus(stats) \
-                        if label in merged else stats
-                self.backend_stats = list(merged.items())
 
 
 class CampaignExecutor:
     """Fans (config, workload, seed) cells out over worker processes."""
 
     def __init__(self, settings: "ExperimentSettings", jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
+                 cache: Optional[CacheBackend] = None,
                  registry: Optional[ConfigRegistry] = None,
                  engine: str = "fast",
                  recorder: Optional[Recorder] = None) -> None:
@@ -138,7 +112,7 @@ class CampaignExecutor:
         self.cache = cache
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         #: campaign-level observability: per-job wall-clock spans and
-        #: cache tallies.  ``None`` (the default) records nothing;
+        #: ``campaign.*`` tallies.  ``None`` (the default) records nothing;
         #: simulations themselves always run without an engine recorder
         #: here, so their results never depend on telemetry.
         self.recorder = active(recorder)
@@ -183,7 +157,8 @@ class CampaignExecutor:
         return cache_key(self.config_for(job), spec, job.seed,
                          self.settings.warmup_fraction)
 
-    def _payload(self, job: Job) -> _CellPayload:
+    def payload_for(self, job: Job) -> _CellPayload:
+        """Everything a worker process needs to simulate the cell."""
         spec = resolve_spec(job.workload, self.settings.ops_per_thread)
         return (self.config_for(job), spec, job.seed,
                 self.settings.warmup_fraction, self.engine)
@@ -208,9 +183,6 @@ class CampaignExecutor:
         report = CampaignReport(total=len(jobs),
                                 deduplicated=len(jobs) - len(unique))
         rec = self.recorder
-        cache_before = self.cache.stats if self.cache is not None else None
-        backends_before = dict(self.cache.backend_stats()) \
-            if self.cache is not None else None
 
         results: Dict[Job, RunResult] = {}
         keys: Dict[Job, str] = {}
@@ -229,7 +201,7 @@ class CampaignExecutor:
         if missing:
             workers = min(self.jobs, len(missing))
             if workers > 1:
-                payloads = [self._payload(job) for job in missing]
+                payloads = [self.payload_for(job) for job in missing]
                 with multiprocessing.Pool(processes=workers) as pool:
                     if rec is not None:
                         timed = pool.map(_simulate_cell_timed, payloads,
@@ -263,19 +235,10 @@ class CampaignExecutor:
                 if self.cache is not None:
                     self.cache.put(keys[job], result)
 
-        if self.cache is not None:
-            report.cache_stats = self.cache.stats.since(cache_before)
-            report.backend_stats = [
-                (label, stats.since(backends_before.get(label, CacheStats())))
-                for label, stats in self.cache.backend_stats()]
         if rec is not None:
             rec.count("campaign.jobs", report.total)
             rec.count("campaign.simulated", report.simulated)
             rec.count("campaign.cache_hits", report.cache_hits)
             rec.count("campaign.deduplicated", report.deduplicated)
-            for label, stats in report.backend_stats or ():
-                rec.count(f"cache.{label}.hits", stats.hits)
-                rec.count(f"cache.{label}.misses", stats.misses)
-                rec.count(f"cache.{label}.stores", stats.stores)
         self.last_report = report
         return [results[job] for job in jobs]

@@ -30,7 +30,6 @@ order cells completed -- the tests pin this.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
 import time
@@ -41,8 +40,7 @@ from ..engine.results import RunResult
 from ..engine.system import validate_engine
 from ..errors import ReproError
 from ..obs.recorder import Recorder, active
-from ..workloads.registry import resolve_spec
-from .cache import ResultCache, cache_key
+from .backends import CacheBackend
 from .executor import _CellPayload, _simulate_cell
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -79,7 +77,7 @@ class WorkerReport:
 class QueueWorker:
     """Drains one study plan's missing cells through a shared backend."""
 
-    def __init__(self, plan: "StudyPlan", cache: ResultCache,
+    def __init__(self, plan: "StudyPlan", cache: CacheBackend,
                  worker_id: Optional[str] = None, engine: str = "fast",
                  lease_ttl: float = 60.0, poll_interval: float = 0.05,
                  max_wait: float = 600.0,
@@ -99,21 +97,16 @@ class QueueWorker:
     def _payloads(self) -> List[Tuple[str, _CellPayload]]:
         """(cache key, simulation payload) for every unique plan cell.
 
-        Keys are computed exactly as the pool executor computes them --
-        same registry overlay, same per-cell core-count scaling -- so a
-        drained backend serves a later ``study run`` entirely from cache.
+        Both come from the executor a ``study run`` of the same plan uses
+        for the cell's machine size, so a drained backend serves that run
+        entirely from cache.
         """
-        registry = self.plan.registry()
-        settings = self.plan.settings
+        runner = self.plan.runner(engine=self.engine)
         payloads: List[Tuple[str, _CellPayload]] = []
         for cell in self.plan.unique_cells:
-            scaled = settings if cell.num_cores == settings.num_cores \
-                else dataclasses.replace(settings, num_cores=cell.num_cores)
-            config = registry.make(cell.config_name, scaled)
-            spec = resolve_spec(cell.workload, scaled.ops_per_thread)
-            key = cache_key(config, spec, cell.seed, scaled.warmup_fraction)
-            payloads.append((key, (config, spec, cell.seed,
-                                   scaled.warmup_fraction, self.engine)))
+            executor = runner.runner_for(cell.num_cores).executor
+            job = cell.job()
+            payloads.append((executor.key_for(job), executor.payload_for(job)))
         return payloads
 
     def _simulate(self, key: str, payload: _CellPayload) -> RunResult:

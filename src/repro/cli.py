@@ -52,10 +52,9 @@ Every campaign-driving subcommand (``simulate``, ``figure``, ``sweep``,
 set, declared once in :func:`_campaign_parent`:
 ``--jobs``/``--no-cache``/``--cache URL``/``--engine``/``--telemetry``.
 ``--cache`` takes a backend URL -- ``dir://PATH`` (default,
-``results/cache/``), ``sqlite://FILE`` (safe for concurrent writers),
-either with ``?shards=N`` for a sharded composite -- or a bare directory
-path; ``--cache-dir PATH`` survives as a deprecated alias.  ``--no-cache``
-disables caching, ``--quick`` is a small smoke-test preset for CI.
+``results/cache/``) or ``sqlite://FILE`` (safe for concurrent writers) --
+or a bare directory path.  ``--no-cache`` disables caching, ``--quick``
+is a small smoke-test preset for CI.
 
 ``worker`` is the distributed tier: each ``repro worker <studies...>
 --cache URL`` process independently compiles the same deduplicated study
@@ -105,12 +104,12 @@ from .bench import (
 from .api import compile_study_plan, open_cache
 from .api import simulate as api_simulate
 from .campaign import (
+    CacheBackend,
     CampaignExecutor,
     DEFAULT_CACHE_URL,
     DEFAULT_REGISTRY,
     Job,
     QueueWorker,
-    ResultCache,
     expand_jobs,
 )
 from .experiments import (
@@ -415,10 +414,8 @@ def _campaign_parent() -> argparse.ArgumentParser:
                        help="do not read or write the on-disk result cache")
     group.add_argument("--cache", type=str, default=None, metavar="URL",
                        help="result cache URL: dir://PATH, sqlite://FILE, "
-                            "either with ?shards=N, or a bare directory "
-                            f"path (default: {DEFAULT_CACHE_URL})")
-    group.add_argument("--cache-dir", type=str, default=None, metavar="PATH",
-                       help="deprecated alias for --cache with a directory path")
+                            "or a bare directory path "
+                            f"(default: {DEFAULT_CACHE_URL})")
     group.add_argument("--engine", choices=list(ENGINE_KINDS), default="fast",
                        help="execution kernel for missing cells; both engines "
                             "produce byte-identical results and share cache "
@@ -429,18 +426,9 @@ def _campaign_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _open_cli_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """Resolve the shared cache flags into a :class:`ResultCache` (or None)."""
-    if args.no_cache:
-        return None
-    url = args.cache
-    if args.cache_dir is not None:
-        if url is not None:
-            raise ReproError(
-                "--cache and --cache-dir are aliases; pass only one")
-        _info("[cache] --cache-dir is deprecated; use --cache dir://PATH")
-        url = args.cache_dir
-    return open_cache(url)
+def _open_cli_cache(args: argparse.Namespace) -> Optional[CacheBackend]:
+    """Resolve the shared cache flags into a cache backend (or None)."""
+    return None if args.no_cache else open_cache(args.cache)
 
 
 def _split(csv: str) -> tuple:
@@ -522,7 +510,7 @@ def _print_catalog(title: str, headers: List[str], rows: List[List[str]]) -> Non
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cache = _open_cli_cache(args) if (args.cache or args.cache_dir) else None
+    cache = _open_cli_cache(args) if args.cache else None
     rec = _campaign_recorder(args, "simulate")
     result = api_simulate(args.config, args.workload, engine=args.engine,
                           warmup_fraction=args.warmup, recorder=rec,
@@ -616,7 +604,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                          poll_interval=args.poll_interval,
                          max_wait=args.max_wait, recorder=rec)
     _info(f"[worker {worker.worker_id}] draining {plan.describe()} "
-          f"via {cache.describe()}")
+          f"via {cache.label}")
     report = worker.drain()
     _out(f"[worker {worker.worker_id}] {report.describe()}")
     _write_campaign_telemetry(rec)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..campaign.cache import ResultCache
+from ..campaign.backends import CacheBackend
 from ..campaign.executor import CampaignExecutor, CampaignReport
 from ..campaign.jobs import Job, dedupe_jobs, expand_jobs
 from ..campaign.registry import ConfigRegistry, DEFAULT_REGISTRY
@@ -117,15 +117,16 @@ class ExperimentRunner:
     The runner is a thin façade over the campaign subsystem: cells execute
     through a :class:`~repro.campaign.executor.CampaignExecutor` (pass
     ``jobs > 1`` to simulate missing cells on a process pool) and, when a
-    :class:`~repro.campaign.cache.ResultCache` is attached, completed cells
-    persist across processes and sessions.  :meth:`prefetch` computes a
-    whole cross-product up front so the figure drivers' serial loops then
-    hit only memoized results.  The convenience aggregations delegate to
-    the study framework's metric pipeline (:mod:`repro.studies.metrics`).
+    cache backend (:class:`~repro.campaign.backends.CacheBackend`) is
+    attached, completed cells persist across processes and sessions.
+    :meth:`prefetch` computes a whole cross-product up front so the figure
+    drivers' serial loops then hit only memoized results.  The convenience
+    aggregations delegate to the study framework's metric pipeline
+    (:mod:`repro.studies.metrics`).
     """
 
     def __init__(self, settings: ExperimentSettings, jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
+                 cache: Optional[CacheBackend] = None,
                  registry: Optional[ConfigRegistry] = None,
                  engine: str = "fast", recorder=None) -> None:
         self.settings = settings
@@ -155,8 +156,6 @@ class ExperimentRunner:
             tally = self.executor.last_report
             report.simulated = tally.simulated
             report.cache_hits = tally.cache_hits
-            report.cache_stats = tally.cache_stats
-            report.backend_stats = tally.backend_stats
         self.last_report = report
         return [self._results[(job.config_name, job.workload, job.seed)]
                 for job in jobs]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..campaign.cache import ResultCache
+from ..campaign.backends import CacheBackend
 from ..campaign.executor import CampaignReport
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.report import format_breakdown_table, format_table
@@ -166,7 +166,7 @@ def run_scaling(settings: Optional[ExperimentSettings] = None,
                 configs: Sequence[str] = SCALING_CONFIGS,
                 scenarios: Sequence[str] = SCALING_SCENARIOS,
                 jobs: int = 1,
-                cache: Optional[ResultCache] = None,
+                cache: Optional[CacheBackend] = None,
                 engine: str = "fast", recorder=None) -> ScalingResult:
     """Run the scaling sweep: (core count x config x scenario x seed).
 

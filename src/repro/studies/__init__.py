@@ -16,8 +16,8 @@ per figure, each study is a :class:`~repro.studies.spec.StudySpec`:
 
 Specs compile to a deduplicated campaign job plan
 (:func:`~repro.studies.plan.compile_plan`) executed through the existing
-:class:`~repro.campaign.executor.CampaignExecutor`/
-:class:`~repro.campaign.cache.ResultCache`, and emit JSON + CSV artifacts
+:class:`~repro.campaign.executor.CampaignExecutor` and its cache backend
+(:class:`~repro.campaign.backends.CacheBackend`), and emit JSON + CSV artifacts
 under ``results/`` (:mod:`~repro.studies.artifacts`) alongside the
 original text tables.  The figure drivers in :mod:`repro.experiments` are
 thin facades over registered specs; ``repro study list|run`` is the CLI

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
-from ..campaign.cache import ResultCache
+from ..campaign.backends import CacheBackend
 from ..campaign.executor import CampaignReport
 from ..campaign.registry import ConfigFactory, ConfigRegistry, DEFAULT_REGISTRY
 from ..errors import StudyError
@@ -51,7 +51,7 @@ class StudyPlan:
         return overlay_registry(DEFAULT_REGISTRY, self.extra_configs)
 
     def runner(self, jobs: int = 1,
-               cache: Optional[ResultCache] = None,
+               cache: Optional[CacheBackend] = None,
                engine: str = "fast", recorder=None) -> StudyRunner:
         """A study runner wired to this plan's merged registry."""
         return StudyRunner(self.settings, jobs=jobs, cache=cache,

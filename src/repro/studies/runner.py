@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Union
 
-from ..campaign.cache import ResultCache
+from ..campaign.backends import CacheBackend
 from ..campaign.executor import CampaignReport
 from ..campaign.registry import ConfigFactory, ConfigRegistry, DEFAULT_REGISTRY
 from ..engine.results import RunResult
@@ -59,7 +59,7 @@ class StudyRunner:
     """Shared campaign front-end across every machine size a plan sweeps."""
 
     def __init__(self, settings: "ExperimentSettings", jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
+                 cache: Optional[CacheBackend] = None,
                  registry: Optional[ConfigRegistry] = None,
                  base_runner: Optional["ExperimentRunner"] = None,
                  engine: str = "fast", recorder=None) -> None:
@@ -178,7 +178,7 @@ def run_study(study: Union[str, StudySpec],
               runner: Optional["ExperimentRunner"] = None,
               study_runner: Optional[StudyRunner] = None,
               jobs: int = 1,
-              cache: Optional[ResultCache] = None,
+              cache: Optional[CacheBackend] = None,
               out_dir: Optional[Union[str, "Path"]] = None,
               engine: str = "fast", recorder=None):
     """Execute one study end to end; returns its result object.

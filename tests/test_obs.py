@@ -4,18 +4,15 @@ Covers the recorder protocol (``active`` normalization, the
 zero-overhead-when-off contract's wiring side), the Chrome trace-event
 export shape (``ph``/``ts``/``pid``/``tid``/``name`` on every event, the
 metadata track names, abort spans carrying their rollback cause), the
-schema-versioned ``telemetry.json`` payload,
-:class:`~repro.campaign.cache.CacheStats`, and the ``repro profile`` /
-``--telemetry`` CLI surface.
+schema-versioned ``telemetry.json`` payload, the ``campaign.*`` counters,
+and the ``repro profile`` / ``--telemetry`` CLI surface.
 """
 
 import json
 
 import pytest
 
-from repro.campaign import Job, ResultCache
-from repro.campaign.cache import CacheStats
-from repro.campaign.executor import CampaignExecutor
+from repro.campaign import CampaignExecutor, DirectoryBackend, Job
 from repro.cli import main
 from repro.engine.simulator import simulate
 from repro.experiments.common import ExperimentSettings, make_config
@@ -208,35 +205,28 @@ class TestTelemetryPayload:
         assert "no telemetry" in format_profile(TraceRecorder())
 
 
-class TestCacheStats:
-    def test_cache_tallies_hits_misses_stores(self, tmp_path):
+class TestCampaignCounters:
+    def test_cold_then_warm_run_counted_once(self, tmp_path):
+        """The campaign tallies are the only cache counters recorded."""
         settings = ExperimentSettings(num_cores=2, ops_per_thread=120,
                                       seeds=(3,), warmup_fraction=0.0)
-        cache = ResultCache(tmp_path / "cache")
-        executor = CampaignExecutor(settings, jobs=1, cache=cache)
+        cache = DirectoryBackend(tmp_path / "cache")
+        recorder = TraceRecorder()
         jobs = [Job("sc", "apache", 3)]
-        executor.run(jobs)
-        assert cache.stats == CacheStats(hits=0, misses=1, stores=1)
-        executor2 = CampaignExecutor(settings, jobs=1, cache=cache)
-        executor2.run(jobs)
-        assert cache.stats == CacheStats(hits=1, misses=1, stores=1)
-
-    def test_since_returns_the_delta(self):
-        before = CacheStats(hits=2, misses=5, stores=4)
-        after = CacheStats(hits=3, misses=9, stores=6)
-        assert after.since(before) == CacheStats(hits=1, misses=4, stores=2)
-
-    def test_report_carries_stats_and_describe_mentions_stores(self, tmp_path):
-        settings = ExperimentSettings(num_cores=2, ops_per_thread=120,
-                                      seeds=(3,), warmup_fraction=0.0)
-        cache = ResultCache(tmp_path / "cache")
-        executor = CampaignExecutor(settings, jobs=1, cache=cache)
-        executor.run([Job("sc", "apache", 3)])
-        report = executor.last_report
-        assert report.cache_stats == CacheStats(hits=0, misses=1, stores=1)
-        assert "1 stored" in report.describe(cache)
-        # The pinned prefix format is unchanged (CI greps depend on it).
-        assert "1 simulated, 0 cache hits" in report.describe(cache)
+        reports = []
+        for _ in range(2):
+            executor = CampaignExecutor(settings, jobs=1, cache=cache,
+                                        recorder=recorder)
+            executor.run(jobs)
+            reports.append(executor.last_report)
+        assert [(r.simulated, r.cache_hits) for r in reports] == \
+            [(1, 0), (0, 1)]
+        assert len(cache) == 1
+        counters = recorder.counters
+        assert counters["campaign.jobs"] == 2
+        assert counters["campaign.simulated"] == 1
+        assert counters["campaign.cache_hits"] == 1
+        assert not [name for name in counters if name.startswith("cache.")]
 
 
 class TestCLIProfile:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign import DEFAULT_REGISTRY, Job, ResultCache, derived
+from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend, Job, derived
 from repro.campaign.executor import CampaignExecutor
 from repro.cli import main
 from repro.config import resolved_interconnect, small_config
@@ -63,8 +63,8 @@ class TestRunScaling:
             assert config in text
 
     def test_serial_and_parallel_byte_identical(self, tmp_path):
-        serial_cache = ResultCache(tmp_path / "serial")
-        parallel_cache = ResultCache(tmp_path / "parallel")
+        serial_cache = DirectoryBackend(tmp_path / "serial")
+        parallel_cache = DirectoryBackend(tmp_path / "parallel")
         serial = run_tiny(jobs=1, cache=serial_cache)
         parallel = run_tiny(jobs=2, cache=parallel_cache)
         assert serial.format() == parallel.format()
@@ -76,7 +76,7 @@ class TestRunScaling:
                     == (parallel_cache.root / name).read_bytes())
 
     def test_cached_rerun_simulates_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirectoryBackend(tmp_path / "cache")
         cold = run_tiny(cache=cache)
         warm = run_tiny(cache=cache)
         assert cold.report.simulated == 4
@@ -138,15 +138,15 @@ class TestContentionEndToEnd:
 
 class TestScalingCli:
     def test_small_preset_cold_then_cached(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        code = main(["figure", "scaling", "--small", "--cache-dir", cache_dir])
+        cache = str(tmp_path / "cache")
+        code = main(["figure", "scaling", "--small", "--cache", cache])
         out = capsys.readouterr().out
         assert code == 0
         assert "stall attribution" in out
         assert "cache hits" in out
         assert "6 simulated" in out
 
-        code = main(["figure", "scaling", "--small", "--cache-dir", cache_dir])
+        code = main(["figure", "scaling", "--small", "--cache", cache])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 simulated, 6 cache hits" in out

@@ -9,7 +9,7 @@ equivalence of scenario cells).
 import pytest
 
 from repro.cli import main
-from repro.campaign import CampaignExecutor, Job, ResultCache
+from repro.campaign import CampaignExecutor, DirectoryBackend, Job
 from repro.coherence.memory_system import MemorySystem
 from repro.config import ConsistencyModel
 from repro.cpu.stats import COUNTER_FIELDS, CoreStats
@@ -454,7 +454,7 @@ class TestCampaignIntegration:
                                           seeds=(1,),
                                           workloads=("runtime-only",))
             executor = CampaignExecutor(settings, jobs=2)
-            payload = executor._payload(Job("sc", "runtime-only", 1))
+            payload = executor.payload_for(Job("sc", "runtime-only", 1))
             assert isinstance(payload[1], ScenarioSpec)
             assert payload[1].total_ops_per_thread == 300
             results = executor.run([Job("sc", "runtime-only", 1)])
@@ -468,7 +468,7 @@ class TestCampaignIntegration:
         jobs = [Job("sc", "task-pool", 1), Job("invisi_sc", "task-pool", 1)]
 
         serial = CampaignExecutor(settings, jobs=1).run(jobs)
-        parallel_cache = ResultCache(tmp_path / "cache")
+        parallel_cache = DirectoryBackend(tmp_path / "cache")
         parallel = CampaignExecutor(settings, jobs=2,
                                     cache=parallel_cache).run(jobs)
         for a, b in zip(serial, parallel):
@@ -497,7 +497,7 @@ class TestScenarioCli:
 
     def test_scenario_run_small(self, capsys, tmp_path):
         code = main(["scenario", "run", "false-sharing-storm", "--small",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "per-phase stall breakdown" in out
@@ -511,7 +511,7 @@ class TestScenarioCli:
     def test_sweep_accepts_scenario_names(self, capsys, tmp_path):
         code = main(["sweep", "--configs", "sc", "--workloads",
                      "bsp-compute,apache", "--cores", "2", "--ops", "300",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "bsp-compute" in out and "apache" in out
@@ -526,7 +526,7 @@ class TestScenarioCli:
     def test_figure_scenarios(self, capsys, tmp_path):
         code = main(["figure", "scenarios", "--cores", "2", "--ops", "400",
                      "--workloads", "bsp-compute",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "Scenario phases" in out

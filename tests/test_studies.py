@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro.experiments  # noqa: F401  (imports register the built-in studies)
-from repro.campaign import DEFAULT_REGISTRY, ResultCache
+from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend
 from repro.cli import main
 from repro.errors import StudyError
 from repro.experiments import ExperimentSettings, scaling_study
@@ -78,7 +78,7 @@ class TestPlanCompilation:
                  DEFAULT_STUDY_REGISTRY.get("figure9"))
         plan = compile_plan(specs, TINY)
         assert plan.total_cells == 15 and len(plan.unique_cells) == 6
-        runner = plan.runner(cache=ResultCache(tmp_path / "cache"))
+        runner = plan.runner(cache=DirectoryBackend(tmp_path / "cache"))
         report = plan.execute(runner)
         assert report.simulated == 6
         for spec in specs:
@@ -110,7 +110,7 @@ class TestRunStudy:
         assert rows[1][1] == "barnes"
 
     def test_repeated_run_is_served_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirectoryBackend(tmp_path / "cache")
         first = run_study("figure1", TINY, cache=cache)
         assert first.format()
         # a fresh runner against the same cache simulates nothing.
@@ -202,7 +202,7 @@ class TestStudyCLI:
     def test_run_cold_then_cached_with_artifacts(self, capsys, tmp_path):
         args = ["study", "run", "figure1", "--cores", "2", "--ops", "300",
                 "--workloads", "barnes",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache", str(tmp_path / "cache"),
                 "--out-dir", str(tmp_path / "artifacts")]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -219,7 +219,7 @@ class TestStudyCLI:
     def test_run_multiple_studies_one_plan(self, capsys, tmp_path):
         args = ["study", "run", "figure1", "figure9", "--cores", "2",
                 "--ops", "300", "--workloads", "barnes",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache", str(tmp_path / "cache"),
                 "--out-dir", str(tmp_path / "artifacts")]
         assert main(args) == 0
         out = capsys.readouterr().out
