@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark module regenerates one figure of the paper.  All modules
-share one :class:`ExperimentRunner` (session scope) so that configurations
-appearing in several figures (e.g. the conventional SC baseline) are only
-simulated once per benchmark session.
+Each benchmark module regenerates one figure of the paper with
+:func:`repro.studies.run_study`.  All modules share one
+:class:`~repro.studies.runner.StudyRunner` (session scope) so that
+configurations appearing in several figures (e.g. the conventional SC
+baseline) are only simulated once per benchmark session.
 
 Scale is controlled by environment variables so the same harness serves
 both a quick CI-style run and a fuller reproduction:
@@ -19,7 +20,8 @@ import os
 
 import pytest
 
-from repro.experiments.common import ExperimentRunner, ExperimentSettings
+from repro.experiments.common import ExperimentSettings
+from repro.studies.runner import StudyRunner
 from repro.workloads.presets import workload_names
 
 
@@ -37,8 +39,8 @@ def settings() -> ExperimentSettings:
 
 
 @pytest.fixture(scope="session")
-def runner(settings) -> ExperimentRunner:
-    return ExperimentRunner(settings)
+def study_runner(settings) -> StudyRunner:
+    return StudyRunner(settings)
 
 
 def emit(text: str) -> None:

@@ -7,14 +7,15 @@ exact value barely matters once it covers a store-miss latency.
 """
 
 from conftest import emit
-from repro.experiments.ablation import run_cov_timeout_ablation, run_store_buffer_ablation
+from repro.experiments.ablation import cov_timeout_study, store_buffer_study
+from repro.studies import run_study
 
 
-def test_store_buffer_capacity_ablation(benchmark, settings, runner):
+def test_store_buffer_capacity_ablation(benchmark, settings, study_runner):
     result = benchmark.pedantic(
-        run_store_buffer_ablation, args=(settings,),
-        kwargs={"workload": "apache", "runner": runner,
-                "sizes": (1, 2, 4, 8, 32)},
+        run_study, args=(store_buffer_study("apache", (1, 2, 4, 8, 32)),
+                         settings),
+        kwargs={"study_runner": study_runner},
         iterations=1, rounds=1)
     emit(result.format())
 
@@ -30,11 +31,11 @@ def test_store_buffer_capacity_ablation(benchmark, settings, runner):
     assert result.sb_full[1] >= result.sb_full[32]
 
 
-def test_cov_timeout_ablation(benchmark, settings, runner):
+def test_cov_timeout_ablation(benchmark, settings, study_runner):
     result = benchmark.pedantic(
-        run_cov_timeout_ablation, args=(settings,),
-        kwargs={"workload": "apache", "runner": runner,
-                "timeouts": (0, 250, 4000, 16000)},
+        run_study, args=(cov_timeout_study("apache", (0, 250, 4000, 16000)),
+                         settings),
+        kwargs={"study_runner": study_runner},
         iterations=1, rounds=1)
     emit(result.format())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 1 (ordering stalls in conventional SC/TSO/RMO)."""
 
 from conftest import emit
-from repro.experiments.figure1 import run_figure1
+from repro.studies import run_study
 
 
-def test_figure1(benchmark, settings, runner):
-    result = benchmark.pedantic(run_figure1, args=(settings, runner),
+def test_figure1(benchmark, settings, study_runner):
+    result = benchmark.pedantic(run_study, args=("figure1", settings),
+                                kwargs={"study_runner": study_runner},
                                 iterations=1, rounds=1)
     emit(result.format())
 

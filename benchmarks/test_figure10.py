@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 10 (% of cycles spent speculating)."""
 
 from conftest import emit
-from repro.experiments.figure10 import run_figure10
+from repro.studies import run_study
 
 
-def test_figure10(benchmark, settings, runner):
-    result = benchmark.pedantic(run_figure10, args=(settings, runner),
+def test_figure10(benchmark, settings, study_runner):
+    result = benchmark.pedantic(run_study, args=("figure10", settings),
+                                kwargs={"study_runner": study_runner},
                                 iterations=1, rounds=1)
     emit(result.format())
 

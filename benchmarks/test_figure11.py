@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 11 (ASO vs InvisiFence, 1 and 2 checkpoints)."""
 
 from conftest import emit
-from repro.experiments.figure11 import run_figure11
+from repro.studies import run_study
 
 
-def test_figure11(benchmark, settings, runner):
-    result = benchmark.pedantic(run_figure11, args=(settings, runner),
+def test_figure11(benchmark, settings, study_runner):
+    result = benchmark.pedantic(run_study, args=("figure11", settings),
+                                kwargs={"study_runner": study_runner},
                                 iterations=1, rounds=1)
     emit(result.format())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 12 (continuous speculation and commit-on-violate)."""
 
 from conftest import emit
-from repro.experiments.figure12 import run_figure12
+from repro.studies import run_study
 
 
-def test_figure12(benchmark, settings, runner):
-    result = benchmark.pedantic(run_figure12, args=(settings, runner),
+def test_figure12(benchmark, settings, study_runner):
+    result = benchmark.pedantic(run_study, args=("figure12", settings),
+                                kwargs={"study_runner": study_runner},
                                 iterations=1, rounds=1)
     emit(result.format())
 

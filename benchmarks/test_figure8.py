@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 8 (speedups over conventional SC)."""
 
 from conftest import emit
-from repro.experiments.figure8 import run_figure8
+from repro.studies import run_study
 
 
-def test_figure8(benchmark, settings, runner):
-    result = benchmark.pedantic(run_figure8, args=(settings, runner),
+def test_figure8(benchmark, settings, study_runner):
+    result = benchmark.pedantic(run_study, args=("figure8", settings),
+                                kwargs={"study_runner": study_runner},
                                 iterations=1, rounds=1)
     emit(result.format())
 

@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 9 (runtime breakdowns normalised to SC)."""
 
 from conftest import emit
-from repro.experiments.figure9 import run_figure9
+from repro.studies import run_study
 
 
-def test_figure9(benchmark, settings, runner):
-    result = benchmark.pedantic(run_figure9, args=(settings, runner),
+def test_figure9(benchmark, settings, study_runner):
+    result = benchmark.pedantic(run_study, args=("figure9", settings),
+                                kwargs={"study_runner": study_runner},
                                 iterations=1, rounds=1)
     emit(result.format())
 

@@ -149,17 +149,16 @@ def simulate(config: Union[str, SystemConfig],
 def run_study(study, settings=None, *, jobs: int = 1,
               cache: CacheLike = None, engine: str = "fast",
               out_dir=None, recorder: Optional[Recorder] = None,
-              runner=None, study_runner=None):
+              study_runner=None):
     """Execute one study end to end; returns its result object.
 
     A thin wrapper over :func:`repro.studies.runner.run_study` that also
     accepts cache URLs; see that function for the sharing semantics of
-    ``runner``/``study_runner``.
+    ``study_runner``.
     """
     from .studies.runner import run_study as _run_study
 
-    return _run_study(study, settings, runner=runner,
-                      study_runner=study_runner, jobs=jobs,
+    return _run_study(study, settings, study_runner=study_runner, jobs=jobs,
                       cache=_open_optional(cache), out_dir=out_dir,
                       engine=engine, recorder=recorder)
 

@@ -26,9 +26,10 @@ cross-product into an explicit *campaign*:
   plan through a shared backend, claiming cells via expiring leases
   (``repro worker`` on the command line).
 
-The experiment layer's :class:`~repro.experiments.common.ExperimentRunner`
-is a thin façade over these pieces; use this package directly for custom
-sweeps (see the CLI's ``sweep`` subcommand).
+Studies run their cells through
+:class:`~repro.studies.runner.StudyRunner`, which holds one
+:class:`CampaignExecutor` per machine size; use this package directly for
+custom sweeps (see the CLI's ``sweep`` subcommand).
 """
 
 from .backends import (

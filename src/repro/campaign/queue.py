@@ -104,7 +104,7 @@ class QueueWorker:
         runner = self.plan.runner(engine=self.engine)
         payloads: List[Tuple[str, _CellPayload]] = []
         for cell in self.plan.unique_cells:
-            executor = runner.runner_for(cell.num_cores).executor
+            executor = runner.executor_for(cell.num_cores)
             job = cell.job()
             payloads.append((executor.key_for(job), executor.payload_for(job)))
         return payloads

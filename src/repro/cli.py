@@ -22,8 +22,9 @@ configuration and prints the runtime breakdown; ``figure`` regenerates one
 of the paper's evaluation figures (1, 8, 9, 10, 11, 12), the ``scenarios``
 per-phase figure, or the ``scaling`` machine-scaling study (a
 core-count sweep from 4 to 64 cores -- ``--core-counts`` overrides,
-``--small`` is the CI smoke preset) at the requested scale; ``tables``
-prints the descriptive tables (Figures 2, 4, 5, 6, 7).
+``--small`` is the CI smoke preset) at the requested scale, running the
+study through the same plan as ``study run`` without writing artifacts;
+``tables`` prints the descriptive tables (Figures 2, 4, 5, 6, 7).
 
 ``study list`` prints the registered declarative studies (see
 ``EXPERIMENTS.md``); ``study run <name>... [--all]`` compiles the named
@@ -90,7 +91,7 @@ import dataclasses
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bench import (
     BenchPreset,
@@ -106,6 +107,7 @@ from .api import simulate as api_simulate
 from .campaign import (
     CacheBackend,
     CampaignExecutor,
+    CampaignReport,
     DEFAULT_CACHE_URL,
     DEFAULT_REGISTRY,
     Job,
@@ -113,7 +115,6 @@ from .campaign import (
     expand_jobs,
 )
 from .experiments import (
-    ExperimentRunner,
     ExperimentSettings,
     figure2_table,
     figure4_table,
@@ -121,24 +122,11 @@ from .experiments import (
     figure6_table,
     figure7_table,
     make_config,
-    run_figure1,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_figure12,
-    run_scaling,
-    run_scenarios,
-    SCALING_CONFIGS,
+    scaling_study,
+    scenario_study,
     SCALING_CORE_COUNTS,
     SCALING_SCENARIOS,
 )
-from .experiments.figure1 import FIGURE1_CONFIGS
-from .experiments.figure8 import FIGURE8_CONFIGS
-from .experiments.figure10 import FIGURE10_CONFIGS
-from .experiments.figure11 import FIGURE11_CONFIGS
-from .experiments.figure12 import FIGURE12_CONFIGS
-from .experiments.scenarios import SCENARIO_CONFIGS
 from .engine.simulator import simulate
 from .engine.system import ENGINE_KINDS
 from .errors import ReproError
@@ -150,36 +138,15 @@ from .obs import (
 )
 from .scenarios.registry import DEFAULT_SCENARIO_REGISTRY, scenario_names, scenario_spec
 from .stats.phases import format_phase_breakdown
-from .studies import DEFAULT_STUDY_REGISTRY, run_study, write_artifacts
+from .studies import DEFAULT_STUDY_REGISTRY, StudySpec, run_study, write_artifacts
 from .stats.report import format_table
 from .workloads.presets import WORKLOAD_PRESETS, workload_names
 from .workloads.registry import build_trace
 
-_FIGURES = {
-    "1": run_figure1,
-    "8": run_figure8,
-    "9": run_figure9,
-    "10": run_figure10,
-    "11": run_figure11,
-    "12": run_figure12,
-    "scenarios": run_scenarios,
-    # handled by _cmd_figure_scaling (it sweeps core counts, so it does not
-    # fit the one-machine (settings, runner) driver signature).
-    "scaling": run_scaling,
-}
-
-#: Configurations each figure needs (figure 9 reuses figure 8's set; every
-#: baseline a figure normalizes against is already in its set).
-_FIGURE_CONFIGS = {
-    "1": FIGURE1_CONFIGS,
-    "8": FIGURE8_CONFIGS,
-    "9": FIGURE8_CONFIGS,
-    "10": FIGURE10_CONFIGS,
-    "11": FIGURE11_CONFIGS,
-    "12": FIGURE12_CONFIGS,
-    "scenarios": SCENARIO_CONFIGS,
-    "scaling": SCALING_CONFIGS,
-}
+#: ``repro figure`` choices: a numbered figure runs the registered
+#: ``figureN`` study; ``scenarios`` and ``scaling`` build their spec from
+#: the command line.
+_FIGURES = ("1", "8", "9", "10", "11", "12", "scaling", "scenarios")
 
 #: Console verbosity: -1 with ``--quiet``, 0 by default, 1 with ``--verbose``.
 _VERBOSITY = 0
@@ -242,13 +209,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           "scaling figure uses --core-counts instead)")
     fig.add_argument("--ops", type=int, default=None,
                      help="operations per thread (default: 4000)")
-    fig.add_argument("--seeds", type=_seeds_csv, default=(1,),
+    fig.add_argument("--seeds", type=_csv(int), default=(1,),
                      help="comma-separated generator seeds")
-    fig.add_argument("--workloads", type=str, default=None,
+    fig.add_argument("--workloads", type=_csv(), default=None,
                      help="comma-separated workload names (default: all "
                           "presets; for the scenarios figure, all scenarios; "
                           "for the scaling figure, its default scenarios)")
-    fig.add_argument("--core-counts", type=_seeds_csv, default=None,
+    fig.add_argument("--core-counts", type=_csv(int), default=None,
                      help="scaling figure only: comma-separated machine "
                           "sizes to sweep (default: 4,8,16,32,64)")
     fig.add_argument("--small", action="store_true",
@@ -258,13 +225,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", parents=[campaign],
         help="run a (config x workload x seed) campaign, in parallel")
-    sweep.add_argument("--configs", type=str, default=None,
+    sweep.add_argument("--configs", type=_csv(), default=None,
                        help="comma-separated configuration names "
                             "(default: all registered configurations)")
-    sweep.add_argument("--workloads", type=str, default=None,
+    sweep.add_argument("--workloads", type=_csv(), default=None,
                        help="comma-separated workload or scenario names "
                             "(default: all workload presets)")
-    sweep.add_argument("--seeds", type=_seeds_csv, default=(1,),
+    sweep.add_argument("--seeds", type=_csv(int), default=(1,),
                        help="comma-separated generator seeds")
     sweep.add_argument("--cores", type=int, default=None,
                        help="cores per simulated machine (default: 8)")
@@ -318,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one scenario through the campaign executor and "
              "print per-phase stall breakdowns")
     sc_run.add_argument("name", help="scenario name (see 'scenario list')")
-    sc_run.add_argument("--configs", type=str, default="sc,invisi_sc",
+    sc_run.add_argument("--configs", type=_csv(), default=("sc", "invisi_sc"),
                         help="comma-separated configuration names")
     sc_run.add_argument("--cores", type=int, default=None,
                         help="cores per simulated machine (default: 8)")
@@ -391,12 +358,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seeds_csv(text: str) -> tuple:
-    try:
-        return tuple(int(s) for s in text.split(",") if s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"seeds must be comma-separated integers, got {text!r}")
+def _csv(item: Callable[[str], object] = str) -> Callable[[str], tuple]:
+    """The argparse type of every list flag: a non-empty comma-separated list.
+
+    ``--seeds``, ``--core-counts``, ``--workloads`` and ``--configs`` all
+    parse through it, so an empty list such as ``,`` exits 2 with a
+    one-line ``argument --X: ...`` error instead of crashing or running
+    nothing.
+    """
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(item(part) for part in text.split(",") if part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {item.__name__} values, "
+                f"got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a non-empty comma-separated list, got {text!r}")
+        return values
+    return parse
 
 
 def _campaign_parent() -> argparse.ArgumentParser:
@@ -431,10 +412,6 @@ def _open_cli_cache(args: argparse.Namespace) -> Optional[CacheBackend]:
     return None if args.no_cache else open_cache(args.cache)
 
 
-def _split(csv: str) -> tuple:
-    return tuple(item for item in csv.split(",") if item)
-
-
 def _add_study_selection_flags(parser: argparse.ArgumentParser) -> None:
     """Flags picking which studies to run, at what scale.
 
@@ -451,9 +428,9 @@ def _add_study_selection_flags(parser: argparse.ArgumentParser) -> None:
                              "studies with a core-count axis sweep their own)")
     parser.add_argument("--ops", type=int, default=None,
                         help="operations per thread (default: 4000)")
-    parser.add_argument("--seeds", type=_seeds_csv, default=(1,),
+    parser.add_argument("--seeds", type=_csv(int), default=(1,),
                         help="comma-separated generator seeds")
-    parser.add_argument("--workloads", type=str, default=None,
+    parser.add_argument("--workloads", type=_csv(), default=None,
                         help="comma-separated workload names for studies "
                              "without a fixed workload axis (default: all "
                              "presets)")
@@ -474,11 +451,8 @@ def _study_selection(args: argparse.Namespace):
         specs = tuple(DEFAULT_STUDY_REGISTRY.get(name) for name in names)
     cores = args.cores if args.cores is not None else (2 if args.quick else 8)
     ops = args.ops if args.ops is not None else (400 if args.quick else 4000)
-    if args.workloads:
-        workloads = _split(args.workloads)
-    else:
-        workloads = (("apache", "barnes") if args.quick
-                     else tuple(workload_names()))
+    workloads = args.workloads or (
+        ("apache", "barnes") if args.quick else tuple(workload_names()))
     settings = ExperimentSettings(num_cores=cores, ops_per_thread=ops,
                                   seeds=args.seeds, workloads=workloads)
     return specs, settings
@@ -556,14 +530,17 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return _cmd_study_run(args)
 
 
-def _cmd_study_run(args: argparse.Namespace) -> int:
-    specs, settings = _study_selection(args)
-    cache = _open_cli_cache(args)
+def _run_plan(args: argparse.Namespace, specs: Sequence[StudySpec],
+              settings: ExperimentSettings, cache: Optional[CacheBackend],
+              rec: Optional[TraceRecorder]) -> Tuple[CampaignReport, float, list]:
+    """Run ``specs`` through one deduplicated plan and build their results.
 
-    # One deduplicated plan covers every requested study; shared cells
-    # (e.g. the sc baseline) are simulated exactly once.
+    The one path ``study run`` and ``figure`` share: shared cells (e.g.
+    the sc baseline) are simulated exactly once.  Prints the ``[plan]``
+    line; returns the campaign report, the plan's wall seconds, and each
+    study's result object in ``specs`` order.
+    """
     plan = compile_study_plan(specs, settings)
-    rec = _campaign_recorder(args, "study run")
     if rec is not None:
         rec.meta["studies"] = ",".join(spec.name for spec in specs)
     study_runner = plan.runner(jobs=args.jobs, cache=cache,
@@ -573,8 +550,17 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     _info(f"[plan] {plan.describe()}")
     _debug(f"[plan] settings: {settings}")
-    for spec in specs:
-        result = run_study(spec, settings, study_runner=study_runner)
+    results = [run_study(spec, settings, study_runner=study_runner)
+               for spec in specs]
+    return report, elapsed, results
+
+
+def _cmd_study_run(args: argparse.Namespace) -> int:
+    specs, settings = _study_selection(args)
+    cache = _open_cli_cache(args)
+    rec = _campaign_recorder(args, "study run")
+    report, elapsed, results = _run_plan(args, specs, settings, cache, rec)
+    for spec, result in zip(specs, results):
         _out("")
         _out(result.format())
         json_path, csv_path = write_artifacts(spec, settings,
@@ -630,7 +616,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
     spec = scenario_spec(args.name)
-    configs = _split(args.configs)
+    configs = args.configs
     cores = args.cores if args.cores is not None else (2 if args.small else 8)
     ops = args.ops if args.ops is not None else (600 if args.small else 4000)
 
@@ -659,64 +645,57 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _figure_selection(args: argparse.Namespace):
+    """Resolve ``figure`` flags into (spec, settings)."""
     if args.number == "scaling":
-        return _cmd_figure_scaling(args)
+        return _scaling_selection(args)
     if args.workloads:
-        workloads = _split(args.workloads)
+        workloads = args.workloads
     elif args.number == "scenarios":
         workloads = tuple(scenario_names())
     else:
         workloads = tuple(workload_names())
-    ops = args.ops if args.ops is not None else 4000
-    cores = args.cores if args.cores is not None else 8
-    settings = ExperimentSettings(num_cores=cores, ops_per_thread=ops,
-                                  seeds=args.seeds, workloads=workloads)
-    cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, f"figure {args.number}")
-    runner = ExperimentRunner(settings, jobs=args.jobs, cache=cache,
-                              engine=args.engine, recorder=rec)
-    runner.prefetch(_FIGURE_CONFIGS[args.number])
-    result = _FIGURES[args.number](settings, runner)
-    _out(result.format())
-    _info(f"[campaign] {runner.executor.last_report.describe(cache)}, "
-          f"--jobs {args.jobs}")
-    _write_campaign_telemetry(rec)
-    return 0
+    settings = ExperimentSettings(
+        num_cores=args.cores if args.cores is not None else 8,
+        ops_per_thread=args.ops if args.ops is not None else 4000,
+        seeds=args.seeds, workloads=workloads)
+    if args.number == "scenarios":
+        return scenario_study(scenarios=None), settings
+    return DEFAULT_STUDY_REGISTRY.get(f"figure{args.number}"), settings
 
 
-def _cmd_figure_scaling(args: argparse.Namespace) -> int:
+def _scaling_selection(args: argparse.Namespace):
     """The machine-scaling study sweeps core counts, not a single machine."""
     if args.cores is not None:
         raise ReproError(
             "the scaling figure sweeps machine sizes; use --core-counts "
             "(e.g. --core-counts 4,16,64) instead of --cores")
-    if args.core_counts is not None:
-        core_counts = args.core_counts
-    else:
-        core_counts = (2, 4) if args.small else SCALING_CORE_COUNTS
+    core_counts = args.core_counts or (
+        (2, 4) if args.small else SCALING_CORE_COUNTS)
     ops = args.ops if args.ops is not None else (400 if args.small else 4000)
-    scenarios = (_split(args.workloads) if args.workloads
-                 else (("false-sharing-storm",) if args.small
-                       else SCALING_SCENARIOS))
+    scenarios = args.workloads or (
+        ("false-sharing-storm",) if args.small else SCALING_SCENARIOS)
     settings = ExperimentSettings(num_cores=max(core_counts),
                                   ops_per_thread=ops, seeds=args.seeds,
                                   workloads=scenarios)
+    return scaling_study(core_counts, scenarios=scenarios), settings
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    spec, settings = _figure_selection(args)
     cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, "figure scaling")
-    result = run_scaling(settings, core_counts=core_counts,
-                         scenarios=scenarios, jobs=args.jobs, cache=cache,
-                         engine=args.engine, recorder=rec)
+    rec = _campaign_recorder(args, f"figure {args.number}")
+    report, _, (result,) = _run_plan(args, (spec,), settings, cache, rec)
     _out(result.format())
-    _info(f"[campaign] {result.report.describe(cache)}, --jobs {args.jobs}")
+    _info(f"[campaign] {report.describe(cache)}, --jobs {args.jobs}")
     _write_campaign_telemetry(rec)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    configs = _split(args.configs) if args.configs else (
+    configs = args.configs or (
         ("sc", "invisi_sc") if args.quick else DEFAULT_REGISTRY.names())
-    workloads = _split(args.workloads) if args.workloads else (
+    workloads = args.workloads or (
         ("apache",) if args.quick else tuple(workload_names()))
     seeds = args.seeds
     cores = args.cores if args.cores is not None else (2 if args.quick else 8)

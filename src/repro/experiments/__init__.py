@@ -1,29 +1,33 @@
-"""Experiment drivers: one module per figure of the paper's evaluation.
+"""The paper's evaluation, declared as registered studies.
 
-Each ``run_figureN`` function builds the workload traces, runs the required
-machine configurations through the simulator, and returns a result object
-whose ``format()`` method prints the same rows/series the paper's figure
-plots.  ``ExperimentSettings`` controls the scale (cores, trace length,
-seeds); the defaults reproduce the full 16-core setup, while
-``ExperimentSettings.quick()`` is used by the test-suite and the benchmark
-harness.
+Each figure module (Figures 1 and 8-12), the two ablations, the machine
+scaling sweep, and the per-phase scenario figure registers a
+:class:`~repro.studies.spec.StudySpec` whose ``build`` hook returns a
+result object; that object's ``format()`` method prints the rows/series
+the paper's figure plots.  Run one with
+:func:`repro.studies.run_study` (``run_study("figure8", settings)``, or a
+spec from :func:`scaling_study`, :func:`scenario_study`,
+:func:`store_buffer_study`, :func:`cov_timeout_study`) or from the
+command line with ``repro figure N`` / ``repro study run``.
+``ExperimentSettings`` controls the scale (cores, trace length, seeds);
+the defaults reproduce the full 16-core setup, while
+``ExperimentSettings.quick()`` is used by the test-suite and the
+benchmark harness.
 """
 
 # Import order fixes the study registry's presentation order: figures,
 # ablations, then the scaling and scenario studies.
-from .common import CONFIG_NAMES, ExperimentSettings, ExperimentRunner, make_config
-from .figure1 import Figure1Result, run_figure1
-from .figure8 import Figure8Result, run_figure8
-from .figure9 import Figure9Result, run_figure9
-from .figure10 import Figure10Result, run_figure10
-from .figure11 import Figure11Result, run_figure11
-from .figure12 import Figure12Result, run_figure12
+from .common import ExperimentSettings, make_config
+from .figure1 import Figure1Result
+from .figure8 import Figure8Result
+from .figure9 import Figure9Result
+from .figure10 import Figure10Result
+from .figure11 import Figure11Result
+from .figure12 import Figure12Result
 from .ablation import (
     CovTimeoutAblationResult,
     StoreBufferAblationResult,
     cov_timeout_study,
-    run_cov_timeout_ablation,
-    run_store_buffer_ablation,
     store_buffer_study,
 )
 from .scaling import (
@@ -31,13 +35,11 @@ from .scaling import (
     SCALING_CORE_COUNTS,
     SCALING_SCENARIOS,
     ScalingResult,
-    run_scaling,
     scaling_study,
 )
 from .scenarios import (
     SCENARIO_CONFIGS,
     ScenarioFigureResult,
-    run_scenarios,
     scenario_study,
 )
 from .tables import (
@@ -50,33 +52,21 @@ from .tables import (
 
 __all__ = [
     "ExperimentSettings",
-    "ExperimentRunner",
-    "CONFIG_NAMES",
     "make_config",
     "StoreBufferAblationResult",
-    "run_store_buffer_ablation",
     "CovTimeoutAblationResult",
-    "run_cov_timeout_ablation",
     "Figure1Result",
-    "run_figure1",
     "Figure8Result",
-    "run_figure8",
     "Figure9Result",
-    "run_figure9",
     "Figure10Result",
-    "run_figure10",
     "Figure11Result",
-    "run_figure11",
     "Figure12Result",
-    "run_figure12",
     "SCENARIO_CONFIGS",
     "ScenarioFigureResult",
-    "run_scenarios",
     "SCALING_CONFIGS",
     "SCALING_CORE_COUNTS",
     "SCALING_SCENARIOS",
     "ScalingResult",
-    "run_scaling",
     "scaling_study",
     "scenario_study",
     "store_buffer_study",

@@ -6,13 +6,13 @@ Two sensitivity studies are mentioned in the paper but not plotted:
   (not shown) to determine store buffer capacities for InvisiFence that
   provide performance close to that of a store buffer of unbounded capacity.
   For InvisiFence configurations that employ a single checkpoint, a store
-  buffer with eight entries suffices."  :func:`run_store_buffer_ablation`
+  buffer with eight entries suffices."  :func:`store_buffer_study`
   sweeps the coalescing-buffer size for single-checkpoint
   InvisiFence-Selective and reports the runtime relative to the largest size
   in the sweep.
 
 * **Commit-on-violate timeout** (Section 3.2 / 6.6): the paper fixes the
-  deferral window at 4000 cycles.  :func:`run_cov_timeout_ablation` sweeps
+  deferral window at 4000 cycles.  :func:`cov_timeout_study` sweeps
   the timeout for InvisiFence-Continuous with CoV and reports runtime,
   violation cycles, and how the conflicts were resolved, showing the
   saturation behaviour that justifies the choice.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..campaign.registry import ConfigFactory
 from ..config import (
@@ -43,9 +43,9 @@ from ..config import (
 from ..stats.report import format_table
 from ..studies.artifacts import StudyTable
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 
 DEFAULT_SB_SIZES = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_COV_TIMEOUTS = (0, 250, 1000, 4000, 16000)
@@ -252,29 +252,3 @@ def cov_timeout_study(workload: str = "apache",
 
 ABLATION_SB_STUDY = register_study(store_buffer_study())
 ABLATION_COV_STUDY = register_study(cov_timeout_study())
-
-
-def run_store_buffer_ablation(
-    settings: Optional[ExperimentSettings] = None,
-    workload: str = "apache",
-    sizes: Sequence[int] = DEFAULT_SB_SIZES,
-    runner: Optional[ExperimentRunner] = None,
-) -> StoreBufferAblationResult:
-    """Sweep the store-buffer capacity of single-checkpoint InvisiFence."""
-    return run_study(store_buffer_study(workload, sizes), settings,
-                     runner=runner)
-
-
-def run_cov_timeout_ablation(
-    settings: Optional[ExperimentSettings] = None,
-    workload: str = "apache",
-    timeouts: Sequence[int] = DEFAULT_COV_TIMEOUTS,
-    runner: Optional[ExperimentRunner] = None,
-) -> CovTimeoutAblationResult:
-    """Sweep the commit-on-violate deferral window for continuous speculation.
-
-    A timeout of ``0`` selects the plain abort-immediately policy and serves
-    as the baseline row.
-    """
-    return run_study(cov_timeout_study(workload, timeouts), settings,
-                     runner=runner)

@@ -15,14 +15,14 @@ synchronisation-heavy commercial workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..stats.report import format_table
 from ..studies.artifacts import StudyTable
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 
 FIGURE1_CONFIGS = ("sc", "tso", "rmo")
 _CONFIGS = FIGURE1_CONFIGS
@@ -89,9 +89,3 @@ FIGURE1_STUDY = register_study(StudySpec(
     build=_build,
     tabulate=_tabulate,
 ))
-
-
-def run_figure1(settings: Optional[ExperimentSettings] = None,
-                runner: Optional[ExperimentRunner] = None) -> Figure1Result:
-    """Regenerate Figure 1."""
-    return run_study(FIGURE1_STUDY, settings, runner=runner)

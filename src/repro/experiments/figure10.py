@@ -9,14 +9,14 @@ synchronisation-heavy workloads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..stats.report import format_series_table
 from ..studies.artifacts import StudyTable
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 
 FIGURE10_CONFIGS = ("invisi_sc", "invisi_tso", "invisi_rmo")
 
@@ -66,9 +66,3 @@ FIGURE10_STUDY = register_study(StudySpec(
     build=_build,
     tabulate=_tabulate,
 ))
-
-
-def run_figure10(settings: Optional[ExperimentSettings] = None,
-                 runner: Optional[ExperimentRunner] = None) -> Figure10Result:
-    """Regenerate Figure 10."""
-    return run_study(FIGURE10_STUDY, settings, runner=runner)

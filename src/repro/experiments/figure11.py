@@ -11,14 +11,14 @@ closes that small gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.report import format_breakdown_table
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 from .figure9 import breakdown_tables
 
 FIGURE11_CONFIGS = ("aso_sc", "invisi_sc", "invisi_sc_2ckpt")
@@ -63,9 +63,3 @@ FIGURE11_STUDY = register_study(StudySpec(
     build=_build,
     tabulate=lambda result: breakdown_tables(result.breakdowns),
 ))
-
-
-def run_figure11(settings: Optional[ExperimentSettings] = None,
-                 runner: Optional[ExperimentRunner] = None) -> Figure11Result:
-    """Regenerate Figure 11."""
-    return run_study(FIGURE11_STUDY, settings, runner=runner)

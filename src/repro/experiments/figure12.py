@@ -13,14 +13,14 @@ percent of Invisi_rmo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.report import format_breakdown_table
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 from .figure9 import breakdown_tables
 
 FIGURE12_CONFIGS = ("sc", "invisi_cont", "rmo", "invisi_cont_cov", "invisi_rmo")
@@ -68,9 +68,3 @@ FIGURE12_STUDY = register_study(StudySpec(
     build=_build,
     tabulate=lambda result: breakdown_tables(result.breakdowns),
 ))
-
-
-def run_figure12(settings: Optional[ExperimentSettings] = None,
-                 runner: Optional[ExperimentRunner] = None) -> Figure12Result:
-    """Regenerate Figure 12."""
-    return run_study(FIGURE12_STUDY, settings, runner=runner)

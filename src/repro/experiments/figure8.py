@@ -10,16 +10,16 @@ matches or exceeds conventional RMO, with Invisi_rmo the fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..stats.confidence import ConfidenceInterval
 from ..stats.report import format_series_table
 from ..studies.artifacts import StudyTable
 from ..studies.metrics import speedup_interval
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 
 FIGURE8_CONFIGS = ("sc", "tso", "rmo", "invisi_sc", "invisi_tso", "invisi_rmo")
 
@@ -78,9 +78,3 @@ FIGURE8_STUDY = register_study(StudySpec(
     build=_build,
     tabulate=_tabulate,
 ))
-
-
-def run_figure8(settings: Optional[ExperimentSettings] = None,
-                runner: Optional[ExperimentRunner] = None) -> Figure8Result:
-    """Regenerate Figure 8."""
-    return run_study(FIGURE8_STUDY, settings, runner=runner)

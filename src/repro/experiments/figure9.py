@@ -10,15 +10,15 @@ component, with Invisi_rmo showing the least time in total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.report import format_breakdown_table
 from ..studies.artifacts import StudyTable
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 from .figure8 import FIGURE8_CONFIGS
 
 
@@ -81,9 +81,3 @@ FIGURE9_STUDY = register_study(StudySpec(
     build=_build,
     tabulate=lambda result: breakdown_tables(result.breakdowns),
 ))
-
-
-def run_figure9(settings: Optional[ExperimentSettings] = None,
-                runner: Optional[ExperimentRunner] = None) -> Figure9Result:
-    """Regenerate Figure 9."""
-    return run_study(FIGURE9_STUDY, settings, runner=runner)

@@ -27,16 +27,15 @@ layered on through a registered configuration variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..campaign.backends import CacheBackend
 from ..campaign.executor import CampaignReport
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.report import format_breakdown_table, format_table
 from ..studies.artifacts import StudyTable
 from ..studies.metrics import mean_breakdown_pct
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec
 from .common import ExperimentSettings
 from .figure9 import breakdown_tables
@@ -159,23 +158,3 @@ def scaling_study(core_counts: Sequence[int] = SCALING_CORE_COUNTS,
 
 
 SCALING_STUDY = register_study(scaling_study())
-
-
-def run_scaling(settings: Optional[ExperimentSettings] = None,
-                core_counts: Sequence[int] = SCALING_CORE_COUNTS,
-                configs: Sequence[str] = SCALING_CONFIGS,
-                scenarios: Sequence[str] = SCALING_SCENARIOS,
-                jobs: int = 1,
-                cache: Optional[CacheBackend] = None,
-                engine: str = "fast", recorder=None) -> ScalingResult:
-    """Run the scaling sweep: (core count x config x scenario x seed).
-
-    ``settings`` supplies trace length, seeds, and the warmup fraction;
-    its ``num_cores`` is overridden per swept count.  Each core count runs
-    as one campaign (``jobs`` worker processes fan out its missing cells)
-    against the shared result cache, so serial and parallel sweeps produce
-    byte-identical tables and cache entries.
-    """
-    return run_study(scaling_study(core_counts, configs, scenarios),
-                     settings, jobs=jobs, cache=cache, engine=engine,
-                     recorder=recorder)

@@ -12,15 +12,15 @@ cycles are not averaged away by the surrounding phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.phases import phase_breakdown
 from ..stats.report import format_breakdown_table
 from ..studies.registry import register_study
-from ..studies.runner import StudyContext, run_study
+from ..studies.runner import StudyContext
 from ..studies.spec import StudySpec, WorkloadAxis
-from .common import ExperimentRunner, ExperimentSettings
+from .common import ExperimentSettings
 from .figure9 import breakdown_tables
 
 #: Configurations compared per phase: the three conventional baselines'
@@ -56,8 +56,9 @@ def scenario_study(configs: Sequence[str] = SCENARIO_CONFIGS,
     """Declare the per-phase scenario figure as a study.
 
     ``scenarios`` is the workload axis: defaults to the live scenario
-    registry; ``None`` means the experiment settings' workload list (the
-    facade uses that for its historical default).
+    registry; ``None`` means the experiment settings' workload list
+    (``repro figure scenarios`` uses that, so ``--workloads`` picks the
+    scenarios).
     """
     configs = tuple(configs)
 
@@ -90,21 +91,3 @@ def scenario_study(configs: Sequence[str] = SCENARIO_CONFIGS,
 
 
 SCENARIOS_STUDY = register_study(scenario_study())
-
-
-def run_scenarios(settings: Optional[ExperimentSettings] = None,
-                  runner: Optional[ExperimentRunner] = None,
-                  scenarios: Optional[Sequence[str]] = None,
-                  configs: Sequence[str] = SCENARIO_CONFIGS) -> ScenarioFigureResult:
-    """Run every (scenario, config, seed) cell and tabulate per-phase stalls.
-
-    ``scenarios`` defaults to the settings' workload list (the CLI points
-    that at the scenario registry); multi-seed settings average the
-    per-phase percentages over seeds.
-    """
-    from ..scenarios.registry import scenario_names
-
-    settings = settings or ExperimentSettings(workloads=tuple(scenario_names()))
-    axis = tuple(scenarios) if scenarios is not None else None
-    return run_study(scenario_study(configs, scenarios=axis),
-                     settings, runner=runner)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,9 @@ def mean_confidence_interval(samples: Sequence[float],
     if values.size == 1:
         return ConfidenceInterval(mean=mean, half_width=0.0,
                                   confidence=confidence, samples=1)
+    # scipy is imported only here: single-seed runs never pay for it.
+    from scipy import stats as scipy_stats
+
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1))
     return ConfidenceInterval(mean=mean, half_width=t_crit * sem,

@@ -19,9 +19,12 @@ Specs compile to a deduplicated campaign job plan
 :class:`~repro.campaign.executor.CampaignExecutor` and its cache backend
 (:class:`~repro.campaign.backends.CacheBackend`), and emit JSON + CSV artifacts
 under ``results/`` (:mod:`~repro.studies.artifacts`) alongside the
-original text tables.  The figure drivers in :mod:`repro.experiments` are
-thin facades over registered specs; ``repro study list|run`` is the CLI
-surface.  See ``EXPERIMENTS.md`` for the user-facing guide.
+original text tables.  :func:`~repro.studies.runner.run_study` is the one
+way to run a study: its :class:`~repro.studies.runner.StudyRunner` owns
+the executors and the result memo.  The modules of
+:mod:`repro.experiments` register the paper's specs; ``repro study
+list|run`` and ``repro figure N`` are the CLI surface.  See
+``EXPERIMENTS.md`` for the user-facing guide.
 
 Import order note: :mod:`~repro.studies.metrics` and the other submodules
 here must not import :mod:`repro.experiments` at module scope (the

@@ -1,12 +1,13 @@
 """Named metric extractors and seed-aggregators over :class:`RunResult`.
 
-This is the single metric pipeline every study builds on.  The aggregator
-implementations were lifted verbatim from the pre-framework drivers
-(``ExperimentRunner``'s convenience aggregations and the scaling study's
-helpers), so ported drivers reproduce the bespoke drivers' tables
-byte-for-byte -- the golden tests in ``tests/test_golden_tables.py`` pin
-that.  ``ExperimentRunner`` now delegates here, so there is exactly one
-definition of each aggregation.
+This is the single metric pipeline every study builds on, and the one
+definition of each aggregation: studies reach it through
+:class:`~repro.studies.runner.StudyContext` (``mean_metric``,
+``speedup``, ``normalized_breakdown``, ...) or call it on
+``ctx.runs(...)`` directly.  The implementations were lifted verbatim
+from the pre-framework drivers, so the studies reproduce those drivers'
+tables byte-for-byte -- the golden tests in
+``tests/test_golden_tables.py`` pin that.
 """
 
 from __future__ import annotations

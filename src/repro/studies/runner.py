@@ -1,17 +1,17 @@
-"""Study execution: multi-geometry campaign front-end and build context.
+"""Study execution: the one way a study's cells run.
 
 A :class:`StudyRunner` owns one
-:class:`~repro.experiments.common.ExperimentRunner` per swept machine
+:class:`~repro.campaign.executor.CampaignExecutor` per swept machine
 size, all sharing the same worker-pool width, result cache, and
 configuration registry (an overlay when studies bring private config
-variants).  :func:`run_study` is the single entry point: expand the grid,
-run every cell through the campaign executor, hand a
-:class:`StudyContext` to the spec's ``build`` hook, and optionally write
-JSON/CSV artifacts.
+variants), plus one memo of results keyed by :class:`StudyCell`.
+:func:`run_study` is the single entry point: expand the grid, run every
+missing cell through the executors, hand a :class:`StudyContext` to the
+spec's ``build`` hook, and optionally write JSON/CSV artifacts.
 
 Imports from :mod:`repro.experiments` are deferred to call time: the
-experiments layer imports this package (its drivers are facades over
-registered specs), so a module-scope import here would be circular.
+experiments layer imports this package (its modules register the
+built-in specs), so a module-scope import here would be circular.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Union
 
 from ..campaign.backends import CacheBackend
-from ..campaign.executor import CampaignReport
+from ..campaign.executor import CampaignExecutor, CampaignReport
 from ..campaign.registry import ConfigFactory, ConfigRegistry, DEFAULT_REGISTRY
 from ..engine.results import RunResult
 from ..errors import StudyError
@@ -31,7 +31,7 @@ from .spec import StudyCell, StudySpec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from pathlib import Path
 
-    from ..experiments.common import ExperimentRunner, ExperimentSettings
+    from ..experiments.common import ExperimentSettings
 
 
 def overlay_registry(base: ConfigRegistry,
@@ -56,69 +56,74 @@ def overlay_registry(base: ConfigRegistry,
 
 
 class StudyRunner:
-    """Shared campaign front-end across every machine size a plan sweeps."""
+    """The one way a study's cells run.
+
+    Holds one :class:`~repro.campaign.executor.CampaignExecutor` per
+    machine size, all sharing the worker-pool width, result cache, engine,
+    and configuration registry, and one memo of every result this runner
+    has produced, keyed by :class:`StudyCell`.
+    """
 
     def __init__(self, settings: "ExperimentSettings", jobs: int = 1,
                  cache: Optional[CacheBackend] = None,
                  registry: Optional[ConfigRegistry] = None,
-                 base_runner: Optional["ExperimentRunner"] = None,
                  engine: str = "fast", recorder=None) -> None:
         self.settings = settings
         self.jobs = jobs
         self.cache = cache
         self.engine = engine
         self.recorder = recorder
-        self._runners: Dict[int, "ExperimentRunner"] = {}
-        if base_runner is not None:
-            # Adopt the caller's runner (and its memoized results) for the
-            # settings' own machine size -- the facades pass the shared
-            # runner the old drivers did, so simulations keep being reused
-            # across figures.
-            self._runners[settings.num_cores] = base_runner
-            self.cache = base_runner.executor.cache if cache is None else cache
-            registry = base_runner.executor.registry if registry is None \
-                else registry
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
+        self._executors: Dict[int, CampaignExecutor] = {}
+        self._results: Dict[StudyCell, RunResult] = {}
 
     def require_configs(self, extras: Mapping[str, ConfigFactory]) -> None:
         """Make a study's private configuration variants resolvable."""
         if not extras:
             return
         self.registry = overlay_registry(self.registry, extras)
-        for runner in self._runners.values():
-            runner.executor.registry = self.registry
+        for executor in self._executors.values():
+            executor.registry = self.registry
 
-    def runner_for(self, num_cores: Optional[int] = None) -> "ExperimentRunner":
-        """The (lazily created) runner for one machine size."""
-        from ..experiments.common import ExperimentRunner
-
-        if num_cores is None:
-            num_cores = self.settings.num_cores
-        if num_cores not in self._runners:
+    def executor_for(self, num_cores: int) -> CampaignExecutor:
+        """The (lazily created) executor for one machine size."""
+        if num_cores not in self._executors:
             scaled = self.settings if num_cores == self.settings.num_cores \
                 else dataclasses.replace(self.settings, num_cores=num_cores)
-            self._runners[num_cores] = ExperimentRunner(
+            self._executors[num_cores] = CampaignExecutor(
                 scaled, jobs=self.jobs, cache=self.cache,
                 registry=self.registry, engine=self.engine,
                 recorder=self.recorder)
-        return self._runners[num_cores]
+        return self._executors[num_cores]
 
     def run_cells(self, cells: Sequence[StudyCell]) -> CampaignReport:
-        """Run every cell, grouped per machine size (one campaign each).
+        """Run every cell not yet memoized; returns the summed tallies.
 
-        This is the prefetch: each group fans its missing cells out over
-        the executor's worker pool; the build hooks afterwards only read
-        memoized results.  Returns the summed campaign tallies.
+        Missing cells run as one campaign per machine size, so each group
+        fans out over the executor's worker pool; the build hooks
+        afterwards only read memoized results.
         """
+        cells = list(cells)
+        unique = list(dict.fromkeys(cells))
+        report = CampaignReport(total=len(cells),
+                                deduplicated=len(cells) - len(unique))
         groups: Dict[int, List[StudyCell]] = {}
-        for cell in cells:
-            groups.setdefault(cell.num_cores, []).append(cell)
-        total = CampaignReport()
+        for cell in unique:
+            if cell not in self._results:
+                groups.setdefault(cell.num_cores, []).append(cell)
         for num_cores, group in groups.items():
-            runner = self.runner_for(num_cores)
-            runner.run_jobs([cell.job() for cell in group])
-            total.merge(runner.last_report)
-        return total
+            executor = self.executor_for(num_cores)
+            results = executor.run([cell.job() for cell in group])
+            self._results.update(zip(group, results))
+            report.simulated += executor.last_report.simulated
+            report.cache_hits += executor.last_report.cache_hits
+        return report
+
+    def result(self, cell: StudyCell) -> RunResult:
+        """One cell's result, run the first time it is asked for."""
+        if cell not in self._results:
+            self.run_cells([cell])
+        return self._results[cell]
 
 
 class StudyContext:
@@ -134,17 +139,18 @@ class StudyContext:
 
     # -- raw results ---------------------------------------------------------
 
-    def runner(self, cores: Optional[int] = None) -> "ExperimentRunner":
-        return self.study_runner.runner_for(cores)
-
     def run(self, config: str, workload: str, seed: int,
             cores: Optional[int] = None) -> RunResult:
-        return self.runner(cores).run(config, workload, seed)
+        if cores is None:
+            cores = self.settings.num_cores
+        return self.study_runner.result(
+            StudyCell(cores, config, workload, seed))
 
     def runs(self, config: str, workload: str,
              cores: Optional[int] = None) -> List[RunResult]:
-        """One result per seed (the runner's settings' seeds)."""
-        return self.runner(cores).run_all_seeds(config, workload)
+        """One result per seed (the settings' seeds)."""
+        return [self.run(config, workload, seed, cores)
+                for seed in self.settings.seeds]
 
     # -- metric pipeline -----------------------------------------------------
 
@@ -175,7 +181,6 @@ class StudyContext:
 
 def run_study(study: Union[str, StudySpec],
               settings: Optional["ExperimentSettings"] = None,
-              runner: Optional["ExperimentRunner"] = None,
               study_runner: Optional[StudyRunner] = None,
               jobs: int = 1,
               cache: Optional[CacheBackend] = None,
@@ -185,11 +190,11 @@ def run_study(study: Union[str, StudySpec],
 
     ``study`` is a :class:`StudySpec` or a name registered in
     :data:`~repro.studies.registry.DEFAULT_STUDY_REGISTRY`.  Pass
-    ``runner`` (an :class:`ExperimentRunner`) to share memoized results
-    with other drivers at the settings' machine size, or ``study_runner``
-    to reuse a whole multi-geometry plan execution (e.g. after
-    :meth:`StudyPlan.execute`).  With ``out_dir`` set, the study's JSON +
-    CSV artifacts are written there.
+    ``study_runner`` to share its memoized results with other studies
+    (e.g. after :meth:`StudyPlan.execute`); otherwise a fresh runner with
+    ``jobs``/``cache``/``engine``/``recorder`` runs the study's cells.
+    With ``out_dir`` set, the study's JSON + CSV artifacts are written
+    there.
     """
     from ..experiments.common import ExperimentSettings
     from .registry import DEFAULT_STUDY_REGISTRY
@@ -200,8 +205,7 @@ def run_study(study: Union[str, StudySpec],
         settings = ExperimentSettings()
     if study_runner is None:
         study_runner = StudyRunner(settings, jobs=jobs, cache=cache,
-                                   base_runner=runner, engine=engine,
-                                   recorder=recorder)
+                                   engine=engine, recorder=recorder)
     study_runner.require_configs(spec.extra_configs)
     report = study_runner.run_cells(spec.cells(settings))
     result = spec.build(StudyContext(spec, settings, study_runner, report))

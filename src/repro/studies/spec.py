@@ -62,10 +62,10 @@ class StudySpec:
 
     ``build`` turns the executed grid (via a
     :class:`~repro.studies.runner.StudyContext`) into the study's result
-    object -- any object with a ``format()`` method; the figure facades
-    return these unchanged.  ``tabulate`` flattens a result into
-    :class:`~repro.studies.artifacts.StudyTable` rows for the JSON/CSV
-    artifact writer.
+    object -- any object with a ``format()`` method, which is what
+    :func:`~repro.studies.runner.run_study` returns.  ``tabulate``
+    flattens a result into :class:`~repro.studies.artifacts.StudyTable`
+    rows for the JSON/CSV artifact writer.
     """
 
     name: str

@@ -1,12 +1,11 @@
-"""Tests for the ablation/sensitivity experiment drivers (tiny scale)."""
+"""Tests for the ablation/sensitivity studies (tiny scale)."""
 
 import pytest
 
-from repro.experiments.ablation import (
-    run_cov_timeout_ablation,
-    run_store_buffer_ablation,
-)
-from repro.experiments.common import ExperimentRunner, ExperimentSettings
+from repro.experiments.ablation import cov_timeout_study, store_buffer_study
+from repro.experiments.common import ExperimentSettings
+from repro.studies import run_study
+from repro.studies.runner import StudyRunner
 
 SETTINGS = ExperimentSettings.quick(num_cores=4, ops_per_thread=600,
                                     workloads=("apache",))
@@ -14,14 +13,14 @@ SETTINGS = ExperimentSettings.quick(num_cores=4, ops_per_thread=600,
 
 @pytest.fixture(scope="module")
 def runner():
-    return ExperimentRunner(SETTINGS)
+    return StudyRunner(SETTINGS)
 
 
 class TestStoreBufferAblation:
     @pytest.fixture(scope="class")
     def result(self, runner):
-        return run_store_buffer_ablation(SETTINGS, workload="apache",
-                                         sizes=(1, 4, 16), runner=runner)
+        return run_study(store_buffer_study("apache", sizes=(1, 4, 16)),
+                         SETTINGS, study_runner=runner)
 
     def test_all_sizes_present(self, result):
         assert set(result.cycles) == {1, 4, 16}
@@ -46,8 +45,8 @@ class TestStoreBufferAblation:
 class TestCovTimeoutAblation:
     @pytest.fixture(scope="class")
     def result(self, runner):
-        return run_cov_timeout_ablation(SETTINGS, workload="apache",
-                                        timeouts=(0, 2000), runner=runner)
+        return run_study(cov_timeout_study("apache", timeouts=(0, 2000)),
+                         SETTINGS, study_runner=runner)
 
     def test_rows_present(self, result):
         assert set(result.cycles) == {0, 2000}

@@ -6,15 +6,18 @@ backend-specific tests pin the concurrent-writer safety of the sqlite
 file, its readers under a held write lock and its clear error past the
 busy-retry budget, the takeover of malformed lease files, the URL
 grammar, the kernel-source invalidation scoping, the byte-identity of a
-study drained by two cooperating workers versus a serial run, the keys a
+study drained by two cooperating workers versus a serial run, the
+reissue of a cell whose worker was killed mid-simulation, the keys a
 worker shares with a study run, and the re-simulation of a corrupt
 stored entry by a draining worker.
 """
 
 import json
 import multiprocessing
+import signal
 import sqlite3
 import threading
+import time
 from urllib.parse import urlencode
 
 import pytest
@@ -395,6 +398,25 @@ def _drain(plan, url, worker_id, reports):
     reports[worker_id] = worker.drain()
 
 
+def _drain_until_killed(plan, url, marker):
+    """Forked child: claim the first cell, then hang inside its simulation."""
+    from repro.campaign import queue
+
+    def hang(payload):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write("claimed")
+        time.sleep(120)
+
+    queue._simulate_cell = hang  # this process only
+    QueueWorker(plan, open_cache(url), worker_id="doomed",
+                lease_ttl=0.5).drain()
+
+
+def _entries(path):
+    return dict(SqliteBackend(path)._connect().execute(
+        "SELECT key, body FROM entries"))
+
+
 def _study_table(plan, cache):
     """The plan's first study table, and the plan execution's report."""
     from repro import run_study
@@ -431,13 +453,8 @@ class TestDistributedDrain:
         assert total == len(plan.unique_cells)
 
         # cache entries are byte-identical to the serial run's.
-        serial = SqliteBackend(tmp_path / "serial.sqlite")
-        shared = SqliteBackend(tmp_path / "shared.sqlite")
-        serial_rows = dict(serial._connect().execute(
-            "SELECT key, body FROM entries"))
-        shared_rows = dict(shared._connect().execute(
-            "SELECT key, body FROM entries"))
-        assert serial_rows == shared_rows
+        assert _entries(tmp_path / "serial.sqlite") == \
+            _entries(tmp_path / "shared.sqlite")
 
         # and a study run over the drained store simulates nothing while
         # producing the identical table.
@@ -472,6 +489,38 @@ class TestDistributedDrain:
         report = plan.execute(plan.runner(cache=cache))
         assert report.simulated == 0
         assert report.cache_hits == len(plan.unique_cells)
+
+    def test_worker_killed_mid_cell_is_reissued(self, tmp_path):
+        """SIGKILL a worker inside a claimed cell; a survivor finishes it."""
+        settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
+                                            workloads=("apache",))
+        plan = compile_study_plan("figure8", settings)
+        url = f"sqlite://{tmp_path}/q.sqlite"
+        marker = tmp_path / "claimed"
+        child = multiprocessing.get_context("fork").Process(
+            target=_drain_until_killed, args=(plan, url, str(marker)))
+        child.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while not marker.exists():
+                assert child.is_alive(), "worker exited before claiming a cell"
+                assert time.monotonic() < deadline, "worker never claimed a cell"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.join(timeout=30.0)
+        assert child.exitcode == -signal.SIGKILL
+
+        survivor = QueueWorker(plan, open_cache(url), worker_id="survivor",
+                               poll_interval=0.01, max_wait=60.0)
+        report = survivor.drain()
+        assert report.reissued == 1
+        assert report.simulated == report.total == len(plan.unique_cells)
+
+        serial = open_cache(f"sqlite://{tmp_path}/serial.sqlite")
+        plan.execute(plan.runner(cache=serial))
+        assert _entries(tmp_path / "q.sqlite") == \
+            _entries(tmp_path / "serial.sqlite")
 
     def test_crashed_workers_cells_are_reissued(self, tmp_path, tiny_result):
         settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,

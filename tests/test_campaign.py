@@ -20,7 +20,7 @@ from repro.config import SystemConfig
 from repro.engine.results import RunResult
 from repro.engine.simulator import simulate
 from repro.errors import ConfigurationError
-from repro.experiments.common import CONFIG_NAMES, ExperimentSettings, make_config
+from repro.experiments.common import ExperimentSettings, make_config
 from repro.workloads.presets import preset
 from repro.workloads.registry import build_trace
 
@@ -37,17 +37,17 @@ def tiny_result():
 
 class TestRegistry:
     def test_every_default_name_resolves(self):
-        for name in CONFIG_NAMES:
+        for name in DEFAULT_REGISTRY.names():
             config = DEFAULT_REGISTRY.make(name, SETTINGS)
             assert isinstance(config, SystemConfig)
             assert config.num_cores == SETTINGS.num_cores
 
     def test_make_config_delegates_to_registry(self):
-        for name in CONFIG_NAMES:
+        for name in DEFAULT_REGISTRY.names():
             assert make_config(name, SETTINGS) == DEFAULT_REGISTRY.make(name, SETTINGS)
 
     def test_configs_hash_stably(self):
-        for name in CONFIG_NAMES:
+        for name in DEFAULT_REGISTRY.names():
             spec = preset("apache").scaled(SETTINGS.ops_per_thread)
             first = cache_key(make_config(name, SETTINGS), spec, 1, 0.2)
             second = cache_key(make_config(name, SETTINGS), spec, 1, 0.2)
@@ -56,11 +56,11 @@ class TestRegistry:
     def test_distinct_configs_hash_differently(self):
         spec = preset("apache").scaled(SETTINGS.ops_per_thread)
         keys = {cache_key(make_config(name, SETTINGS), spec, 1, 0.2)
-                for name in CONFIG_NAMES}
-        assert len(keys) == len(CONFIG_NAMES)
+                for name in DEFAULT_REGISTRY.names()}
+        assert len(keys) == len(DEFAULT_REGISTRY.names())
 
     def test_config_dict_round_trip(self):
-        for name in CONFIG_NAMES:
+        for name in DEFAULT_REGISTRY.names():
             config = make_config(name, SETTINGS)
             data = json.loads(json.dumps(config.to_dict(), sort_keys=True))
             assert SystemConfig.from_dict(data) == config

@@ -87,6 +87,46 @@ class TestFigureCommand:
             main(["figure", "3"])
 
 
+class TestSingleFrontDoor:
+    @pytest.mark.parametrize("number", ("1", "8", "10"))
+    def test_figure_prints_the_study_run_table(self, number, capsys,
+                                               tmp_path):
+        """``figure N`` runs the registered ``figureN`` study's plan."""
+        flags = ["--cores", "2", "--ops", "300", "--workloads", "barnes",
+                 "--no-cache"]
+        assert main(["-q", "figure", number] + flags) == 0
+        figure = capsys.readouterr().out
+        assert main(["-q", "study", "run", f"figure{number}", "--out-dir",
+                     str(tmp_path)] + flags) == 0
+        study = capsys.readouterr().out
+        assert f"Figure {number}" in figure
+        assert figure.strip() == study.strip()
+
+
+class TestEmptyListFlags:
+    @pytest.mark.parametrize("command", (
+        "study run ablation-sb --quick --seeds ,",
+        "study run figure8 --quick --seeds ,",
+        "figure 8 --seeds ,",
+        "figure scaling --core-counts ,",
+        "study run figure8 --quick --workloads ,",
+        "sweep --quick --seeds ,",
+        "sweep --quick --configs ,",
+        "scenario run false-sharing-storm --small --configs ,",
+        "worker figure8 --quick --seeds ,",
+    ))
+    def test_empty_list_exits_2(self, command, capsys, tmp_path):
+        """An empty list is a usage error, not a crash or an empty run."""
+        argv = command.split()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--cache", str(tmp_path / "cache")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument {argv[-2]}: expected a non-empty comma-separated "
+                f"list") in err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_quick_sweep_populates_cache_then_hits(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")

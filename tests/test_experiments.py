@@ -1,21 +1,18 @@
-"""Tests for the experiment drivers (scaled far down for speed).
+"""Tests for the paper's figure studies (scaled far down for speed).
 
 The full-scale figures are exercised by the benchmark harness; here the
-concern is that every driver runs, produces the expected rows/series, and
-that obvious qualitative relations hold on a miniature setup.
+concern is that every figure study runs, produces the expected
+rows/series, and that obvious qualitative relations hold on a miniature
+setup.
 """
 
 import pytest
 
+from repro.campaign import CampaignReport, DEFAULT_REGISTRY
 from repro.config import SpeculationMode, StoreBufferKind, ViolationPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.common import CONFIG_NAMES, ExperimentRunner, ExperimentSettings, make_config
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure8 import FIGURE8_CONFIGS, run_figure8
-from repro.experiments.figure9 import run_figure9
-from repro.experiments.figure10 import run_figure10
-from repro.experiments.figure11 import run_figure11
-from repro.experiments.figure12 import run_figure12
+from repro.experiments.common import ExperimentSettings, make_config
+from repro.experiments.figure8 import FIGURE8_CONFIGS
 from repro.experiments.tables import (
     figure2_table,
     figure4_table,
@@ -23,6 +20,8 @@ from repro.experiments.tables import (
     figure6_table,
     figure7_table,
 )
+from repro.studies import DEFAULT_STUDY_REGISTRY, StudyCell, run_study
+from repro.studies.runner import StudyContext, StudyRunner
 
 #: miniature settings shared by every test in this module (module-scoped
 #: runner so simulations are reused across tests).
@@ -32,12 +31,22 @@ SETTINGS = ExperimentSettings.quick(num_cores=4, ops_per_thread=800,
 
 @pytest.fixture(scope="module")
 def runner():
-    return ExperimentRunner(SETTINGS)
+    return StudyRunner(SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def ctx(runner):
+    return StudyContext(DEFAULT_STUDY_REGISTRY.get("figure8"), SETTINGS,
+                        runner, CampaignReport())
+
+
+def figure(number, runner):
+    return run_study(f"figure{number}", SETTINGS, study_runner=runner)
 
 
 class TestConfigFactory:
     def test_all_names_buildable(self):
-        for name in CONFIG_NAMES:
+        for name in DEFAULT_REGISTRY.names():
             config = make_config(name, SETTINGS)
             assert config.num_cores == SETTINGS.num_cores
 
@@ -59,32 +68,37 @@ class TestConfigFactory:
 
 
 class TestRunnerCaching:
-    def test_results_are_cached(self, runner):
-        first = runner.run("sc", "apache", 1)
-        second = runner.run("sc", "apache", 1)
-        assert first is second
+    def test_results_are_cached(self, runner, ctx):
+        cell = StudyCell(SETTINGS.num_cores, "sc", "apache", 1)
+        first = runner.result(cell)
+        assert runner.result(cell) is first
+        # the build context reads through the same memo.
+        assert ctx.run("sc", "apache", 1) is first
+        assert runner.run_cells([cell]).simulated == 0
 
     def test_traces_are_cached(self, runner):
-        assert runner.trace("apache", 1) is runner.trace("apache", 1)
+        executor = runner.executor_for(SETTINGS.num_cores)
+        assert executor is runner.executor_for(SETTINGS.num_cores)
+        assert executor.trace_for("apache", 1) is executor.trace_for("apache", 1)
 
-    def test_speedup_of_baseline_is_one(self, runner):
-        assert runner.speedup("sc", "apache", baseline="sc") == pytest.approx(1.0)
+    def test_speedup_of_baseline_is_one(self, ctx):
+        assert ctx.speedup("sc", "apache", baseline="sc") == pytest.approx(1.0)
 
-    def test_normalized_breakdown_of_baseline_sums_to_100(self, runner):
-        values = runner.normalized_breakdown("sc", "apache", baseline="sc")
+    def test_normalized_breakdown_of_baseline_sums_to_100(self, ctx):
+        values = ctx.normalized_breakdown("sc", "apache", baseline="sc")
         assert sum(values.values()) == pytest.approx(100.0)
 
 
 class TestFigureDrivers:
     def test_figure1(self, runner):
-        result = run_figure1(SETTINGS, runner)
+        result = figure(1, runner)
         assert set(result.stalls) == set(SETTINGS.workloads)
         for workload in SETTINGS.workloads:
             assert result.total(workload, "sc") >= result.total(workload, "rmo") - 1.0
         assert "Figure 1" in result.format()
 
     def test_figure8(self, runner):
-        result = run_figure8(SETTINGS, runner)
+        result = figure(8, runner)
         for workload in SETTINGS.workloads:
             assert result.speedups[workload]["sc"] == pytest.approx(1.0)
             assert result.speedups[workload]["invisi_rmo"] >= 0.95
@@ -92,7 +106,7 @@ class TestFigureDrivers:
         assert "Figure 8" in result.format()
 
     def test_figure9(self, runner):
-        result = run_figure9(SETTINGS, runner)
+        result = figure(9, runner)
         for workload in SETTINGS.workloads:
             assert result.total(workload, "sc") == pytest.approx(100.0)
             for config in FIGURE8_CONFIGS:
@@ -100,7 +114,7 @@ class TestFigureDrivers:
         assert "Figure 9" in result.format()
 
     def test_figure10(self, runner):
-        result = run_figure10(SETTINGS, runner)
+        result = figure(10, runner)
         for workload in SETTINGS.workloads:
             for config, value in result.speculation_pct[workload].items():
                 assert 0.0 <= value <= 100.0
@@ -108,7 +122,7 @@ class TestFigureDrivers:
         assert "Figure 10" in result.format()
 
     def test_figure11(self, runner):
-        result = run_figure11(SETTINGS, runner)
+        result = figure(11, runner)
         for workload in SETTINGS.workloads:
             assert result.total(workload, "aso_sc") == pytest.approx(100.0)
             # The three proposals perform comparably.
@@ -116,7 +130,7 @@ class TestFigureDrivers:
         assert "Figure 11" in result.format()
 
     def test_figure12(self, runner):
-        result = run_figure12(SETTINGS, runner)
+        result = figure(12, runner)
         for workload in SETTINGS.workloads:
             assert result.total(workload, "sc") == pytest.approx(100.0)
             assert result.total(workload, "invisi_rmo") <= 100.0 + 1e-6
@@ -131,7 +145,7 @@ class TestTables:
 
     def test_figure4_table_defaults_and_measured(self, runner):
         assert "INVISIFENCE-CONTINUOUS" in figure4_table()
-        fig10 = run_figure10(SETTINGS, runner)
+        fig10 = figure(10, runner)
         text = figure4_table(fig10)
         assert "%" in text
 

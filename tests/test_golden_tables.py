@@ -1,9 +1,10 @@
-"""Golden-table regression tests for every experiment driver.
+"""Golden-table regression tests for every registered study.
 
 The golden files under ``tests/golden/`` were captured from the driver
 ``format()`` output *before* the experiments layer was ported onto the
-declarative study framework; these tests assert the ported drivers still
-reproduce that output byte-for-byte, at the miniature scales below.
+declarative study framework; these tests assert that every table built
+through :func:`repro.studies.run_study` still reproduces that output
+byte-for-byte, at the miniature scales below.
 
 To regenerate after an intentional output change::
 
@@ -16,19 +17,14 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    ExperimentRunner,
     ExperimentSettings,
-    run_cov_timeout_ablation,
-    run_figure1,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_figure12,
-    run_scaling,
-    run_scenarios,
-    run_store_buffer_ablation,
+    cov_timeout_study,
+    scaling_study,
+    scenario_study,
+    store_buffer_study,
 )
+from repro.studies import run_study
+from repro.studies.runner import StudyRunner
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -51,24 +47,25 @@ SCENARIO_SETTINGS = ExperimentSettings(
 
 
 def build_all_tables():
-    """Every driver's formatted output at the golden scales, as {name: text}."""
-    runner = ExperimentRunner(FIG_SETTINGS)
+    """Every study's formatted output at the golden scales, as {name: text}."""
+    runner = StudyRunner(FIG_SETTINGS)
     tables = {}
-    for name, run in [("figure1", run_figure1), ("figure8", run_figure8),
-                      ("figure9", run_figure9), ("figure10", run_figure10),
-                      ("figure11", run_figure11), ("figure12", run_figure12)]:
-        tables[name] = run(FIG_SETTINGS, runner).format()
-    tables["ablation_sb"] = run_store_buffer_ablation(
-        FIG_SETTINGS, workload="apache", sizes=ABLATION_SIZES,
-        runner=runner).format()
-    tables["ablation_cov"] = run_cov_timeout_ablation(
-        FIG_SETTINGS, workload="apache", timeouts=ABLATION_TIMEOUTS,
-        runner=runner).format()
-    tables["scaling"] = run_scaling(
-        SCALING_SETTINGS, core_counts=SCALING_CORE_COUNTS,
-        scenarios=SCALING_SETTINGS.workloads).format()
-    tables["scenarios"] = run_scenarios(
-        SCENARIO_SETTINGS, ExperimentRunner(SCENARIO_SETTINGS)).format()
+    for name in ("figure1", "figure8", "figure9", "figure10", "figure11",
+                 "figure12"):
+        tables[name] = run_study(name, FIG_SETTINGS,
+                                 study_runner=runner).format()
+    tables["ablation_sb"] = run_study(
+        store_buffer_study("apache", ABLATION_SIZES), FIG_SETTINGS,
+        study_runner=runner).format()
+    tables["ablation_cov"] = run_study(
+        cov_timeout_study("apache", ABLATION_TIMEOUTS), FIG_SETTINGS,
+        study_runner=runner).format()
+    tables["scaling"] = run_study(
+        scaling_study(SCALING_CORE_COUNTS,
+                      scenarios=SCALING_SETTINGS.workloads),
+        SCALING_SETTINGS).format()
+    tables["scenarios"] = run_study(scenario_study(scenarios=None),
+                                    SCENARIO_SETTINGS).format()
     return tables
 
 

@@ -9,7 +9,8 @@ from repro.config import resolved_interconnect, small_config
 from repro.cpu.stats import BREAKDOWN_COMPONENTS
 from repro.engine.simulator import Simulator
 from repro.engine.system import build_system
-from repro.experiments import ExperimentSettings, run_scaling
+from repro.experiments import ExperimentSettings, scaling_study
+from repro.studies import run_study
 from repro.workloads.registry import build_trace
 
 CORE_COUNTS = (2, 4)
@@ -23,9 +24,8 @@ def tiny_settings(ops: int = 240) -> ExperimentSettings:
 
 
 def run_tiny(jobs: int = 1, cache=None):
-    return run_scaling(tiny_settings(), core_counts=CORE_COUNTS,
-                       configs=CONFIGS, scenarios=SCENARIOS,
-                       jobs=jobs, cache=cache)
+    return run_study(scaling_study(CORE_COUNTS, CONFIGS, SCENARIOS),
+                     tiny_settings(), jobs=jobs, cache=cache)
 
 
 class TestRunScaling:

@@ -1,9 +1,15 @@
 """Tests for the statistics helpers (breakdowns, confidence intervals, reports)."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import ConsistencyModel
 from repro.engine.simulator import simulate
 from repro.stats.breakdown import (
@@ -116,6 +122,36 @@ class TestConfidenceIntervals:
     def test_str_representation(self):
         text = str(mean_confidence_interval([1.0, 2.0]))
         assert "±" in text
+
+
+#: Run in a fresh interpreter with scipy blocked: any ``import scipy``
+#: raises, so this passes only if nothing on these paths imports it.
+_WITHOUT_SCIPY = textwrap.dedent("""
+    import sys
+    sys.modules["scipy"] = None
+    import repro.cli, repro.experiments
+    from repro.experiments import ExperimentSettings
+    from repro.studies import run_study
+    settings = ExperimentSettings(num_cores=2, ops_per_thread=200,
+                                  seeds=(1,), workloads=("barnes",))
+    print(run_study("figure8", settings).format())
+    loaded = [name for name, module in sys.modules.items()
+              if name.split(".")[0] == "scipy" and module is not None]
+    assert not loaded, loaded
+""")
+
+
+class TestScipyIsOptionalAtImport:
+    def test_cli_and_single_seed_study_run_without_scipy(self):
+        """scipy is needed only for a multi-sample t interval."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Figure 8" in proc.stdout
 
 
 class TestReportFormatting:

@@ -10,7 +10,6 @@ from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend
 from repro.cli import main
 from repro.errors import StudyError
 from repro.experiments import ExperimentSettings, scaling_study
-from repro.experiments.common import CONFIG_NAMES
 from repro.studies import (
     DEFAULT_STUDY_REGISTRY,
     METRICS,
@@ -81,12 +80,14 @@ class TestPlanCompilation:
         runner = plan.runner(cache=DirectoryBackend(tmp_path / "cache"))
         report = plan.execute(runner)
         assert report.simulated == 6
+        executor = runner.executor_for(TINY.num_cores)
+        plan_campaign = executor.last_report
         for spec in specs:
             result = run_study(spec, TINY, study_runner=runner)
             assert result.format()
-            # the per-study pass only reads memoized results.
-            for sub in runner._runners.values():
-                assert sub.last_report.simulated == 0
+            # the per-study pass only reads memoized results: no further
+            # campaign runs, so nothing is simulated or looked up.
+            assert executor.last_report is plan_campaign
 
 
 class TestRunStudy:
@@ -169,21 +170,6 @@ class TestOverlayRegistry:
         overlay = overlay_registry(DEFAULT_REGISTRY,
                                    {"sc": DEFAULT_REGISTRY.factory("sc")})
         assert overlay is DEFAULT_REGISTRY
-
-
-class TestLiveConfigNames:
-    def test_runtime_registrations_are_visible(self):
-        """Satellite fix: CONFIG_NAMES must not be an import-time snapshot."""
-        before = len(CONFIG_NAMES)
-        DEFAULT_REGISTRY.register("test_live_names",
-                                  DEFAULT_REGISTRY.factory("sc"))
-        try:
-            assert "test_live_names" in CONFIG_NAMES
-            assert len(CONFIG_NAMES) == before + 1
-            assert CONFIG_NAMES == DEFAULT_REGISTRY.names()
-        finally:
-            DEFAULT_REGISTRY.unregister("test_live_names")
-        assert "test_live_names" not in CONFIG_NAMES
 
 
 class TestStudyTable:
