@@ -25,7 +25,7 @@ Subclasses provide the speculation policy by implementing
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..coherence.messages import ConflictResolution
 from ..consistency.base import ConsistencyController
@@ -51,6 +51,9 @@ class SpeculativeController(ConsistencyController):
         self._spec_epoch = 0
         #: latest commit-check time already scheduled (avoids duplicates).
         self._next_commit_check: Optional[int] = None
+        #: the event queue; callbacks are scheduled as bound methods taking
+        #: ``(now, arg)``, ``arg`` carrying the epoch they were scheduled in.
+        self._events = core.events
         #: forward-progress guard used by continuous speculation: after an
         #: abort, further conflicting requests are deferred (commit-on-violate
         #: style) until this core manages to commit once.  Without this, two
@@ -230,8 +233,7 @@ class SpeculativeController(ConsistencyController):
         if self._next_commit_check is not None and self._next_commit_check >= time:
             return
         self._next_commit_check = time
-        epoch = self._spec_epoch
-        self.core.schedule_call(time, lambda now, e=epoch: self._commit_check(now, e))
+        self._events.schedule(time, self._commit_check, self._spec_epoch)
 
     def _commit_check(self, now: int, epoch: int) -> None:
         if epoch != self._spec_epoch or not self.speculating:
@@ -279,14 +281,10 @@ class SpeculativeController(ConsistencyController):
                 or self._defer_conflicts_until_commit):
             return self._resolve_commit_on_violate(target, arrival_time)
 
-        epoch = self._spec_epoch
-        ckpt_id = target.checkpoint_id
         cause = "external-write" if is_write else "external-read"
-        self.core.schedule_call(
-            arrival_time,
-            lambda now, e=epoch, c=ckpt_id, x=cause:
-                self._deferred_abort(now, e, c, cov=False, cause=x),
-        )
+        self._events.schedule(
+            arrival_time, self._deferred_abort,
+            (self._spec_epoch, target.checkpoint_id, False, cause))
         return ConflictResolution(extra_delay=0, aborted=True)
 
     def _resolve_commit_on_violate(self, target: Checkpoint,
@@ -296,17 +294,11 @@ class SpeculativeController(ConsistencyController):
         deadline = arrival_time + self.spec_config.cov_timeout
         epoch = self._spec_epoch
         if ready <= deadline:
-            self.core.schedule_call(
-                ready,
-                lambda now, e=epoch, d=deadline: self._cov_commit(now, e, d),
-            )
+            self._events.schedule(ready, self._cov_commit, (epoch, deadline))
             return ConflictResolution(extra_delay=ready - arrival_time, deferred=True)
-        ckpt_id = target.checkpoint_id
-        self.core.schedule_call(
-            deadline,
-            lambda now, e=epoch, c=ckpt_id:
-                self._deferred_abort(now, e, c, cov=True, cause="cov-timeout"),
-        )
+        self._events.schedule(
+            deadline, self._deferred_abort,
+            (epoch, target.checkpoint_id, True, "cov-timeout"))
         return ConflictResolution(extra_delay=deadline - arrival_time, deferred=True)
 
     def _conflict_checkpoint(self, block_addr: int) -> Optional[Checkpoint]:
@@ -328,8 +320,10 @@ class SpeculativeController(ConsistencyController):
                     return checkpoint
         return self._checkpoints[0]
 
-    def _deferred_abort(self, now: int, epoch: int, checkpoint_id: int,
-                        cov: bool, cause: str = "conflict") -> None:
+    def _deferred_abort(self, now: int,
+                        arg: Tuple[int, int, bool, str]) -> None:
+        """Abort to a checkpoint; ``arg`` is ``(epoch, checkpoint_id, cov, cause)``."""
+        epoch, checkpoint_id, cov, cause = arg
         if epoch != self._spec_epoch or not self.speculating:
             return
         target = next((c for c in self._checkpoints
@@ -338,8 +332,9 @@ class SpeculativeController(ConsistencyController):
             target = self._checkpoints[0]
         self.abort_to(target, now, cov=cov, cause=cause)
 
-    def _cov_commit(self, now: int, epoch: int, deadline: int) -> None:
-        """Try to complete a commit-on-violate deferral."""
+    def _cov_commit(self, now: int, arg: Tuple[int, int]) -> None:
+        """Try to complete a commit-on-violate deferral; ``arg`` is ``(epoch, deadline)``."""
+        epoch, deadline = arg
         if epoch != self._spec_epoch or not self.speculating:
             return
         if self.sb.is_empty(now):
@@ -347,16 +342,12 @@ class SpeculativeController(ConsistencyController):
             return
         drain = self.sb.drain_time(now)
         if drain <= deadline:
-            self.core.schedule_call(
-                drain, lambda t, e=epoch, d=deadline: self._cov_commit(t, e, d)
-            )
+            self._events.schedule(drain, self._cov_commit, arg)
         else:
             oldest = self._checkpoints[0].checkpoint_id
-            self.core.schedule_call(
-                deadline,
-                lambda t, e=epoch, c=oldest:
-                    self._deferred_abort(t, e, c, cov=True, cause="cov-timeout"),
-            )
+            self._events.schedule(
+                deadline, self._deferred_abort,
+                (epoch, oldest, True, "cov-timeout"))
 
     def on_measurement_reset(self) -> None:
         """Refresh live checkpoint snapshots after the warmup counters reset.

@@ -18,7 +18,7 @@ tries to drain its store buffer and commit everything.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..trace.ops import MemOp, OpKind
@@ -76,13 +76,12 @@ class InvisiFenceContinuous(SpeculativeController):
             return
         active.close_time = now
         ready = max(now, self.sb.drain_time_for_checkpoint(active.checkpoint_id, now))
-        epoch = self._spec_epoch
-        chunk_id = active.checkpoint_id
-        self.core.schedule_call(
-            ready, lambda t, e=epoch, c=chunk_id: self._chunk_commit_check(t, e, c)
-        )
+        self._events.schedule(ready, self._chunk_commit_check,
+                              (self._spec_epoch, active.checkpoint_id))
 
-    def _chunk_commit_check(self, now: int, epoch: int, chunk_id: int) -> None:
+    def _chunk_commit_check(self, now: int, arg: Tuple[int, int]) -> None:
+        """Commit the closed chunk once drained; ``arg`` is ``(epoch, chunk_id)``."""
+        epoch, chunk_id = arg
         if epoch != self._spec_epoch:
             return
         pending = self._pending_chunk()
@@ -90,9 +89,7 @@ class InvisiFenceContinuous(SpeculativeController):
             return
         ready = self.sb.drain_time_for_checkpoint(chunk_id, now)
         if ready > now:
-            self.core.schedule_call(
-                ready, lambda t, e=epoch, c=chunk_id: self._chunk_commit_check(t, e, c)
-            )
+            self._events.schedule(ready, self._chunk_commit_check, arg)
             return
         self.commit_checkpoint(pending, now)
         # The active chunk may itself have been waiting for a free checkpoint.

@@ -12,11 +12,11 @@ differential suite (``tests/test_differential.py``):
 * the **reference path** (``batching=False``) schedules one heap event per
   operation, exactly as the original engine did;
 * the **fast path** (``batching=True``, the default) consumes the trace's
-  compiled struct-of-arrays form and batches runs of operations in a
-  single event: after finishing an op at time *t*, if the next pending
-  heap event is *strictly later* than *t*, no other event in the whole
-  system can fire before this core's next step would, so the next op is
-  processed inline ("run-until-interesting").  The queue clock and the
+  compiled form and batches runs of operations in a single event: after
+  finishing an op at time *t*, if the next pending heap event is
+  *strictly later* than *t*, no other event in the whole system can fire
+  before this core's next step would, so the next op is processed inline
+  ("run-until-interesting").  The queue clock and the
   processed-event count are advanced exactly as if the per-op event had
   been scheduled and popped, which keeps results bitwise identical.
 
@@ -30,16 +30,16 @@ abort on another core) are seen by the very next peek, ending the batch.
 
 Speculative controllers can roll the core back: :meth:`Core.rollback`
 resets the trace index to the checkpointed position, bumps the core's
-generation counter (which cancels any in-flight step event), and
+generation counter (so any in-flight step fires as a no-op), and
 reschedules processing.  Rollback targets are plain trace indices, so they
-map back to exact positions in the compiled arrays regardless of how ops
-were batched.  Controllers can also schedule auxiliary callbacks (commit
-checks, deferred aborts) through :meth:`Core.schedule_call`.
+map back to exact positions in the compiled trace regardless of how ops
+were batched.  Controllers schedule their own callbacks (commit checks,
+deferred aborts) on the event queue directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..config import SystemConfig
 from ..errors import SimulationError
@@ -83,6 +83,8 @@ class Core:
         #: True for the batched fast path, False for the one-event-per-op
         #: reference path (kept for differential equivalence testing).
         self.batching = batching
+        #: the step method every scheduled step calls, ``fn(now, generation)``.
+        self._fire = self._step_fast if batching else self._step_reference
         compiled = trace.compiled()
         self._ops = compiled.ops
         self._instr_weights = compiled.instr_weights
@@ -172,14 +174,7 @@ class Core:
         self._ops = compiled.ops
         self._instr_weights = compiled.instr_weights
         self._trace_len = compiled.length
-        self._schedule_step(at)
-
-    def schedule_call(self, time: int, callback: Callable[[int], None]) -> None:
-        """Schedule a controller callback (commit check, deferred abort, ...)."""
-        self.events.schedule(time, callback)
-
-    def _schedule_step(self, time: int) -> None:
-        self.events.schedule_step(time, self, self._generation)
+        self.events.schedule_step(at, self._fire, self._generation)
 
     def rollback(self, trace_index: int, now: int) -> None:
         """Reset the trace position after an abort and resume at ``now``."""
@@ -195,15 +190,9 @@ class Core:
         self._generation += 1
         self._finished = False
         self.finish_time = None
-        self._schedule_step(now)
+        self.events.schedule_step(now, self._fire, self._generation)
 
     # -- the per-op step -----------------------------------------------------------
-
-    def _step(self, now: int, generation: int) -> None:
-        if self.batching:
-            self._step_fast(now, generation)
-        else:
-            self._step_reference(now, generation)
 
     def _pre_op(self) -> None:
         """Warmup reset and phase-boundary snapshots for the op at ``_index``."""
@@ -227,10 +216,12 @@ class Core:
         assert self.controller is not None
         process_op = self.controller.process_op
         events = self.events
+        heap = events._heap
         ops = self._ops
         weights = self._instr_weights
         trace_len = self._trace_len
         stats = self.stats
+        limit = events.run_until
         budget = _MAX_INLINE_BATCH
         while True:
             if not self._warmup_done or self._next_bound < len(self._inner_bounds):
@@ -242,15 +233,14 @@ class Core:
                     return
                 # The trace-end wait is itself batchable: if nothing else
                 # fires before the wake time, continue inline.
-                head = events.next_time()
+                head = heap[0][0] if heap else None
                 budget -= 1
-                limit = events.run_until
                 if budget > 0 and (head is None or head > wake) \
                         and (limit is None or wake <= limit):
                     events.note_inline(wake)
                     now = wake
                     continue
-                self._schedule_step(wake)
+                events.schedule_step(wake, self._fire, self._generation)
                 return
             finish = process_op(ops[index], now)
             if finish < now:
@@ -259,17 +249,8 @@ class Core:
                 )
             self._index = index + 1
             stats.instructions += weights[index]
-            # Inline peek of the next live event (events._heap is re-read
-            # each iteration because compaction may rebind it).
-            heap = events._heap
-            if heap:
-                head_event = heap[0]
-                head = events.next_time() if head_event.cancelled \
-                    else head_event.time
-            else:
-                head = None
+            head = heap[0][0] if heap else None
             budget -= 1
-            limit = events.run_until
             if budget > 0 and (head is None or head > finish) \
                     and (limit is None or finish <= limit):
                 # No event anywhere in the system fires before this core's
@@ -280,7 +261,7 @@ class Core:
                 events.note_inline(finish)
                 now = finish
                 continue
-            self._schedule_step(finish)
+            events.schedule_step(finish, self._fire, self._generation)
             return
 
     def _step_reference(self, now: int, generation: int) -> None:
@@ -292,7 +273,7 @@ class Core:
         if self._index >= self._trace_len:
             wake = self._handle_trace_end(now)
             if wake is not None:
-                self._schedule_step(wake)
+                self.events.schedule_step(wake, self._fire, self._generation)
             return
         op = self._ops[self._index]
         finish = self.controller.process_op(op, now)
@@ -302,7 +283,7 @@ class Core:
             )
         self.stats.instructions += self._instr_weights[self._index]
         self._index += 1
-        self._schedule_step(finish)
+        self.events.schedule_step(finish, self._fire, self._generation)
 
     def _handle_trace_end(self, now: int) -> Optional[int]:
         """Finish the core or return the wake time to re-check at."""

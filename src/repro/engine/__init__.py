@@ -1,16 +1,17 @@
-"""Simulation engine: event queue, system builder, simulator, results."""
+"""Simulation engine: event queue, system builder, simulator, results.
 
-from .events import CallbackEvent, Event, EventQueue, StepEvent
+The event queue holds plain ``(time, sequence, fn, arg)`` tuples; see
+:mod:`repro.engine.events`.
+"""
+
+from .events import EventQueue
 from .results import RunResult, aggregate_breakdown
 from .system import ENGINE_KINDS, System, build_system
 from .simulator import Simulator, simulate
 
 __all__ = [
-    "CallbackEvent",
     "ENGINE_KINDS",
-    "Event",
     "EventQueue",
-    "StepEvent",
     "RunResult",
     "aggregate_breakdown",
     "System",

@@ -1,22 +1,20 @@
 """Discrete-event queue.
 
-A minimal binary-heap event queue: events are typed, ``__slots__``-ed
-records ordered by ``(time, sequence)``; ties in time are broken by
-insertion order so the simulation is deterministic.  Two kinds exist:
+A minimal binary-heap event queue.  Each heap entry is a plain tuple
+``(time, sequence, fn, arg)``, and firing it is one call,
+``fn(time, arg)``.  The sequence counter breaks ties in time by insertion
+order, so the simulation is deterministic; and since ``(time, sequence)``
+is unique, :mod:`heapq` orders entries by C-level tuple comparison and
+never compares ``fn`` or ``arg``.  Two methods push entries:
 
-* :class:`CallbackEvent` -- a generic scheduled callback (controller commit
-  checks, deferred aborts, ...), created by :meth:`EventQueue.schedule`.
-* :class:`StepEvent` -- a core processing step, created by
-  :meth:`EventQueue.schedule_step`.  Making the hot per-op event a typed
-  record instead of a fresh closure keeps the simulator's inner loop free
-  of per-op lambda allocation.
+* :meth:`EventQueue.schedule` -- a controller callback (commit check,
+  deferred abort, ...): a bound method and the argument it needs.
+* :meth:`EventQueue.schedule_step` -- a core processing step: the core's
+  step method and the core's generation when the step was scheduled.
 
-Events can be cancelled; cancelled events stay in the heap (lazy deletion)
-and are discarded when they reach the top.  When cancelled entries come to
-dominate the heap -- which heavy speculative rollback can cause -- the heap
-is compacted in place so its size stays bounded by the number of live
-events.  A live-event counter keeps :meth:`EventQueue.empty` and
-:func:`len` O(1) -- both sit on the simulator hot path.
+Nothing is ever cancelled.  A step superseded by a rollback fires as a
+no-op because its generation is stale, and a controller callback whose
+speculation episode has ended fires as a no-op because its epoch is.
 
 The queue also supports the core's inline batching ("run-until-
 interesting"): when the next heap entry is strictly later than an op's
@@ -24,97 +22,35 @@ finish time, the core processes the following op inline instead of
 round-tripping through the heap, and calls :meth:`EventQueue.note_inline`
 so that the clock and the processed-event count match the unbatched
 execution exactly.
+
+Beyond ``processed`` the queue counts only callbacks scheduled; steps
+scheduled, heap pops and inline ops follow from the sequence counter
+and the heap size (see :meth:`EventQueue.tally`).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-#: An event callback receives the event's firing time as its only argument.
-EventCallback = Callable[[int], None]
+#: An event callback receives the firing time and the scheduled argument.
+EventCallback = Callable[[int, Any], None]
 
-#: Compaction threshold: rebuild the heap once cancelled entries outnumber
-#: live ones (and the heap is big enough for the rebuild to matter).
-_COMPACT_MIN_HEAP = 8
-
-
-class Event:
-    """One scheduled occurrence; subclasses define what firing does."""
-
-    __slots__ = ("time", "sequence", "cancelled", "queue")
-
-    kind = "event"
-
-    def __init__(self, time: int, sequence: int) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.cancelled = False
-        #: owning queue while the event is pending; cleared once popped so a
-        #: late cancel() cannot corrupt the live-event counter.
-        self.queue: Optional["EventQueue"] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-    def fire(self, now: int) -> None:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.queue is not None:
-            self.queue._note_cancelled()
-            self.queue = None
-
-
-class CallbackEvent(Event):
-    """A generic scheduled callback."""
-
-    __slots__ = ("callback",)
-
-    kind = "call"
-
-    def __init__(self, time: int, sequence: int, callback: EventCallback) -> None:
-        super().__init__(time, sequence)
-        self.callback = callback
-
-    def fire(self, now: int) -> None:
-        self.callback(now)
-
-
-class StepEvent(Event):
-    """One core processing step (the hot per-op event)."""
-
-    __slots__ = ("core", "generation")
-
-    kind = "step"
-
-    def __init__(self, time: int, sequence: int, core: Any, generation: int) -> None:
-        super().__init__(time, sequence)
-        self.core = core
-        self.generation = generation
-
-    def fire(self, now: int) -> None:
-        self.core._step(now, self.generation)
+#: One heap entry: ``(time, sequence, fn, arg)``.
+Entry = Tuple[int, int, EventCallback, Any]
 
 
 class EventQueue:
-    """Deterministic min-heap of events."""
+    """Deterministic min-heap of ``(time, sequence, fn, arg)`` entries."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Entry] = []
         self._sequence = 0
         self._now = 0
-        self._live = 0
-        self._cancelled = 0
         self.processed = 0
-        self.compactions = 0
+        self.callbacks_scheduled = 0
         #: time horizon of the active run(until=...) call, if any; cores
         #: must not inline-batch ops past it (they would fire in a later
         #: run() call on the unbatched path).
@@ -125,78 +61,59 @@ class EventQueue:
         """Current simulation time (last popped event or inline advance)."""
         return self._now
 
-    def _push(self, event: Event) -> Event:
-        if event.time < self._now:
-            raise SimulationError(
-                f"cannot schedule an event at {event.time}, "
-                f"current time is {self._now}"
-            )
-        event.queue = self
+    def _past(self, time: int) -> SimulationError:
+        return SimulationError(
+            f"cannot schedule an event at {time}, current time is {self._now}"
+        )
+
+    def schedule(self, time: int, fn: EventCallback, arg: Any = None) -> None:
+        """Schedule ``fn(time, arg)``."""
+        if time < self._now:
+            raise self._past(time)
+        self.callbacks_scheduled += 1
+        heappush(self._heap, (time, self._sequence, fn, arg))
         self._sequence += 1
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
 
-    def schedule(self, time: int, callback: EventCallback) -> Event:
-        """Schedule ``callback`` to run at ``time``."""
-        return self._push(CallbackEvent(time, self._sequence, callback))
-
-    def schedule_step(self, time: int, core: Any, generation: int) -> Event:
-        """Schedule a core processing step at ``time`` (no closure allocated)."""
-        return self._push(StepEvent(time, self._sequence, core, generation))
+    def schedule_step(self, time: int, fn: EventCallback, generation: int) -> None:
+        """Schedule a core processing step, ``fn(time, generation)``."""
+        if time < self._now:
+            raise self._past(time)
+        heappush(self._heap, (time, self._sequence, fn, generation))
+        self._sequence += 1
 
     def empty(self) -> bool:
-        return self._live == 0
+        return not self._heap
 
     def __len__(self) -> int:
-        return self._live
-
-    # -- cancellation and heap compaction -----------------------------------
-
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        self._cancelled += 1
-        if self._cancelled * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (bounded heap size).
-
-        Event order is untouched: the ``(time, sequence)`` keys of the
-        surviving events are unique, so the rebuilt heap pops in exactly
-        the order the lazy-deletion heap would have.
-        """
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    # -- inspection and popping ----------------------------------------------
-
-    def _peek(self) -> Optional[Event]:
-        """Next live event without removing it (discards cancelled tops)."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0] if heap else None
+        return len(self._heap)
 
     def next_time(self) -> Optional[int]:
-        """Firing time of the next live event, or ``None`` when empty."""
-        event = self._peek()
-        return event.time if event is not None else None
+        """Firing time of the next entry, or ``None`` when empty."""
+        return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next non-cancelled event, or ``None``."""
-        event = self._peek()
-        if event is None:
+    def pop(self) -> Optional[Entry]:
+        """Remove and return the next entry, or ``None`` when empty."""
+        if not self._heap:
             return None
-        heapq.heappop(self._heap)
-        event.queue = None
-        self._live -= 1
-        self._now = event.time
+        entry = heappop(self._heap)
+        self._now = entry[0]
         self.processed += 1
-        return event
+        return entry
+
+    def tally(self) -> Dict[str, int]:
+        """Heap traffic so far, by kind.
+
+        ``steps_scheduled + callbacks_scheduled`` is every push,
+        ``heap_pops + inline_ops`` is ``processed``.
+        """
+        pushes = self._sequence
+        pops = pushes - len(self._heap)
+        return {
+            "steps_scheduled": pushes - self.callbacks_scheduled,
+            "callbacks_scheduled": self.callbacks_scheduled,
+            "heap_pops": pops,
+            "inline_ops": self.processed - pops,
+        }
 
     # -- inline batching hooks (see Core._step_fast) -------------------------
 
@@ -204,8 +121,8 @@ class EventQueue:
         """Account one op processed inline (batched) at ``time``.
 
         Advances the clock and counts one processed event, exactly as if
-        the op's step event had been scheduled and popped.  This keeps
-        ``now`` and ``processed`` -- and therefore ``events_processed`` in
+        the op's step had been scheduled and popped.  This keeps ``now``
+        and ``processed`` -- and therefore ``events_processed`` in
         :class:`~repro.engine.results.RunResult` -- identical between the
         batched fast path and the one-event-per-op reference path.
         """
@@ -222,18 +139,16 @@ class EventQueue:
         start = self.processed
         previous_until = self.run_until
         self.run_until = until
+        heap = self._heap
+        pop = self.pop
         try:
-            while self._live:
+            while heap:
                 if max_events is not None and self.processed - start >= max_events:
                     break
-                if until is not None:
-                    head = self._peek()
-                    if head is None or head.time > until:
-                        break
-                event = self.pop()
-                if event is None:
+                if until is not None and heap[0][0] > until:
                     break
-                event.fire(event.time)
+                time, _, fn, arg = pop()
+                fn(time, arg)
         finally:
             self.run_until = previous_until
         return self.processed - start

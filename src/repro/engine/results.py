@@ -31,7 +31,12 @@ class RunResult:
     core_stats: List[CoreStats]
     #: total runtime in cycles (time at which the last core finished).
     runtime: int
-    #: number of events processed (engine diagnostic).
+    #: engine diagnostic, not a simulated observable: the events the
+    #: one-event-per-op reference engine processes for this run -- every
+    #: heap pop (core steps, stale ones included, and controller
+    #: callbacks) plus every op the fast engine processed inline instead
+    #: of popping a step.  Both engines report the same number; telemetry
+    #: breaks it down (``engine.heap_pops`` + ``engine.inline_ops``).
     events_processed: int = 0
     seed: Optional[int] = None
     #: phase labels, in order, for phase-structured (scenario) runs.

@@ -72,10 +72,13 @@ class Simulator:
 def collect_run_gauges(system: System, rec: Recorder) -> None:
     """Fold a finished run's end-of-run gauges into the recorder.
 
-    Store-buffer high-water marks and the memory system's per-core tallies
-    are plain attributes maintained unconditionally; collecting them once
-    at run end keeps them out of the hot paths entirely.
+    Store-buffer high-water marks, the memory system's per-core tallies
+    and the event queue's heap traffic are plain attributes maintained
+    unconditionally; collecting them once at run end keeps them out of
+    the hot paths entirely.
     """
+    for name, value in system.events.tally().items():
+        rec.count(f"engine.{name}", value)
     for core in system.cores:
         controller = core.controller
         if controller is None:

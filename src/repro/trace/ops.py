@@ -35,10 +35,10 @@ class OpKind(Enum):
     FENCE = "fence"
     COMPUTE = "compute"
 
-    @property
-    def is_memory(self) -> bool:
-        """True for operations that access the memory system."""
-        return self in (OpKind.LOAD, OpKind.STORE, OpKind.ATOMIC)
+    def __init__(self, value: str) -> None:
+        #: True for operations that access the memory system (a per-member
+        #: constant: the simulator reads it on every op it builds).
+        self.is_memory = value in ("load", "store", "atomic")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -42,10 +42,10 @@ class Trace:
         self._compiled = None
 
     def compiled(self) -> CompiledTrace:
-        """The struct-of-arrays execution form (built once, cached).
+        """The compiled execution form (built once, cached).
 
         The cache is invalidated by :meth:`append`/:meth:`extend`, so the
-        arrays always describe the current operation list.
+        compiled form always describes the current operation list.
         """
         if self._compiled is None or self._compiled.length != len(self._ops):
             self._compiled = CompiledTrace(self._ops)

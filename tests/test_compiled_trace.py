@@ -1,15 +1,6 @@
-"""Tests for the struct-of-arrays compiled trace form."""
+"""Tests for the compiled trace form."""
 
 from repro.trace import CompiledTrace, Trace
-from repro.trace.compiled import (
-    KIND_FOR_OPCODE,
-    OP_ATOMIC,
-    OP_COMPUTE,
-    OP_FENCE,
-    OP_LOAD,
-    OP_STORE,
-    OPCODES,
-)
 from repro.trace.ops import OpKind, atomic, compute, fence, load, store
 
 OPS = [load(0x100), store(0x140, size=4), atomic(0x180),
@@ -17,15 +8,11 @@ OPS = [load(0x100), store(0x140, size=4), atomic(0x180),
 
 
 class TestCompilation:
-    def test_arrays_mirror_the_authored_ops(self):
+    def test_ops_are_the_authored_ops(self):
         compiled = CompiledTrace(OPS)
-        assert len(compiled) == 5
-        assert compiled.kinds == [OP_LOAD, OP_STORE, OP_ATOMIC,
-                                  OP_FENCE, OP_COMPUTE]
-        assert compiled.addresses == [0x100, 0x140, 0x180, 0, 0]
-        assert compiled.sizes == [8, 4, 8, 8, 8]
-        assert compiled.cycles == [1, 1, 1, 1, 7]
-        assert compiled.is_memory == [True, True, True, False, False]
+        assert len(compiled) == compiled.length == 5
+        assert compiled.ops == OPS
+        assert all(a is b for a, b in zip(compiled.ops, OPS))
 
     def test_instruction_weights_match_core_accounting(self):
         """compute bundles weigh their cycle count; everything else is 1."""
@@ -37,11 +24,10 @@ class TestCompilation:
         for index, op in enumerate(OPS):
             assert compiled.view(index) is op
 
-    def test_opcode_tables_are_total_and_inverse(self):
-        assert set(OPCODES) == set(OpKind)
-        assert sorted(OPCODES.values()) == list(range(5))
-        for kind, code in OPCODES.items():
-            assert KIND_FOR_OPCODE[code] is kind
+    def test_is_memory_is_a_per_kind_constant(self):
+        memory = {kind for kind in OpKind if kind.is_memory}
+        assert memory == {OpKind.LOAD, OpKind.STORE, OpKind.ATOMIC}
+        assert all(op.is_memory is op.kind.is_memory for op in OPS)
 
 
 class TestTraceCaching:
@@ -56,17 +42,18 @@ class TestTraceCaching:
         second = trace.compiled()
         assert second is not first
         assert len(second) == len(OPS) + 1
-        assert second.addresses[-1] == 0x200
+        assert second.ops[-1].address == 0x200
 
     def test_extend_invalidates_the_cache(self):
         trace = Trace(OPS)
         trace.compiled()
         trace.extend([store(0x240), fence()])
         assert len(trace.compiled()) == len(OPS) + 2
-        assert trace.compiled().kinds[-1] == OP_FENCE
+        assert trace.compiled().ops[-1].kind is OpKind.FENCE
+        assert trace.compiled().instr_weights[-2:] == [1, 1]
 
     def test_empty_trace_compiles(self):
         compiled = Trace().compiled()
         assert len(compiled) == 0
-        assert compiled.kinds == []
+        assert compiled.ops == [] and compiled.instr_weights == []
 

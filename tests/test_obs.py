@@ -205,6 +205,37 @@ class TestTelemetryPayload:
         assert "no telemetry" in format_profile(TraceRecorder())
 
 
+class TestEngineCounters:
+    """Heap traffic by kind on the kernel cell (apache, 4 cores x 2000 ops)."""
+
+    #: (steps, callbacks, heap pops, inline ops, events_processed)
+    EXPECTED = {
+        ("fast", "sc"): (1542, 0, 1542, 6464, 8006),
+        ("fast", "invisi_sc"): (2190, 602, 2792, 5909, 8701),
+        ("reference", "sc"): (8006, 0, 8006, 0, 8006),
+        ("reference", "invisi_sc"): (8099, 602, 8701, 0, 8701),
+    }
+
+    @pytest.fixture(scope="class")
+    def kernel_trace(self):
+        return build_trace("apache", num_threads=4, ops_per_thread=2000, seed=3)
+
+    @pytest.mark.parametrize("engine, config", sorted(EXPECTED))
+    def test_counts_split_events_processed(self, kernel_trace, engine, config):
+        settings = ExperimentSettings(num_cores=4, ops_per_thread=2000,
+                                      seeds=(3,), warmup_fraction=0.0)
+        recorder = TraceRecorder()
+        result = simulate(make_config(config, settings), kernel_trace,
+                          engine=engine, recorder=recorder)
+        counters = recorder.counters
+        names = ("steps_scheduled", "callbacks_scheduled", "heap_pops",
+                 "inline_ops")
+        got = tuple(counters[f"engine.{name}"] for name in names)
+        assert got + (result.events_processed,) == self.EXPECTED[engine, config]
+        assert counters["engine.heap_pops"] + counters["engine.inline_ops"] \
+            == result.events_processed
+
+
 class TestCampaignCounters:
     def test_cold_then_warm_run_counted_once(self, tmp_path):
         """The campaign tallies are the only cache counters recorded."""
@@ -245,6 +276,10 @@ class TestCLIProfile:
         telemetry = json.loads(telemetry_path.read_text())
         assert telemetry["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert telemetry["meta"]["workload"] == "false-sharing-storm"
+        for name in ("steps_scheduled", "callbacks_scheduled", "heap_pops",
+                     "inline_ops"):
+            assert f"engine.{name}" in out
+            assert f"engine.{name}" in telemetry["counters"]
 
     def test_quiet_suppresses_progress_but_not_results(self, capsys):
         code = main(["-q", "profile", "sc", "apache", "--small"])

@@ -136,7 +136,7 @@ class TestEventQueueProperties:
         queue = EventQueue()
         fired = []
         for t in times:
-            queue.schedule(t, lambda now: fired.append(now))
+            queue.schedule(t, lambda now, arg: fired.append(now))
         queue.run()
         assert fired == sorted(times)
 

@@ -1,14 +1,19 @@
 """Tests for the simulation engine (system builder, simulator, results)."""
 
+import inspect
+
 import pytest
 
 from repro.config import ConsistencyModel, SpeculationConfig, SpeculationMode
+from repro.engine.events import EventQueue
 from repro.engine.results import RunResult, aggregate_breakdown
 from repro.engine.simulator import Simulator, simulate
 from repro.engine.system import build_system
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.common import ExperimentSettings, make_config
 from repro.trace.ops import compute, load
 from repro.trace.trace import MultiThreadedTrace, Trace
+from repro.workloads.registry import build_trace
 from tests.conftest import block_addr, tiny_config
 
 
@@ -120,6 +125,35 @@ class TestSimulator:
         result = simulate(tiny_config(num_cores=2), small_trace(2))
         for stats in result.core_stats:
             assert stats.total_accounted() == stats.finish_time
+
+
+class TestControllerCallbacks:
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("config", ["invisi_sc", "invisi_cont"])
+    def test_callbacks_are_bound_controller_methods(self, config, engine,
+                                                    monkeypatch):
+        """Controllers schedule their own bound methods, never closures."""
+        scheduled = []
+        real_schedule = EventQueue.schedule
+
+        def schedule(queue, time, fn, arg=None):
+            scheduled.append(fn)
+            real_schedule(queue, time, fn, arg)
+
+        monkeypatch.setattr(EventQueue, "schedule", schedule)
+        # the `scenario run false-sharing-storm --small` cell
+        settings = ExperimentSettings(num_cores=2, ops_per_thread=600,
+                                      seeds=(1,), warmup_fraction=0.2)
+        trace = build_trace("false-sharing-storm", num_threads=2,
+                            ops_per_thread=600, seed=1)
+        system = build_system(make_config(config, settings), trace,
+                              warmup_fraction=0.2, engine=engine)
+        Simulator(system).run()
+        controllers = [core.controller for core in system.cores]
+        assert scheduled
+        for fn in scheduled:
+            assert inspect.ismethod(fn), fn
+            assert any(fn.__self__ is c for c in controllers), fn
 
 
 class TestRunResult:
