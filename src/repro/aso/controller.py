@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..config import ConsistencyModel
+from ..consistency.base import ConsistencyController
 from ..core.selective import InvisiFenceSelective
 from ..errors import ConfigurationError
 from .ssb import ScalableStoreBuffer
@@ -43,6 +44,11 @@ class ASOController(InvisiFenceSelective):
         )
         self._sb_coalescing = False
         self._ops_since_checkpoint = 0
+
+    # ASO overrides _note_ops and _maybe_take_second_checkpoint, both of
+    # which InvisiFenceSelective's kernel inlines, so it runs the layered
+    # process_op on both engines.
+    process_op_fast = ConsistencyController.process_op_fast
 
     # -- periodic checkpoints -------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, Optional, Set
 from ..errors import CoherenceError
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Coherence metadata for a single cache block."""
 

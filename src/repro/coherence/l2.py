@@ -33,6 +33,9 @@ class L2Cache:
             config, size_bytes=config.size_bytes // banks)
         self._tags: List[CacheArray] = [CacheArray(bank_config)
                                         for _ in range(banks)]
+        #: the only bank of a monolithic L2, whose bank-local address is
+        #: the block address itself; ``None`` when banked.
+        self._single = self._tags[0] if banks == 1 else None
         self._block_bytes = config.block_bytes
         self.hits = 0
         self.misses = 0
@@ -70,34 +73,38 @@ class L2Cache:
 
     def probe(self, block_addr: int) -> bool:
         """Record and return whether ``block_addr`` hits in the L2."""
-        if self._bank(block_addr).contains(self._slot(block_addr)):
+        if self.contains(block_addr):
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def contains(self, block_addr: int) -> bool:
-        return self._bank(block_addr).contains(self._slot(block_addr))
+        tags = self._single
+        if tags is None:
+            tags, block_addr = self._bank(block_addr), self._slot(block_addr)
+        block = tags.lines.get(block_addr)
+        return block is not None and block.state is not CoherenceState.INVALID
 
     def install(self, block_addr: int) -> None:
         """Install a block (fill from memory or writeback from an L1)."""
-        tags = self._bank(block_addr)
-        slot = self._slot(block_addr)
-        result = tags.prepare_fill(slot)
-        if result.victim is not None and result.needs_writeback:
+        tags = self._single
+        if tags is None:
+            tags, block_addr = self._bank(block_addr), self._slot(block_addr)
+        if tags.prepare_fill(block_addr).needs_writeback:
             # The victim's data goes back to memory; no latency is charged
             # to the requester for this background operation.
             self.writebacks += 1
-        tags.install(slot, CoherenceState.EXCLUSIVE, dirty=False)
+        tags.install(block_addr, CoherenceState.EXCLUSIVE, dirty=False)
 
     def install_dirty(self, block_addr: int) -> None:
         """Install a block received via an L1 writeback (data is newer)."""
-        tags = self._bank(block_addr)
-        slot = self._slot(block_addr)
-        result = tags.prepare_fill(slot)
-        if result.victim is not None and result.needs_writeback:
+        tags = self._single
+        if tags is None:
+            tags, block_addr = self._bank(block_addr), self._slot(block_addr)
+        if tags.prepare_fill(block_addr).needs_writeback:
             self.writebacks += 1
-        tags.install(slot, CoherenceState.MODIFIED, dirty=True)
+        tags.install(block_addr, CoherenceState.MODIFIED, dirty=True)
 
     def __len__(self) -> int:
         return sum(len(tags) for tags in self._tags)

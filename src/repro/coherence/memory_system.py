@@ -25,7 +25,7 @@ driven and only state and timing matter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..config import SystemConfig
 from ..errors import SimulationError
@@ -33,11 +33,16 @@ from ..interconnect.latency import LatencyModel
 from ..interconnect.topology import TorusTopology
 from ..memory.address import block_mask
 from ..memory.block import CoherenceState
-from ..memory.cache import CacheArray
+from ..memory.cache import NO_VICTIM, CacheArray
 from ..obs.recorder import COHERENCE_TID_BASE, active
 from .directory import Directory
 from .l2 import L2Cache
 from .messages import AccessOutcome, ConflictResolution, TransactionKind, TransactionRecord
+
+
+_INVALID = CoherenceState.INVALID
+_EXCLUSIVE = CoherenceState.EXCLUSIVE
+_MODIFIED = CoherenceState.MODIFIED
 
 
 class ExternalConflictListener(Protocol):
@@ -66,20 +71,25 @@ class MemorySystem:
         self._topology = TorusTopology(config.interconnect)
         self._latency = LatencyModel(config, self._topology)
         self._l1s: List[CacheArray] = [CacheArray(config.l1) for _ in range(config.num_cores)]
+        #: each L1's line index (block address -> block), read by the hit
+        #: probes so a hit costs one dict lookup and no CacheArray call.
+        self._l1_lines = [l1.lines for l1 in self._l1s]
+        self._hit_latency = config.l1.hit_latency
         self._l2 = L2Cache(config.l2, banks=config.l2_banks)
         self._directory = Directory(config.block_bytes)
         self._listeners: Dict[int, ExternalConflictListener] = {}
         self._record = record_transactions
         self._block_mask = block_mask(config.block_bytes)
+        self._block_bytes = config.block_bytes
         self._num_nodes = self._topology.num_nodes
         #: when True, :meth:`load_hit_time`/:meth:`store_hit_time` resolve
-        #: sufficient-state L1 hits without building an :class:`AccessOutcome`;
-        #: when False they always decline, forcing every access down the
-        #: reference path through :meth:`access`.
+        #: sufficient-state L1 hits in one call; when False they always
+        #: decline, forcing every access down the reference path through
+        #: :meth:`request`.
         self._fast = fast_path
         #: observability slot: ``None`` (telemetry off) or an enabled
         #: recorder, checked with a single ``if``.  Only the transaction
-        #: engine hooks it, never the allocation-free hit fast paths.
+        #: engine hooks it, never the hit paths.
         self._obs = active(recorder)
         self.transactions: List[TransactionRecord] = []
         # simple per-core counters
@@ -97,7 +107,7 @@ class MemorySystem:
 
     @property
     def fast(self) -> bool:
-        """True when the allocation-free hit fast path is enabled."""
+        """True when the hit probes answer (the fast engine's memory system)."""
         return self._fast
 
     @property
@@ -128,79 +138,118 @@ class MemorySystem:
         """Register the consistency controller responsible for ``core_id``."""
         self._listeners[core_id] = listener
 
-    def _block(self, addr: int) -> int:
-        return addr & self._block_mask
-
     # -- public access API -------------------------------------------------
 
-    def access(self, core_id: int, addr: int, is_write: bool, now: int,
-               spec_checkpoint: Optional[int] = None) -> AccessOutcome:
+    def request(self, core_id: int, addr: int, is_write: bool, now: int,
+                spec_checkpoint: Optional[int] = None) -> Tuple[int, int]:
         """Perform a load (``is_write=False``) or store access for a core.
 
-        Returns the access outcome, including the completion time at which
+        Returns ``(completion, forced_commit_delay)``: the time at which
         the data (for loads) or the write permission (for stores) is
-        available to the requester.  When ``spec_checkpoint`` is given the
-        access is speculative and the block's speculatively-read /
+        available to the requester, and the cycles of that latency the
+        requester spent on its own forced speculation commit before a fill
+        could evict a speculative block.  When ``spec_checkpoint`` is given
+        the access is speculative and the block's speculatively-read /
         speculatively-written bit is set, tagged with that checkpoint id.
+        Only a coherence transaction with recording on builds a record.
         """
-        baddr = self._block(addr)
-        l1 = self._l1s[core_id]
-        block = l1.lookup(baddr)
-
+        baddr = addr & self._block_mask
+        block = self._l1s[core_id].lookup(baddr)
         if block is not None:
             if not is_write:
                 self.l1_hits[core_id] += 1
                 if spec_checkpoint is not None:
                     block.mark_spec_read(spec_checkpoint)
-                return AccessOutcome(hit=True, state=block.state,
-                                     completion_time=now + self._config.l1.hit_latency)
-            if block.state.is_writable:
+                return now + self._hit_latency, 0
+            state = block.state
+            if state is _MODIFIED or state is _EXCLUSIVE:
                 self.l1_hits[core_id] += 1
-                return self._write_hit(core_id, block, now, spec_checkpoint)
+                return self._write_hit_time(core_id, block, now,
+                                            spec_checkpoint), 0
             # Present but Shared: upgrade miss.
             self.upgrades[core_id] += 1
-            return self._transaction(core_id, baddr, TransactionKind.UPGRADE, now,
-                                     spec_checkpoint)
-
+            return self._transaction(core_id, baddr, TransactionKind.UPGRADE,
+                                     True, now, spec_checkpoint)
         self.l1_misses[core_id] += 1
-        kind = TransactionKind.GETM if is_write else TransactionKind.GETS
-        return self._transaction(core_id, baddr, kind, now, spec_checkpoint)
+        if is_write:
+            return self._transaction(core_id, baddr, TransactionKind.GETM,
+                                     True, now, spec_checkpoint)
+        return self._transaction(core_id, baddr, TransactionKind.GETS,
+                                 False, now, spec_checkpoint)
 
-    # -- allocation-free hit fast paths -------------------------------------
+    def access(self, core_id: int, addr: int, is_write: bool, now: int,
+               spec_checkpoint: Optional[int] = None) -> AccessOutcome:
+        """:meth:`request`, described by an :class:`AccessOutcome`.
+
+        For analysis and tests: the outcome carries whether the access hit,
+        the requester's resulting block state and, when transaction
+        recording is on, the transaction's record.  The simulator itself
+        calls :meth:`request`.
+        """
+        l1 = self._l1s[core_id]
+        hit = l1.is_writable(addr) if is_write else l1.contains(addr)
+        recorded = len(self.transactions)
+        completion, forced = self.request(core_id, addr, is_write, now,
+                                          spec_checkpoint)
+        record = (self.transactions[-1] if len(self.transactions) > recorded
+                  else None)
+        block = l1.lookup(addr, touch=False)
+        return AccessOutcome(hit=hit, completion_time=completion,
+                             state=block.state if block is not None else _INVALID,
+                             forced_commit_delay=forced, record=record)
+
+    # -- hit probes -----------------------------------------------------------
     #
     # The hot loops of every controller boil down to "does this access hit a
     # line already in a sufficient state, and when does it complete?".  These
-    # two methods answer exactly that with a plain int -- no AccessOutcome,
-    # no TransactionRecord -- and decline (return None) in every other case,
-    # leaving the requester's L1/LRU state exactly as :meth:`access` would
-    # have at the same point, so callers can fall back to the full path.
+    # two methods answer exactly that with a plain int, in one call, and
+    # decline (return None) in every other case.  A declined probe has no
+    # side effect at all -- no LRU stamp, no counter -- so the caller's
+    # fallback to :meth:`request` leaves the L1 exactly as a direct request
+    # would have.
 
     def load_hit_time(self, core_id: int, addr: int, now: int,
                       spec_checkpoint: Optional[int] = None) -> Optional[int]:
         """Completion time of a load that hits, or ``None`` (take the slow path)."""
         if not self._fast:
             return None
-        block = self._l1s[core_id].lookup(addr & self._block_mask)
-        if block is None:
+        block = self._l1_lines[core_id].get(addr & self._block_mask)
+        if block is None or block.state is _INVALID:
             return None
+        l1 = self._l1s[core_id]
+        l1.lru_clock += 1
+        block.last_use = l1.lru_clock
         self.l1_hits[core_id] += 1
-        if spec_checkpoint is not None:
+        if spec_checkpoint is not None and block.spec_read is None:
             block.mark_spec_read(spec_checkpoint)
-        return now + self._config.l1.hit_latency
+        return now + self._hit_latency
 
     def store_hit_time(self, core_id: int, addr: int, now: int,
                        spec_checkpoint: Optional[int] = None) -> Optional[int]:
         """Completion time of a store that hits writable, or ``None``."""
         if not self._fast:
             return None
-        block = self._l1s[core_id].lookup(addr & self._block_mask)
+        block = self._l1_lines[core_id].get(addr & self._block_mask)
         if block is None:
             return None
         state = block.state
-        if state is not CoherenceState.MODIFIED and state is not CoherenceState.EXCLUSIVE:
+        if state is not _MODIFIED and state is not _EXCLUSIVE:
             return None
+        l1 = self._l1s[core_id]
+        l1.lru_clock += 1
+        block.last_use = l1.lru_clock
         self.l1_hits[core_id] += 1
-        return self._write_hit_time(core_id, block, now, spec_checkpoint)
+        if spec_checkpoint is None:
+            block.state = _MODIFIED
+            block.dirty = True
+            return now + self._hit_latency
+        if block.spec_written is None:
+            if block.dirty:
+                # First speculative write to a dirty block: clean it first.
+                return self._write_hit_time(core_id, block, now, spec_checkpoint)
+            block.mark_spec_written(spec_checkpoint)
+        block.state = _MODIFIED
+        return now + self._hit_latency
 
     def is_write_hit(self, core_id: int, addr: int) -> bool:
         """Would a store to ``addr`` complete immediately in the L1?"""
@@ -215,37 +264,33 @@ class MemorySystem:
                         spec_checkpoint: Optional[int]) -> int:
         """Apply a write hit's state changes; return its completion time."""
         if spec_checkpoint is None:
-            block.state = CoherenceState.MODIFIED
+            block.state = _MODIFIED
             block.dirty = True
-            return now + self._config.l1.hit_latency
+            return now + self._hit_latency
         # Speculative store.  If the block is non-speculatively dirty, the
         # only copy of the pre-speculative data is in this L1, so a clean
         # writeback pushes it to the L2 before the speculative value may
         # overwrite it (Section 3.2).  The store waits in the store buffer
         # for the cleaning writeback to finish.
-        completion = now + self._config.l1.hit_latency
+        completion = now + self._hit_latency
         if block.dirty and block.spec_written is None:
             self.clean_writebacks[core_id] += 1
             self._l2.install_dirty(block.address)
             block.dirty = False
             completion = now + self._config.clean_writeback_latency
         block.mark_spec_written(spec_checkpoint)
-        block.state = CoherenceState.MODIFIED
+        block.state = _MODIFIED
         return completion
-
-    def _write_hit(self, core_id: int, block, now: int,
-                   spec_checkpoint: Optional[int]) -> AccessOutcome:
-        completion = self._write_hit_time(core_id, block, now, spec_checkpoint)
-        return AccessOutcome(hit=True, state=block.state, completion_time=completion)
 
     # -- the coherence transaction engine ----------------------------------
 
     def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
-                     now: int, spec_checkpoint: Optional[int]) -> AccessOutcome:
+                     is_write: bool, now: int,
+                     spec_checkpoint: Optional[int]) -> Tuple[int, int]:
+        """Run one coherence transaction; see :meth:`request` for the result."""
         config = self._config
-        home = (baddr // config.block_bytes) % self._num_nodes
+        home = (baddr // self._block_bytes) % self._num_nodes
         entry = self._directory.entry(baddr)
-        is_write = kind in (TransactionKind.GETM, TransactionKind.UPGRADE)
 
         # The request travels to the home node (queuing behind other
         # messages under the contended interconnect) and is serialised
@@ -310,9 +355,13 @@ class MemorySystem:
             new_state = CoherenceState.SHARED
 
         # Fill the requester's L1.
-        forced_delay = self._prepare_l1_fill(core_id, baddr, now)
-        completion += forced_delay
-        block = self._l1s[core_id].install(baddr, new_state, dirty=is_write)
+        l1 = self._l1s[core_id]
+        room = l1.prepare_fill(baddr)
+        forced_delay = 0
+        if room is not NO_VICTIM:
+            forced_delay = self._make_room(core_id, baddr, now, room)
+            completion += forced_delay
+        block = l1.install(baddr, new_state, dirty=is_write)
         if spec_checkpoint is not None:
             if is_write:
                 block.mark_spec_written(spec_checkpoint)
@@ -330,8 +379,7 @@ class MemorySystem:
             record.completion_time = completion
             self.transactions.append(record)
         entry.check()
-        return AccessOutcome(hit=False, state=new_state, completion_time=completion,
-                             forced_commit_delay=forced_delay, record=record)
+        return completion, forced_delay
 
     def _handle_owner(self, core_id: int, baddr: int, entry, home: int, start: int,
                       is_write: bool, record: TransactionRecord):
@@ -417,10 +465,14 @@ class MemorySystem:
         resolution = listener.on_external_conflict(baddr, is_write, arrival)
         return max(0, resolution.extra_delay)
 
-    def _prepare_l1_fill(self, core_id: int, baddr: int, now: int) -> int:
-        """Make room in the requester's L1; returns forced-commit delay."""
+    def _make_room(self, core_id: int, baddr: int, now: int, result) -> int:
+        """Finish a fill's :meth:`CacheArray.prepare_fill` that found no free way.
+
+        Forces the requester's speculation to commit when every way is
+        speculative, then evicts the victim; returns the forced-commit
+        delay.
+        """
         l1 = self._l1s[core_id]
-        result = l1.prepare_fill(baddr)
         forced_delay = 0
         if result.requires_forced_commit:
             listener = self._listeners.get(core_id)

@@ -12,6 +12,15 @@ helpers shared by every implementation:
 * default (no-op) implementations of the memory-system listener hooks so
   that non-speculative controllers can be registered directly.
 
+Every controller's :meth:`ConsistencyController.process_op` is the
+layered specification of its ordering rules, built from these helpers;
+the reference engine calls it for every op.  The fast engine calls
+:meth:`ConsistencyController.process_op_fast` instead, which a subclass
+may override with a flat kernel of the same rules: it dispatches once,
+resolves L1 hits through one memory-system probe, and hands every rare
+case (misses, stalls, speculation start and commit) back to the helpers
+here.  The differential suite holds the two byte-identical.
+
 Concrete subclasses:
 
 * :class:`repro.consistency.conventional.ConventionalController` (SC, TSO,
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from ..coherence.messages import AccessOutcome, ConflictResolution
+from ..coherence.messages import ConflictResolution
 from ..config import SystemConfig
 from ..cpu.store_buffer import CoalescingStoreBuffer, StoreBufferBase, make_store_buffer
 from ..errors import SimulationError
@@ -51,11 +60,21 @@ class ConsistencyController:
         assert self.config.store_buffer is not None
         self.sb: StoreBufferBase = make_store_buffer(self.config.store_buffer)
         self.rules: OrderingRules = rules_for(self.config.consistency)
+        self._load_drains = self.rules.load_requires_drain
         #: cached ``isinstance`` check for the per-store dispatch; subclasses
         #: that replace ``self.sb`` (ASO) must refresh it.
         self._sb_coalescing = isinstance(self.sb, CoalescingStoreBuffer)
         #: cached fast-path flag of the memory system (immutable per run).
         self._mem_fast = self.mem.fast
+        self._hit_latency = self.config.l1.hit_latency
+        #: the memory system's hit probes, bound once for the op kernels.
+        self._load_hit_time = self.mem.load_hit_time
+        self._store_hit_time = self.mem.store_hit_time
+        if not self._mem_fast:
+            # The op kernels resolve hits through the probes, which a
+            # reference memory system always declines; without them the
+            # layered path is the only correct one.
+            self.process_op_fast = self.process_op
         #: observability slot (``None`` when telemetry is off); captured
         #: from the core, where ``build_system`` places it before attach.
         self._obs = core.obs
@@ -67,6 +86,16 @@ class ConsistencyController:
     def process_op(self, op: MemOp, now: int) -> int:
         """Process one retiring operation; return its finish time."""
         raise NotImplementedError
+
+    def process_op_fast(self, op: MemOp, now: int) -> int:
+        """The fast engine's per-op entry point.
+
+        Defaults to :meth:`process_op`.  A subclass may override it with a
+        flat kernel that leaves every counter, state bit, scheduled event
+        and telemetry record exactly as :meth:`process_op` would; it may
+        bypass the helpers below only where it repeats their effect.
+        """
+        return self.process_op(op, now)
 
     def at_trace_end(self, now: int) -> Tuple[str, int]:
         """Called when the trace is exhausted.
@@ -151,27 +180,28 @@ class ConsistencyController:
                  spec_checkpoint: Optional[int] = None) -> int:
         """Perform a load; classify the miss latency as ``other``."""
         self.stats.loads += 1
-        completion = self.mem.load_hit_time(self.core_id, op.address, now,
-                                            spec_checkpoint)
-        if completion is not None:
-            # Hit fast path: no outcome object, no forced-commit delay.
-            finish = max(completion, now + RETIRE_CYCLES)
-            total = finish - now
-            busy = min(total, RETIRE_CYCLES)
-            stats = self.stats
-            stats.busy += busy
-            stats.other += total - busy
-            return finish
-        outcome = self.mem.access(self.core_id, op.address, is_write=False,
-                                  now=now, spec_checkpoint=spec_checkpoint)
-        return self._finish_access(outcome, now)
-
-    def _finish_access(self, outcome: AccessOutcome, now: int) -> int:
-        """Classify an access that stalls retirement until completion."""
-        finish = max(outcome.completion_time, now + RETIRE_CYCLES)
+        completion = self._load_hit_time(self.core_id, op.address, now,
+                                         spec_checkpoint)
+        if completion is None:
+            return self._load_miss(op, now, spec_checkpoint)
+        # Hit: no forced-commit delay.
+        finish = max(completion, now + RETIRE_CYCLES)
         total = finish - now
         busy = min(total, RETIRE_CYCLES)
-        forced = min(outcome.forced_commit_delay, total - busy)
+        stats = self.stats
+        stats.busy += busy
+        stats.other += total - busy
+        return finish
+
+    def _load_miss(self, op: MemOp, now: int,
+                   spec_checkpoint: Optional[int] = None) -> int:
+        """The rest of a load the hit probe declined (``loads`` is counted)."""
+        completion, forced = self.mem.request(self.core_id, op.address, False,
+                                              now, spec_checkpoint)
+        finish = max(completion, now + RETIRE_CYCLES)
+        total = finish - now
+        busy = min(total, RETIRE_CYCLES)
+        forced = min(forced, total - busy)
         other = total - busy - forced
         self._account("busy", busy)
         self._account("sb_drain", forced)
@@ -192,35 +222,46 @@ class ConsistencyController:
         if self._sb_coalescing:
             if self._mem_fast:
                 if not self.sb.has_block(op.address, now):
-                    completion = self.mem.store_hit_time(
+                    completion = self._store_hit_time(
                         self.core_id, op.address, now, spec_checkpoint)
                     if completion is not None:
                         return self._retire_store_hit(op, now, completion,
                                                       spec_checkpoint)
             elif self.mem.is_write_hit(self.core_id, op.address) \
                     and not self.sb.has_block(op.address, now):
-                outcome = self.mem.access(self.core_id, op.address, is_write=True,
-                                          now=now, spec_checkpoint=spec_checkpoint)
-                return self._retire_store_hit(op, now, outcome.completion_time,
+                completion, _ = self.mem.request(self.core_id, op.address,
+                                                 True, now, spec_checkpoint)
+                return self._retire_store_hit(op, now, completion,
                                               spec_checkpoint)
+        return self._buffer_store(op, now, spec_checkpoint)
 
-        now = self._wait_for_sb_slot(now)
-        outcome = self.mem.access(self.core_id, op.address, is_write=True,
-                                  now=now, spec_checkpoint=spec_checkpoint)
-        forced = outcome.forced_commit_delay
-        if forced:
-            self._account("sb_drain", forced)
-            now += forced
-        self.sb.add_store(op.address, now, outcome.completion_time,
+    def _buffer_store(self, op: MemOp, now: int,
+                      spec_checkpoint: Optional[int] = None) -> int:
+        """Stall for a free entry, then perform the store and buffer it.
+
+        Every FIFO store ends here, hit or miss; a coalescing buffer's
+        store does when its block has a live entry or misses in the L1.
+        """
+        if self.sb.is_full(now):
+            now = self._wait_for_sb_slot(now)
+        completion = self._store_hit_time(self.core_id, op.address, now,
+                                          spec_checkpoint)
+        if completion is None:
+            completion, forced = self.mem.request(self.core_id, op.address,
+                                                  True, now, spec_checkpoint)
+            if forced:
+                self._account("sb_drain", forced)
+                now += forced
+        self.sb.add_store(op.address, now, completion,
                           speculative=spec_checkpoint is not None,
                           checkpoint_id=spec_checkpoint)
-        self._account("busy", RETIRE_CYCLES)
+        self.stats.busy += RETIRE_CYCLES
         return now + RETIRE_CYCLES
 
     def _retire_store_hit(self, op: MemOp, now: int, completion: int,
                           spec_checkpoint: Optional[int]) -> int:
         """Retire a store whose block already had write permission."""
-        if completion <= now + self.config.l1.hit_latency:
+        if completion <= now + self._hit_latency:
             self.stats.busy += RETIRE_CYCLES
             return now + RETIRE_CYCLES
         # A speculative store to a dirty block waits for the cleaning
@@ -241,10 +282,10 @@ class ConsistencyController:
         ordering/atomicity stall.
         """
         self.stats.atomics += 1
-        completion = self.mem.store_hit_time(self.core_id, op.address, now)
+        completion = self._store_hit_time(self.core_id, op.address, now)
         if completion is None:
-            completion = self.mem.access(self.core_id, op.address,
-                                         is_write=True, now=now).completion_time
+            completion, _ = self.mem.request(self.core_id, op.address, True,
+                                             now)
         finish = max(completion, now + 2 * RETIRE_CYCLES)
         total = finish - now
         busy = min(total, 2 * RETIRE_CYCLES)
@@ -264,25 +305,24 @@ class ConsistencyController:
         self.stats.atomics += 1
         if self._mem_fast:
             if not self.sb.has_block(op.address, now):
-                completion = self.mem.store_hit_time(
+                completion = self._store_hit_time(
                     self.core_id, op.address, now, spec_checkpoint)
                 if completion is not None:
                     return self._retire_atomic_hit(op, now, completion,
                                                    spec_checkpoint)
         elif self.mem.is_write_hit(self.core_id, op.address) \
                 and not self.sb.has_block(op.address, now):
-            outcome = self.mem.access(self.core_id, op.address, is_write=True,
-                                      now=now, spec_checkpoint=spec_checkpoint)
-            return self._retire_atomic_hit(op, now, outcome.completion_time,
+            completion, _ = self.mem.request(self.core_id, op.address, True,
+                                             now, spec_checkpoint)
+            return self._retire_atomic_hit(op, now, completion,
                                            spec_checkpoint)
         now = self._wait_for_sb_slot(now)
-        outcome = self.mem.access(self.core_id, op.address, is_write=True,
-                                  now=now, spec_checkpoint=spec_checkpoint)
-        forced = outcome.forced_commit_delay
+        completion, forced = self.mem.request(self.core_id, op.address, True,
+                                              now, spec_checkpoint)
         if forced:
             self._account("sb_drain", forced)
             now += forced
-        self.sb.add_store(op.address, now, outcome.completion_time,
+        self.sb.add_store(op.address, now, completion,
                           speculative=True, checkpoint_id=spec_checkpoint)
         self._account("busy", 2 * RETIRE_CYCLES)
         return now + 2 * RETIRE_CYCLES
@@ -290,7 +330,7 @@ class ConsistencyController:
     def _retire_atomic_hit(self, op: MemOp, now: int, completion: int,
                            spec_checkpoint: int) -> int:
         """Retire a speculative atomic whose block had write permission."""
-        if completion <= now + self.config.l1.hit_latency:
+        if completion <= now + self._hit_latency:
             self._account("busy", 2 * RETIRE_CYCLES)
             return now + 2 * RETIRE_CYCLES
         now = self._wait_for_sb_slot(now)

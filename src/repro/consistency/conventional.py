@@ -14,6 +14,10 @@ These are the baselines of Section 2.1 / Figure 2:
 Capacity ("SB full") stalls arise naturally from the buffer sizes: the
 FIFO buffers of SC/TSO fill during store bursts, while RMO's coalescing
 buffer rarely fills because only outstanding misses occupy entries.
+
+:meth:`ConventionalController.process_op` is the layered specification;
+:meth:`ConventionalController.process_op_fast` is the fast engine's flat
+kernel of the same rules.
 """
 
 from __future__ import annotations
@@ -23,11 +27,16 @@ from typing import TYPE_CHECKING
 from ..config import ConsistencyModel
 from ..errors import ConfigurationError
 from ..trace.ops import MemOp, OpKind
-from .base import ConsistencyController
+from .base import RETIRE_CYCLES, ConsistencyController
 from .rules import AtomicRequirement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.core import Core
+
+
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_COMPUTE = OpKind.COMPUTE
 
 
 class ConventionalController(ConsistencyController):
@@ -49,6 +58,49 @@ class ConventionalController(ConsistencyController):
         if kind is OpKind.FENCE:
             return self._process_fence(op, now)
         raise ConfigurationError(f"unhandled operation kind {op.kind}")  # pragma: no cover
+
+    def process_op_fast(self, op: MemOp, now: int) -> int:
+        """:meth:`process_op` as one flat kernel (the fast engine's entry).
+
+        Loads and stores that hit the L1 are resolved here through one
+        hit probe; misses, store-buffer stalls, atomics and fences go to
+        the same helpers :meth:`process_op` uses.
+        """
+        kind = op.kind
+        stats = self.stats
+        if kind is _LOAD:
+            if self._load_drains and self.sb.max_release > now:
+                now = self._drain_store_buffer(now)
+            stats.loads += 1
+            completion = self._load_hit_time(self.core_id, op.address, now)
+            if completion is None:
+                return self._load_miss(op, now)
+            finish = max(completion, now + RETIRE_CYCLES)
+            stats.busy += RETIRE_CYCLES
+            stats.other += finish - now - RETIRE_CYCLES
+            return finish
+        if kind is _STORE:
+            stats.stores += 1
+            if self._sb_coalescing:
+                # RMO: a store that has write permission retires into the L1.
+                sb = self.sb
+                if sb.max_release > now and sb.has_block(op.address, now):
+                    return self._buffer_store(op, now)
+                completion = self._store_hit_time(self.core_id, op.address, now)
+                if completion is None:
+                    return self._buffer_store(op, now)
+                if completion > now + self._hit_latency:
+                    return self._retire_store_hit(op, now, completion, None)
+                stats.busy += RETIRE_CYCLES
+                return now + RETIRE_CYCLES
+            # SC/TSO: every store takes a FIFO entry, hit or miss.
+            return self._buffer_store(op, now)
+        if kind is _COMPUTE:
+            stats.busy += op.cycles
+            return now + op.cycles
+        if kind is OpKind.ATOMIC:
+            return self._process_atomic(op, now)
+        return self._process_fence(op, now)
 
     def _process_atomic(self, op: MemOp, now: int) -> int:
         if self.rules.atomic is AtomicRequirement.DRAIN_STORE_BUFFER \

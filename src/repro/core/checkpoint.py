@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class Checkpoint:
     """State needed to restart execution at a speculation boundary."""
 

@@ -14,12 +14,17 @@ both chunks back; a violation against a block touched only by the active
 chunk rolls back just the active chunk.  Under the commit-on-violate
 policy the conflicting request is instead deferred while the processor
 tries to drain its store buffer and commit everything.
+
+:meth:`InvisiFenceContinuous.process_op` is the layered specification;
+:meth:`InvisiFenceContinuous.process_op_fast` is the fast engine's flat
+kernel of the same policy.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple, TYPE_CHECKING
 
+from ..consistency.base import RETIRE_CYCLES
 from ..errors import ConfigurationError
 from ..trace.ops import MemOp, OpKind
 from .base import SpeculativeController
@@ -43,6 +48,7 @@ class InvisiFenceContinuous(SpeculativeController):
         # execution, so forward progress after an abort is guaranteed by
         # deferring further conflicting requests until one commit succeeds.
         self._use_forward_progress_deferral = True
+        self._min_chunk_size = self.spec_config.min_chunk_size
 
     # ------------------------------------------------------------------
     # Chunk helpers
@@ -126,6 +132,67 @@ class InvisiFenceContinuous(SpeculativeController):
             raise ConfigurationError(f"unhandled operation kind {op.kind}")
 
         self._maybe_close_chunk(finish)
+        return finish
+
+    def process_op_fast(self, op: MemOp, now: int) -> int:
+        """:meth:`process_op` as one flat kernel (the fast engine's entry).
+
+        Resolves L1 load and store hits through one hit probe and keeps
+        the chunk's op count and the size test of :meth:`_maybe_close_chunk`
+        in this frame; opening and closing chunks, misses, stalls, atomics
+        and fences go to the helpers :meth:`process_op` uses.
+        """
+        checkpoints = self._checkpoints
+        if checkpoints and checkpoints[-1].close_time is None:
+            chunk = checkpoints[-1]
+        else:
+            chunk = self.begin_speculation(now)
+        spec = chunk.checkpoint_id
+        kind = op.kind
+        stats = self.stats
+        if kind is OpKind.LOAD:
+            stats.loads += 1
+            completion = self._load_hit_time(self.core_id, op.address, now,
+                                             spec)
+            if completion is None:
+                finish = self._load_miss(op, now, spec)
+            else:
+                finish = max(completion, now + RETIRE_CYCLES)
+                stats.busy += RETIRE_CYCLES
+                stats.other += finish - now - RETIRE_CYCLES
+            chunk.ops += 1
+        elif kind is OpKind.STORE:
+            stats.stores += 1
+            sb = self.sb
+            if sb.max_release > now and sb.has_block(op.address, now):
+                finish = self._buffer_store(op, now, spec)
+            else:
+                completion = self._store_hit_time(self.core_id, op.address,
+                                                  now, spec)
+                if completion is None:
+                    finish = self._buffer_store(op, now, spec)
+                elif completion > now + self._hit_latency:
+                    finish = self._retire_store_hit(op, now, completion, spec)
+                else:
+                    stats.busy += RETIRE_CYCLES
+                    finish = now + RETIRE_CYCLES
+            chunk.ops += 1
+        elif kind is OpKind.COMPUTE:
+            stats.busy += op.cycles
+            finish = now + op.cycles
+            chunk.ops += op.cycles
+        elif kind is OpKind.ATOMIC:
+            finish = self._do_atomic_speculative(op, now, spec)
+            chunk.ops += 1
+        else:
+            finish = self._do_fence_free(op, now)
+            chunk.ops += 1
+        # The chunk may close once it is big enough and no older chunk is
+        # still waiting to commit (the remaining tests of _maybe_close_chunk;
+        # a forced commit during the op leaves no chunk at all).
+        if chunk.ops >= self._min_chunk_size and checkpoints \
+                and checkpoints[0].close_time is None:
+            self._maybe_close_chunk(finish)
         return finish
 
     # ------------------------------------------------------------------

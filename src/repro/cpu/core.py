@@ -10,7 +10,9 @@ Two step implementations exist and are proven equivalent by the
 differential suite (``tests/test_differential.py``):
 
 * the **reference path** (``batching=False``) schedules one heap event per
-  operation, exactly as the original engine did;
+  operation, exactly as the original engine did, hands each op to the
+  controller's layered ``process_op`` and runs the warmup and
+  phase-boundary check before every op;
 * the **fast path** (``batching=True``, the default) consumes the trace's
   compiled form and batches runs of operations in a single event: after
   finishing an op at time *t*, if the next pending heap event is
@@ -18,7 +20,10 @@ differential suite (``tests/test_differential.py``):
   before this core's next step would, so the next op is processed inline
   ("run-until-interesting").  The queue clock and the
   processed-event count are advanced exactly as if the per-op event had
-  been scheduled and popped, which keeps results bitwise identical.
+  been scheduled and popped, which keeps results bitwise identical.  Each
+  op goes to the controller's flat kernel, ``process_op_fast``, and the
+  warmup and phase-boundary check runs only at the precomputed trace
+  index where it has work (:attr:`Core._pre_op_at`).
 
 The batch condition is exact rather than heuristic: cross-core
 interactions (coherence transactions, conflict-triggered aborts, commit
@@ -39,6 +44,7 @@ deferred aborts) on the event queue directly.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..config import SystemConfig
@@ -59,6 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: runaway backstop effective under the fast path (e.g. against a
 #: controller that answers ``("wait", now + k)`` at trace end forever).
 _MAX_INLINE_BATCH = 4096
+
+#: :attr:`Core._pre_op_at` when no warmup end or phase boundary is pending.
+_NEVER = sys.maxsize
 
 
 class Core:
@@ -116,6 +125,12 @@ class Core:
         self._phase_snaps: List[Optional[Dict[str, int]]] = \
             [None] * len(self._inner_bounds)
         self._next_bound = 0
+        #: the first trace index at which :meth:`_pre_op` has work: the end
+        #: of warmup or the next phase boundary (``_NEVER`` when neither is
+        #: pending).  The fast step tests this one int instead of calling
+        #: :meth:`_pre_op` before every op.
+        self._pre_op_at = _NEVER
+        self._plan_pre_op()
 
     # -- wiring --------------------------------------------------------------
 
@@ -187,6 +202,7 @@ class Core:
             self._next_bound -= 1
             self._phase_snaps[self._next_bound] = None
         self._index = trace_index
+        self._plan_pre_op()
         self._generation += 1
         self._finished = False
         self.finish_time = None
@@ -208,13 +224,21 @@ class Core:
                 and self._index >= self._inner_bounds[self._next_bound]:
             self._phase_snaps[self._next_bound] = self.stats.full_snapshot()
             self._next_bound += 1
+        self._plan_pre_op()
+
+    def _plan_pre_op(self) -> None:
+        """Recompute :attr:`_pre_op_at` (after a pre-op or a rollback)."""
+        at = _NEVER if self._warmup_done else self.warmup_ops
+        if self._next_bound < len(self._inner_bounds):
+            at = min(at, self._inner_bounds[self._next_bound])
+        self._pre_op_at = at
 
     def _step_fast(self, now: int, generation: int) -> None:
         """Batched step: process ops inline until another event is due."""
         if generation != self._generation or self._finished:
             return
         assert self.controller is not None
-        process_op = self.controller.process_op
+        process_op = self.controller.process_op_fast
         events = self.events
         heap = events._heap
         ops = self._ops
@@ -223,10 +247,14 @@ class Core:
         stats = self.stats
         limit = events.run_until
         budget = _MAX_INLINE_BATCH
+        # Only _pre_op and rollback move it, and a rollback never lands
+        # inside a step.
+        pre_op_at = self._pre_op_at
         while True:
-            if not self._warmup_done or self._next_bound < len(self._inner_bounds):
-                self._pre_op()
             index = self._index
+            if index >= pre_op_at:
+                self._pre_op()
+                pre_op_at = self._pre_op_at
             if index >= trace_len:
                 wake = self._handle_trace_end(now)
                 if wake is None:

@@ -35,10 +35,10 @@ from typing import List, Optional
 
 from ..config import StoreBufferConfig, StoreBufferKind
 from ..errors import StoreBufferError
-from ..memory.address import block_mask, word_address
+from ..memory.address import WORD_BYTES, block_mask
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreBufferEntry:
     """One buffered store (word or block granularity)."""
 
@@ -58,21 +58,23 @@ class StoreBufferBase:
 
     def __init__(self, config: StoreBufferConfig) -> None:
         self._config = config
+        self._capacity = config.entries
+        #: AND-mask to this buffer's entry granularity: a word here, an
+        #: entry-sized block in the coalescing buffer.
+        self._address_mask = ~(WORD_BYTES - 1)
         self._entries: List[StoreBufferEntry] = []
         self._insertions = 0
         #: largest release time over current entries (0 when empty); kept so
         #: the per-op ``is_empty``/``drain_time`` queries are O(1).  Entry
         #: removal can only drop already-released entries (purge) or trigger
         #: a recompute (flash invalidation), so the maximum stays exact.
-        self._max_release = 0
+        #: Read-only outside this module: the buffer is empty at ``now``
+        #: exactly when ``max_release <= now``, which the fast engine's op
+        #: kernels test without a call.
+        self.max_release = 0
         self.peak_occupancy = 0
         self.total_inserted = 0
         self.flash_invalidated = 0
-
-    # -- granularity hook ---------------------------------------------------
-
-    def _buffer_address(self, addr: int) -> int:
-        raise NotImplementedError
 
     # -- housekeeping --------------------------------------------------------
 
@@ -82,7 +84,7 @@ class StoreBufferBase:
 
     @property
     def capacity(self) -> int:
-        return self._config.entries
+        return self._capacity
 
     def _live(self, now: int) -> List[StoreBufferEntry]:
         """Entries still resident at time ``now`` (non-destructive)."""
@@ -102,15 +104,15 @@ class StoreBufferBase:
         return sum(1 for e in self._entries if e.release_time > now)
 
     def is_empty(self, now: int) -> bool:
-        # O(1): every current entry's release time is <= _max_release.
-        return self._max_release <= now
+        # O(1): every current entry's release time is <= max_release.
+        return self.max_release <= now
 
     def is_full(self, now: int) -> bool:
         # Fewer current entries than capacity can never be full; counting is
         # only needed in the (rare) at-capacity case.
-        if len(self._entries) < self.capacity:
+        if len(self._entries) < self._capacity:
             return False
-        return self.occupancy(now) >= self.capacity
+        return self.occupancy(now) >= self._capacity
 
     def entries(self, now: Optional[int] = None) -> List[StoreBufferEntry]:
         if now is None:
@@ -123,12 +125,12 @@ class StoreBufferBase:
         """Time at which the buffer will be empty, given current contents."""
         # O(1): the live entry with the largest release time is the last to
         # leave, and that maximum is tracked incrementally.
-        return self._max_release if self._max_release > now else now
+        return self.max_release if self.max_release > now else now
 
     def next_free_slot_time(self, now: int) -> int:
         """Earliest time at which at least one entry will be free."""
         live = self._live(now)
-        if len(live) < self.capacity:
+        if len(live) < self._capacity:
             return now
         return min(e.release_time for e in live)
 
@@ -140,7 +142,7 @@ class StoreBufferBase:
 
     def has_block(self, addr: int, now: int) -> bool:
         """True when any live entry covers ``addr`` at this buffer's granularity."""
-        baddr = self._buffer_address(addr)
+        baddr = addr & self._address_mask
         for e in self._entries:
             if e.address == baddr and e.release_time > now:
                 return True
@@ -162,7 +164,7 @@ class StoreBufferBase:
         self._entries = [e for e in self._entries if not doomed(e)]
         dropped = before - len(self._entries)
         if dropped:
-            self._max_release = max(
+            self.max_release = max(
                 (e.release_time for e in self._entries), default=0)
             self._on_entries_rebuilt()
         self.flash_invalidated += dropped
@@ -188,16 +190,17 @@ class StoreBufferBase:
         """Insert a store; the caller must have checked capacity first."""
         raise NotImplementedError
 
-    def _record_insertion(self, entry: StoreBufferEntry, now: int) -> None:
+    def _record_insertion(self, entry: StoreBufferEntry) -> None:
         self._insertions += 1
         self.total_inserted += 1
-        self._entries.append(entry)
-        if entry.release_time > self._max_release:
-            self._max_release = entry.release_time
+        entries = self._entries
+        entries.append(entry)
+        if entry.release_time > self.max_release:
+            self.max_release = entry.release_time
         # add_store purges released entries before appending, so every
         # current entry is live and the occupancy is just the list length.
-        if len(self._entries) > self.peak_occupancy:
-            self.peak_occupancy = len(self._entries)
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
 
 
 class FIFOStoreBuffer(StoreBufferBase):
@@ -216,9 +219,6 @@ class FIFOStoreBuffer(StoreBufferBase):
         #: release times parallel to ``_entries`` (non-decreasing).
         self._releases: List[int] = []
 
-    def _buffer_address(self, addr: int) -> int:
-        return word_address(addr)
-
     def _on_entries_rebuilt(self) -> None:
         self._releases = [e.release_time for e in self._entries]
 
@@ -228,22 +228,25 @@ class FIFOStoreBuffer(StoreBufferBase):
 
     def is_full(self, now: int) -> bool:
         releases = self._releases
-        return len(releases) - bisect_right(releases, now) >= self.capacity
+        if len(releases) < self._capacity:
+            return False
+        return len(releases) - bisect_right(releases, now) >= self._capacity
 
     def next_free_slot_time(self, now: int) -> int:
         """Earliest time at which at least one entry will be free."""
         releases = self._releases
         first_live = bisect_right(releases, now)
-        if len(releases) - first_live < self.capacity:
+        if len(releases) - first_live < self._capacity:
             return now
         # Monotone release times: the oldest live entry leaves first.
         return releases[first_live]
 
     def _purge(self, now: int) -> None:
-        cut = bisect_right(self._releases, now)
-        if cut:
+        releases = self._releases
+        if releases and releases[0] <= now:
+            cut = bisect_right(releases, now)
             del self._entries[:cut]
-            del self._releases[:cut]
+            del releases[:cut]
 
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
@@ -253,17 +256,22 @@ class FIFOStoreBuffer(StoreBufferBase):
         # FIFO ordering: an entry can only be released after every older
         # entry has been released, so the release time is the running
         # maximum of completion times in insertion order.
-        previous_release = self._releases[-1] if self._releases else now
-        self._purge(now)
-        release = max(completion_time, previous_release)
-        entry = StoreBufferEntry(address=self._buffer_address(addr),
+        releases = self._releases
+        release = completion_time
+        if releases:
+            if releases[-1] > release:
+                release = releases[-1]
+            self._purge(now)
+        elif now > release:
+            release = now
+        entry = StoreBufferEntry(address=addr & self._address_mask,
                                  completion_time=completion_time,
                                  release_time=release,
                                  speculative=speculative,
                                  checkpoint_id=checkpoint_id,
                                  insertion_order=self._insertions)
-        self._record_insertion(entry, now)
-        self._releases.append(release)
+        self._record_insertion(entry)
+        releases.append(release)
         return entry
 
 
@@ -277,14 +285,11 @@ class CoalescingStoreBuffer(StoreBufferBase):
             )
         super().__init__(config)
         self.coalesced = 0
-        self._entry_mask = block_mask(config.entry_bytes)
-
-    def _buffer_address(self, addr: int) -> int:
-        return addr & self._entry_mask
+        self._address_mask = block_mask(config.entry_bytes)
 
     def find(self, addr: int, now: int, speculative: bool) -> Optional[StoreBufferEntry]:
         """Find an existing live entry this store may coalesce into."""
-        baddr = self._buffer_address(addr)
+        baddr = addr & self._address_mask
         for entry in self._entries:
             if entry.address == baddr and entry.speculative == speculative \
                     and entry.release_time > now:
@@ -300,21 +305,21 @@ class CoalescingStoreBuffer(StoreBufferBase):
             self.coalesced += 1
             existing.completion_time = max(existing.completion_time, completion_time)
             existing.release_time = max(existing.release_time, completion_time)
-            if existing.release_time > self._max_release:
-                self._max_release = existing.release_time
+            if existing.release_time > self.max_release:
+                self.max_release = existing.release_time
             return existing
         if self.is_full(now):
             raise StoreBufferError(
                 "coalescing store buffer overflow; check is_full first"
             )
         self._purge(now)
-        entry = StoreBufferEntry(address=self._buffer_address(addr),
+        entry = StoreBufferEntry(address=addr & self._address_mask,
                                  completion_time=completion_time,
                                  release_time=completion_time,
                                  speculative=speculative,
                                  checkpoint_id=checkpoint_id,
                                  insertion_order=self._insertions)
-        self._record_insertion(entry, now)
+        self._record_insertion(entry)
         return entry
 
 

@@ -35,7 +35,7 @@ class CoherenceState(Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheBlock:
     """One L1 cache block: tag state plus InvisiFence speculative bits."""
 

@@ -28,13 +28,17 @@ from typing import Dict, Iterator, List, Optional
 
 from ..config import CacheConfig
 from ..errors import SimulationError
-from .address import block_address, block_mask
+from .address import block_mask
 from .block import CacheBlock, CoherenceState
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvictionResult:
-    """Outcome of preparing a fill: which victim (if any) was evicted."""
+    """Outcome of preparing a fill: which victim (if any) was evicted.
+
+    Immutable, so the two victimless outcomes are shared constants
+    (:data:`NO_VICTIM`, :data:`MUST_COMMIT`) rather than built per fill.
+    """
 
     #: the evicted block (already removed from the cache), or None.
     victim: Optional[CacheBlock]
@@ -43,6 +47,14 @@ class EvictionResult:
     #: True when every candidate way held speculative state, so the caller
     #: must force a speculation commit before the fill can proceed.
     requires_forced_commit: bool
+
+
+#: a fill that finds its block present or a free way: nothing to evict.
+NO_VICTIM = EvictionResult(victim=None, needs_writeback=False,
+                           requires_forced_commit=False)
+#: a fill whose every candidate way is speculative: commit first.
+MUST_COMMIT = EvictionResult(victim=None, needs_writeback=False,
+                             requires_forced_commit=True)
 
 
 class CacheArray:
@@ -54,15 +66,23 @@ class CacheArray:
         self._assoc = config.associativity
         self._block_bytes = config.block_bytes
         self._block_mask = block_mask(self._block_bytes)
+        self._block_shift = self._block_bytes.bit_length() - 1
         #: set-index -> {block address -> CacheBlock}; sets materialize on
         #: first install so construction stays O(1) in the number of sets.
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
+        #: block address -> block for every way the sets hold (INVALID
+        #: placeholders included), so a lookup is one dict probe.  The
+        #: memory system's hit probes read it directly; only this class
+        #: mutates it, always together with ``_sets``.
+        self.lines: Dict[int, CacheBlock] = {}
         #: blocks that have had a speculative bit set since the last flash
         #: (address -> block, possibly stale); lets the flash circuits run
         #: in O(speculative blocks) instead of O(cache size).  Blocks hold a
         #: reference to this dict, so it is mutated in place, never rebound.
         self._spec_marked: Dict[int, CacheBlock] = {}
-        self._access_counter = 0
+        #: LRU clock: bumped on every touching access, whose block records
+        #: the new value in ``last_use``.  The hit probes bump it directly.
+        self.lru_clock = 0
 
     # -- geometry helpers -------------------------------------------------
 
@@ -74,35 +94,24 @@ class CacheArray:
     def block_bytes(self) -> int:
         return self._block_bytes
 
-    def set_index(self, addr: int) -> int:
-        return ((addr & self._block_mask) // self._block_bytes) % self._num_sets
-
-    def _set_for(self, addr: int) -> Dict[int, CacheBlock]:
-        """The (materialized) set holding ``addr``; creates it if absent."""
-        index = self.set_index(addr)
+    def _set_for(self, baddr: int) -> Dict[int, CacheBlock]:
+        """The (materialized) set holding block ``baddr``; creates it if absent."""
+        index = (baddr >> self._block_shift) % self._num_sets
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = {}
         return cache_set
 
-    def _touch(self, block: CacheBlock) -> None:
-        self._access_counter += 1
-        block.last_use = self._access_counter
-
     # -- lookups ----------------------------------------------------------
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheBlock]:
         """Return the valid block containing ``addr`` or ``None``."""
-        baddr = addr & self._block_mask
-        cache_set = self._sets.get((baddr // self._block_bytes) % self._num_sets)
-        if cache_set is None:
-            return None
-        block = cache_set.get(baddr)
+        block = self.lines.get(addr & self._block_mask)
         if block is None or block.state is CoherenceState.INVALID:
             return None
         if touch:
-            self._access_counter += 1
-            block.last_use = self._access_counter
+            self.lru_clock += 1
+            block.last_use = self.lru_clock
         return block
 
     def contains(self, addr: int) -> bool:
@@ -145,29 +154,31 @@ class CacheArray:
         first; no eviction is performed in that case.
         """
         baddr = addr & self._block_mask
+        existing = self.lines.get(baddr)
+        if existing is not None and existing.state is not CoherenceState.INVALID:
+            return NO_VICTIM
         cache_set = self._set_for(baddr)
-        existing = cache_set.get(baddr)
-        if existing is not None and existing.state.is_valid:
-            return EvictionResult(victim=None, needs_writeback=False,
-                                  requires_forced_commit=False)
         # Drop any stale invalid entry for this address.
         if existing is not None:
             del cache_set[baddr]
-        if len(cache_set) >= self._assoc:
-            # Purge invalid placeholders to free ways; only needed once the
-            # raw way count fills up (invalid blocks are unobservable
-            # elsewhere: lookups, iteration, and len() all skip them).
-            for key in [k for k, b in cache_set.items() if not b.state.is_valid]:
-                del cache_set[key]
+            del self.lines[baddr]
         if len(cache_set) < self._assoc:
-            return EvictionResult(victim=None, needs_writeback=False,
-                                  requires_forced_commit=False)
+            return NO_VICTIM
+        # Purge invalid placeholders to free ways; only needed once the raw
+        # way count fills up (invalid blocks are unobservable elsewhere:
+        # lookups, iteration, and len() all skip them).
+        for key in [k for k, b in cache_set.items()
+                    if b.state is CoherenceState.INVALID]:
+            del cache_set[key]
+            del self.lines[key]
+        if len(cache_set) < self._assoc:
+            return NO_VICTIM
         candidates = [b for b in cache_set.values() if not b.speculative]
         if not candidates:
-            return EvictionResult(victim=None, needs_writeback=False,
-                                  requires_forced_commit=True)
+            return MUST_COMMIT
         victim = min(candidates, key=lambda b: b.last_use)
         del cache_set[victim.address]
+        del self.lines[victim.address]
         return EvictionResult(victim=victim,
                               needs_writeback=victim.dirty
                               and victim.state is CoherenceState.MODIFIED,
@@ -180,12 +191,12 @@ class CacheArray:
         Callers must have invoked :meth:`prepare_fill` first when a new
         block may be needed; installing into a full set raises.
         """
-        if not state.is_valid:
+        if state is CoherenceState.INVALID:
             raise SimulationError("cannot install a block in the INVALID state")
-        baddr = block_address(addr, self._block_bytes)
-        cache_set = self._set_for(baddr)
-        block = cache_set.get(baddr)
+        baddr = addr & self._block_mask
+        block = self.lines.get(baddr)
         if block is None:
+            cache_set = self._set_for(baddr)
             if len(cache_set) >= self._assoc:
                 raise SimulationError(
                     f"install into full set for address {baddr:#x}; "
@@ -193,26 +204,26 @@ class CacheArray:
                 )
             block = CacheBlock(address=baddr, spec_registry=self._spec_marked)
             cache_set[baddr] = block
+            self.lines[baddr] = block
         block.state = state
         block.dirty = dirty
-        self._touch(block)
+        self.lru_clock += 1
+        block.last_use = self.lru_clock
         return block
 
     def remove(self, addr: int) -> Optional[CacheBlock]:
         """Remove and return the block containing ``addr`` (if present)."""
         baddr = addr & self._block_mask
-        cache_set = self._sets.get((baddr // self._block_bytes) % self._num_sets)
-        if cache_set is None:
-            return None
-        return cache_set.pop(baddr, None)
+        block = self.lines.pop(baddr, None)
+        if block is not None:
+            del self._set_for(baddr)[baddr]
+        return block
 
     # -- flash operations (Figure 3) --------------------------------------
 
     def _is_current(self, block: CacheBlock) -> bool:
         """Is ``block`` still this cache's resident copy of its address?"""
-        cache_set = self._sets.get(
-            (block.address // self._block_bytes) % self._num_sets)
-        return cache_set is not None and cache_set.get(block.address) is block
+        return self.lines.get(block.address) is block
 
     def _speculative_marked(self) -> List[CacheBlock]:
         """Resident, valid, still-speculative blocks from the registry."""

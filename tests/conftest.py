@@ -8,7 +8,8 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import dataclasses
+from typing import Dict, Optional, Sequence
 
 import pytest
 
@@ -125,6 +126,39 @@ def run_ops(ops_by_core: Sequence[Sequence[MemOp]], config: SystemConfig):
 def block_addr(index: int) -> int:
     """The byte address of test block ``index`` (64-byte blocks)."""
     return index * 64
+
+
+# ---------------------------------------------------------------------------
+# The engine grid: every registered config on three workloads
+# ---------------------------------------------------------------------------
+
+#: workloads of the engine grid: a rollback-heavy storm, a lock-based
+#: task pool and a server preset.
+GRID_WORKLOADS = ("false-sharing-storm", "task-pool", "apache")
+GRID_CORES = 4
+GRID_OPS = 300
+GRID_SEED = 3
+
+
+def grid_configs() -> Dict[str, SystemConfig]:
+    """Every registered config, plus 1-entry store-buffer ``sc``/``invisi_sc``.
+
+    The 1-entry variants put the store buffer's capacity stall (``SB
+    full``) on almost every store, FIFO and coalescing alike.
+    """
+    from repro.campaign import DEFAULT_REGISTRY
+    from repro.experiments.common import ExperimentSettings
+
+    settings = ExperimentSettings(num_cores=GRID_CORES,
+                                  ops_per_thread=GRID_OPS, seeds=(GRID_SEED,),
+                                  warmup_fraction=0.0)
+    configs = {name: DEFAULT_REGISTRY.make(name, settings)
+               for name in DEFAULT_REGISTRY.names()}
+    for name in ("sc", "invisi_sc"):
+        base = configs[name]
+        configs[f"{name}_sb1"] = base.replace(
+            store_buffer=dataclasses.replace(base.store_buffer, entries=1))
+    return configs
 
 
 # ---------------------------------------------------------------------------

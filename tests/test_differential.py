@@ -10,6 +10,9 @@ suite compares against.  It asserts the guarantee across every built-in
 workload preset, every registered scenario, and the three controller
 kinds, at two and four cores, plus warmup and rollback-heavy corners,
 and that campaign cache keys/entries are engine-independent.
+``TestEveryRegisteredConfig`` widens the comparison to every registered
+configuration on the engine grid (``tests/conftest.py``) and to the
+telemetry both engines record.
 """
 
 import pytest
@@ -18,12 +21,14 @@ from repro.campaign import DirectoryBackend, Job
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import CampaignExecutor
 from repro.engine.simulator import simulate
-from repro.engine.system import build_system
+from repro.engine.system import ENGINE_KINDS, build_system
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.scenarios.registry import scenario_names
 from repro.workloads.presets import workload_names
 from repro.workloads.registry import build_trace, resolve_spec
+from tests.conftest import (GRID_CORES, GRID_OPS, GRID_SEED, GRID_WORKLOADS,
+                            grid_configs)
 
 #: one configuration per controller kind (conventional / selective /
 #: continuous speculation).
@@ -115,6 +120,58 @@ class TestByteIdenticalResults:
         config = make_config(config_name, _settings())
         fast, ref = _run_both(config, trace)
         assert fast.to_json() == ref.to_json()
+
+
+GRID_CONFIGS = grid_configs()
+
+
+def _simulated_telemetry(recorder):
+    """What a recorder saw of the simulation, engine bookkeeping left out.
+
+    ``engine.*`` counters describe how the engine ran (heap pops versus
+    inline ops) and differ by design; everything else -- counters,
+    histograms, simulated-time spans and instants, in recording order --
+    is part of what was simulated.
+    """
+    from repro.obs.recorder import PID_SIM
+
+    counters = {name: value for name, value in recorder.counters.items()
+                if not name.startswith("engine.")}
+    histograms = {name: dict(hist)
+                  for name, hist in recorder.histograms.items()}
+    spans = [(s.tid, s.name, s.ts, s.dur, s.args) for s in recorder.spans
+             if s.pid == PID_SIM]
+    instants = [(i.tid, i.name, i.ts, i.args) for i in recorder.instants
+                if i.pid == PID_SIM]
+    return counters, histograms, spans, instants
+
+
+@pytest.mark.parametrize("workload", GRID_WORKLOADS)
+@pytest.mark.parametrize("config_name", tuple(GRID_CONFIGS))
+class TestEveryRegisteredConfig:
+    """Every registered config, and 1-entry store buffers, on both engines.
+
+    The fast engine specialises per controller kind: the TSO and RMO
+    fence and atomic rules, FIFO versus coalescing store buffers, two
+    checkpoints, commit-on-violate and ASO's store buffer each take
+    their own branch, and a 1-entry buffer stalls for a slot on nearly
+    every store.  Results must be byte-identical and the recorded
+    telemetry identical apart from ``engine.*``.
+    """
+
+    def test_results_and_telemetry_identical(self, config_name, workload):
+        from repro.obs import TraceRecorder
+
+        trace = build_trace(workload, num_threads=GRID_CORES,
+                            ops_per_thread=GRID_OPS, seed=GRID_SEED)
+        config = GRID_CONFIGS[config_name]
+        runs = {}
+        for engine in ENGINE_KINDS:
+            recorder = TraceRecorder()
+            result = simulate(config, trace, engine=engine, recorder=recorder)
+            runs[engine] = (result.to_json(), _simulated_telemetry(recorder))
+        assert runs["fast"][0] == runs["reference"][0]
+        assert runs["fast"][1] == runs["reference"][1]
 
 
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)

@@ -299,3 +299,70 @@ class TestInvariants:
         mem.access(1, BLOCK, is_write=False, now=100)
         assert len(mem.transactions) == 2
         assert all(t.completion_time >= t.issue_time for t in mem.transactions)
+
+
+class TestHitProbes:
+    """``load_hit_time``/``store_hit_time`` answer hits; a decline is a no-op.
+
+    The fast engine probes before it falls back to :meth:`request`, so a
+    declined probe must leave the L1 exactly as it found it: no LRU stamp
+    on the block, no tick of the array's LRU clock, no hit counted.
+    """
+
+    @staticmethod
+    def _snapshot(mem, core=0):
+        l1 = mem.l1(core)
+        block = l1.lookup(BLOCK, touch=False)
+        return (l1.lru_clock, block.last_use if block is not None else None,
+                list(mem.l1_hits), list(mem.l1_misses))
+
+    def test_load_probe_hits_a_valid_block(self):
+        mem = make_mem()
+        mem.request(0, BLOCK, False, 0)
+        clock = mem.l1(0).lru_clock
+        assert mem.load_hit_time(0, BLOCK + 8, 100) == \
+            100 + mem.config.l1.hit_latency
+        assert mem.l1(0).lru_clock == clock + 1
+        assert mem.l1(0).lookup(BLOCK, touch=False).last_use == clock + 1
+
+    def test_declined_load_probe_leaves_no_trace(self):
+        mem = make_mem()
+        before = self._snapshot(mem)
+        assert mem.load_hit_time(0, BLOCK, 0) is None  # absent
+        assert self._snapshot(mem) == before
+        mem.request(0, BLOCK, False, 0)
+        mem.l1(0).lookup(BLOCK, touch=False).invalidate()
+        before = self._snapshot(mem)
+        assert mem.load_hit_time(0, BLOCK, 10) is None  # invalid placeholder
+        assert self._snapshot(mem) == before
+
+    def test_declined_store_probe_leaves_no_trace(self):
+        mem = make_mem()
+        mem.request(0, BLOCK, False, 0)
+        mem.request(1, BLOCK, False, 10)  # core 0's copy becomes Shared
+        block = mem.l1(0).lookup(BLOCK, touch=False)
+        assert block.state is CoherenceState.SHARED
+        before = self._snapshot(mem)
+        assert mem.store_hit_time(0, BLOCK, 1000, spec_checkpoint=7) is None
+        assert self._snapshot(mem) == before
+        assert block.spec_written is None and block.spec_read is None
+        assert mem.store_hit_time(0, BLOCK + 64, 1000) is None  # absent
+        assert self._snapshot(mem) == before
+
+    def test_declined_probe_then_request_matches_a_direct_request(self):
+        probed, direct = make_mem(), make_mem()
+        for mem in (probed, direct):
+            mem.request(0, BLOCK, False, 0)
+            mem.request(1, BLOCK, False, 10)
+        assert probed.store_hit_time(0, BLOCK, 1000) is None
+        assert probed.request(0, BLOCK, True, 1000) == \
+            direct.request(0, BLOCK, True, 1000)
+        assert self._snapshot(probed) == self._snapshot(direct)
+
+    def test_reference_memory_system_always_declines(self):
+        mem = MemorySystem(tiny_config(), fast_path=False)
+        mem.request(0, BLOCK, True, 0)
+        before = self._snapshot(mem)
+        assert mem.load_hit_time(0, BLOCK, 100) is None
+        assert mem.store_hit_time(0, BLOCK, 100) is None
+        assert self._snapshot(mem) == before
