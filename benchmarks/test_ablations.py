@@ -11,12 +11,9 @@ from repro.experiments.ablation import cov_timeout_study, store_buffer_study
 from repro.studies import run_study
 
 
-def test_store_buffer_capacity_ablation(benchmark, settings, study_runner):
-    result = benchmark.pedantic(
-        run_study, args=(store_buffer_study("apache", (1, 2, 4, 8, 32)),
-                         settings),
-        kwargs={"study_runner": study_runner},
-        iterations=1, rounds=1)
+def test_store_buffer_capacity_ablation(settings, study_runner):
+    result = run_study(store_buffer_study("apache", (1, 2, 4, 8, 32)), settings,
+                       study_runner=study_runner)
     emit(result.format())
 
     relative = result.relative_runtime()
@@ -31,12 +28,9 @@ def test_store_buffer_capacity_ablation(benchmark, settings, study_runner):
     assert result.sb_full[1] >= result.sb_full[32]
 
 
-def test_cov_timeout_ablation(benchmark, settings, study_runner):
-    result = benchmark.pedantic(
-        run_study, args=(cov_timeout_study("apache", (0, 250, 4000, 16000)),
-                         settings),
-        kwargs={"study_runner": study_runner},
-        iterations=1, rounds=1)
+def test_cov_timeout_ablation(settings, study_runner):
+    result = run_study(cov_timeout_study("apache", (0, 250, 4000, 16000)), settings,
+                       study_runner=study_runner)
     emit(result.format())
 
     # The abort-immediately baseline discards work; a 4000-cycle deferral

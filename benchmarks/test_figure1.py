@@ -4,10 +4,8 @@ from conftest import emit
 from repro.studies import run_study
 
 
-def test_figure1(benchmark, settings, study_runner):
-    result = benchmark.pedantic(run_study, args=("figure1", settings),
-                                kwargs={"study_runner": study_runner},
-                                iterations=1, rounds=1)
+def test_figure1(settings, study_runner):
+    result = run_study("figure1", settings, study_runner=study_runner)
     emit(result.format())
 
     # Qualitative shape (paper Figure 1): ordering stalls shrink as the

@@ -4,10 +4,8 @@ from conftest import emit
 from repro.studies import run_study
 
 
-def test_figure10(benchmark, settings, study_runner):
-    result = benchmark.pedantic(run_study, args=("figure10", settings),
-                                kwargs={"study_runner": study_runner},
-                                iterations=1, rounds=1)
+def test_figure10(settings, study_runner):
+    result = run_study("figure10", settings, study_runner=study_runner)
     emit(result.format())
 
     # Qualitative shape (paper Figure 10 / Figure 4): the weaker the enforced

@@ -4,10 +4,8 @@ from conftest import emit
 from repro.studies import run_study
 
 
-def test_figure11(benchmark, settings, study_runner):
-    result = benchmark.pedantic(run_study, args=("figure11", settings),
-                                kwargs={"study_runner": study_runner},
-                                iterations=1, rounds=1)
+def test_figure11(settings, study_runner):
+    result = run_study("figure11", settings, study_runner=study_runner)
     emit(result.format())
 
     # Qualitative shape (paper Section 6.4): the three configurations are

@@ -4,10 +4,8 @@ from conftest import emit
 from repro.studies import run_study
 
 
-def test_figure8(benchmark, settings, study_runner):
-    result = benchmark.pedantic(run_study, args=("figure8", settings),
-                                kwargs={"study_runner": study_runner},
-                                iterations=1, rounds=1)
+def test_figure8(settings, study_runner):
+    result = run_study("figure8", settings, study_runner=study_runner)
     emit(result.format())
 
     # Qualitative shape (paper Section 6.2/6.3): relaxing the model helps,

@@ -4,10 +4,8 @@ from conftest import emit
 from repro.studies import run_study
 
 
-def test_figure9(benchmark, settings, study_runner):
-    result = benchmark.pedantic(run_study, args=("figure9", settings),
-                                kwargs={"study_runner": study_runner},
-                                iterations=1, rounds=1)
+def test_figure9(settings, study_runner):
+    result = run_study("figure9", settings, study_runner=study_runner)
     emit(result.format())
 
     for workload in settings.workloads:

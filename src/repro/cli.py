@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands cover the common entry points without writing any code::
+Nine subcommands cover the common entry points without writing any code::
 
     python -m repro simulate --workload apache --config invisi_sc --cores 8
     python -m repro figure 8 --cores 8 --ops 4000 --jobs 4
@@ -10,7 +10,6 @@ Ten subcommands cover the common entry points without writing any code::
     python -m repro workloads list
     python -m repro scenario run false-sharing-storm --jobs 4
     python -m repro profile invisi_sc false-sharing-storm --trace-out trace.json
-    python -m repro bench --output BENCH_kernel.json
     python -m repro tables
 
 Global ``-q/--quiet`` suppresses progress lines (``[campaign]``,
@@ -74,34 +73,16 @@ additionally writes a Chrome trace-event JSON loadable in Perfetto
 artifact.  ``study run``/``figure``/``scenario run``/``sweep`` accept
 ``--telemetry`` to record campaign-level telemetry (per-job wall spans,
 cache tallies) and write ``telemetry.json``.
-
-``bench`` times the execution kernel (ops/sec per controller kind), the
-campaign executor cold vs. cached, and scenario splicing, and writes
-``BENCH_kernel.json`` (see :mod:`repro.bench.harness` for the schema).
-``--engine reference`` times the retained pre-refactor execution path, so
-fast-vs-reference comparisons need no git archaeology; ``--check FILE``
-compares against a committed baseline and exits non-zero when any kernel
-regresses more than ``--tolerance`` (CI's perf gate).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .bench import (
-    BenchPreset,
-    check_against_baseline,
-    format_baseline_delta,
-    format_bench_report,
-    load_report,
-    run_bench,
-    write_report,
-)
 from .api import compile_study_plan, open_cache
 from .api import simulate as api_simulate
 from .campaign import (
@@ -321,31 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "https://ui.perfetto.dev)")
     prof.add_argument("--telemetry-out", type=str, default=None, metavar="FILE",
                       help="write the schema-versioned telemetry JSON artifact")
-
-    bench = sub.add_parser(
-        "bench", help="time the simulation kernel and write BENCH_kernel.json")
-    bench.add_argument("--workload", choices=workload_names(), default="apache")
-    bench.add_argument("--cores", type=_positive_int, default=None,
-                       help="cores per simulated machine (default: 4)")
-    bench.add_argument("--ops", type=_positive_int, default=None,
-                       help="operations per thread (default: 2000)")
-    bench.add_argument("--seed", type=int, default=3)
-    bench.add_argument("--repeats", type=_positive_int, default=None,
-                       help="wall-clock repeats per measurement "
-                            "(best-of; default: 3)")
-    bench.add_argument("--engine", choices=list(ENGINE_KINDS), default="fast",
-                       help="execution kernel to time (default: fast)")
-    bench.add_argument("--small", action="store_true",
-                       help="CI smoke preset: 2 cores, 400 ops, 2 repeats "
-                            "(explicit flags override)")
-    bench.add_argument("--output", type=str, default="BENCH_kernel.json",
-                       help="report path (default: BENCH_kernel.json)")
-    bench.add_argument("--check", type=str, default=None, metavar="BASELINE",
-                       help="compare kernel ops/sec against a baseline "
-                            "report; exit 1 on regression")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional slowdown vs the baseline "
-                            "(default: 0.30)")
 
     sub.add_parser("tables", help="print the descriptive tables (Figures 2, 4-7)")
     return parser
@@ -758,42 +714,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    base = BenchPreset.small(engine=args.engine) if args.small \
-        else BenchPreset(engine=args.engine)
-    preset = dataclasses.replace(
-        base,
-        workload=args.workload,
-        seed=args.seed,
-        **{key: value for key, value in (("num_cores", args.cores),
-                                         ("ops_per_thread", args.ops),
-                                         ("repeats", args.repeats))
-           if value is not None},
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        report = run_bench(preset, cache_dir=Path(tmp))
-    write_report(report, Path(args.output))
-    _out(format_bench_report(report))
-    _info(f"[bench] wrote {args.output}")
-    if args.check:
-        try:
-            baseline = load_report(Path(args.check))
-        except (OSError, ValueError) as exc:
-            raise ReproError(f"cannot read bench baseline {args.check}: {exc}")
-        failures = check_against_baseline(report, baseline,
-                                          tolerance=args.tolerance)
-        _out(f"[bench] delta vs baseline {args.check}:")
-        _out(format_baseline_delta(report, baseline))
-        if failures:
-            for failure in failures:
-                print(f"[bench] REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        _out(f"[bench] within {args.tolerance:.0%} of baseline {args.check}")
-    return 0
-
-
 def _cmd_tables(_: argparse.Namespace) -> int:
     for text in (figure2_table(), figure4_table(), figure5_table(),
                  figure6_table(), figure7_table()):
@@ -815,7 +735,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workloads": _cmd_workloads,
         "scenario": _cmd_scenario,
         "profile": _cmd_profile,
-        "bench": _cmd_bench,
         "tables": _cmd_tables,
     }
     try:

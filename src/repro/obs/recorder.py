@@ -4,8 +4,7 @@ The observability layer is built around one contract: every hook site in
 the simulator holds a *recorder slot* that is either ``None`` (telemetry
 off -- the default everywhere) or an enabled recorder.  Hook sites guard
 their work behind a single ``if rec is not None`` so the fast kernel's
-hot paths pay exactly one pointer comparison when telemetry is off; the
-bench harness gates that cost at <= 2% of kernel throughput.
+hot paths pay exactly one pointer comparison when telemetry is off.
 
 Three event kinds exist, mirroring the Chrome trace-event model the
 exporter targets:
@@ -29,6 +28,8 @@ by construction, and the differential suite pins it.
 :func:`active` normalizes the public API's ``Optional[Recorder]`` into
 the internal hot-path slot: disabled recorders (``NullRecorder``) become
 ``None`` at wiring time, so a single ``if`` really is the whole cost.
+``tests/test_obs.py::TestRecorderWiring`` checks that no slot ever holds
+a disabled recorder.
 """
 
 from __future__ import annotations

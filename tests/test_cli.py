@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 #: The directory alias of ``--cache`` that was retired; ``--cache PATH``
@@ -38,7 +41,6 @@ class TestEngineFlag:
         ["scenario", "run", "false-sharing-storm", "--small"],
         ["worker", "figure1", "--quick"],
         ["profile", "sc", "apache", "--small"],
-        ["bench", "--small"],
     ), ids=lambda argv: argv[0])
     def test_retired_batch_engine_exits_2(self, argv, capsys):
         """Every ``--engine`` flag offers only fast|reference."""
@@ -196,3 +198,25 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_removed_bench_subcommand_exits_2(self, capsys):
+        """No alias is left behind: ``perfbench/`` is the only timer."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_module_docstring_lists_every_subcommand(self, capsys):
+        """The docstring's count and its one example per subcommand."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        commands = re.search(r"\{([a-z,]+)\}", usage).group(1).split(",")
+        examples = re.findall(r"^ {4}python -m repro ([a-z]+)", cli.__doc__,
+                              flags=re.MULTILINE)
+        assert sorted(examples) == sorted(commands)
+        words = ("zero one two three four five six seven eight nine ten "
+                 "eleven twelve").split()
+        assert cli.__doc__.split("\n")[2].lower().startswith(
+            f"{words[len(commands)]} subcommands")

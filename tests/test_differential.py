@@ -10,6 +10,8 @@ suite compares against.  It asserts the guarantee across every built-in
 workload preset, every registered scenario, and the three controller
 kinds, at two and four cores, plus warmup and rollback-heavy corners,
 and that campaign cache keys/entries are engine-independent.
+``TestBenchmarkedGeometries`` adds the benchmarked kernel cell at full
+size and machines of 8 and 16 cores.
 ``TestEveryRegisteredConfig`` widens the comparison to every registered
 configuration on the engine grid (``tests/conftest.py``) and to the
 telemetry both engines record.
@@ -294,6 +296,36 @@ class TestMulticoreByteIdentical:
                                       seeds=(3,), warmup_fraction=0.0)
         config = make_config(config_name, settings)
         fast, ref = _run_both(config, trace)
+        assert fast.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
+@pytest.mark.parametrize("workload, cores, ops", (
+    ("apache", 4, 2000),
+    ("false-sharing-storm", 8, 500),
+    ("task-pool", 8, 500),
+    ("false-sharing-storm", 16, 500),
+    ("task-pool", 16, 500),
+    ("oltp-oracle", 16, 500),
+))
+class TestBenchmarkedGeometries:
+    """The cells the repository benchmark times, on both engines.
+
+    apache at 4 cores x 2000 ops is the kernel cell at full size; the
+    scaling study's scenarios at 8 and 16 cores and the miss-heavy
+    oltp-oracle preset at 16 cores are the wide machines (every other
+    class here runs two or four cores).  The repository benchmark
+    (``perfbench/``) times the fast engine on these geometries; this
+    pins that what it times still computes what the reference engine
+    specifies.
+    """
+
+    def test_fast_vs_reference(self, config_name, workload, cores, ops):
+        trace = build_trace(workload, num_threads=cores,
+                            ops_per_thread=ops, seed=3)
+        settings = ExperimentSettings(num_cores=cores, ops_per_thread=ops,
+                                      seeds=(3,), warmup_fraction=0.0)
+        fast, ref = _run_both(make_config(config_name, settings), trace)
         assert fast.to_json() == ref.to_json()
 
 

@@ -1,11 +1,12 @@
 """The observability subsystem: recorders, exporters, hooks, and the CLI.
 
-Covers the recorder protocol (``active`` normalization, the
-zero-overhead-when-off contract's wiring side), the Chrome trace-event
-export shape (``ph``/``ts``/``pid``/``tid``/``name`` on every event, the
-metadata track names, abort spans carrying their rollback cause), the
-schema-versioned ``telemetry.json`` payload, the ``campaign.*`` counters,
-and the ``repro profile`` / ``--telemetry`` CLI surface.
+Covers the recorder protocol (``active`` normalization), the wiring that
+makes a disabled recorder free (it never reaches a hook site), the
+Chrome trace-event export shape (``ph``/``ts``/``pid``/``tid``/``name``
+on every event, the metadata track names, abort spans carrying their
+rollback cause), the schema-versioned ``telemetry.json`` payload, the
+``campaign.*`` counters, and the ``repro profile`` / ``--telemetry`` CLI
+surface.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from repro.campaign import CampaignExecutor, DirectoryBackend, Job
 from repro.cli import main
 from repro.engine.simulator import simulate
+from repro.engine.system import ENGINE_KINDS, build_system
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.obs import (
     COHERENCE_TID_BASE,
@@ -98,6 +100,46 @@ class TestRecorderProtocol:
         assert span.pid == PID_CAMPAIGN
         assert span.ts == pytest.approx(1_000_000, abs=2)
         assert span.dur == pytest.approx(2_000_000, abs=2)
+
+
+class TestRecorderWiring:
+    """A disabled recorder costs nothing because no hook site ever sees it.
+
+    Every hook site guards on ``is not None``, so telemetry that is off
+    costs one pointer comparison per site -- provided ``build_system``
+    turns a disabled recorder into ``None`` before wiring it.  Results
+    cannot show a break here (a ``NullRecorder``'s methods do nothing), so
+    the slots themselves are checked.
+    """
+
+    CONFIGS = ("sc", "invisi_sc", "invisi_cont", "aso_sc")
+
+    @staticmethod
+    def _slots(config, engine, recorder):
+        settings = ExperimentSettings(num_cores=2, ops_per_thread=50,
+                                      seeds=(3,), warmup_fraction=0.0)
+        trace = build_trace("apache", num_threads=2, ops_per_thread=50, seed=3)
+        system = build_system(make_config(config, settings), trace,
+                              engine=engine, recorder=recorder)
+        slots = {"system.recorder": system.recorder,
+                 "memory._obs": system.memory._obs}
+        for core in system.cores:
+            slots[f"core{core.core_id}.obs"] = core.obs
+            slots[f"core{core.core_id}.controller._obs"] = core.controller._obs
+        return slots
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_disabled_recorder_reaches_no_slot(self, config, engine):
+        slots = self._slots(config, engine, NullRecorder())
+        assert {name: rec for name, rec in slots.items() if rec is not None} == {}
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_enabled_recorder_reaches_every_slot(self, config, engine):
+        recorder = TraceRecorder()
+        slots = self._slots(config, engine, recorder)
+        assert [name for name, rec in slots.items() if rec is not recorder] == []
 
 
 class TestChromeTraceExport:
@@ -206,14 +248,20 @@ class TestTelemetryPayload:
 
 
 class TestEngineCounters:
-    """Heap traffic by kind on the kernel cell (apache, 4 cores x 2000 ops)."""
+    """Heap traffic by kind on the kernel cells (apache, 4 cores x 2000 ops).
+
+    One cell per controller kind: conventional, selective and continuous
+    speculation each take their own fast-engine kernel.
+    """
 
     #: (steps, callbacks, heap pops, inline ops, events_processed)
     EXPECTED = {
         ("fast", "sc"): (1542, 0, 1542, 6464, 8006),
         ("fast", "invisi_sc"): (2190, 602, 2792, 5909, 8701),
+        ("fast", "invisi_cont"): (1783, 111, 1894, 6513, 8407),
         ("reference", "sc"): (8006, 0, 8006, 0, 8006),
         ("reference", "invisi_sc"): (8099, 602, 8701, 0, 8701),
+        ("reference", "invisi_cont"): (8296, 111, 8407, 0, 8407),
     }
 
     @pytest.fixture(scope="class")
