@@ -5,6 +5,7 @@ import pytest
 from tests.conftest import tiny_config
 from repro.coherence.memory_system import MemorySystem
 from repro.coherence.messages import ConflictResolution
+from repro.config import resolved_interconnect
 from repro.errors import SimulationError
 from repro.memory.block import CoherenceState
 
@@ -89,15 +90,21 @@ class TestBasicAccesses:
     def test_l2_miss_costs_memory_latency(self):
         mem = make_mem()
         cold = mem.access(0, BLOCK, is_write=False, now=0)
-        warm = mem.access(1, BLOCK + 64, is_write=False, now=0)
-        # Both are cold; compare against a block already present in the L2.
-        mem.access(0, BLOCK + 128, is_write=False, now=0)
-        again = mem.access(1, BLOCK + 128, is_write=False, now=10_000)
-        assert again.record.l2_hit
+        # Two more blocks of the same L1 set evict the (clean) block, so
+        # the directory drops it while the L2 keeps it.
+        stride = mem.config.l1.num_sets * 64
+        mem.access(0, BLOCK + stride, is_write=False, now=1000)
+        mem.access(0, BLOCK + 2 * stride, is_write=False, now=2000)
+        assert not mem.contains(0, BLOCK)
+        warm = mem.access(0, BLOCK, is_write=False, now=3000)
         assert not cold.record.l2_hit
-        assert cold.latency_proxy if hasattr(cold, "latency_proxy") else True
-        assert (cold.completion_time - cold.record.start_time
-                > again.completion_time - again.record.start_time - mem.config.memory_latency)
+        assert warm.record.l2_hit
+        assert warm.record.forwarded_from_owner is None
+        # Same requester, same home, both served by the directory: the
+        # miss pays exactly the memory latency on top of the hit.
+        assert ((cold.completion_time - cold.record.issue_time)
+                - (warm.completion_time - warm.record.issue_time)
+                == mem.config.memory_latency)
 
 
 class TestOwnerForwarding:
@@ -282,6 +289,109 @@ class TestStorePrefetchLead:
         a = slow.access(0, BLOCK, is_write=False, now=0)
         b = fast.access(0, BLOCK, is_write=False, now=0)
         assert a.completion_time == b.completion_time
+
+
+class TestExactLatencies:
+    """Exact completion times, one test per coherence transaction shape.
+
+    ``tiny_config`` latencies: 10 cycles per hop, directory 4, L1 hit 2,
+    L2 hit 10, memory 40.  ``BLOCK`` is block 1000, so its home is node
+    ``1000 % nodes``: node 0 on the 2x2 torus of up to 4 cores, node 8
+    (coordinates (0, 2)) on the 4x4 torus of 16 cores.  Node ``n`` of a
+    ``w``-wide torus sits at ``(n % w, n // w)``.
+    """
+
+    @staticmethod
+    def _assert_record(out, start, completion, l2_hit, owner=None,
+                       sharers=()):
+        record = out.record
+        assert (record.start_time, record.completion_time) == (start, completion)
+        assert out.completion_time == completion
+        assert record.l2_hit is l2_hit
+        assert record.forwarded_from_owner == owner
+        assert record.invalidated_sharers == list(sharers)
+
+    def test_two_hop_l2_miss(self):
+        mem = make_mem(num_cores=4)
+        out = mem.access(3, BLOCK, is_write=False, now=0)
+        # core 3 -> home 0 is two hops: 20; directory 4 + L2 10 + memory
+        # 40; home -> core 3: 20.
+        self._assert_record(out, start=20, completion=94, l2_hit=False)
+        assert out.state is CoherenceState.EXCLUSIVE
+
+    def test_two_hop_l2_hit(self):
+        mem = make_mem(num_cores=4)
+        mem.access(0, BLOCK, is_write=False, now=0)      # owner 0, L2 fill
+        mem.access(1, BLOCK, is_write=False, now=1000)   # both now share
+        out = mem.access(3, BLOCK, is_write=False, now=5000)
+        # 5000 + 20 to home; directory 4 + L2 10; 20 back.
+        self._assert_record(out, start=5020, completion=5054, l2_hit=True)
+        assert out.state is CoherenceState.SHARED
+        assert mem.directory.entry(BLOCK).sharers == {0, 1, 3}
+
+    def test_three_hop_forward_from_modified_owner(self):
+        mem = make_mem(num_cores=4)
+        mem.access(1, BLOCK, is_write=True, now=0)
+        out = mem.access(3, BLOCK, is_write=False, now=1000)
+        # 1000 + 20 to home 0; the probe reaches owner 1 one hop later
+        # (1030); directory 4 + L1 hit 2 at the owner; owner 1 -> core 3
+        # is one hop: 1036 + 10.
+        self._assert_record(out, start=1020, completion=1046, l2_hit=True,
+                            owner=1)
+        assert out.state is CoherenceState.SHARED
+        owner_block = mem.l1(1).lookup(BLOCK, touch=False)
+        assert owner_block.state is CoherenceState.SHARED
+        assert not owner_block.dirty
+
+    def test_farthest_sharer_ack_sets_write_completion(self):
+        mem = make_mem(num_cores=16)
+        mem.access(9, BLOCK, is_write=False, now=0)      # owner 9, L2 fill
+        mem.access(2, BLOCK, is_write=False, now=1000)   # sharers {2, 9}
+        out = mem.access(8, BLOCK, is_write=True, now=5000)
+        # Core 8 is the home node, so the request and the L2 data cost no
+        # network time: 5000 + 4 + 10 = 5014.  Sharer 9 at (1, 2) is one
+        # hop away: its ack is back at 5000 + 10 + 10.  Sharer 2 at (2, 0)
+        # is four hops away: 5000 + 40 + 40 = 5080 sets the completion.
+        self._assert_record(out, start=5000, completion=5080, l2_hit=True,
+                            sharers=(2, 9))
+        assert out.state is CoherenceState.MODIFIED
+        assert not mem.contains(2, BLOCK) and not mem.contains(9, BLOCK)
+
+    def test_same_block_requests_serialise_on_busy_until(self):
+        mem = make_mem()
+        first = mem.access(1, BLOCK, is_write=True, now=0)
+        # One hop to home 0 (10); directory 4 + L2 10 + memory 40; one hop
+        # back.  The directory entry stays busy until 10 + 4.
+        self._assert_record(first, start=10, completion=74, l2_hit=False)
+        second = mem.access(0, BLOCK, is_write=True, now=10)
+        # Core 0 is at home and arrives at 10, but starts at 14; the probe
+        # reaches owner 1 at 24, and 24 + 4 + 2 + 10 hops back.
+        assert second.record.issue_time == 10
+        self._assert_record(second, start=14, completion=40, l2_hit=True,
+                            owner=1)
+
+    def test_store_prefetch_lead(self):
+        mem = MemorySystem(tiny_config(store_prefetch_lead=30),
+                           record_transactions=True)
+        out = mem.access(0, BLOCK, is_write=True, now=0)
+        # Core 0 is at home 0: 0 + 4 + 10 + 40 = 54 without the lead.
+        self._assert_record(out, start=0, completion=24, l2_hit=False)
+        load = mem.access(0, BLOCK + 64 * 4, is_write=False, now=100)
+        self._assert_record(load, start=100, completion=154, l2_hit=False)
+
+    def test_queued_link_delays_a_second_request(self):
+        config = tiny_config().replace(interconnect=resolved_interconnect(
+            2, hop_latency=10, contention="queued", link_bandwidth=1))
+        mem = MemorySystem(config, record_transactions=True)
+        first = mem.access(1, BLOCK, is_write=False, now=0)
+        # Uncontended: one hop each way around the 1x2 ring.
+        self._assert_record(first, start=10, completion=74, l2_hit=False)
+        assert mem.contention_cycles == 0
+        second = mem.access(1, BLOCK + 64 * 2, is_write=False, now=0)
+        # Same home, same link: the request waits one link occupancy (10)
+        # behind the first, and its data leaves home at 20 + 54 = 74.
+        self._assert_record(second, start=20, completion=84, l2_hit=False)
+        assert mem.contention_cycles == 10
 
 
 class TestInvariants:
