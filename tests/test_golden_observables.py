@@ -11,6 +11,13 @@ counters.  It leaves out ``events_processed`` (engine bookkeeping) and
 the result schema version, so neither engine work nor a wire-format
 bump moves it.  Both engines must reproduce it.
 
+The grid's configs all run the contention-free interconnect on one L2
+bank.  The shared miss path specialises on both, so the file also pins
+every grid config on one contended workload twice more: under the
+queued interconnect (``name@queued``, built as
+``tests/test_differential.py::TestQueuedInterconnectEquivalence`` builds
+it) and with a two-bank L2 (``name@l2x2``).
+
 To regenerate after an intentional change to simulated behaviour::
 
     PYTHONPATH=src python tests/test_golden_observables.py --regen
@@ -24,6 +31,7 @@ import pytest
 if __name__ == "__main__":  # run as a script: make ``tests`` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from repro.config import resolved_interconnect  # noqa: E402
 from repro.cpu.stats import BREAKDOWN_COMPONENTS  # noqa: E402
 from repro.engine.simulator import simulate  # noqa: E402
 from repro.engine.system import ENGINE_KINDS  # noqa: E402
@@ -35,6 +43,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "observables.txt"
 
 #: speculation counters summed over the cores of a cell.
 SPEC_COUNTERS = ("speculations", "commits", "aborts", "replayed_ops")
+
+#: the contended workload the queued and banked variants run.
+VARIANT_WORKLOAD = "false-sharing-storm"
+
+
+def variant_configs(configs):
+    """Each config under the queued interconnect and with two L2 banks."""
+    variants = {}
+    for suffix, vary in (
+            ("queued", lambda c: c.replace(interconnect=resolved_interconnect(
+                GRID_CORES, hop_latency=c.interconnect.hop_latency,
+                contention="queued", link_bandwidth=2))),
+            ("l2x2", lambda c: c.replace(l2_banks=2))):
+        for name, config in configs.items():
+            variants[f"{name}@{suffix}"] = vary(config)
+    return variants
 
 
 def observables_line(name: str, workload: str, result) -> str:
@@ -58,6 +82,11 @@ def build_lines(engine: str = "fast") -> str:
         for name, config in configs.items():
             result = simulate(config, trace, engine=engine)
             lines.append(observables_line(name, workload, result))
+    trace = build_trace(VARIANT_WORKLOAD, num_threads=GRID_CORES,
+                        ops_per_thread=GRID_OPS, seed=GRID_SEED)
+    for name, config in variant_configs(configs).items():
+        result = simulate(config, trace, engine=engine)
+        lines.append(observables_line(name, VARIANT_WORKLOAD, result))
     return "\n".join(lines) + "\n"
 
 
