@@ -44,9 +44,16 @@ class OpKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemOp:
-    """One operation in a program-order trace."""
+    """One operation in a program-order trace.
+
+    Slotted, so an op is small and cheap to build: trace generation makes
+    hundreds of thousands of them.  A direct ``MemOp(...)`` call (the
+    serializer, ``dataclasses.replace``, tests) validates in
+    :meth:`__post_init__`; the constructors below validate their own
+    arguments and skip the generated ``__init__``.
+    """
 
     kind: OpKind
     #: byte address for memory operations; ignored for FENCE/COMPUTE.
@@ -92,27 +99,69 @@ class MemOp:
 
 
 # -- concise constructors used throughout tests and generators -------------
+#
+# Each constructor checks what MemOp.__post_init__ would check for its
+# kind, then fills the five slots through the class's slot descriptors:
+# the frozen dataclass's generated __init__ would pay one
+# object.__setattr__ per field plus the __post_init__ call.
+
+_new_op = object.__new__
+_set_kind = MemOp.__dict__["kind"].__set__
+_set_address = MemOp.__dict__["address"].__set__
+_set_size = MemOp.__dict__["size"].__set__
+_set_cycles = MemOp.__dict__["cycles"].__set__
+_set_label = MemOp.__dict__["label"].__set__
+
+
+def _memory_op(kind: OpKind, address: int, size: int,
+               label: Optional[str]) -> MemOp:
+    if address < 0:
+        raise TraceError("memory operations need a non-negative address")
+    if size <= 0:
+        raise TraceError("memory operations need a positive size")
+    op = _new_op(MemOp)
+    _set_kind(op, kind)
+    _set_address(op, address)
+    _set_size(op, size)
+    _set_cycles(op, 1)
+    _set_label(op, label)
+    return op
+
 
 def load(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct a LOAD operation."""
-    return MemOp(OpKind.LOAD, address=address, size=size, label=label)
+    return _memory_op(OpKind.LOAD, address, size, label)
 
 
 def store(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct a STORE operation."""
-    return MemOp(OpKind.STORE, address=address, size=size, label=label)
+    return _memory_op(OpKind.STORE, address, size, label)
 
 
 def atomic(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct an ATOMIC read-modify-write operation."""
-    return MemOp(OpKind.ATOMIC, address=address, size=size, label=label)
+    return _memory_op(OpKind.ATOMIC, address, size, label)
 
 
 def fence(label: Optional[str] = None) -> MemOp:
     """Construct a full memory FENCE."""
-    return MemOp(OpKind.FENCE, label=label)
+    op = _new_op(MemOp)
+    _set_kind(op, OpKind.FENCE)
+    _set_address(op, 0)
+    _set_size(op, 8)
+    _set_cycles(op, 1)
+    _set_label(op, label)
+    return op
 
 
 def compute(cycles: int, label: Optional[str] = None) -> MemOp:
     """Construct a COMPUTE bundle occupying ``cycles`` cycles."""
-    return MemOp(OpKind.COMPUTE, cycles=cycles, label=label)
+    if cycles <= 0:
+        raise TraceError("compute bundles must take at least one cycle")
+    op = _new_op(MemOp)
+    _set_kind(op, OpKind.COMPUTE)
+    _set_address(op, 0)
+    _set_size(op, 8)
+    _set_cycles(op, cycles)
+    _set_label(op, label)
+    return op

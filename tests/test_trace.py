@@ -1,5 +1,8 @@
 """Tests for repro.trace (ops, containers, serialization)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import TraceError
@@ -50,6 +53,69 @@ class TestOps:
         op = load(64)
         with pytest.raises(Exception):
             op.address = 128
+
+
+class TestSlottedOps:
+    """The constructors build, without ``MemOp.__init__``, the same ops."""
+
+    CASES = [
+        (load(64), MemOp(OpKind.LOAD, address=64)),
+        (load(72, 4, "shared"),
+         MemOp(OpKind.LOAD, address=72, size=4, label="shared")),
+        (store(0), MemOp(OpKind.STORE, address=0)),
+        (store(128, 16, "private"),
+         MemOp(OpKind.STORE, address=128, size=16, label="private")),
+        (atomic(192, label="lock_acquire"),
+         MemOp(OpKind.ATOMIC, address=192, label="lock_acquire")),
+        (fence(), MemOp(OpKind.FENCE)),
+        (fence("barrier"), MemOp(OpKind.FENCE, label="barrier")),
+        (compute(1), MemOp(OpKind.COMPUTE)),
+        (compute(7, "work"), MemOp(OpKind.COMPUTE, cycles=7, label="work")),
+    ]
+
+    @pytest.mark.parametrize("built, direct", CASES)
+    def test_equal_and_hash_alike(self, built, direct):
+        assert type(built) is MemOp
+        assert built == direct
+        assert hash(built) == hash(direct)
+        assert dataclasses.astuple(built) == dataclasses.astuple(direct)
+
+    def test_ops_have_no_instance_dict(self):
+        assert not hasattr(load(64), "__dict__")
+
+    @pytest.mark.parametrize("build, direct", [
+        (lambda: load(-8), lambda: MemOp(OpKind.LOAD, address=-8)),
+        (lambda: store(64, 0), lambda: MemOp(OpKind.STORE, address=64, size=0)),
+        (lambda: atomic(64, -1),
+         lambda: MemOp(OpKind.ATOMIC, address=64, size=-1)),
+        (lambda: compute(0), lambda: MemOp(OpKind.COMPUTE, cycles=0)),
+    ])
+    def test_bad_inputs_raise_the_same_error(self, build, direct):
+        with pytest.raises(TraceError) as built_error:
+            build()
+        with pytest.raises(TraceError) as direct_error:
+            direct()
+        assert str(built_error.value) == str(direct_error.value)
+
+    @pytest.mark.parametrize("op", [load(64), fence(), compute(3)])
+    def test_assignment_raises_frozen_instance_error(self, op):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.address = 128
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.label = "x"
+
+    @pytest.mark.parametrize("built, direct", CASES)
+    def test_pickle_round_trip(self, built, direct):
+        again = pickle.loads(pickle.dumps(built))
+        assert again == direct and hash(again) == hash(direct)
+
+    def test_replace_round_trip(self):
+        op = store(64, label="shared")
+        moved = dataclasses.replace(op, address=128)
+        assert moved == store(128, label="shared")
+        assert dataclasses.replace(moved, address=64) == op
+        with pytest.raises(TraceError):
+            dataclasses.replace(op, address=-1)
 
 
 class TestTrace:
