@@ -63,27 +63,30 @@ class Directory:
 
     def __init__(self, block_bytes: int) -> None:
         self._block_bytes = block_bytes
-        self._entries: Dict[int, DirectoryEntry] = {}
+        #: block address -> entry for every block ever requested.  The
+        #: memory system's transaction engine reads and fills it directly
+        #: (as :meth:`entry` would); nothing ever removes an entry.
+        self.entries: Dict[int, DirectoryEntry] = {}
 
     def entry(self, block_addr: int) -> DirectoryEntry:
         """Return (creating if needed) the entry for an aligned block address."""
-        entry = self._entries.get(block_addr)
+        entry = self.entries.get(block_addr)
         if entry is None:
             entry = DirectoryEntry(address=block_addr)
-            self._entries[block_addr] = entry
+            self.entries[block_addr] = entry
         return entry
 
     def peek(self, block_addr: int) -> Optional[DirectoryEntry]:
         """Return the entry if it exists, without creating it."""
-        return self._entries.get(block_addr)
+        return self.entries.get(block_addr)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[DirectoryEntry]:
-        return iter(self._entries.values())
+        return iter(self.entries.values())
 
     def check_invariants(self) -> None:
         """Validate all entries (used by tests and debug assertions)."""
-        for entry in self._entries.values():
+        for entry in self.entries.values():
             entry.check()

@@ -35,14 +35,18 @@ from ..memory.address import block_mask
 from ..memory.block import CoherenceState
 from ..memory.cache import NO_VICTIM, CacheArray
 from ..obs.recorder import COHERENCE_TID_BASE, active
-from .directory import Directory
+from .directory import Directory, DirectoryEntry
 from .l2 import L2Cache
 from .messages import AccessOutcome, ConflictResolution, TransactionKind, TransactionRecord
 
 
 _INVALID = CoherenceState.INVALID
+_SHARED = CoherenceState.SHARED
 _EXCLUSIVE = CoherenceState.EXCLUSIVE
 _MODIFIED = CoherenceState.MODIFIED
+_GETS = TransactionKind.GETS
+_GETM = TransactionKind.GETM
+_UPGRADE = TransactionKind.UPGRADE
 
 
 class ExternalConflictListener(Protocol):
@@ -77,6 +81,24 @@ class MemorySystem:
         self._hit_latency = config.l1.hit_latency
         self._l2 = L2Cache(config.l2, banks=config.l2_banks)
         self._directory = Directory(config.block_bytes)
+        # What the transaction engine reads without a call, fixed by the
+        # config at construction (DESIGN section 9): the directory's entry
+        # map; the uncontended latency matrix, or None under the queued
+        # interconnect, whose legs must each go through traverse(); and a
+        # one-bank L2's line index, or None when banked (probe() then
+        # finds the bank and its bank-local address).
+        self._dir_entries = self._directory.entries
+        self._net = None if self._latency.contended else self._latency.net
+        self._traverse = self._latency.traverse
+        self._l2_lines = (self._l2.single.lines if self._l2.single is not None
+                          else None)
+        self._dir_latency = config.directory_latency
+        #: directory lookup plus L2 data access, without and with memory.
+        self._l2_hit_cost = config.directory_latency + config.l2.hit_latency
+        self._l2_miss_cost = self._l2_hit_cost + config.memory_latency
+        #: an owner's share of a three-hop forward: directory plus L1 hit.
+        self._forward_cost = config.directory_latency + config.l1.hit_latency
+        self._prefetch_lead = config.store_prefetch_lead
         self._listeners: Dict[int, ExternalConflictListener] = {}
         self._record = record_transactions
         self._block_mask = block_mask(config.block_bytes)
@@ -154,8 +176,11 @@ class MemorySystem:
         Only a coherence transaction with recording on builds a record.
         """
         baddr = addr & self._block_mask
-        block = self._l1s[core_id].lookup(baddr)
-        if block is not None:
+        block = self._l1_lines[core_id].get(baddr)
+        if block is not None and block.state is not _INVALID:
+            l1 = self._l1s[core_id]
+            l1.lru_clock += 1
+            block.last_use = l1.lru_clock
             if not is_write:
                 self.l1_hits[core_id] += 1
                 if spec_checkpoint is not None:
@@ -168,14 +193,14 @@ class MemorySystem:
                                             spec_checkpoint), 0
             # Present but Shared: upgrade miss.
             self.upgrades[core_id] += 1
-            return self._transaction(core_id, baddr, TransactionKind.UPGRADE,
-                                     True, now, spec_checkpoint)
+            return self._transaction(core_id, baddr, _UPGRADE, True, now,
+                                     spec_checkpoint)
         self.l1_misses[core_id] += 1
         if is_write:
-            return self._transaction(core_id, baddr, TransactionKind.GETM,
-                                     True, now, spec_checkpoint)
-        return self._transaction(core_id, baddr, TransactionKind.GETS,
-                                 False, now, spec_checkpoint)
+            return self._transaction(core_id, baddr, _GETM, True, now,
+                                     spec_checkpoint)
+        return self._transaction(core_id, baddr, _GETS, False, now,
+                                 spec_checkpoint)
 
     def access(self, core_id: int, addr: int, is_write: bool, now: int,
                spec_checkpoint: Optional[int] = None) -> AccessOutcome:
@@ -283,28 +308,42 @@ class MemorySystem:
         return completion
 
     # -- the coherence transaction engine ----------------------------------
+    #
+    # One frame per transaction, shared by both engines: the directory
+    # entry, the network legs, the L2 probe and the L1 line checks are
+    # read here, not through Directory, LatencyModel, L2Cache or CacheArray
+    # calls.  Only the L1 fill (prepare_fill/install), the L2 fills, and
+    # the listener hooks (conflicts, forced commit) are calls.
 
     def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
                      is_write: bool, now: int,
                      spec_checkpoint: Optional[int]) -> Tuple[int, int]:
         """Run one coherence transaction; see :meth:`request` for the result."""
-        config = self._config
         home = (baddr // self._block_bytes) % self._num_nodes
-        entry = self._directory.entry(baddr)
+        entry = self._dir_entries.get(baddr)
+        if entry is None:
+            entry = self._dir_entries[baddr] = DirectoryEntry(address=baddr)
+        net = self._net
+        l1_lines = self._l1_lines
 
         # The request travels to the home node (queuing behind other
         # messages under the contended interconnect) and is serialised
         # behind any in-flight transaction for the same block.
-        arrive_home = self._latency.traverse(core_id, home, now)
-        start = max(arrive_home, entry.busy_until)
+        if net is not None:
+            arrive_home = now + net[core_id][home]
+        else:
+            arrive_home = self._traverse(core_id, home, now)
+        start = entry.busy_until if entry.busy_until > arrive_home else arrive_home
 
         # Clean up stale directory information about the requester itself
         # (e.g. after an abort invalidated the L1 copy without notifying the
         # directory, or after a silent eviction).
-        stale_owner = entry.owner == core_id and not self._l1s[core_id].contains(baddr)
-        if stale_owner:
-            entry.owner = None
-        entry.sharers.discard(core_id)
+        if entry.owner == core_id:
+            own = l1_lines[core_id].get(baddr)
+            if own is None or own.state is _INVALID:
+                entry.owner = None
+        sharers = entry.sharers
+        sharers.discard(core_id)
 
         if self._obs is not None:
             self._obs.count("coherence.transactions")
@@ -320,39 +359,119 @@ class MemorySystem:
                                        block_address=baddr, issue_time=now,
                                        start_time=start, completion_time=start)
 
-        completion = start
-        if entry.owner is not None:
-            completion, l2_hit = self._handle_owner(core_id, baddr, entry, home, start,
-                                                    is_write, record)
+        owner = entry.owner
+        if owner is not None:
+            # Three-hop: forward to the owner.  The probe leg home -> owner
+            # is one physical message; its arrival anchors both conflict
+            # detection and the forwarded data response.
+            assert owner != core_id
+            if record is not None:
+                record.forwarded_from_owner = owner
+            if net is not None:
+                probe_arrival = start + net[home][owner]
+                completion = (probe_arrival + self._forward_cost
+                              + net[owner][core_id])
+            else:
+                probe_arrival = self._traverse(home, owner, start)
+                completion = self._traverse(owner, core_id,
+                                            probe_arrival + self._forward_cost)
+            owner_block = l1_lines[owner].get(baddr)
+            if owner_block is not None and owner_block.state is not _INVALID:
+                # An external write conflicts with either speculative bit,
+                # an external read only with the speculatively-written one.
+                if owner_block.spec_written is not None or (
+                        is_write and owner_block.spec_read is not None):
+                    delay = self._resolve_conflict(owner, baddr, is_write,
+                                                   probe_arrival)
+                    completion += delay
+                    if record is not None:
+                        record.conflicts.append(owner)
+                        record.deferred_cycles = max(record.deferred_cycles,
+                                                     delay)
+                if is_write:
+                    owner_block.invalidate()
+                else:
+                    owner_block.state = _SHARED
+                    owner_block.dirty = False
+            # The owner's (pre-speculative) data is written back to the L2.
+            self._l2.install_dirty(baddr)
+            l2_hit = True
+            entry.owner = None
+            if not is_write:
+                sharers.add(owner)
+                sharers.add(core_id)
         else:
-            l2_hit = self._l2.probe(baddr)
-            completion = self._latency.traverse(
-                home, core_id, start + self._latency.directory_access(l2_hit))
+            l2_lines = self._l2_lines
+            if l2_lines is not None:
+                line = l2_lines.get(baddr)
+                l2_hit = line is not None and line.state is not _INVALID
+                if l2_hit:
+                    self._l2.hits += 1
+                else:
+                    self._l2.misses += 1
+            else:
+                l2_hit = self._l2.probe(baddr)
+            depart = start + (self._l2_hit_cost if l2_hit
+                              else self._l2_miss_cost)
+            if net is not None:
+                completion = depart + net[home][core_id]
+            else:
+                completion = self._traverse(home, core_id, depart)
             if not l2_hit:
                 self._l2.install(baddr)
         if record is not None:
             record.l2_hit = l2_hit
 
-        if is_write and entry.sharers:
-            completion = max(completion,
-                             self._handle_invalidations(core_id, baddr, entry, home,
-                                                        start, record))
+        if is_write and sharers:
+            # Invalidate every sharer in parallel; the last ack sets the
+            # completion.
+            fanout = 0
+            for sharer in sorted(sharers):
+                if sharer == core_id:
+                    continue
+                fanout += 1
+                if record is not None:
+                    record.invalidated_sharers.append(sharer)
+                if net is not None:
+                    arrival = start + net[home][sharer]
+                    ack = arrival + net[sharer][core_id]
+                else:
+                    arrival = self._traverse(home, sharer, start)
+                    ack = self._traverse(sharer, core_id, arrival)
+                sharer_block = l1_lines[sharer].get(baddr)
+                if sharer_block is not None \
+                        and sharer_block.state is not _INVALID:
+                    if sharer_block.spec_read is not None \
+                            or sharer_block.spec_written is not None:
+                        delay = self._resolve_conflict(sharer, baddr, True,
+                                                       arrival)
+                        ack += delay
+                        if record is not None:
+                            record.conflicts.append(sharer)
+                            record.deferred_cycles = max(
+                                record.deferred_cycles, delay)
+                    sharer_block.invalidate()
+                if ack > completion:
+                    completion = ack
+            if self._obs is not None and fanout:
+                self._obs.count("coherence.invalidations", fanout)
+                self._obs.observe("coherence.inval_fanout", fanout)
 
         # Directory occupancy for the next transaction to this block.
-        entry.busy_until = start + config.directory_latency
+        entry.busy_until = start + self._dir_latency
 
         # Update directory state.  Exclusive fills are tracked as ownership so
         # that a later silent E->M write hit cannot leave stale sharers.
         if is_write:
-            entry.sharers.clear()
+            sharers.clear()
             entry.owner = core_id
-            new_state = CoherenceState.MODIFIED
-        elif entry.owner is None and not entry.sharers:
+            new_state = _MODIFIED
+        elif entry.owner is None and not sharers:
             entry.owner = core_id
-            new_state = CoherenceState.EXCLUSIVE
+            new_state = _EXCLUSIVE
         else:
-            entry.sharers.add(core_id)
-            new_state = CoherenceState.SHARED
+            sharers.add(core_id)
+            new_state = _SHARED
 
         # Fill the requester's L1.
         l1 = self._l1s[core_id]
@@ -368,92 +487,19 @@ class MemorySystem:
             else:
                 block.mark_spec_read(spec_checkpoint)
 
-        if is_write and config.store_prefetch_lead:
+        if is_write and self._prefetch_lead:
             # Store prefetching: by retirement the write miss has already
             # been outstanding for a while, so the retirement stage observes
             # a shorter remaining latency.
-            earliest = now + config.l1.hit_latency + forced_delay
-            completion = max(earliest, completion - config.store_prefetch_lead)
+            earliest = now + self._hit_latency + forced_delay
+            completion = max(earliest, completion - self._prefetch_lead)
 
         if record is not None:
             record.completion_time = completion
             self.transactions.append(record)
-        entry.check()
+        if entry.owner is not None and sharers:
+            entry.check()  # raises: single writer or multiple readers
         return completion, forced_delay
-
-    def _handle_owner(self, core_id: int, baddr: int, entry, home: int, start: int,
-                      is_write: bool, record: TransactionRecord):
-        """Forward the request to the current owner (three-hop transaction)."""
-        owner = entry.owner
-        assert owner is not None and owner != core_id
-        if record is not None:
-            record.forwarded_from_owner = owner
-        # The probe leg home -> owner is one physical message; its arrival
-        # anchors both conflict detection and the forwarded data response.
-        probe_arrival = self._latency.traverse(home, owner, start)
-        completion = self._latency.traverse(
-            owner, core_id,
-            probe_arrival + self._config.directory_latency
-            + self._config.l1.hit_latency)
-
-        owner_l1 = self._l1s[owner]
-        owner_block = owner_l1.lookup(baddr, touch=False)
-        conflict_delay = 0
-        if owner_block is not None:
-            conflicts = (owner_block.conflicts_with_external_write() if is_write
-                         else owner_block.conflicts_with_external_read())
-            if conflicts:
-                conflict_delay = self._resolve_conflict(owner, baddr, is_write,
-                                                        probe_arrival)
-                if record is not None:
-                    record.conflicts.append(owner)
-                    record.deferred_cycles = max(record.deferred_cycles,
-                                                 conflict_delay)
-            if is_write:
-                owner_block.invalidate()
-            else:
-                owner_block.state = CoherenceState.SHARED
-                owner_block.dirty = False
-        # The owner's (pre-speculative) data is written back to the L2.
-        self._l2.install_dirty(baddr)
-        l2_hit = True
-        if is_write:
-            entry.owner = None
-        else:
-            previous_owner = owner
-            entry.owner = None
-            entry.sharers.add(previous_owner)
-            entry.sharers.add(core_id)
-        return completion + conflict_delay, l2_hit
-
-    def _handle_invalidations(self, core_id: int, baddr: int, entry, home: int,
-                              start: int, record: TransactionRecord) -> int:
-        """Invalidate all sharers of a block being written; return ack time."""
-        worst = start
-        fanout = 0
-        for sharer in sorted(entry.sharers):
-            if sharer == core_id:
-                continue
-            fanout += 1
-            if record is not None:
-                record.invalidated_sharers.append(sharer)
-            arrival = self._latency.traverse(home, sharer, start)
-            ack = self._latency.traverse(sharer, core_id, arrival)
-            sharer_l1 = self._l1s[sharer]
-            sharer_block = sharer_l1.lookup(baddr, touch=False)
-            if sharer_block is not None:
-                if sharer_block.conflicts_with_external_write():
-                    delay = self._resolve_conflict(sharer, baddr, True, arrival)
-                    ack += delay
-                    if record is not None:
-                        record.conflicts.append(sharer)
-                        record.deferred_cycles = max(record.deferred_cycles, delay)
-                sharer_block.invalidate()
-            worst = max(worst, ack)
-        if self._obs is not None and fanout:
-            self._obs.count("coherence.invalidations", fanout)
-            self._obs.observe("coherence.inval_fanout", fanout)
-        return worst
 
     def _resolve_conflict(self, victim: int, baddr: int, is_write: bool,
                           arrival: int) -> int:
@@ -495,7 +541,7 @@ class MemorySystem:
 
     def _evict(self, core_id: int, victim, needs_writeback: bool) -> None:
         """Update directory/L2 state when an L1 block is evicted."""
-        entry = self._directory.peek(victim.address)
+        entry = self._dir_entries.get(victim.address)
         if entry is not None:
             entry.sharers.discard(core_id)
             if entry.owner == core_id:

@@ -199,13 +199,17 @@ class ConsistencyController:
         completion, forced = self.mem.request(self.core_id, op.address, False,
                                               now, spec_checkpoint)
         finish = max(completion, now + RETIRE_CYCLES)
-        total = finish - now
-        busy = min(total, RETIRE_CYCLES)
-        forced = min(forced, total - busy)
-        other = total - busy - forced
-        self._account("busy", busy)
-        self._account("sb_drain", forced)
-        self._account("other", other)
+        # No counter below can go negative (which CoreStats.add_cycles
+        # would reject): finish >= now + RETIRE_CYCLES, so the stall is
+        # >= 0; the forced-commit delay from request() is >= 0 and is
+        # capped at the stall, leaving a remainder >= 0 for ``other``.
+        stall = finish - now - RETIRE_CYCLES
+        if forced > stall:
+            forced = stall
+        stats = self.stats
+        stats.busy += RETIRE_CYCLES
+        stats.sb_drain += forced
+        stats.other += stall - forced
         return finish
 
     def _do_store(self, op: MemOp, now: int,
@@ -240,22 +244,46 @@ class ConsistencyController:
         """Stall for a free entry, then perform the store and buffer it.
 
         Every FIFO store ends here, hit or miss; a coalescing buffer's
-        store does when its block has a live entry or misses in the L1.
+        store does when its block has a live entry, or on the layered
+        path when it misses in the L1.  A miss goes on to
+        :meth:`_store_miss`.
         """
         if self.sb.is_full(now):
             now = self._wait_for_sb_slot(now)
         completion = self._store_hit_time(self.core_id, op.address, now,
                                           spec_checkpoint)
         if completion is None:
-            completion, forced = self.mem.request(self.core_id, op.address,
-                                                  True, now, spec_checkpoint)
-            if forced:
-                self._account("sb_drain", forced)
-                now += forced
+            return self._store_miss(op, now, spec_checkpoint)
         self.sb.add_store(op.address, now, completion,
                           speculative=spec_checkpoint is not None,
                           checkpoint_id=spec_checkpoint)
         self.stats.busy += RETIRE_CYCLES
+        return now + RETIRE_CYCLES
+
+    def _store_miss(self, op: MemOp, now: int,
+                    spec_checkpoint: Optional[int] = None) -> int:
+        """Stall for a free entry, then perform and buffer a store miss.
+
+        For a store whose hit probe has declined (``stores`` is counted).
+        The op kernels call it straight after their own probe: only
+        :meth:`_wait_for_sb_slot` runs between that probe and the request,
+        and it moves time, not L1 state, so a second probe would decline
+        too.
+        """
+        sb = self.sb
+        if sb.is_full(now):
+            now = self._wait_for_sb_slot(now)
+        completion, forced = self.mem.request(self.core_id, op.address, True,
+                                              now, spec_checkpoint)
+        stats = self.stats
+        if forced:
+            # request() returns a forced-commit delay >= 0, so this is > 0.
+            stats.sb_drain += forced
+            now += forced
+        sb.add_store(op.address, now, completion,
+                     speculative=spec_checkpoint is not None,
+                     checkpoint_id=spec_checkpoint)
+        stats.busy += RETIRE_CYCLES
         return now + RETIRE_CYCLES
 
     def _retire_store_hit(self, op: MemOp, now: int, completion: int,

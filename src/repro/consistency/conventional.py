@@ -63,7 +63,8 @@ class ConventionalController(ConsistencyController):
         """:meth:`process_op` as one flat kernel (the fast engine's entry).
 
         Loads and stores that hit the L1 are resolved here through one
-        hit probe; misses, store-buffer stalls, atomics and fences go to
+        hit probe; a store the probe declined goes to :meth:`_store_miss`,
+        and other misses, store-buffer stalls, atomics and fences go to
         the same helpers :meth:`process_op` uses.
         """
         kind = op.kind
@@ -88,7 +89,7 @@ class ConventionalController(ConsistencyController):
                     return self._buffer_store(op, now)
                 completion = self._store_hit_time(self.core_id, op.address, now)
                 if completion is None:
-                    return self._buffer_store(op, now)
+                    return self._store_miss(op, now)
                 if completion > now + self._hit_latency:
                     return self._retire_store_hit(op, now, completion, None)
                 stats.busy += RETIRE_CYCLES

@@ -139,8 +139,10 @@ class InvisiFenceContinuous(SpeculativeController):
 
         Resolves L1 load and store hits through one hit probe and keeps
         the chunk's op count and the size test of :meth:`_maybe_close_chunk`
-        in this frame; opening and closing chunks, misses, stalls, atomics
-        and fences go to the helpers :meth:`process_op` uses.
+        in this frame; a store the probe declined goes to
+        :meth:`_store_miss`, and opening and closing chunks, other misses,
+        stalls, atomics and fences go to the helpers :meth:`process_op`
+        uses.
         """
         checkpoints = self._checkpoints
         if checkpoints and checkpoints[-1].close_time is None:
@@ -170,7 +172,7 @@ class InvisiFenceContinuous(SpeculativeController):
                 completion = self._store_hit_time(self.core_id, op.address,
                                                   now, spec)
                 if completion is None:
-                    finish = self._buffer_store(op, now, spec)
+                    finish = self._store_miss(op, now, spec)
                 elif completion > now + self._hit_latency:
                     finish = self._retire_store_hit(op, now, completion, spec)
                 else:

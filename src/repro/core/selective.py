@@ -108,7 +108,8 @@ class InvisiFenceSelective(SpeculativeController):
         Decides whether to speculate, resolves L1 load and store hits
         through one hit probe, and keeps the checkpoint's op count, the
         second-checkpoint rule and the opportunistic commit check in this
-        frame; misses, stalls, atomics, fences and speculation start go to
+        frame; a store the probe declined goes to :meth:`_store_miss`, and
+        other misses, stalls, atomics, fences and speculation start go to
         the helpers :meth:`process_op` uses.
         """
         kind = op.kind
@@ -159,7 +160,7 @@ class InvisiFenceSelective(SpeculativeController):
                 completion = self._store_hit_time(self.core_id, op.address,
                                                   now, spec)
                 if completion is None:
-                    finish = self._buffer_store(op, now, spec)
+                    finish = self._store_miss(op, now, spec)
                 elif completion > now + self._hit_latency:
                     finish = self._retire_store_hit(op, now, completion, spec)
                 else:

@@ -90,16 +90,6 @@ class StoreBufferBase:
         """Entries still resident at time ``now`` (non-destructive)."""
         return [e for e in self._entries if e.release_time > now]
 
-    def _purge(self, now: int) -> None:
-        """Physically drop entries released at or before ``now``.
-
-        Only called from :meth:`add_store` with the inserting core's clock,
-        which never runs ahead of the queries that other components may make
-        about the present.
-        """
-        if self._entries:
-            self._entries = [e for e in self._entries if e.release_time > now]
-
     def occupancy(self, now: int) -> int:
         return sum(1 for e in self._entries if e.release_time > now)
 
@@ -152,16 +142,17 @@ class StoreBufferBase:
 
     def flash_invalidate_speculative(self, now: int,
                                      checkpoint_id: Optional[int] = None) -> int:
-        """Drop speculative entries (abort path); returns number dropped."""
-        live = self._live(now)
+        """Drop live speculative entries (abort path); returns number dropped.
 
-        def doomed(entry: StoreBufferEntry) -> bool:
-            if not entry.speculative or entry not in live:
-                return False
-            return checkpoint_id is None or entry.checkpoint_id == checkpoint_id
-
+        An entry released at or before ``now`` has left the buffer, so it
+        stays (until the next insertion purges it) and is not counted.
+        """
         before = len(self._entries)
-        self._entries = [e for e in self._entries if not doomed(e)]
+        self._entries = [
+            e for e in self._entries
+            if not (e.speculative and e.release_time > now
+                    and (checkpoint_id is None
+                         or e.checkpoint_id == checkpoint_id))]
         dropped = before - len(self._entries)
         if dropped:
             self.max_release = max(
@@ -187,20 +178,18 @@ class StoreBufferBase:
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
                   checkpoint_id: Optional[int] = None) -> StoreBufferEntry:
-        """Insert a store; the caller must have checked capacity first."""
-        raise NotImplementedError
+        """Insert a store; the caller must have checked capacity first.
 
-    def _record_insertion(self, entry: StoreBufferEntry) -> None:
-        self._insertions += 1
-        self.total_inserted += 1
-        entries = self._entries
-        entries.append(entry)
-        if entry.release_time > self.max_release:
-            self.max_release = entry.release_time
-        # add_store purges released entries before appending, so every
-        # current entry is live and the occupancy is just the list length.
-        if len(entries) > self.peak_occupancy:
-            self.peak_occupancy = len(entries)
+        One pass over the entries: drop those released at or before
+        ``now`` (the physical cleanup, done with the inserting core's own
+        clock, which never runs ahead of the queries other components
+        make about the present), raise :class:`StoreBufferError` when the
+        live entries fill the buffer, and append the new entry; a
+        coalescing buffer may instead merge the store into a live entry.
+        Every entry left after the purge is live, so the occupancy that
+        ``peak_occupancy`` tracks is just the list length.
+        """
+        raise NotImplementedError
 
 
 class FIFOStoreBuffer(StoreBufferBase):
@@ -241,37 +230,40 @@ class FIFOStoreBuffer(StoreBufferBase):
         # Monotone release times: the oldest live entry leaves first.
         return releases[first_live]
 
-    def _purge(self, now: int) -> None:
-        releases = self._releases
-        if releases and releases[0] <= now:
-            cut = bisect_right(releases, now)
-            del self._entries[:cut]
-            del releases[:cut]
-
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
                   checkpoint_id: Optional[int] = None) -> StoreBufferEntry:
-        if self.is_full(now):
-            raise StoreBufferError("FIFO store buffer overflow; check is_full first")
         # FIFO ordering: an entry can only be released after every older
         # entry has been released, so the release time is the running
         # maximum of completion times in insertion order.
         releases = self._releases
+        entries = self._entries
         release = completion_time
         if releases:
             if releases[-1] > release:
                 release = releases[-1]
-            self._purge(now)
+            if releases[0] <= now:
+                cut = bisect_right(releases, now)
+                del entries[:cut]
+                del releases[:cut]
         elif now > release:
             release = now
+        if len(releases) >= self._capacity:
+            raise StoreBufferError("FIFO store buffer overflow; check is_full first")
         entry = StoreBufferEntry(address=addr & self._address_mask,
                                  completion_time=completion_time,
                                  release_time=release,
                                  speculative=speculative,
                                  checkpoint_id=checkpoint_id,
                                  insertion_order=self._insertions)
-        self._record_insertion(entry)
+        self._insertions += 1
+        self.total_inserted += 1
+        entries.append(entry)
         releases.append(release)
+        if release > self.max_release:
+            self.max_release = release
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
         return entry
 
 
@@ -287,39 +279,50 @@ class CoalescingStoreBuffer(StoreBufferBase):
         self.coalesced = 0
         self._address_mask = block_mask(config.entry_bytes)
 
-    def find(self, addr: int, now: int, speculative: bool) -> Optional[StoreBufferEntry]:
-        """Find an existing live entry this store may coalesce into."""
-        baddr = addr & self._address_mask
-        for entry in self._entries:
-            if entry.address == baddr and entry.speculative == speculative \
-                    and entry.release_time > now:
-                return entry
-        return None
-
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
                   checkpoint_id: Optional[int] = None) -> StoreBufferEntry:
-        existing = self.find(addr, now, speculative)
-        if existing is not None:
-            # Coalesce: the entry's lifetime covers the latest completion.
-            self.coalesced += 1
-            existing.completion_time = max(existing.completion_time, completion_time)
-            existing.release_time = max(existing.release_time, completion_time)
-            if existing.release_time > self.max_release:
-                self.max_release = existing.release_time
-            return existing
-        if self.is_full(now):
+        """Coalesce into a live entry of the same block and kind, or insert.
+
+        The scan that looks for the entry to coalesce into also collects
+        the live entries; a coalescing store returns before the purge, so
+        only an insertion drops released entries.
+        """
+        baddr = addr & self._address_mask
+        live = []
+        for existing in self._entries:
+            if existing.release_time > now:
+                if existing.address == baddr \
+                        and existing.speculative == speculative:
+                    # Coalesce: the entry's lifetime covers the latest
+                    # completion.
+                    self.coalesced += 1
+                    if completion_time > existing.completion_time:
+                        existing.completion_time = completion_time
+                    if completion_time > existing.release_time:
+                        existing.release_time = completion_time
+                        if completion_time > self.max_release:
+                            self.max_release = completion_time
+                    return existing
+                live.append(existing)
+        if len(live) >= self._capacity:
             raise StoreBufferError(
                 "coalescing store buffer overflow; check is_full first"
             )
-        self._purge(now)
-        entry = StoreBufferEntry(address=addr & self._address_mask,
+        entry = StoreBufferEntry(address=baddr,
                                  completion_time=completion_time,
                                  release_time=completion_time,
                                  speculative=speculative,
                                  checkpoint_id=checkpoint_id,
                                  insertion_order=self._insertions)
-        self._record_insertion(entry)
+        self._insertions += 1
+        self.total_inserted += 1
+        live.append(entry)
+        self._entries = live
+        if completion_time > self.max_release:
+            self.max_release = completion_time
+        if len(live) > self.peak_occupancy:
+            self.peak_occupancy = len(live)
         return entry
 
 

@@ -1,15 +1,12 @@
-"""Latency model for coherence transactions.
+"""Network latency model for coherence transactions.
 
-Converts the structural path of a coherence transaction (requester ->
-home directory -> possibly a remote owner and/or sharers -> requester)
-into a cycle count, using the torus hop distances and the per-hop latency
-from the system configuration.
-
-The model is intentionally simple: each network traversal costs
-``hops * hop_latency`` cycles, the directory adds a fixed occupancy, an L2
-data hit adds the L2 hit latency, and an L2 miss adds the main-memory
-latency.  Invalidations to sharers proceed in parallel; their contribution
-is the worst-case sharer round trip (home -> sharer -> requester ack).
+Times each network leg of a coherence transaction (requester -> home
+directory -> possibly a remote owner and/or sharers -> requester), using
+the torus hop distances and the per-hop latency from the system
+configuration.  The memory system's transaction engine adds the rest:
+the directory occupancy, the L2 hit latency and, on an L2 miss, the
+main-memory latency; invalidations to sharers proceed in parallel, so
+the worst sharer round trip (home -> sharer -> requester ack) counts.
 
 Two traversal modes exist (``InterconnectConfig.contention``):
 
@@ -24,7 +21,7 @@ Two traversal modes exist (``InterconnectConfig.contention``):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..config import SystemConfig
 from .topology import TorusTopology
@@ -37,12 +34,14 @@ class LatencyModel:
         self._config = config
         self._topology = topology if topology is not None else TorusTopology(config.interconnect)
         self._hop = config.interconnect.hop_latency
-        # The torus is small (at most 64 nodes), so the full one-way
-        # latency matrix is precomputed once and network() becomes two list
-        # indexes instead of a hop computation per transaction leg.
         nodes = self._topology.num_nodes
-        self._net = [[self._topology.hops(src, dst) * self._hop
-                      for dst in range(nodes)] for src in range(nodes)]
+        #: one-way uncontended latency, ``net[src][dst]``: the torus is
+        #: small (at most 64 nodes), so the full matrix is precomputed and
+        #: a leg costs two list indexes.  Under ``contention="none"`` every
+        #: traversal is exactly ``depart + net[src][dst]``, which the
+        #: memory system's transaction engine reads directly.
+        self.net = [[self._topology.hops(src, dst) * self._hop
+                     for dst in range(nodes)] for src in range(nodes)]
         self._queued = config.interconnect.contention == "queued"
         self._occupancy = config.interconnect.link_occupancy
         #: per-directed-link free times (``node * 4 + direction``), plus one
@@ -62,7 +61,7 @@ class LatencyModel:
 
     def network(self, src: int, dst: int) -> int:
         """One-way *uncontended* network latency between two nodes."""
-        return self._net[src][dst]
+        return self.net[src][dst]
 
     def traverse(self, src: int, dst: int, depart: int) -> int:
         """Arrival time of a message leaving ``src`` for ``dst`` at ``depart``.
@@ -76,7 +75,7 @@ class LatencyModel:
         once: the call mutates link state.
         """
         if not self._queued:
-            return depart + self._net[src][dst]
+            return depart + self.net[src][dst]
         if src == dst:
             return depart
         free = self._link_free
@@ -98,36 +97,3 @@ class LatencyModel:
             start = time
         free[eject] = start + occupancy
         return start
-
-    def request_to_home(self, requester: int, home: int) -> int:
-        return self.network(requester, home)
-
-    def directory_access(self, l2_hit: bool) -> int:
-        """Directory lookup plus L2 data access (or memory on a miss)."""
-        latency = self._config.directory_latency + self._config.l2.hit_latency
-        if not l2_hit:
-            latency += self._config.memory_latency
-        return latency
-
-    def data_response(self, home: int, requester: int) -> int:
-        return self.network(home, requester)
-
-    def owner_forward(self, home: int, owner: int, requester: int) -> int:
-        """Three-hop forwarding: home -> owner probe -> data to requester."""
-        return (self.network(home, owner)
-                + self._config.l1.hit_latency
-                + self.network(owner, requester))
-
-    def invalidation_round(self, home: int, sharers: Iterable[int], requester: int) -> int:
-        """Worst-case invalidate/ack path over all sharers (in parallel)."""
-        worst = 0
-        for sharer in sharers:
-            if sharer == requester:
-                continue
-            path = self.network(home, sharer) + self.network(sharer, requester)
-            worst = max(worst, path)
-        return worst
-
-    def writeback(self, src: int, home: int) -> int:
-        """Latency of pushing a dirty or clean block down to the home L2."""
-        return self.network(src, home) + self._config.directory_latency

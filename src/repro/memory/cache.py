@@ -31,6 +31,8 @@ from ..errors import SimulationError
 from .address import block_mask
 from .block import CacheBlock, CoherenceState
 
+_INVALID = CoherenceState.INVALID
+
 
 @dataclass(frozen=True)
 class EvictionResult:
@@ -72,7 +74,8 @@ class CacheArray:
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
         #: block address -> block for every way the sets hold (INVALID
         #: placeholders included), so a lookup is one dict probe.  The
-        #: memory system's hit probes read it directly; only this class
+        #: memory system's hit probes and transaction engine read it
+        #: directly (an L1's, and a one-bank L2's); only this class
         #: mutates it, always together with ``_sets``.
         self.lines: Dict[int, CacheBlock] = {}
         #: blocks that have had a speculative bit set since the last flash
@@ -94,20 +97,12 @@ class CacheArray:
     def block_bytes(self) -> int:
         return self._block_bytes
 
-    def _set_for(self, baddr: int) -> Dict[int, CacheBlock]:
-        """The (materialized) set holding block ``baddr``; creates it if absent."""
-        index = (baddr >> self._block_shift) % self._num_sets
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
-        return cache_set
-
     # -- lookups ----------------------------------------------------------
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheBlock]:
         """Return the valid block containing ``addr`` or ``None``."""
         block = self.lines.get(addr & self._block_mask)
-        if block is None or block.state is CoherenceState.INVALID:
+        if block is None or block.state is _INVALID:
             return None
         if touch:
             self.lru_clock += 1
@@ -155,9 +150,12 @@ class CacheArray:
         """
         baddr = addr & self._block_mask
         existing = self.lines.get(baddr)
-        if existing is not None and existing.state is not CoherenceState.INVALID:
+        if existing is not None and existing.state is not _INVALID:
             return NO_VICTIM
-        cache_set = self._set_for(baddr)
+        index = (baddr >> self._block_shift) % self._num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = {}
         # Drop any stale invalid entry for this address.
         if existing is not None:
             del cache_set[baddr]
@@ -167,8 +165,7 @@ class CacheArray:
         # Purge invalid placeholders to free ways; only needed once the raw
         # way count fills up (invalid blocks are unobservable elsewhere:
         # lookups, iteration, and len() all skip them).
-        for key in [k for k, b in cache_set.items()
-                    if b.state is CoherenceState.INVALID]:
+        for key in [k for k, b in cache_set.items() if b.state is _INVALID]:
             del cache_set[key]
             del self.lines[key]
         if len(cache_set) < self._assoc:
@@ -191,12 +188,15 @@ class CacheArray:
         Callers must have invoked :meth:`prepare_fill` first when a new
         block may be needed; installing into a full set raises.
         """
-        if state is CoherenceState.INVALID:
+        if state is _INVALID:
             raise SimulationError("cannot install a block in the INVALID state")
         baddr = addr & self._block_mask
         block = self.lines.get(baddr)
         if block is None:
-            cache_set = self._set_for(baddr)
+            index = (baddr >> self._block_shift) % self._num_sets
+            cache_set = self._sets.get(index)
+            if cache_set is None:
+                cache_set = self._sets[index] = {}
             if len(cache_set) >= self._assoc:
                 raise SimulationError(
                     f"install into full set for address {baddr:#x}; "
@@ -216,7 +216,8 @@ class CacheArray:
         baddr = addr & self._block_mask
         block = self.lines.pop(baddr, None)
         if block is not None:
-            del self._set_for(baddr)[baddr]
+            # A resident block's set has materialized.
+            del self._sets[(baddr >> self._block_shift) % self._num_sets][baddr]
         return block
 
     # -- flash operations (Figure 3) --------------------------------------

@@ -184,11 +184,19 @@ class Test64CoreDirectory:
 
     def test_invalidation_latency_grows_with_sharer_distance(self):
         memory, config = self._system()
-        model = memory.latency_model
-        near = model.invalidation_round(home=0, sharers=[1], requester=0)
-        far = model.invalidation_round(home=0, sharers=list(range(1, 64)),
-                                       requester=0)
-        assert far > near
+        hop = config.interconnect.hop_latency
+        lead = config.store_prefetch_lead
+        # Both blocks live at home node 0, where the writer (core 0) sits.
+        # Near: the sharers are cores 1 and 8, one hop from node 0.
+        memory.access(1, 0x1000, is_write=False, now=0)
+        memory.access(8, 0x1000, is_write=False, now=1000)
+        near = memory.access(0, 0x1000, is_write=True, now=10_000)
+        assert near.completion_time == 10_000 + 2 * hop - lead
+        # Far: every other core shares; (4, 4) is eight hops away.
+        for core in range(1, 64):
+            memory.access(core, 0x2000, is_write=False, now=20_000 + core * 1000)
+        far = memory.access(0, 0x2000, is_write=True, now=200_000)
+        assert far.completion_time == 200_000 + 2 * 8 * hop - lead
 
     def test_flash_ops_scale_to_64_cores(self):
         memory, config = self._system()

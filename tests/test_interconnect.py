@@ -156,38 +156,6 @@ class TestLatencyModel:
         assert model.network(0, 1) == config.interconnect.hop_latency
         assert model.network(0, 2) == 2 * config.interconnect.hop_latency
 
-    def test_directory_access_includes_memory_on_miss(self):
-        config = paper_config()
-        model = LatencyModel(config)
-        hit = model.directory_access(l2_hit=True)
-        miss = model.directory_access(l2_hit=False)
-        assert miss == hit + config.memory_latency
-
-    def test_owner_forward_is_three_hop(self):
-        config = paper_config()
-        model = LatencyModel(config)
-        lat = model.owner_forward(home=0, owner=1, requester=2)
-        expected = (model.network(0, 1) + config.l1.hit_latency + model.network(1, 2))
-        assert lat == expected
-
-    def test_invalidation_round_takes_worst_sharer(self):
-        config = paper_config()
-        model = LatencyModel(config)
-        near = model.invalidation_round(home=0, sharers=[1], requester=0)
-        far = model.invalidation_round(home=0, sharers=[1, 10], requester=0)
-        assert far >= near
-
-    def test_invalidation_round_skips_requester(self):
-        model = LatencyModel(paper_config())
-        assert model.invalidation_round(home=0, sharers=[5], requester=5) == 0
-
-    def test_writeback_latency(self):
-        config = paper_config()
-        model = LatencyModel(config)
-        assert model.writeback(1, 1) == config.directory_latency
-        assert model.writeback(0, 1) == (config.interconnect.hop_latency
-                                         + config.directory_latency)
-
 
 class TestQueuedContention:
     """The opt-in per-link/per-ejection-port queued contention model."""

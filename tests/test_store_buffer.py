@@ -143,6 +143,26 @@ class TestCoalescing:
         with pytest.raises(StoreBufferError):
             sb.add_store(128, 0, 100)
 
+    def test_coalescing_leaves_released_entries_until_an_insertion(self):
+        sb = coalescing(entries=2)
+        sb.add_store(0, 0, 100)
+        live = sb.add_store(64, 0, 500)
+        assert sb.add_store(72, now=200, completion_time=600) is live
+        assert len(sb.entries()) == 2       # the released entry is still held
+        sb.add_store(128, now=200, completion_time=300)
+        assert [e.address for e in sb.entries()] == [64, 128]
+        assert sb.total_inserted == 3 and sb.coalesced == 1
+
+    def test_released_entries_do_not_count_against_capacity(self):
+        for sb in (coalescing(entries=2), fifo(entries=2)):
+            sb.add_store(0, 0, 100)
+            sb.add_store(64, 0, 150)
+            with pytest.raises(StoreBufferError):
+                sb.add_store(128, 90, 300)
+            sb.add_store(128, 120, 300)   # the entry released at 100 leaves
+            assert len(sb.entries()) == 2
+            assert sb.occupancy(120) == 2 and sb.peak_occupancy == 2
+
     def test_has_block(self):
         sb = coalescing(entries=4)
         sb.add_store(64, 0, 100)
@@ -169,6 +189,18 @@ class TestSpeculativeBookkeeping:
         assert dropped == 1
         remaining = sb.entries(0)
         assert len(remaining) == 1 and remaining[0].checkpoint_id == 1
+
+    @pytest.mark.parametrize("make", [coalescing, fifo])
+    def test_flash_invalidate_keeps_released_entries(self, make):
+        sb = make(entries=8)
+        released = sb.add_store(0, 0, 100, speculative=True, checkpoint_id=2)
+        live = sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=2)
+        other = sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=1)
+        assert sb.flash_invalidate_speculative(500, checkpoint_id=2) == 1
+        assert sb.flash_invalidated == 1
+        held = sb.entries()
+        assert released in held and other in held and live not in held
+        assert sb.drain_time(500) == 1000
 
     def test_mark_all_non_speculative(self):
         sb = coalescing(entries=8)
