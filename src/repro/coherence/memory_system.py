@@ -322,7 +322,7 @@ class MemorySystem:
         home = (baddr // self._block_bytes) % self._num_nodes
         entry = self._dir_entries.get(baddr)
         if entry is None:
-            entry = self._dir_entries[baddr] = DirectoryEntry(address=baddr)
+            entry = self._dir_entries[baddr] = DirectoryEntry(baddr)
         net = self._net
         l1_lines = self._l1_lines
 
@@ -480,7 +480,7 @@ class MemorySystem:
         if room is not NO_VICTIM:
             forced_delay = self._make_room(core_id, baddr, now, room)
             completion += forced_delay
-        block = l1.install(baddr, new_state, dirty=is_write)
+        block = l1.install(baddr, new_state, is_write)
         if spec_checkpoint is not None:
             if is_write:
                 block.mark_spec_written(spec_checkpoint)

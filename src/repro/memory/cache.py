@@ -202,11 +202,16 @@ class CacheArray:
                     f"install into full set for address {baddr:#x}; "
                     "prepare_fill must be called first"
                 )
-            block = CacheBlock(address=baddr, spec_registry=self._spec_marked)
+            # Positional arguments: a fill builds a block on most L1
+            # misses, and keyword arguments make the dataclass call about
+            # twice as slow.
+            block = CacheBlock(baddr, state, dirty)
+            block.spec_registry = self._spec_marked
             cache_set[baddr] = block
             self.lines[baddr] = block
-        block.state = state
-        block.dirty = dirty
+        else:
+            block.state = state
+            block.dirty = dirty
         self.lru_clock += 1
         block.last_use = self.lru_clock
         return block
