@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import tiny_config
 from repro.coherence.memory_system import MemorySystem
-from repro.coherence.messages import ConflictResolution
+from repro.coherence.messages import ConflictResolution, TransactionKind
 from repro.config import resolved_interconnect
 from repro.errors import SimulationError
 from repro.memory.block import CoherenceState
@@ -356,6 +356,20 @@ class TestExactLatencies:
                             sharers=(2, 9))
         assert out.state is CoherenceState.MODIFIED
         assert not mem.contains(2, BLOCK) and not mem.contains(9, BLOCK)
+
+    def test_upgrade_invalidates_only_the_other_sharers(self):
+        mem = make_mem(num_cores=4)
+        mem.access(1, BLOCK, is_write=False, now=0)      # owner 1, L2 fill
+        mem.access(3, BLOCK, is_write=False, now=1000)   # sharers {1, 3}
+        out = mem.access(1, BLOCK, is_write=True, now=5000)
+        # Core 1 upgrades its Shared copy: one hop to home 0 (5010); the
+        # L2 data is back at 5010 + 14 + 10, but the invalidation reaches
+        # core 3 two hops from home (5030) and its ack needs one more hop.
+        assert out.record.kind is TransactionKind.UPGRADE
+        self._assert_record(out, start=5010, completion=5040, l2_hit=True,
+                            sharers=(3,))
+        assert mem.upgrades[1] == 1
+        assert mem.contains(1, BLOCK) and not mem.contains(3, BLOCK)
 
     def test_same_block_requests_serialise_on_busy_until(self):
         mem = make_mem()
