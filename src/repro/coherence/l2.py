@@ -34,10 +34,8 @@ class L2Cache:
         self._tags: List[CacheArray] = [CacheArray(bank_config)
                                         for _ in range(banks)]
         #: the only bank of a monolithic L2, whose bank-local address is
-        #: the block address itself; ``None`` when banked.  The memory
-        #: system's transaction engine probes its ``lines`` directly (and
-        #: counts ``hits``/``misses`` as :meth:`probe` would).
-        self.single = self._tags[0] if banks == 1 else None
+        #: the block address itself; ``None`` when banked.
+        self._single = self._tags[0] if banks == 1 else None
         self._block_bytes = config.block_bytes
         self.hits = 0
         self.misses = 0
@@ -82,7 +80,7 @@ class L2Cache:
         return False
 
     def contains(self, block_addr: int) -> bool:
-        tags = self.single
+        tags = self._single
         if tags is None:
             tags, block_addr = self._bank(block_addr), self._slot(block_addr)
         block = tags.lines.get(block_addr)
@@ -90,7 +88,7 @@ class L2Cache:
 
     def install(self, block_addr: int) -> None:
         """Install a block (fill from memory or writeback from an L1)."""
-        tags = self.single
+        tags = self._single
         if tags is None:
             tags, block_addr = self._bank(block_addr), self._slot(block_addr)
         if tags.prepare_fill(block_addr).needs_writeback:
@@ -101,7 +99,7 @@ class L2Cache:
 
     def install_dirty(self, block_addr: int) -> None:
         """Install a block received via an L1 writeback (data is newer)."""
-        tags = self.single
+        tags = self._single
         if tags is None:
             tags, block_addr = self._bank(block_addr), self._slot(block_addr)
         if tags.prepare_fill(block_addr).needs_writeback:

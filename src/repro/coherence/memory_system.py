@@ -81,17 +81,10 @@ class MemorySystem:
         self._hit_latency = config.l1.hit_latency
         self._l2 = L2Cache(config.l2, banks=config.l2_banks)
         self._directory = Directory(config.block_bytes)
-        # What the transaction engine reads without a call, fixed by the
-        # config at construction (DESIGN section 9): the directory's entry
-        # map; the uncontended latency matrix, or None under the queued
-        # interconnect, whose legs must each go through traverse(); and a
-        # one-bank L2's line index, or None when banked (probe() then
-        # finds the bank and its bank-local address).
+        #: the directory's entry map, read by the transaction engine
+        #: without a call (DESIGN section 9).
         self._dir_entries = self._directory.entries
-        self._net = None if self._latency.contended else self._latency.net
         self._traverse = self._latency.traverse
-        self._l2_lines = (self._l2.single.lines if self._l2.single is not None
-                          else None)
         self._dir_latency = config.directory_latency
         #: directory lookup plus L2 data access, without and with memory.
         self._l2_hit_cost = config.directory_latency + config.l2.hit_latency
@@ -310,10 +303,10 @@ class MemorySystem:
     # -- the coherence transaction engine ----------------------------------
     #
     # One frame per transaction, shared by both engines: the directory
-    # entry, the network legs, the L2 probe and the L1 line checks are
-    # read here, not through Directory, LatencyModel, L2Cache or CacheArray
-    # calls.  Only the L1 fill (prepare_fill/install), the L2 fills, and
-    # the listener hooks (conflicts, forced commit) are calls.
+    # entry and the L1 line checks are read here, not through Directory or
+    # CacheArray calls.  Only the network legs (traverse), the L2 probe
+    # and fills, the L1 fill (prepare_fill/install), and the listener
+    # hooks (conflicts, forced commit) are calls.
 
     def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
                      is_write: bool, now: int,
@@ -323,16 +316,12 @@ class MemorySystem:
         entry = self._dir_entries.get(baddr)
         if entry is None:
             entry = self._dir_entries[baddr] = DirectoryEntry(baddr)
-        net = self._net
         l1_lines = self._l1_lines
 
         # The request travels to the home node (queuing behind other
         # messages under the contended interconnect) and is serialised
         # behind any in-flight transaction for the same block.
-        if net is not None:
-            arrive_home = now + net[core_id][home]
-        else:
-            arrive_home = self._traverse(core_id, home, now)
+        arrive_home = self._traverse(core_id, home, now)
         start = entry.busy_until if entry.busy_until > arrive_home else arrive_home
 
         # Clean up stale directory information about the requester itself
@@ -367,14 +356,9 @@ class MemorySystem:
             assert owner != core_id
             if record is not None:
                 record.forwarded_from_owner = owner
-            if net is not None:
-                probe_arrival = start + net[home][owner]
-                completion = (probe_arrival + self._forward_cost
-                              + net[owner][core_id])
-            else:
-                probe_arrival = self._traverse(home, owner, start)
-                completion = self._traverse(owner, core_id,
-                                            probe_arrival + self._forward_cost)
+            probe_arrival = self._traverse(home, owner, start)
+            completion = self._traverse(owner, core_id,
+                                        probe_arrival + self._forward_cost)
             owner_block = l1_lines[owner].get(baddr)
             if owner_block is not None and owner_block.state is not _INVALID:
                 # An external write conflicts with either speculative bit,
@@ -401,22 +385,10 @@ class MemorySystem:
                 sharers.add(owner)
                 sharers.add(core_id)
         else:
-            l2_lines = self._l2_lines
-            if l2_lines is not None:
-                line = l2_lines.get(baddr)
-                l2_hit = line is not None and line.state is not _INVALID
-                if l2_hit:
-                    self._l2.hits += 1
-                else:
-                    self._l2.misses += 1
-            else:
-                l2_hit = self._l2.probe(baddr)
+            l2_hit = self._l2.probe(baddr)
             depart = start + (self._l2_hit_cost if l2_hit
                               else self._l2_miss_cost)
-            if net is not None:
-                completion = depart + net[home][core_id]
-            else:
-                completion = self._traverse(home, core_id, depart)
+            completion = self._traverse(home, core_id, depart)
             if not l2_hit:
                 self._l2.install(baddr)
         if record is not None:
@@ -432,12 +404,8 @@ class MemorySystem:
                 fanout += 1
                 if record is not None:
                     record.invalidated_sharers.append(sharer)
-                if net is not None:
-                    arrival = start + net[home][sharer]
-                    ack = arrival + net[sharer][core_id]
-                else:
-                    arrival = self._traverse(home, sharer, start)
-                    ack = self._traverse(sharer, core_id, arrival)
+                arrival = self._traverse(home, sharer, start)
+                ack = self._traverse(sharer, core_id, arrival)
                 sharer_block = l1_lines[sharer].get(baddr)
                 if sharer_block is not None \
                         and sharer_block.state is not _INVALID:

@@ -28,20 +28,17 @@ from .topology import TorusTopology
 
 
 class LatencyModel:
-    """Computes end-to-end latencies of coherence transactions."""
+    """Times single network legs of coherence transactions."""
 
     def __init__(self, config: SystemConfig, topology: Optional[TorusTopology] = None) -> None:
-        self._config = config
         self._topology = topology if topology is not None else TorusTopology(config.interconnect)
         self._hop = config.interconnect.hop_latency
+        # The torus is small (at most 64 nodes), so the full one-way
+        # latency matrix is precomputed once and network() becomes two list
+        # indexes instead of a hop computation per transaction leg.
         nodes = self._topology.num_nodes
-        #: one-way uncontended latency, ``net[src][dst]``: the torus is
-        #: small (at most 64 nodes), so the full matrix is precomputed and
-        #: a leg costs two list indexes.  Under ``contention="none"`` every
-        #: traversal is exactly ``depart + net[src][dst]``, which the
-        #: memory system's transaction engine reads directly.
-        self.net = [[self._topology.hops(src, dst) * self._hop
-                     for dst in range(nodes)] for src in range(nodes)]
+        self._net = [[self._topology.hops(src, dst) * self._hop
+                      for dst in range(nodes)] for src in range(nodes)]
         self._queued = config.interconnect.contention == "queued"
         self._occupancy = config.interconnect.link_occupancy
         #: per-directed-link free times (``node * 4 + direction``), plus one
@@ -61,7 +58,7 @@ class LatencyModel:
 
     def network(self, src: int, dst: int) -> int:
         """One-way *uncontended* network latency between two nodes."""
-        return self.net[src][dst]
+        return self._net[src][dst]
 
     def traverse(self, src: int, dst: int, depart: int) -> int:
         """Arrival time of a message leaving ``src`` for ``dst`` at ``depart``.
@@ -75,7 +72,7 @@ class LatencyModel:
         once: the call mutates link state.
         """
         if not self._queued:
-            return depart + self.net[src][dst]
+            return depart + self._net[src][dst]
         if src == dst:
             return depart
         free = self._link_free
