@@ -44,6 +44,18 @@ class OpKind(Enum):
         return self.value
 
 
+def _check_memory(address: int, size: int) -> None:
+    if address < 0:
+        raise TraceError("memory operations need a non-negative address")
+    if size <= 0:
+        raise TraceError("memory operations need a positive size")
+
+
+def _check_compute(cycles: int) -> None:
+    if cycles <= 0:
+        raise TraceError("compute bundles must take at least one cycle")
+
+
 @dataclass(frozen=True, slots=True)
 class MemOp:
     """One operation in a program-order trace.
@@ -67,12 +79,9 @@ class MemOp:
 
     def __post_init__(self) -> None:
         if self.kind.is_memory:
-            if self.address < 0:
-                raise TraceError("memory operations need a non-negative address")
-            if self.size <= 0:
-                raise TraceError("memory operations need a positive size")
-        if self.kind is OpKind.COMPUTE and self.cycles <= 0:
-            raise TraceError("compute bundles must take at least one cycle")
+            _check_memory(self.address, self.size)
+        elif self.kind is OpKind.COMPUTE:
+            _check_compute(self.cycles)
 
     @property
     def is_memory(self) -> bool:
@@ -100,8 +109,8 @@ class MemOp:
 
 # -- concise constructors used throughout tests and generators -------------
 #
-# Each constructor checks what MemOp.__post_init__ would check for its
-# kind, then fills the five slots through the class's slot descriptors:
+# Each constructor runs the checks MemOp.__post_init__ runs for its kind,
+# then _build fills the five slots through the class's slot descriptors:
 # the frozen dataclass's generated __init__ would pay one
 # object.__setattr__ per field plus the __post_init__ call.
 
@@ -113,55 +122,41 @@ _set_cycles = MemOp.__dict__["cycles"].__set__
 _set_label = MemOp.__dict__["label"].__set__
 
 
-def _memory_op(kind: OpKind, address: int, size: int,
-               label: Optional[str]) -> MemOp:
-    if address < 0:
-        raise TraceError("memory operations need a non-negative address")
-    if size <= 0:
-        raise TraceError("memory operations need a positive size")
+def _build(kind: OpKind, address: int, size: int, cycles: int,
+           label: Optional[str]) -> MemOp:
     op = _new_op(MemOp)
     _set_kind(op, kind)
     _set_address(op, address)
     _set_size(op, size)
-    _set_cycles(op, 1)
+    _set_cycles(op, cycles)
     _set_label(op, label)
     return op
 
 
 def load(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct a LOAD operation."""
-    return _memory_op(OpKind.LOAD, address, size, label)
+    _check_memory(address, size)
+    return _build(OpKind.LOAD, address, size, 1, label)
 
 
 def store(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct a STORE operation."""
-    return _memory_op(OpKind.STORE, address, size, label)
+    _check_memory(address, size)
+    return _build(OpKind.STORE, address, size, 1, label)
 
 
 def atomic(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct an ATOMIC read-modify-write operation."""
-    return _memory_op(OpKind.ATOMIC, address, size, label)
+    _check_memory(address, size)
+    return _build(OpKind.ATOMIC, address, size, 1, label)
 
 
 def fence(label: Optional[str] = None) -> MemOp:
     """Construct a full memory FENCE."""
-    op = _new_op(MemOp)
-    _set_kind(op, OpKind.FENCE)
-    _set_address(op, 0)
-    _set_size(op, 8)
-    _set_cycles(op, 1)
-    _set_label(op, label)
-    return op
+    return _build(OpKind.FENCE, 0, 8, 1, label)
 
 
 def compute(cycles: int, label: Optional[str] = None) -> MemOp:
     """Construct a COMPUTE bundle occupying ``cycles`` cycles."""
-    if cycles <= 0:
-        raise TraceError("compute bundles must take at least one cycle")
-    op = _new_op(MemOp)
-    _set_kind(op, OpKind.COMPUTE)
-    _set_address(op, 0)
-    _set_size(op, 8)
-    _set_cycles(op, cycles)
-    _set_label(op, label)
-    return op
+    _check_compute(cycles)
+    return _build(OpKind.COMPUTE, 0, 8, cycles, label)
