@@ -74,9 +74,9 @@ class CacheArray:
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
         #: block address -> block for every way the sets hold (INVALID
         #: placeholders included), so a lookup is one dict probe.  The
-        #: memory system's hit probes and transaction engine read it
-        #: directly (an L1's, and a one-bank L2's); only this class
-        #: mutates it, always together with ``_sets``.
+        #: memory system's hit probes and transaction engine read an L1's
+        #: directly; only this class mutates it, always together with
+        #: ``_sets``.
         self.lines: Dict[int, CacheBlock] = {}
         #: blocks that have had a speculative bit set since the last flash
         #: (address -> block, possibly stale); lets the flash circuits run
