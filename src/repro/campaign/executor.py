@@ -21,9 +21,11 @@ and regenerating it is far cheaper than one simulation.  The *resolved*
 spec object is shipped (not the workload name) so that scenarios or
 presets registered at runtime in the parent also work under spawn-based
 ``multiprocessing``, where workers re-import the registries from scratch.
-The serial path instead memoizes traces per (workload, seed) across the
-executor's lifetime, so a figure's many configurations share one trace
-build.
+The serial path instead builds each (workload, seed, cores) trace once
+per :meth:`CampaignExecutor.run` call, so a figure's many configurations
+share one trace build, and drops it from its memo after the call's last
+job that replays it: a finished trace is freed while the call goes on,
+and a later call rebuilds any trace it needs.
 """
 
 from __future__ import annotations
@@ -138,9 +140,10 @@ class CampaignExecutor:
         configuration that overrides ``num_cores`` (a geometry variant)
         gets its own memo entry, so the serial path builds exactly the
         trace a pool worker would rebuild from the shipped config.
-        Memoized for the executor's lifetime: the in-process serial path
-        shares one trace across every configuration that replays it, as do
-        repeated campaigns through the same executor.
+        Memoized until a :meth:`run` call's serial path finishes with the
+        trace: that path shares one trace across every configuration that
+        replays it, then drops it.  A direct caller's trace stays memoized
+        until then.
         """
         if num_threads is None:
             num_threads = self.settings.num_cores
@@ -175,6 +178,36 @@ class CampaignExecutor:
     def _job_args(self, job: Job, pid: int) -> Dict[str, object]:
         return {"config": job.config_name, "workload": job.workload,
                 "seed": job.seed, "engine": self.engine, "worker": pid}
+
+    def _run_serial(self, missing: List[Job]) -> List[RunResult]:
+        """Simulate ``missing`` in this process, in order.
+
+        Jobs that replay one trace share one build, and each trace leaves
+        the memo after the last of these jobs that replays it, so the
+        trace and every machine built on it are freed as soon as they are
+        done with.
+        """
+        rec = self.recorder
+        configs = [self.config_for(job) for job in missing]
+        keys = [(job.workload, job.seed, config.num_cores)
+                for job, config in zip(missing, configs)]
+        last_use = {key: i for i, key in enumerate(keys)}
+        results = []
+        for i, (job, config, key) in enumerate(zip(missing, configs, keys)):
+            trace = self.trace_for(*key)
+            if last_use[key] == i:
+                del self._traces[key]
+            start = time.time() if rec is not None else 0.0
+            results.append(simulate(
+                config, trace, warmup_fraction=self.settings.warmup_fraction,
+                engine=self.engine))
+            # Unbind it, so a trace the memo dropped is freed before the
+            # next build.
+            del trace
+            if rec is not None:
+                rec.wall_span(0, "job", start, time.time(),
+                              self._job_args(job, os.getpid()))
+        return results
 
     def run(self, jobs: Sequence[Job]) -> List[RunResult]:
         """Run ``jobs``; returns results in the same order as the input."""
@@ -216,20 +249,7 @@ class CampaignExecutor:
                         simulated = pool.map(_simulate_cell, payloads,
                                              chunksize=1)
             else:
-                simulated = []
-                for job in missing:
-                    config = self.config_for(job)
-                    trace = self.trace_for(job.workload, job.seed,
-                                           num_threads=config.num_cores)
-                    start = time.time() if rec is not None else 0.0
-                    result = simulate(
-                        config, trace,
-                        warmup_fraction=self.settings.warmup_fraction,
-                        engine=self.engine)
-                    if rec is not None:
-                        rec.wall_span(0, "job", start, time.time(),
-                                      self._job_args(job, os.getpid()))
-                    simulated.append(result)
+                simulated = self._run_serial(missing)
             for job, result in zip(missing, simulated):
                 results[job] = result
                 if self.cache is not None:

@@ -153,6 +153,15 @@ class MemorySystem:
         """Register the consistency controller responsible for ``core_id``."""
         self._listeners[core_id] = listener
 
+    def release(self) -> None:
+        """Forget every listener, once the run is over.
+
+        Each registered controller holds this memory system, so the map
+        ties them into one reference cycle; dropping it lets the machine
+        be freed by reference counting.
+        """
+        self._listeners.clear()
+
     # -- public access API -------------------------------------------------
 
     def request(self, core_id: int, addr: int, is_write: bool, now: int,

@@ -70,11 +70,6 @@ class ConsistencyController:
         #: the memory system's hit probes, bound once for the op kernels.
         self._load_hit_time = self.mem.load_hit_time
         self._store_hit_time = self.mem.store_hit_time
-        if not self._mem_fast:
-            # The op kernels resolve hits through the probes, which a
-            # reference memory system always declines; without them the
-            # layered path is the only correct one.
-            self.process_op_fast = self.process_op
         #: observability slot (``None`` when telemetry is off); captured
         #: from the core, where ``build_system`` places it before attach.
         self._obs = core.obs
@@ -93,7 +88,10 @@ class ConsistencyController:
         Defaults to :meth:`process_op`.  A subclass may override it with a
         flat kernel that leaves every counter, state bit, scheduled event
         and telemetry record exactly as :meth:`process_op` would; it may
-        bypass the helpers below only where it repeats their effect.
+        bypass the helpers below only where it repeats their effect.  The
+        kernels resolve hits through the memory system's probes, which a
+        reference memory system always declines, so a batching core on one
+        calls :meth:`process_op` instead (see ``Core._step_fast``).
         """
         return self.process_op(op, now)
 

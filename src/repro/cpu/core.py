@@ -94,6 +94,10 @@ class Core:
         self.batching = batching
         #: the step method every scheduled step calls, ``fn(now, generation)``.
         self._fire = self._step_fast if batching else self._step_reference
+        #: True when the controller's flat kernel may run: it resolves hits
+        #: through the memory system's probes, which a reference memory
+        #: system always declines.
+        self._kernels = mem.fast
         compiled = trace.compiled()
         self._ops = compiled.ops
         self._instr_weights = compiled.instr_weights
@@ -137,6 +141,16 @@ class Core:
     def attach_controller(self, controller: "ConsistencyController") -> None:
         self.controller = controller
         self.mem.register_listener(self.core_id, controller)
+
+    def release(self) -> None:
+        """Drop this core's references into its machine's reference cycles.
+
+        The controller holds the core, and :attr:`_fire` is a bound method
+        of the core kept on the core.  Once both are gone the core is freed
+        by reference counting; it cannot step again.
+        """
+        self.controller = None
+        self._fire = None
 
     # -- trace position --------------------------------------------------------
 
@@ -237,8 +251,10 @@ class Core:
         """Batched step: process ops inline until another event is due."""
         if generation != self._generation or self._finished:
             return
-        assert self.controller is not None
-        process_op = self.controller.process_op_fast
+        controller = self.controller
+        assert controller is not None
+        process_op = (controller.process_op_fast if self._kernels
+                      else controller.process_op)
         events = self.events
         heap = events._heap
         ops = self._ops

@@ -81,6 +81,14 @@ class EventQueue:
         heappush(self._heap, (time, self._sequence, fn, generation))
         self._sequence += 1
 
+    def release(self) -> None:
+        """Drop every pending entry, once the run is over.
+
+        Entries hold bound methods of cores and controllers, which hold
+        this queue.  Only a run stopped early leaves entries behind.
+        """
+        self._heap.clear()
+
     def empty(self) -> bool:
         return not self._heap
 

@@ -101,15 +101,25 @@ def simulate(config: SystemConfig, trace: MultiThreadedTrace,
              max_events: Optional[int] = None,
              warmup_fraction: float = 0.0, engine: str = "fast",
              recorder: Optional[Recorder] = None) -> RunResult:
-    """Convenience wrapper: build a system for ``trace`` and run it.
+    """Build a system for ``trace``, run it, and free it.
 
     ``engine`` selects the execution kernel: ``"fast"`` (compiled traces,
     batched steps, allocation-free hit path) or ``"reference"`` (the
     original one-event-per-op path).  Results are bitwise identical
     across both; an unknown name raises
     :class:`~repro.errors.ConfigurationError` naming the valid engines.
+
+    The machine belongs to this call.  Once the result exists, or the run
+    has raised, :meth:`System.release` breaks its reference cycles, so it
+    is freed by reference counting on return and leaves no work for the
+    cyclic collector.  The result keeps only the cores' statistics.  To
+    inspect a machine after its run, use :func:`build_system` and
+    :class:`Simulator`, which leave it intact.
     """
     validate_engine(engine)
     system = build_system(config, trace, warmup_fraction=warmup_fraction,
                           engine=engine, recorder=recorder)
-    return Simulator(system).run(max_events=max_events, seed=trace.seed)
+    try:
+        return Simulator(system).run(max_events=max_events, seed=trace.seed)
+    finally:
+        system.release()

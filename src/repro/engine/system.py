@@ -75,6 +75,22 @@ class System:
     def finish_time(self) -> int:
         return max((core.finish_time or 0) for core in self.cores)
 
+    def release(self) -> None:
+        """Break the machine's reference cycles; it cannot run again.
+
+        Cores and controllers hold each other, the memory system's
+        listener map holds every controller, and each core keeps a bound
+        method of itself as its step.  Once each part drops its side, the
+        whole machine is freed by reference counting as soon as the last
+        outside reference goes, instead of waiting for the cyclic
+        collector.  Only :func:`~repro.engine.simulator.simulate`, which
+        owns the machine it builds, calls this (DESIGN section 10).
+        """
+        self.events.release()
+        self.memory.release()
+        for core in self.cores:
+            core.release()
+
 
 #: Engine variants accepted by :func:`build_system`.  ``"fast"`` is the
 #: compiled/batched kernel; ``"reference"`` retains the original
@@ -105,11 +121,14 @@ def build_system(config: SystemConfig, trace: MultiThreadedTrace,
     """Build a system running ``trace`` under ``config``.
 
     The trace must provide at least as many threads as the configuration
-    has cores; extra threads are ignored (with fewer threads than cores,
-    the surplus cores simply stay idle).  ``warmup_fraction`` of each
-    thread's leading operations are executed but excluded from the
-    statistics (cache warmup).  ``engine`` selects the execution kernel
-    (see :data:`ENGINE_KINDS`); both kernels produce identical results.
+    has cores: extra threads are ignored, and fewer threads than cores
+    raise :class:`~repro.errors.ConfigurationError`.  ``warmup_fraction``
+    of each thread's leading operations are executed but excluded from
+    the statistics (cache warmup).  ``engine`` selects the execution
+    kernel (see :data:`ENGINE_KINDS`); both kernels produce identical
+    results.  The returned system stays wired after a run, so a caller
+    can inspect it; only :func:`~repro.engine.simulator.simulate` frees
+    the machine it builds.
 
     ``recorder`` attaches the observability layer: hooks throughout the
     stack record speculation episodes, stall spans, and coherence events

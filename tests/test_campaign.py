@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import weakref
 
 import pytest
 
+import repro.campaign.executor as executor_module
+from repro.api import compile_study_plan, execute_plan
 from repro.campaign import (
     CampaignExecutor,
     CampaignReport,
@@ -21,6 +24,7 @@ from repro.engine.results import RunResult
 from repro.engine.simulator import simulate
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_config
+from repro.experiments.scaling import scaling_study
 from repro.workloads.presets import preset
 from repro.workloads.registry import build_trace
 
@@ -237,3 +241,52 @@ class TestExecutor:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             CampaignExecutor(SETTINGS, jobs=0)
+
+
+@pytest.fixture()
+def trace_builds(monkeypatch):
+    """Every trace the executor builds, as (workload, seed, threads)."""
+    builds = []
+    real_build = executor_module.build_trace
+
+    def build(workload, num_threads, ops_per_thread, seed):
+        builds.append((workload, seed, num_threads))
+        return real_build(workload, num_threads=num_threads,
+                          ops_per_thread=ops_per_thread, seed=seed)
+
+    monkeypatch.setattr(executor_module, "build_trace", build)
+    return builds
+
+
+class TestTraceLifetime:
+    """The serial path builds each trace once per run, then lets it go."""
+
+    JOBS = expand_jobs(("sc", "tso", "invisi_sc"), ("apache",), (1,))
+
+    def test_jobs_sharing_a_trace_build_it_once(self, trace_builds):
+        executor = CampaignExecutor(SETTINGS, jobs=1)
+        executor.run(self.JOBS)
+        assert trace_builds == [("apache", 1, SETTINGS.num_cores)]
+        # A later call rebuilds the trace it needs.
+        executor.run([Job("rmo", "apache", 1)])
+        assert len(trace_builds) == 2
+
+    def test_trace_is_freed_once_run_returns(self, trace_builds):
+        executor = CampaignExecutor(SETTINGS, jobs=1)
+        trace = executor.trace_for("apache", 1)
+        alive = weakref.ref(trace)
+        executor.run(self.JOBS)
+        # run() replayed the memoized trace instead of building another.
+        assert len(trace_builds) == 1
+        del trace
+        assert alive() is None
+
+    def test_plan_builds_each_trace_once(self, trace_builds):
+        studies = ["figure8", scaling_study(core_counts=(2, 4),
+                                            scenarios=("false-sharing-storm",))]
+        plan = compile_study_plan(studies, SETTINGS)
+        expected = {(cell.workload, cell.seed, cell.num_cores)
+                    for cell in plan.unique_cells}
+        execute_plan(studies, SETTINGS, jobs=1)
+        assert len(trace_builds) == len(set(trace_builds))
+        assert set(trace_builds) == expected

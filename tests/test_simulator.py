@@ -1,16 +1,22 @@
 """Tests for the simulation engine (system builder, simulator, results)."""
 
+import gc
 import inspect
 
 import pytest
 
+from repro.campaign import DEFAULT_REGISTRY
+from repro.coherence.memory_system import MemorySystem
 from repro.config import ConsistencyModel, SpeculationConfig, SpeculationMode
+from repro.consistency.base import ConsistencyController
+from repro.cpu.core import Core
 from repro.engine.events import EventQueue
 from repro.engine.results import RunResult, aggregate_breakdown
 from repro.engine.simulator import Simulator, simulate
-from repro.engine.system import build_system
+from repro.engine.system import ENGINE_KINDS, build_system
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.common import ExperimentSettings, make_config
+from repro.obs import TraceRecorder
 from repro.trace.ops import compute, load
 from repro.trace.trace import MultiThreadedTrace, Trace
 from repro.workloads.registry import build_trace
@@ -125,6 +131,86 @@ class TestSimulator:
         result = simulate(tiny_config(num_cores=2), small_trace(2))
         for stats in result.core_stats:
             assert stats.total_accounted() == stats.finish_time
+
+
+@pytest.fixture()
+def collector_off():
+    """The cyclic collector disabled for one test, then restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def contended_cell(config_name):
+    """A contended 4-core cell: false sharing, 400 ops a thread."""
+    settings = ExperimentSettings(num_cores=4, ops_per_thread=400, seeds=(1,))
+    trace = build_trace("false-sharing-storm", num_threads=4,
+                        ops_per_thread=400, seed=1)
+    return make_config(config_name, settings), trace
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestMachineLifetime:
+    """``simulate`` frees its machine by reference counting (DESIGN §10)."""
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize("config_name", DEFAULT_REGISTRY.names())
+    def test_cell_leaves_no_cyclic_garbage(self, config_name, engine):
+        config, trace = contended_cell(config_name)
+        gc.collect()
+        simulate(config, trace, engine=engine)
+        del trace
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    def test_recorded_cell_leaves_no_cyclic_garbage(self, engine):
+        config, trace = contended_cell("invisi_cont")
+        recorder = TraceRecorder()
+        gc.collect()
+        simulate(config, trace, engine=engine, recorder=recorder)
+        del trace
+        assert gc.collect() == 0
+        assert recorder.counters
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize("config_name", ["sc", "invisi_sc", "invisi_cont"])
+    def test_stalled_run_frees_its_machine(self, config_name, engine):
+        """A run stopped by the backstop leaves no machine behind.
+
+        Only blocks in a cache array's speculative registry may still
+        need the collector on this error path.
+        """
+        config, trace = contended_cell(config_name)
+        gc.collect()
+        try:
+            simulate(config, trace, engine=engine, max_events=300)
+        except SimulationError:
+            pass
+        else:
+            pytest.fail("the backstop did not stop the run")
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage
+                      if isinstance(obj, (Core, ConsistencyController,
+                                          MemorySystem, EventQueue))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
+
+    def test_simulator_run_leaves_the_system_intact(self):
+        """Only ``simulate`` releases; a caller's machine stays wired."""
+        config, trace = contended_cell("invisi_sc")
+        system = build_system(config, trace)
+        Simulator(system).run()
+        for core in system.cores:
+            assert core.controller is not None
+            assert core.controller.core is core
 
 
 class TestControllerCallbacks:
