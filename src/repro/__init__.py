@@ -36,14 +36,7 @@ from .api import (
     run_study,
     simulate,
 )
-from .campaign import (
-    CacheBackend,
-    CampaignExecutor,
-    ConfigRegistry,
-    DEFAULT_REGISTRY,
-    Job,
-    expand_jobs,
-)
+from .campaign import CacheBackend, ConfigRegistry, DEFAULT_REGISTRY
 from .config import (
     CacheConfig,
     ConsistencyModel,
@@ -98,11 +91,8 @@ __all__ = [
     "small_config",
     # campaign
     "CacheBackend",
-    "CampaignExecutor",
     "ConfigRegistry",
     "DEFAULT_REGISTRY",
-    "Job",
-    "expand_jobs",
     # engine
     "RunResult",
     "Simulator",

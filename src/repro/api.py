@@ -2,32 +2,31 @@
 
 Service and script consumers should import from here (or from the
 package root, which re-exports this module) rather than reaching into
-``repro.campaign.executor`` / ``repro.studies.runner`` internals, whose
-layout may change between releases.  Four entry points cover the common
-shapes:
+``repro.studies.runner`` internals, whose layout may change between
+releases.  Four entry points cover the common shapes:
 
 :func:`simulate`
-    one cell -- a workload (name, spec, or prebuilt trace) under a
-    machine configuration (name or :class:`~repro.config.SystemConfig`),
-    optionally served through a result cache;
+    one cell on the engine -- a workload (name, spec, or prebuilt trace)
+    under a machine configuration (name or
+    :class:`~repro.config.SystemConfig`), with an engine recorder if
+    wanted; it never touches the result cache;
 :func:`run_study`
     one registered (or ad-hoc) study end to end, returning its result
     object;
 :func:`execute_plan`
-    many studies compiled into one deduplicated campaign plan, executed
-    through a shared executor/cache -- the bulk entry point the CLI's
-    ``study run`` and the service layer queue cold jobs through;
+    many studies compiled into one deduplicated campaign plan, whose
+    cells run through one study runner and its result cache -- the
+    bulk entry point, the same path the CLI's campaign commands take;
 :func:`open_cache`
     a result-cache backend from a ``dir://`` / ``sqlite://`` URL, a bare
     path, or ``None`` for the default local directory.
 
 Example::
 
-    from repro import execute_plan, open_cache, simulate
+    from repro import execute_plan, simulate
 
-    # One cell, cached across calls:
-    result = simulate("invisi_sc", "apache", cores=8, ops=4000,
-                      cache=open_cache("sqlite://results/cache.sqlite"))
+    # One cell on the engine:
+    result = simulate("invisi_sc", "apache", cores=8, ops=4000)
 
     # Ten studies, one deduplicated plan, sqlite-backed:
     execution = execute_plan(["figure8", "figure9"], jobs=4,
@@ -41,15 +40,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from .campaign.backends import CacheBackend, DirectoryBackend, backend_from_url
-from .campaign.cache import DEFAULT_CACHE_DIR, cache_key
-from .campaign.executor import CampaignReport
+from .campaign.cache import DEFAULT_CACHE_DIR
+from .campaign.cells import CampaignReport
 from .campaign.registry import DEFAULT_REGISTRY
 from .config import SystemConfig
 from .engine.results import RunResult
 from .engine.simulator import simulate as _engine_simulate
+from .errors import StudyError
 from .obs.recorder import Recorder
 from .trace.trace import MultiThreadedTrace
-from .workloads.registry import build_trace, resolve_spec
+from .workloads.registry import build_trace
 
 __all__ = [
     "PlanExecution",
@@ -90,9 +90,8 @@ def simulate(config: Union[str, SystemConfig],
              max_events: Optional[int] = None,
              warmup_fraction: float = 0.0, engine: str = "fast",
              recorder: Optional[Recorder] = None, *,
-             cores: int = 8, ops: int = 4000, seed: int = 1,
-             cache: CacheLike = None) -> RunResult:
-    """Simulate one (configuration, workload) cell.
+             cores: int = 8, ops: int = 4000, seed: int = 1) -> RunResult:
+    """Simulate one (configuration, workload) cell on the engine.
 
     ``config`` is a registered short-name (``"sc"``, ``"invisi_sc"``,
     ...) or an explicit :class:`SystemConfig`.  ``workload`` is a
@@ -101,13 +100,12 @@ def simulate(config: Union[str, SystemConfig],
     at ``cores`` threads and ``ops`` operations per thread with generator
     ``seed``.  With a trace, the call is exactly the engine-level
     ``simulate(config, trace, ...)`` -- existing call sites are
-    unaffected -- and ``cores``/``ops``/``seed``/``cache`` do not apply
-    (traces carry their own shape, and content-addressed caching needs
-    the generating spec).
+    unaffected -- and ``cores``/``ops``/``seed`` do not apply (traces
+    carry their own shape).
 
-    With ``cache`` set (anything :func:`open_cache` accepts), the cell is
-    served from the cache when present and written back when simulated --
-    the one-cell equivalent of a campaign.
+    Every call simulates.  To serve named cells from the result cache,
+    run them as a study (:func:`run_study`, :func:`execute_plan`), as
+    ``repro simulate`` does.
     """
     if isinstance(workload, MultiThreadedTrace):
         if isinstance(config, str):
@@ -129,27 +127,16 @@ def simulate(config: Union[str, SystemConfig],
                                   warmup_fraction=warmup_fraction)
     if isinstance(config, str):
         config = DEFAULT_REGISTRY.make(config, settings)
-    spec = resolve_spec(workload, ops)
-    store = _open_optional(cache)
-    key = None
-    if store is not None:
-        key = cache_key(config, spec, seed, warmup_fraction)
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    trace = build_trace(spec, num_threads=config.num_cores, seed=seed)
-    result = _engine_simulate(config, trace, max_events=max_events,
-                              warmup_fraction=warmup_fraction,
-                              engine=engine, recorder=recorder)
-    if store is not None and key is not None:
-        store.put(key, result)
-    return result
+    trace = build_trace(workload, num_threads=config.num_cores,
+                        ops_per_thread=ops, seed=seed)
+    return _engine_simulate(config, trace, max_events=max_events,
+                            warmup_fraction=warmup_fraction,
+                            engine=engine, recorder=recorder)
 
 
 def run_study(study, settings=None, *, jobs: int = 1,
-              cache: CacheLike = None, engine: str = "fast",
-              out_dir=None, recorder: Optional[Recorder] = None,
-              study_runner=None):
+              cache: CacheLike = None, out_dir=None,
+              recorder: Optional[Recorder] = None, study_runner=None):
     """Execute one study end to end; returns its result object.
 
     A thin wrapper over :func:`repro.studies.runner.run_study` that also
@@ -160,7 +147,7 @@ def run_study(study, settings=None, *, jobs: int = 1,
 
     return _run_study(study, settings, study_runner=study_runner, jobs=jobs,
                       cache=_open_optional(cache), out_dir=out_dir,
-                      engine=engine, recorder=recorder)
+                      recorder=recorder)
 
 
 @dataclass
@@ -183,7 +170,11 @@ class PlanExecution:
     def result(self, name: str):
         """The named study's result object (built once, memoized)."""
         if name not in self._results:
-            spec = next(s for s in self.plan.specs if s.name == name)
+            spec = next((s for s in self.plan.specs if s.name == name), None)
+            if spec is None:
+                raise StudyError(
+                    f"study {name!r} is not in this plan; its studies: "
+                    f"{', '.join(self.names())}")
             self._results[name] = run_study(spec, self.plan.settings,
                                             study_runner=self.runner)
         return self._results[name]
@@ -198,7 +189,6 @@ class PlanExecution:
 
 def execute_plan(studies: Union[str, Iterable], settings=None, *,
                  jobs: int = 1, cache: CacheLike = None,
-                 engine: str = "fast",
                  recorder: Optional[Recorder] = None) -> PlanExecution:
     """Compile ``studies`` into one deduplicated plan and execute it.
 
@@ -212,7 +202,7 @@ def execute_plan(studies: Union[str, Iterable], settings=None, *,
     """
     plan = compile_study_plan(studies, settings)
     runner = plan.runner(jobs=jobs, cache=_open_optional(cache),
-                         engine=engine, recorder=recorder)
+                         recorder=recorder)
     report = plan.execute(runner)
     return PlanExecution(plan=plan, runner=runner, report=report)
 

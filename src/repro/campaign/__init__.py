@@ -1,4 +1,4 @@
-"""Campaign subsystem: declarative configs, parallel execution, caching.
+"""Campaign subsystem: declarative configs, cell payloads, caching.
 
 Regenerating the paper's figures is a large (configuration x workload x
 seed) cross-product of independent simulations.  This package turns that
@@ -7,11 +7,9 @@ cross-product into an explicit *campaign*:
 * :mod:`~repro.campaign.registry` -- a declarative registry mapping
   configuration short-names (``sc``, ``invisi_rmo``, ...) to config
   factories, runtime-extensible for new machine variants;
-* :mod:`~repro.campaign.jobs` -- the hashable :class:`Job` cell model and
-  cross-product helpers;
-* :mod:`~repro.campaign.executor` -- :class:`CampaignExecutor`, which fans
-  cells out over a ``multiprocessing`` pool (deterministic serial path for
-  ``jobs=1``) and returns results in stable order;
+* :mod:`~repro.campaign.cells` -- the picklable payload a worker
+  process simulates one cell from, and :class:`CampaignReport`, the tally
+  of one campaign run;
 * :mod:`~repro.campaign.backends` -- the result cache itself, so
   re-running a figure only simulates missing cells: a local directory
   or one sqlite file (concurrent-writer safe), addressed by ``dir://`` /
@@ -26,10 +24,11 @@ cross-product into an explicit *campaign*:
   plan through a shared backend, claiming cells via expiring leases
   (``repro worker`` on the command line).
 
-Studies run their cells through
-:class:`~repro.studies.runner.StudyRunner`, which holds one
-:class:`CampaignExecutor` per machine size; use this package directly for
-custom sweeps (see the CLI's ``sweep`` subcommand).
+Every named cell runs through
+:class:`~repro.studies.runner.StudyRunner`: it makes the cache lookups,
+simulates the misses (serially or on a worker pool) and stores them.  An
+ad-hoc sweep is an ad-hoc :class:`~repro.studies.spec.StudySpec` run
+through the same runner (see the CLI's ``sweep`` subcommand).
 """
 
 from .backends import (
@@ -39,15 +38,13 @@ from .backends import (
     backend_from_url,
 )
 from .cache import DEFAULT_CACHE_DIR, DEFAULT_CACHE_URL, cache_key
-from .executor import CampaignExecutor, CampaignReport
-from .jobs import Job, dedupe_jobs, expand_jobs
+from .cells import CampaignReport
 from .queue import QueueWorker, WorkerReport, default_worker_id
 from .registry import DEFAULT_REGISTRY, ConfigFactory, ConfigRegistry, derived
 from .versions import group_fingerprint, groups_for, kernel_versions
 
 __all__ = [
     "CacheBackend",
-    "CampaignExecutor",
     "CampaignReport",
     "ConfigFactory",
     "ConfigRegistry",
@@ -55,16 +52,13 @@ __all__ = [
     "DEFAULT_CACHE_URL",
     "DEFAULT_REGISTRY",
     "DirectoryBackend",
-    "Job",
     "QueueWorker",
     "SqliteBackend",
     "WorkerReport",
     "backend_from_url",
     "cache_key",
-    "dedupe_jobs",
     "default_worker_id",
     "derived",
-    "expand_jobs",
     "group_fingerprint",
     "groups_for",
     "kernel_versions",

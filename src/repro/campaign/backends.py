@@ -1,7 +1,8 @@
 """The campaign result cache: a local directory or one sqlite file.
 
-A :class:`CacheBackend` *is* the result cache -- every campaign consumer
-(executor, work queue, studies, the CLI) reads and writes one directly.
+A :class:`CacheBackend` *is* the result cache.  Two consumers read and
+write one directly: the study runner, through which every named cell
+runs, and the distributed work queue.
 Two implementations ship:
 
 * :class:`DirectoryBackend` -- one JSON file per entry under a local
@@ -14,7 +15,7 @@ entries are immutable once written: backends never need versioned
 overwrites, and concurrent writers racing on the same key write identical
 bytes.  Backends keep no hit/miss/store tallies; what a run did is
 counted once, by the caller's report
-(:class:`~repro.campaign.executor.CampaignReport`,
+(:class:`~repro.campaign.cells.CampaignReport`,
 :class:`~repro.campaign.queue.WorkerReport`).
 
 Backends double as the coordination substrate for distributed draining:

@@ -1,12 +1,17 @@
 """Work-queue draining: many worker processes, one shared plan and backend.
 
-The pool executor (:class:`~repro.campaign.executor.CampaignExecutor`)
-tops out at one machine: a parent process owns the job list and fans
-cells out to its own children.  The work queue inverts that: *every*
+The study runner's worker pool
+(:class:`~repro.studies.runner.StudyRunner` with ``jobs>1``) tops out at
+one machine: a parent process owns the cell list and fans cells out to
+its own children.  The work queue inverts that: *every*
 worker independently compiles the same deduplicated
 :class:`~repro.studies.plan.StudyPlan` (plans are deterministic functions
 of study names and settings), opens the same shared cache backend, and
-drains whatever cells are still missing.  Coordination happens entirely
+drains whatever cells are still missing.  Each cell's cache key and
+worker payload come from the runner a ``study run`` of the same plan
+uses, and a claimed cell is simulated by the pool workers' entry point
+(:func:`~repro.campaign.cells.simulate_cell`), so a drained backend
+serves that run entirely from cache.  Coordination happens entirely
 through the backend:
 
 * a cell already stored is skipped (someone finished it);
@@ -19,7 +24,7 @@ through the backend:
 * :meth:`~repro.campaign.backends.CacheBackend.put` clears the lease in
   the same transaction that publishes the entry.
 
-Because cache keys are content-addressed and every engine is
+Because cache keys are content-addressed and the engine is
 deterministic, the drained store is byte-identical to a serial run's no
 matter how many workers raced, which worker won each claim, or in what
 order cells completed -- the tests pin this.
@@ -37,11 +42,10 @@ from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from ..engine.results import RunResult
-from ..engine.system import validate_engine
 from ..errors import ReproError
 from ..obs.recorder import Recorder, active
 from .backends import CacheBackend
-from .executor import _CellPayload, _simulate_cell
+from .cells import CellPayload, simulate_cell
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..studies.plan import StudyPlan
@@ -78,7 +82,7 @@ class QueueWorker:
     """Drains one study plan's missing cells through a shared backend."""
 
     def __init__(self, plan: "StudyPlan", cache: CacheBackend,
-                 worker_id: Optional[str] = None, engine: str = "fast",
+                 worker_id: Optional[str] = None,
                  lease_ttl: float = 60.0, poll_interval: float = 0.05,
                  max_wait: float = 600.0,
                  recorder: Optional[Recorder] = None) -> None:
@@ -87,39 +91,32 @@ class QueueWorker:
         self.plan = plan
         self.cache = cache
         self.worker_id = worker_id if worker_id else default_worker_id()
-        self.engine = validate_engine(engine)
         self.lease_ttl = lease_ttl
         self.poll_interval = poll_interval
         self.max_wait = max_wait
         self.recorder = active(recorder)
         self.last_report = WorkerReport()
 
-    def _payloads(self) -> List[Tuple[str, _CellPayload]]:
+    def _payloads(self) -> List[Tuple[str, CellPayload]]:
         """(cache key, simulation payload) for every unique plan cell.
 
-        Both come from the executor a ``study run`` of the same plan uses
-        for the cell's machine size, so a drained backend serves that run
-        entirely from cache.
+        Both come from the runner a ``study run`` of the same plan uses,
+        so a drained backend serves that run entirely from cache.
         """
-        runner = self.plan.runner(engine=self.engine)
-        payloads: List[Tuple[str, _CellPayload]] = []
-        for cell in self.plan.unique_cells:
-            executor = runner.executor_for(cell.num_cores)
-            job = cell.job()
-            payloads.append((executor.key_for(job), executor.payload_for(job)))
-        return payloads
+        runner = self.plan.runner()
+        return [(runner.key_for(cell), runner.payload_for(cell))
+                for cell in self.plan.unique_cells]
 
-    def _simulate(self, key: str, payload: _CellPayload) -> RunResult:
+    def _simulate(self, key: str, payload: CellPayload) -> RunResult:
         rec = self.recorder
         start = time.time() if rec is not None else 0.0
-        result = _simulate_cell(payload)
+        result = simulate_cell(payload)
         self.cache.put(key, result)
         if rec is not None:
-            config, spec, seed, _, engine = payload
+            _, spec, seed, _ = payload
             rec.wall_span(0, "job", start, time.time(),
                           {"workload": getattr(spec, "name", "?"),
-                           "seed": seed, "engine": engine,
-                           "worker": self.worker_id})
+                           "seed": seed, "worker": self.worker_id})
         return result
 
     def drain(self) -> WorkerReport:
@@ -138,7 +135,7 @@ class QueueWorker:
         self.last_report = report  # live view, even if drain() raises
         deadline = time.monotonic() + self.max_wait
         while pending:
-            still_pending: List[Tuple[str, _CellPayload]] = []
+            still_pending: List[Tuple[str, CellPayload]] = []
             progressed = False
             for key, payload in pending:
                 if self.cache.contains(key):

@@ -17,7 +17,7 @@ New machine variants are one-line registrations::
 (``derived`` applies :class:`~repro.config.SpeculationConfig` overrides when
 the keyword matches a speculation field, and ``SystemConfig`` overrides
 otherwise.)  Registered names are immediately usable by the CLI's
-``sweep``/``simulate`` commands, the campaign executor, and the figure
+``sweep``/``simulate`` commands, the study runner, and the figure
 drivers.
 """
 

@@ -17,7 +17,8 @@ Global ``-q/--quiet`` suppresses progress lines (``[campaign]``,
 adds diagnostic detail.
 
 ``simulate`` runs one workload (or scenario) under one named machine
-configuration and prints the runtime breakdown; ``figure`` regenerates one
+configuration and a baseline configuration, and prints the runtime
+breakdown and the speedup; ``figure`` regenerates one
 of the paper's evaluation figures (1, 8, 9, 10, 11, 12), the ``scenarios``
 per-phase figure, or the ``scaling`` machine-scaling study (a
 core-count sweep from 4 to 64 cores -- ``--core-counts`` overrides,
@@ -28,15 +29,16 @@ study through the same plan as ``study run`` without writing artifacts;
 ``study list`` prints the registered declarative studies (see
 ``EXPERIMENTS.md``); ``study run <name>... [--all]`` compiles the named
 studies (or every study) into **one** deduplicated campaign plan, executes
-it through the shared executor/cache, prints each study's text table, and
+it through one study runner and its result cache, prints each study's
+text table, and
 writes per-study JSON + CSV artifacts under ``results/`` (``--out-dir``
 overrides).  ``--quick`` is the CI smoke preset (2 cores, 400 ops,
 apache+barnes).
 
 ``workloads list`` and ``scenario list`` print the registered workload
 presets and phase-structured scenarios.  ``scenario run <name>`` executes
-one scenario under one or more configurations through the campaign
-executor and prints each configuration's per-phase stall breakdown; a
+one scenario under one or more configurations and prints each
+configuration's per-phase stall breakdown; a
 scenario name is likewise accepted anywhere ``sweep``/``simulate`` accept
 a workload preset.
 
@@ -47,10 +49,17 @@ missing cells on a pool of N worker processes, and completed cells are
 persisted in a content-addressed result cache so a repeated sweep -- or a
 later ``figure`` run over the same cells -- simulates nothing.
 
+``simulate``, ``sweep`` and ``scenario run`` build an ad-hoc study spec
+next to their command; it and ``figure``/``study run`` all run through
+:func:`_run_plan`, the one way this module runs cells, so every campaign
+command shares one result cache and prints the same ``[plan]`` and
+``[campaign]`` lines.  Campaigns always run the fast engine; ``profile``
+is the command that picks an engine.
+
 Every campaign-driving subcommand (``simulate``, ``figure``, ``sweep``,
 ``study run``, ``scenario run``, ``worker``) accepts one identical flag
 set, declared once in :func:`_campaign_parent`:
-``--jobs``/``--no-cache``/``--cache URL``/``--engine``/``--telemetry``.
+``--jobs``/``--no-cache``/``--cache URL``/``--telemetry``.
 ``--cache`` takes a backend URL -- ``dir://PATH`` (default,
 ``results/cache/``) or ``sqlite://FILE`` (safe for concurrent writers) --
 or a bare directory path.  ``--no-cache`` disables caching, ``--quick``
@@ -70,9 +79,9 @@ telemetry recorder attached and prints the text profile (speculation
 episodes, store-buffer stalls, coherence traffic); ``--trace-out``
 additionally writes a Chrome trace-event JSON loadable in Perfetto
 (https://ui.perfetto.dev), ``--telemetry-out`` a schema-versioned metrics
-artifact.  ``study run``/``figure``/``scenario run``/``sweep`` accept
-``--telemetry`` to record campaign-level telemetry (per-job wall spans,
-cache tallies) and write ``telemetry.json``.
+artifact.  The campaign commands accept ``--telemetry`` to record
+campaign-level telemetry (per-job wall spans, cache tallies) and write
+``telemetry.json``.
 """
 
 from __future__ import annotations
@@ -81,20 +90,10 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .api import compile_study_plan, open_cache
-from .api import simulate as api_simulate
-from .campaign import (
-    CacheBackend,
-    CampaignExecutor,
-    CampaignReport,
-    DEFAULT_CACHE_URL,
-    DEFAULT_REGISTRY,
-    Job,
-    QueueWorker,
-    expand_jobs,
-)
+from .campaign import CacheBackend, DEFAULT_CACHE_URL, DEFAULT_REGISTRY, QueueWorker
 from .experiments import (
     ExperimentSettings,
     figure2_table,
@@ -108,6 +107,7 @@ from .experiments import (
     SCALING_CORE_COUNTS,
     SCALING_SCENARIOS,
 )
+from .engine.results import RunResult
 from .engine.simulator import simulate
 from .engine.system import ENGINE_KINDS
 from .errors import ReproError
@@ -119,7 +119,14 @@ from .obs import (
 )
 from .scenarios.registry import DEFAULT_SCENARIO_REGISTRY, scenario_names, scenario_spec
 from .stats.phases import format_phase_breakdown
-from .studies import DEFAULT_STUDY_REGISTRY, StudySpec, run_study, write_artifacts
+from .studies import (
+    DEFAULT_STUDY_REGISTRY,
+    StudyCell,
+    StudyContext,
+    StudySpec,
+    run_study,
+    write_artifacts,
+)
 from .stats.report import format_table
 from .workloads.presets import WORKLOAD_PRESETS, workload_names
 from .workloads.registry import build_trace
@@ -263,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc_sub.add_parser("list", help="print scenario names, phases, descriptions")
     sc_run = sc_sub.add_parser(
         "run", parents=[campaign],
-        help="run one scenario through the campaign executor and "
+        help="run one scenario under one or more configurations and "
              "print per-phase stall breakdowns")
     sc_run.add_argument("name", help="scenario name (see 'scenario list')")
     sc_run.add_argument("--configs", type=_csv(), default=("sc", "invisi_sc"),
@@ -353,10 +360,6 @@ def _campaign_parent() -> argparse.ArgumentParser:
                        help="result cache URL: dir://PATH, sqlite://FILE, "
                             "or a bare directory path "
                             f"(default: {DEFAULT_CACHE_URL})")
-    group.add_argument("--engine", choices=list(ENGINE_KINDS), default="fast",
-                       help="execution kernel for missing cells; both engines "
-                            "produce byte-identical results and share cache "
-                            "entries (default: fast)")
     group.add_argument("--telemetry", action="store_true",
                        help="record campaign telemetry (per-job wall spans, "
                             "cache tallies) and write telemetry.json")
@@ -420,8 +423,7 @@ def _campaign_recorder(args: argparse.Namespace,
     if not getattr(args, "telemetry", False):
         return None
     rec = TraceRecorder()
-    rec.meta.update({"command": command, "engine": args.engine,
-                     "jobs": args.jobs})
+    rec.meta.update({"command": command, "jobs": args.jobs})
     return rec
 
 
@@ -439,40 +441,58 @@ def _print_catalog(title: str, headers: List[str], rows: List[List[str]]) -> Non
     _out(format_table(headers, rows, title=title))
 
 
+def _grid_results(ctx: StudyContext) -> List[Tuple[StudyCell, RunResult]]:
+    """An ad-hoc spec's result: every grid cell with its run, in grid order."""
+    return [(cell, ctx.study_runner.result(cell))
+            for cell in ctx.spec.cells(ctx.settings)]
+
+
+def _adhoc_spec(name: str, configs: Iterable[str]) -> StudySpec:
+    """A command's own grid, run through the plan like any study.
+
+    Its workloads and seeds are the settings'.  It is not registered, and
+    it has no tables, so it writes no artifacts.
+    """
+    return StudySpec(name=name, title=f"ad-hoc {name} grid",
+                     configs=tuple(configs), build=_grid_results,
+                     tabulate=lambda result: [])
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cache = _open_cli_cache(args) if args.cache else None
-    rec = _campaign_recorder(args, "simulate")
-    result = api_simulate(args.config, args.workload, engine=args.engine,
-                          warmup_fraction=args.warmup, recorder=rec,
-                          cores=args.cores, ops=args.ops, seed=args.seed,
-                          cache=cache)
-    baseline = api_simulate(args.baseline, args.workload, engine=args.engine,
-                            warmup_fraction=args.warmup,
-                            cores=args.cores, ops=args.ops, seed=args.seed,
-                            cache=cache)
-    breakdown = result.breakdown(normalize=True)
-    stats = result.aggregate()
-    rows = [
-        ["workload", args.workload],
-        ["configuration", args.config],
-        ["cycles per core", f"{result.cycles_per_core():.0f}"],
-        [f"speedup vs {args.baseline}", f"{result.speedup_over(baseline):.2f}x"],
-        ["busy", f"{100 * breakdown['busy']:.1f}%"],
-        ["other (plain misses)", f"{100 * breakdown['other']:.1f}%"],
-        ["SB full", f"{100 * breakdown['sb_full']:.1f}%"],
-        ["SB drain", f"{100 * breakdown['sb_drain']:.1f}%"],
-        ["violation", f"{100 * breakdown['violation']:.1f}%"],
-        ["speculation episodes", str(stats.speculations)],
-        ["commits / aborts", f"{stats.commits} / {stats.aborts}"],
-        ["time speculating", f"{100 * result.speculation_fraction():.1f}%"],
-    ]
-    _out(format_table(["metric", "value"], rows,
-                      title="InvisiFence reproduction: simulation summary"))
-    if result.phase_stats:
-        _out("")
-        _out(format_phase_breakdown(result))
-    _write_campaign_telemetry(rec)
-    return 0
+    settings = ExperimentSettings(num_cores=args.cores,
+                                  ops_per_thread=args.ops,
+                                  seeds=(args.seed,),
+                                  workloads=(args.workload,),
+                                  warmup_fraction=args.warmup)
+    spec = _adhoc_spec("simulate", (args.config, args.baseline))
+
+    def show(results: list) -> None:
+        (cells,) = results
+        (_, result), (_, baseline) = cells
+        breakdown = result.breakdown(normalize=True)
+        stats = result.aggregate()
+        rows = [
+            ["workload", args.workload],
+            ["configuration", args.config],
+            ["cycles per core", f"{result.cycles_per_core():.0f}"],
+            [f"speedup vs {args.baseline}",
+             f"{result.speedup_over(baseline):.2f}x"],
+            ["busy", f"{100 * breakdown['busy']:.1f}%"],
+            ["other (plain misses)", f"{100 * breakdown['other']:.1f}%"],
+            ["SB full", f"{100 * breakdown['sb_full']:.1f}%"],
+            ["SB drain", f"{100 * breakdown['sb_drain']:.1f}%"],
+            ["violation", f"{100 * breakdown['violation']:.1f}%"],
+            ["speculation episodes", str(stats.speculations)],
+            ["commits / aborts", f"{stats.commits} / {stats.aborts}"],
+            ["time speculating", f"{100 * result.speculation_fraction():.1f}%"],
+        ]
+        _out(format_table(["metric", "value"], rows,
+                          title="InvisiFence reproduction: simulation summary"))
+        if result.phase_stats:
+            _out("")
+            _out(format_phase_breakdown(result))
+
+    return _run_plan(args, "simulate", (spec,), settings, show)
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
@@ -486,48 +506,52 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return _cmd_study_run(args)
 
 
-def _run_plan(args: argparse.Namespace, specs: Sequence[StudySpec],
-              settings: ExperimentSettings, cache: Optional[CacheBackend],
-              rec: Optional[TraceRecorder]) -> Tuple[CampaignReport, float, list]:
-    """Run ``specs`` through one deduplicated plan and build their results.
+def _run_plan(args: argparse.Namespace, command: str,
+              specs: Sequence[StudySpec], settings: ExperimentSettings,
+              show: Callable[[list], None],
+              out_dir: Optional[str] = None) -> int:
+    """Run ``specs`` through one deduplicated plan: how the CLI runs cells.
 
-    The one path ``study run`` and ``figure`` share: shared cells (e.g.
-    the sc baseline) are simulated exactly once.  Prints the ``[plan]``
-    line; returns the campaign report, the plan's wall seconds, and each
-    study's result object in ``specs`` order.
+    Every campaign command but ``worker`` comes through here, so shared
+    cells (e.g. the sc baseline) are simulated once and every command
+    reads and writes the same result cache.  Prints the ``[plan]`` line,
+    hands each study's result object (in ``specs`` order) to ``show``,
+    then prints the ``[campaign]`` line and writes the telemetry.
     """
+    cache = _open_cli_cache(args)
+    rec = _campaign_recorder(args, command)
     plan = compile_study_plan(specs, settings)
     if rec is not None:
         rec.meta["studies"] = ",".join(spec.name for spec in specs)
-    study_runner = plan.runner(jobs=args.jobs, cache=cache,
-                               engine=args.engine, recorder=rec)
+    study_runner = plan.runner(jobs=args.jobs, cache=cache, recorder=rec)
     start = time.perf_counter()
     report = plan.execute(study_runner)
     elapsed = time.perf_counter() - start
     _info(f"[plan] {plan.describe()}")
     _debug(f"[plan] settings: {settings}")
-    results = [run_study(spec, settings, study_runner=study_runner)
-               for spec in specs]
-    return report, elapsed, results
+    show([run_study(spec, settings, study_runner=study_runner)
+          for spec in specs])
+    _info(f"[campaign] {report.describe(cache)} in {elapsed:.1f}s, "
+          f"--jobs {args.jobs}")
+    _write_campaign_telemetry(rec, out_dir)
+    return 0
 
 
 def _cmd_study_run(args: argparse.Namespace) -> int:
     specs, settings = _study_selection(args)
-    cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, "study run")
-    report, elapsed, results = _run_plan(args, specs, settings, cache, rec)
-    for spec, result in zip(specs, results):
-        _out("")
-        _out(result.format())
-        json_path, csv_path = write_artifacts(spec, settings,
-                                              spec.tabulate(result),
-                                              args.out_dir)
-        _info(f"[artifacts] wrote {json_path} and {csv_path}")
-    _info("")
-    _info(f"[campaign] {report.describe(cache)} in {elapsed:.1f}s, "
-          f"--jobs {args.jobs}")
-    _write_campaign_telemetry(rec, args.out_dir)
-    return 0
+
+    def show(results: list) -> None:
+        for spec, result in zip(specs, results):
+            _out("")
+            _out(result.format())
+            json_path, csv_path = write_artifacts(spec, settings,
+                                                  spec.tabulate(result),
+                                                  args.out_dir)
+            _info(f"[artifacts] wrote {json_path} and {csv_path}")
+        _info("")
+
+    return _run_plan(args, "study run", specs, settings, show,
+                     out_dir=args.out_dir)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -542,7 +566,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if rec is not None:
         rec.meta["studies"] = ",".join(spec.name for spec in specs)
     worker = QueueWorker(plan, cache, worker_id=args.worker_id,
-                         engine=args.engine, lease_ttl=args.lease_ttl,
+                         lease_ttl=args.lease_ttl,
                          poll_interval=args.poll_interval,
                          max_wait=args.max_wait, recorder=rec)
     _info(f"[worker {worker.worker_id}] draining {plan.describe()} "
@@ -571,34 +595,27 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    spec = scenario_spec(args.name)
-    configs = args.configs
+    scenario = scenario_spec(args.name)
     cores = args.cores if args.cores is not None else (2 if args.small else 8)
     ops = args.ops if args.ops is not None else (600 if args.small else 4000)
-
     settings = ExperimentSettings(num_cores=cores, ops_per_thread=ops,
                                   seeds=(args.seed,), workloads=(args.name,),
                                   warmup_fraction=args.warmup)
-    cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, "scenario run")
-    executor = CampaignExecutor(settings, jobs=args.jobs, cache=cache,
-                                engine=args.engine, recorder=rec)
-    cells = [Job(config, args.name, args.seed) for config in configs]
-    results = executor.run(cells)
+    spec = _adhoc_spec("scenario", args.configs)
 
-    _out(f"Scenario {spec.name}: {spec.description}")
-    _out(f"phases: {' -> '.join(p.name for p in spec.phases)} "
-         f"({ops} ops/thread total, {cores} cores, seed {args.seed})")
-    for job, result in zip(cells, results):
-        _out("")
-        _out(format_phase_breakdown(
-            result, title=f"{args.name} under {job.config_name}: "
-                          f"per-phase stall breakdown (% of phase cycles)"))
-    _info("")
-    _info(f"[campaign] {executor.last_report.describe(cache)}, "
-          f"--jobs {args.jobs}")
-    _write_campaign_telemetry(rec)
-    return 0
+    def show(results: list) -> None:
+        (cells,) = results
+        _out(f"Scenario {scenario.name}: {scenario.description}")
+        _out(f"phases: {' -> '.join(p.name for p in scenario.phases)} "
+             f"({ops} ops/thread total, {cores} cores, seed {args.seed})")
+        for cell, result in cells:
+            _out("")
+            _out(format_phase_breakdown(
+                result, title=f"{args.name} under {cell.config_name}: "
+                              f"per-phase stall breakdown (% of phase cycles)"))
+        _info("")
+
+    return _run_plan(args, "scenario run", (spec,), settings, show)
 
 
 def _figure_selection(args: argparse.Namespace):
@@ -639,13 +656,8 @@ def _scaling_selection(args: argparse.Namespace):
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     spec, settings = _figure_selection(args)
-    cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, f"figure {args.number}")
-    report, _, (result,) = _run_plan(args, (spec,), settings, cache, rec)
-    _out(result.format())
-    _info(f"[campaign] {report.describe(cache)}, --jobs {args.jobs}")
-    _write_campaign_telemetry(rec)
-    return 0
+    return _run_plan(args, f"figure {args.number}", (spec,), settings,
+                     lambda results: _out(results[0].format()))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -653,34 +665,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ("sc", "invisi_sc") if args.quick else DEFAULT_REGISTRY.names())
     workloads = args.workloads or (
         ("apache",) if args.quick else tuple(workload_names()))
-    seeds = args.seeds
     cores = args.cores if args.cores is not None else (2 if args.quick else 8)
     ops = args.ops if args.ops is not None else (400 if args.quick else 4000)
-
     settings = ExperimentSettings(num_cores=cores, ops_per_thread=ops,
-                                  seeds=seeds, workloads=workloads,
+                                  seeds=args.seeds, workloads=workloads,
                                   warmup_fraction=args.warmup)
-    cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, "sweep")
-    executor = CampaignExecutor(settings, jobs=args.jobs, cache=cache,
-                                engine=args.engine, recorder=rec)
-    cells = expand_jobs(configs, workloads, seeds)
+    spec = _adhoc_spec("sweep", configs)
 
-    start = time.perf_counter()
-    results = executor.run(cells)
-    elapsed = time.perf_counter() - start
+    def show(results: list) -> None:
+        (cells,) = results
+        rows = [[cell.config_name, cell.workload, str(cell.seed),
+                 f"{result.cycles_per_core():.0f}", str(result.runtime)]
+                for cell, result in cells]
+        _out(format_table(["config", "workload", "seed", "cycles/core",
+                           "runtime"], rows,
+                          title=f"Campaign sweep: {len(cells)} cells at "
+                                f"{cores} cores, {ops} ops/thread"))
 
-    rows = [[job.config_name, job.workload, str(job.seed),
-             f"{result.cycles_per_core():.0f}", str(result.runtime)]
-            for job, result in zip(cells, results)]
-    _out(format_table(["config", "workload", "seed", "cycles/core", "runtime"],
-                      rows,
-                      title=f"Campaign sweep: {len(cells)} cells at "
-                            f"{cores} cores, {ops} ops/thread"))
-    _info(f"[campaign] {executor.last_report.describe(cache)} "
-          f"in {elapsed:.1f}s with --jobs {args.jobs}")
-    _write_campaign_telemetry(rec)
-    return 0
+    return _run_plan(args, "sweep", (spec,), settings, show)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:

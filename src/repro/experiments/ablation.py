@@ -20,7 +20,7 @@ Two sensitivity studies are mentioned in the paper but not plotted:
 Each swept point is a *study-private* configuration variant
 (``invisi_sc_sb8``, ``invisi_cont_cov_t1000``, ...) overlaid on the
 default registry while the study runs, so ablation cells go through the
-same campaign executor, result cache, and dedup plan as every figure.
+same study runner, result cache, and dedup plan as every figure.
 """
 
 from __future__ import annotations

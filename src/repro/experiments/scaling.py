@@ -4,7 +4,7 @@ The paper evaluates a fixed 4x4-torus 16-core machine, but its central
 claim -- that speculation keeps ordering enforcement performance-neutral
 where store-buffer designs degrade -- is a *scaling* claim.  This study
 sweeps machine geometry as a first-class grid axis: every (core count,
-machine configuration, scenario) cell runs through the campaign executor
+machine configuration, scenario) cell runs through the study runner
 (so cells are cached, deduplicated, and parallelisable like any other
 campaign), and the result is summarised as
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..campaign.executor import CampaignReport
+from ..campaign.cells import CampaignReport
 from ..cpu.stats import BREAKDOWN_COMPONENTS
 from ..stats.report import format_breakdown_table, format_table
 from ..studies.artifacts import StudyTable

@@ -14,17 +14,19 @@ per figure, each study is a :class:`~repro.studies.spec.StudySpec`:
 * a ``build`` hook that turns the executed grid into the figure's result
   object, and a ``tabulate`` hook that flattens it into structured tables.
 
-Specs compile to a deduplicated campaign job plan
-(:func:`~repro.studies.plan.compile_plan`) executed through the existing
-:class:`~repro.campaign.executor.CampaignExecutor` and its cache backend
-(:class:`~repro.campaign.backends.CacheBackend`), and emit JSON + CSV artifacts
-under ``results/`` (:mod:`~repro.studies.artifacts`) alongside the
-original text tables.  :func:`~repro.studies.runner.run_study` is the one
-way to run a study: its :class:`~repro.studies.runner.StudyRunner` owns
-the executors and the result memo.  The modules of
-:mod:`repro.experiments` register the paper's specs; ``repro study
-list|run`` and ``repro figure N`` are the CLI surface.  See
-``EXPERIMENTS.md`` for the user-facing guide.
+Specs compile to a deduplicated campaign plan
+(:func:`~repro.studies.plan.compile_plan`) whose cells run through a
+:class:`~repro.studies.runner.StudyRunner` -- the one way a named cell
+runs: cache lookups, serial or pooled simulation of the misses, and
+stores, against one :class:`~repro.campaign.backends.CacheBackend`.
+Studies emit JSON + CSV artifacts under ``results/``
+(:mod:`~repro.studies.artifacts`) alongside the original text tables.
+:func:`~repro.studies.runner.run_study` is the one way to run a study.
+The modules of :mod:`repro.experiments` register the paper's specs;
+``repro study list|run`` and ``repro figure N`` are the CLI surface, and
+``repro simulate``, ``sweep`` and ``scenario run`` run ad-hoc specs
+through the same plan.  See ``EXPERIMENTS.md`` for the user-facing
+guide.
 
 Import order note: :mod:`~repro.studies.metrics` and the other submodules
 here must not import :mod:`repro.experiments` at module scope (the

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..campaign.backends import CacheBackend
-from ..campaign.executor import CampaignReport
+from ..campaign.cells import CampaignReport
 from ..campaign.registry import ConfigFactory, ConfigRegistry, DEFAULT_REGISTRY
 from ..errors import StudyError
+from ..obs.recorder import Recorder
 from .runner import StudyRunner, overlay_registry
 from .spec import StudyCell, StudySpec
 
@@ -52,11 +53,10 @@ class StudyPlan:
 
     def runner(self, jobs: int = 1,
                cache: Optional[CacheBackend] = None,
-               engine: str = "fast", recorder=None) -> StudyRunner:
+               recorder: Optional[Recorder] = None) -> StudyRunner:
         """A study runner wired to this plan's merged registry."""
         return StudyRunner(self.settings, jobs=jobs, cache=cache,
-                           registry=self.registry(), engine=engine,
-                           recorder=recorder)
+                           registry=self.registry(), recorder=recorder)
 
     def execute(self, study_runner: StudyRunner) -> CampaignReport:
         """Run the union once -- the single prefetch for every study."""

@@ -1,13 +1,24 @@
-"""Study execution: the one way a study's cells run.
+"""Study execution: the one way a named cell runs.
 
-A :class:`StudyRunner` owns one
-:class:`~repro.campaign.executor.CampaignExecutor` per swept machine
-size, all sharing the same worker-pool width, result cache, and
-configuration registry (an overlay when studies bring private config
-variants), plus one memo of results keyed by :class:`StudyCell`.
-:func:`run_study` is the single entry point: expand the grid, run every
-missing cell through the executors, hand a :class:`StudyContext` to the
-spec's ``build`` hook, and optionally write JSON/CSV artifacts.
+A :class:`StudyRunner` runs :class:`StudyCell`\\ s through the result
+cache and keeps one memo of their results.  Cells run one machine size
+at a time, sizes in first-appearance order.  For each size the runner
+makes one cache ``get`` per unique cell, simulates the misses in order,
+then makes one ``put`` per simulated cell, so a repeated campaign
+simulates nothing.  With ``jobs=1`` the misses run in this process; with
+``jobs>1`` they fan out over a ``multiprocessing`` pool whose workers
+rebuild each trace from its :data:`~repro.campaign.cells.CellPayload`.
+Traces are generated deterministically from their seed and the simulator
+is deterministic, so both paths produce bitwise-identical results.
+
+The serial path builds each (workload, seed, cores) trace once per size,
+so a figure's many configurations share one build, and drops it from
+the memo after the last cell of that size that replays it: a finished
+trace is freed while the campaign goes on.
+
+:func:`run_study` is the single entry point for one study: expand the
+grid, run every missing cell, hand a :class:`StudyContext` to the spec's
+``build`` hook, and optionally write JSON/CSV artifacts.
 
 Imports from :mod:`repro.experiments` are deferred to call time: the
 experiments layer imports this package (its modules register the
@@ -17,13 +28,27 @@ built-in specs), so a module-scope import here would be circular.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Union
+import multiprocessing
+import os
+import time
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from ..campaign.backends import CacheBackend
-from ..campaign.executor import CampaignExecutor, CampaignReport
+from ..campaign.cache import cache_key
+from ..campaign.cells import (
+    CampaignReport,
+    CellPayload,
+    simulate_cell,
+    simulate_cell_timed,
+)
 from ..campaign.registry import ConfigFactory, ConfigRegistry, DEFAULT_REGISTRY
+from ..config import SystemConfig
 from ..engine.results import RunResult
+from ..engine.simulator import simulate
 from ..errors import StudyError
+from ..obs.recorder import Recorder, active
+from ..trace.trace import MultiThreadedTrace
+from ..workloads.registry import build_trace, resolve_spec
 from .artifacts import write_artifacts
 from .metrics import METRICS, normalized_breakdown, speedup
 from .spec import StudyCell, StudySpec
@@ -56,67 +81,188 @@ def overlay_registry(base: ConfigRegistry,
 
 
 class StudyRunner:
-    """The one way a study's cells run.
+    """The one way a named cell runs through the result cache.
 
-    Holds one :class:`~repro.campaign.executor.CampaignExecutor` per
-    machine size, all sharing the worker-pool width, result cache, engine,
-    and configuration registry, and one memo of every result this runner
-    has produced, keyed by :class:`StudyCell`.
+    Holds the worker-pool width, result cache and configuration registry
+    shared by every machine size, the serial path's trace memo, and one
+    memo of every result this runner has produced, keyed by
+    :class:`StudyCell`.
     """
 
     def __init__(self, settings: "ExperimentSettings", jobs: int = 1,
                  cache: Optional[CacheBackend] = None,
                  registry: Optional[ConfigRegistry] = None,
-                 engine: str = "fast", recorder=None) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.settings = settings
         self.jobs = jobs
         self.cache = cache
-        self.engine = engine
-        self.recorder = recorder
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._executors: Dict[int, CampaignExecutor] = {}
+        #: campaign-level observability: per-job wall-clock spans and
+        #: ``campaign.*`` tallies.  ``None`` (the default) records nothing;
+        #: cells always run without an engine recorder, so their results
+        #: never depend on telemetry.
+        self.recorder = active(recorder)
+        #: worker pid -> small campaign tid, for stable trace tracks.
+        self._worker_tids: Dict[int, int] = {}
+        self._traces: Dict[Tuple[str, int, int], MultiThreadedTrace] = {}
         self._results: Dict[StudyCell, RunResult] = {}
 
     def require_configs(self, extras: Mapping[str, ConfigFactory]) -> None:
         """Make a study's private configuration variants resolvable."""
-        if not extras:
-            return
-        self.registry = overlay_registry(self.registry, extras)
-        for executor in self._executors.values():
-            executor.registry = self.registry
+        if extras:
+            self.registry = overlay_registry(self.registry, extras)
 
-    def executor_for(self, num_cores: int) -> CampaignExecutor:
-        """The (lazily created) executor for one machine size."""
-        if num_cores not in self._executors:
-            scaled = self.settings if num_cores == self.settings.num_cores \
-                else dataclasses.replace(self.settings, num_cores=num_cores)
-            self._executors[num_cores] = CampaignExecutor(
-                scaled, jobs=self.jobs, cache=self.cache,
-                registry=self.registry, engine=self.engine,
-                recorder=self.recorder)
-        return self._executors[num_cores]
+    # -- one cell -------------------------------------------------------------
+
+    def config_for(self, cell: StudyCell) -> SystemConfig:
+        settings = self.settings
+        if cell.num_cores != settings.num_cores:
+            settings = dataclasses.replace(settings, num_cores=cell.num_cores)
+        return self.registry.make(cell.config_name, settings)
+
+    def key_for(self, cell: StudyCell) -> str:
+        """The cell's persistent cache key."""
+        spec = resolve_spec(cell.workload, self.settings.ops_per_thread)
+        return cache_key(self.config_for(cell), spec, cell.seed,
+                         self.settings.warmup_fraction)
+
+    def payload_for(self, cell: StudyCell) -> CellPayload:
+        """Everything a worker process needs to simulate the cell."""
+        spec = resolve_spec(cell.workload, self.settings.ops_per_thread)
+        return (self.config_for(cell), spec, cell.seed,
+                self.settings.warmup_fraction)
+
+    def trace_for(self, workload: str, seed: int,
+                  num_threads: int) -> MultiThreadedTrace:
+        """Build (or reuse) the trace for one (workload, seed, cores) cell.
+
+        ``num_threads`` is the configuration's core count, so a registered
+        configuration that overrides ``num_cores`` (a geometry variant)
+        gets its own memo entry, and the serial path builds exactly the
+        trace a pool worker would rebuild from the shipped config.  The
+        trace stays memoized until the serial path has replayed it for
+        the last time in one machine size's cells.
+        """
+        key = (workload, seed, num_threads)
+        if key not in self._traces:
+            self._traces[key] = build_trace(
+                workload, num_threads=num_threads,
+                ops_per_thread=self.settings.ops_per_thread, seed=seed)
+        return self._traces[key]
+
+    # -- execution ------------------------------------------------------------
+
+    def _worker_tid(self, pid: int) -> int:
+        """A small, stable campaign-track id for a worker process."""
+        tid = self._worker_tids.get(pid)
+        if tid is None:
+            tid = self._worker_tids[pid] = len(self._worker_tids) + 1
+        return tid
+
+    @staticmethod
+    def _job_args(cell: StudyCell, pid: int) -> Dict[str, object]:
+        return {"config": cell.config_name, "workload": cell.workload,
+                "seed": cell.seed, "worker": pid}
+
+    def _run_serial(self, missing: List[StudyCell]) -> List[RunResult]:
+        """Simulate ``missing`` in this process, in order.
+
+        Cells that replay one trace share one build, and each trace leaves
+        the memo after the last of these cells that replays it, so the
+        trace and every machine built on it are freed as soon as they are
+        done with.
+        """
+        rec = self.recorder
+        warmup = self.settings.warmup_fraction
+        configs = [self.config_for(cell) for cell in missing]
+        keys = [(cell.workload, cell.seed, config.num_cores)
+                for cell, config in zip(missing, configs)]
+        last_use = {key: i for i, key in enumerate(keys)}
+        results = []
+        for i, (cell, config, key) in enumerate(zip(missing, configs, keys)):
+            trace = self.trace_for(*key)
+            if last_use[key] == i:
+                del self._traces[key]
+            start = time.time() if rec is not None else 0.0
+            results.append(simulate(config, trace, warmup_fraction=warmup))
+            # Unbind it, so a trace the memo dropped is freed before the
+            # next build.
+            del trace
+            if rec is not None:
+                rec.wall_span(0, "job", start, time.time(),
+                              self._job_args(cell, os.getpid()))
+        return results
+
+    def _run_pool(self, missing: List[StudyCell],
+                  workers: int) -> List[RunResult]:
+        """Simulate ``missing`` on a pool of ``workers`` processes."""
+        rec = self.recorder
+        payloads = [self.payload_for(cell) for cell in missing]
+        with multiprocessing.Pool(processes=workers) as pool:
+            if rec is None:
+                return pool.map(simulate_cell, payloads, chunksize=1)
+            timed = pool.map(simulate_cell_timed, payloads, chunksize=1)
+        results = []
+        for cell, (result, start, end, pid) in zip(missing, timed):
+            rec.wall_span(self._worker_tid(pid), "job", start, end,
+                          self._job_args(cell, pid))
+            results.append(result)
+        return results
+
+    def _run_size(self, cells: List[StudyCell],
+                  report: CampaignReport) -> None:
+        """Run one machine size's unique, unmemoized cells.
+
+        One ``get`` per cell, then the misses simulated in order, then one
+        ``put`` per simulated cell.
+        """
+        cache = self.cache
+        keys: Dict[StudyCell, str] = {}
+        missing: List[StudyCell] = []
+        for cell in cells:
+            if cache is not None:
+                keys[cell] = self.key_for(cell)
+                cached = cache.get(keys[cell])
+                if cached is not None:
+                    self._results[cell] = cached
+                    report.cache_hits += 1
+                    continue
+            missing.append(cell)
+        if not missing:
+            return
+        report.simulated += len(missing)
+        workers = min(self.jobs, len(missing))
+        simulated = (self._run_pool(missing, workers) if workers > 1
+                     else self._run_serial(missing))
+        for cell, result in zip(missing, simulated):
+            self._results[cell] = result
+            if cache is not None:
+                cache.put(keys[cell], result)
 
     def run_cells(self, cells: Sequence[StudyCell]) -> CampaignReport:
-        """Run every cell not yet memoized; returns the summed tallies.
+        """Run every cell not yet memoized; returns what the campaign did.
 
-        Missing cells run as one campaign per machine size, so each group
-        fans out over the executor's worker pool; the build hooks
-        afterwards only read memoized results.
+        Machine sizes run in first-appearance order.  The build hooks
+        afterwards only read memoized results, so they record nothing.
         """
         cells = list(cells)
         unique = list(dict.fromkeys(cells))
         report = CampaignReport(total=len(cells),
                                 deduplicated=len(cells) - len(unique))
-        groups: Dict[int, List[StudyCell]] = {}
+        sizes: Dict[int, List[StudyCell]] = {}
         for cell in unique:
             if cell not in self._results:
-                groups.setdefault(cell.num_cores, []).append(cell)
-        for num_cores, group in groups.items():
-            executor = self.executor_for(num_cores)
-            results = executor.run([cell.job() for cell in group])
-            self._results.update(zip(group, results))
-            report.simulated += executor.last_report.simulated
-            report.cache_hits += executor.last_report.cache_hits
+                sizes.setdefault(cell.num_cores, []).append(cell)
+        for group in sizes.values():
+            self._run_size(group, report)
+        rec = self.recorder
+        if rec is not None and sizes:
+            rec.count("campaign.jobs", sum(map(len, sizes.values())))
+            rec.count("campaign.simulated", report.simulated)
+            rec.count("campaign.cache_hits", report.cache_hits)
+            rec.count("campaign.deduplicated", report.deduplicated)
         return report
 
     def result(self, cell: StudyCell) -> RunResult:
@@ -185,14 +331,14 @@ def run_study(study: Union[str, StudySpec],
               jobs: int = 1,
               cache: Optional[CacheBackend] = None,
               out_dir: Optional[Union[str, "Path"]] = None,
-              engine: str = "fast", recorder=None):
+              recorder: Optional[Recorder] = None):
     """Execute one study end to end; returns its result object.
 
     ``study`` is a :class:`StudySpec` or a name registered in
     :data:`~repro.studies.registry.DEFAULT_STUDY_REGISTRY`.  Pass
     ``study_runner`` to share its memoized results with other studies
     (e.g. after :meth:`StudyPlan.execute`); otherwise a fresh runner with
-    ``jobs``/``cache``/``engine``/``recorder`` runs the study's cells.
+    ``jobs``/``cache``/``recorder`` runs the study's cells.
     With ``out_dir`` set, the study's JSON + CSV artifacts are written
     there.
     """
@@ -205,7 +351,7 @@ def run_study(study: Union[str, StudySpec],
         settings = ExperimentSettings()
     if study_runner is None:
         study_runner = StudyRunner(settings, jobs=jobs, cache=cache,
-                                   engine=engine, recorder=recorder)
+                                   recorder=recorder)
     study_runner.require_configs(spec.extra_configs)
     report = study_runner.run_cells(spec.cells(settings))
     result = spec.build(StudyContext(spec, settings, study_runner, report))

@@ -23,7 +23,6 @@ from typing import (
     Union,
 )
 
-from ..campaign.jobs import Job
 from ..campaign.registry import ConfigFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -42,15 +41,14 @@ SeedAxis = Union[None, Tuple[int, ...],
 
 @dataclass(frozen=True, order=True)
 class StudyCell:
-    """One grid point: a campaign job at a specific machine size."""
+    """One grid point: a (configuration, workload, seed) cell at one
+    machine size.  Hashable, so it keys the runner's memo."""
 
     num_cores: int
     config_name: str
+    #: a workload preset name or a scenario name.
     workload: str
     seed: int
-
-    def job(self) -> Job:
-        return Job(self.config_name, self.workload, self.seed)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.config_name}/{self.workload}@{self.seed}/{self.num_cores}c"

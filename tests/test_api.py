@@ -1,6 +1,9 @@
 """The public API facade and the unified campaign CLI flags."""
 
+import inspect
 from urllib.parse import urlencode
+
+import pytest
 
 import repro
 import repro.api
@@ -16,6 +19,7 @@ from repro import (
 )
 from repro.campaign import DirectoryBackend, SqliteBackend
 from repro.cli import main
+from repro.errors import StudyError
 from repro.experiments.common import ExperimentSettings
 
 QUICK = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,
@@ -75,16 +79,9 @@ class TestSimulate:
         result = simulate("sc", "false-sharing-storm", cores=2, ops=200)
         assert result.cycles_per_core() > 0
 
-    def test_cached_call_round_trips(self, tmp_path):
-        cache = open_cache(f"sqlite://{tmp_path}/c.sqlite")
-        cold = simulate("sc", "apache", cores=2, ops=200, seed=1,
-                        cache=cache)
-        warm = simulate("sc", "apache", cores=2, ops=200, seed=1,
-                        cache=cache)
-        assert len(cache) == 1
-        assert cold.to_dict() == warm.to_dict()
-        uncached = simulate("sc", "apache", cores=2, ops=200, seed=1)
-        assert warm.to_dict() == uncached.to_dict()
+    def test_has_no_cache_parameter(self):
+        """Named cells reach the result cache only through the runner."""
+        assert "cache" not in inspect.signature(simulate).parameters
 
 
 class TestRunStudyAndExecutePlan:
@@ -104,6 +101,14 @@ class TestRunStudyAndExecutePlan:
         assert execution.result("figure1") is execution.result("figure1")
         assert "figure1" in execution.results()
         assert "unique jobs" in execution.describe()
+
+    def test_result_of_a_study_not_in_the_plan_names_the_plan(self,
+                                                              tmp_path):
+        execution = execute_plan(["figure1"], QUICK,
+                                 cache=str(tmp_path / "cache"))
+        with pytest.raises(StudyError,
+                           match="'figure8' is not in this plan.*figure1"):
+            execution.result("figure8")
 
     def test_execute_plan_deduplicates_across_studies(self, tmp_path):
         execution = execute_plan(["figure8", "figure9"], QUICK,
@@ -129,10 +134,10 @@ class TestUnifiedCliFlags:
         parser = _build_parser()
         for argv in self.CAMPAIGN_COMMANDS:
             args = parser.parse_args(argv + ["--jobs", "2", "--no-cache",
-                                             "--engine", "fast",
                                              "--telemetry"])
             assert args.jobs == 2 and args.no_cache and args.telemetry
             assert args.cache is None
+            assert not hasattr(args, "engine")
 
     def test_cache_url_flag_sqlite(self, tmp_path, capsys):
         url = f"sqlite://{tmp_path}/c.sqlite"

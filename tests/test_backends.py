@@ -24,13 +24,11 @@ import pytest
 
 from repro import compile_study_plan, open_cache
 from repro.campaign import (
-    CampaignExecutor,
     DirectoryBackend,
     QueueWorker,
     SqliteBackend,
     backend_from_url,
     cache_key,
-    expand_jobs,
 )
 from repro.campaign.versions import (
     SOURCE_GROUPS,
@@ -44,6 +42,7 @@ from repro.engine.simulator import simulate
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import scaling_study, store_buffer_study
 from repro.experiments.common import ExperimentSettings, make_config
+from repro.studies import StudyCell, StudyRunner
 from repro.workloads.registry import build_trace, resolve_spec
 
 SETTINGS = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,
@@ -367,24 +366,24 @@ class TestKernelVersionInvalidation:
                                                       tmp_path):
         _, selective = scoped_groups
         cache_url = str(tmp_path / "cache")
-        jobs = expand_jobs(("sc", "invisi_sc"), ("apache",), (1,))
+        cells = [StudyCell(SETTINGS.num_cores, config, "apache", 1)
+                 for config in ("sc", "invisi_sc")]
 
-        executor = CampaignExecutor(SETTINGS, cache=open_cache(cache_url))
-        executor.run(jobs)
-        assert executor.last_report.simulated == 2
+        def run():
+            return StudyRunner(SETTINGS,
+                               cache=open_cache(cache_url)).run_cells(cells)
+
+        assert run().simulated == 2
 
         # unchanged sources: a fresh campaign is fully cache-served.
-        executor = CampaignExecutor(SETTINGS, cache=open_cache(cache_url))
-        executor.run(jobs)
-        assert executor.last_report.cache_hits == 2
+        assert run().cache_hits == 2
 
         # a selective-controller edit cold-starts only the invisi cell.
         selective.write_text("SELECTIVE = 3\n", encoding="utf-8")
         clear_fingerprint_cache()
-        executor = CampaignExecutor(SETTINGS, cache=open_cache(cache_url))
-        executor.run(jobs)
-        assert executor.last_report.cache_hits == 1
-        assert executor.last_report.simulated == 1
+        report = run()
+        assert report.cache_hits == 1
+        assert report.simulated == 1
 
     def test_fingerprint_stable_within_process(self):
         assert group_fingerprint("base") == group_fingerprint("base")
@@ -407,7 +406,7 @@ def _drain_until_killed(plan, url, marker):
             handle.write("claimed")
         time.sleep(120)
 
-    queue._simulate_cell = hang  # this process only
+    queue.simulate_cell = hang  # this process only
     QueueWorker(plan, open_cache(url), worker_id="doomed",
                 lease_ttl=0.5).drain()
 

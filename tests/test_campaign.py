@@ -1,4 +1,4 @@
-"""Tests for the campaign subsystem: registry, jobs, cache, and executor."""
+"""Tests for the campaign subsystem: registry, cache, and the runner."""
 
 import dataclasses
 import json
@@ -6,18 +6,14 @@ import weakref
 
 import pytest
 
-import repro.campaign.executor as executor_module
+import repro.studies.runner as runner_module
 from repro.api import compile_study_plan, execute_plan
 from repro.campaign import (
-    CampaignExecutor,
-    CampaignReport,
     ConfigRegistry,
     DEFAULT_REGISTRY,
     DirectoryBackend,
-    Job,
     cache_key,
     derived,
-    expand_jobs,
 )
 from repro.config import SystemConfig
 from repro.engine.results import RunResult
@@ -25,12 +21,19 @@ from repro.engine.simulator import simulate
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.experiments.scaling import scaling_study
+from repro.studies import StudyCell, StudyRunner, StudySpec
 from repro.workloads.presets import preset
 from repro.workloads.registry import build_trace
 
 #: miniature scale so the whole module runs in seconds.
 SETTINGS = ExperimentSettings.quick(num_cores=2, ops_per_thread=300,
                                     workloads=("apache",))
+
+
+def cells(configs, seeds=(1,), workload="apache"):
+    """Config-major (config, workload, seed) cells at the settings' size."""
+    return [StudyCell(SETTINGS.num_cores, config, workload, seed)
+            for config in configs for seed in seeds]
 
 
 @pytest.fixture()
@@ -97,17 +100,18 @@ class TestRegistry:
         assert DEFAULT_REGISTRY.names()[:3] == ("sc", "tso", "rmo")
 
 
-class TestJobs:
-    def test_jobs_are_hashable_and_ordered(self):
-        a = Job("sc", "apache", 1)
-        b = Job("sc", "apache", 1)
+class TestCells:
+    def test_cells_are_hashable_and_ordered(self):
+        a = StudyCell(2, "sc", "apache", 1)
+        b = StudyCell(2, "sc", "apache", 1)
         assert a == b and hash(a) == hash(b)
-        assert Job("sc", "apache", 1) < Job("sc", "apache", 2)
+        assert StudyCell(2, "sc", "apache", 1) < StudyCell(2, "sc", "apache", 2)
 
-    def test_expand_jobs_is_config_major(self):
-        jobs = expand_jobs(("sc", "tso"), ("apache",), (1, 2))
-        assert jobs == [Job("sc", "apache", 1), Job("sc", "apache", 2),
-                        Job("tso", "apache", 1), Job("tso", "apache", 2)]
+    def test_grid_is_config_major(self):
+        spec = StudySpec(name="grid", title="grid", configs=("sc", "tso"),
+                         workloads=("apache",), seeds=(1, 2),
+                         build=lambda ctx: None, tabulate=lambda result: [])
+        assert spec.cells(SETTINGS) == cells(("sc", "tso"), seeds=(1, 2))
 
 
 class TestResultSerialization:
@@ -155,21 +159,23 @@ class TestDirectoryCache:
         assert len(cache) == 0
 
 
-class TestExecutor:
-    JOBS = expand_jobs(("sc", "invisi_sc"), ("apache",), (1, 2))
+class TestRunner:
+    CELLS = cells(("sc", "invisi_sc"), seeds=(1, 2))
 
     def test_cache_populated_then_no_simulation(self, tmp_path):
         cache = DirectoryBackend(tmp_path / "cache")
-        executor = CampaignExecutor(SETTINGS, jobs=1, cache=cache)
-        first = executor.run(self.JOBS)
-        assert executor.last_report.simulated == len(self.JOBS)
-        assert len(cache) == len(self.JOBS)
+        runner = StudyRunner(SETTINGS, jobs=1, cache=cache)
+        report = runner.run_cells(self.CELLS)
+        first = [runner.result(cell) for cell in self.CELLS]
+        assert report.simulated == len(self.CELLS)
+        assert len(cache) == len(self.CELLS)
 
-        again = CampaignExecutor(SETTINGS, jobs=1,
-                                 cache=DirectoryBackend(tmp_path / "cache"))
-        second = again.run(self.JOBS)
-        assert again.last_report.simulated == 0
-        assert again.last_report.cache_hits == len(self.JOBS)
+        again = StudyRunner(SETTINGS, jobs=1,
+                            cache=DirectoryBackend(tmp_path / "cache"))
+        report = again.run_cells(self.CELLS)
+        second = [again.result(cell) for cell in self.CELLS]
+        assert report.simulated == 0
+        assert report.cache_hits == len(self.CELLS)
         for a, b in zip(first, second):
             assert a.summary() == b.summary()
 
@@ -189,49 +195,50 @@ class TestExecutor:
             real_put(key, result)
 
         cache.get, cache.put = get, put
-        executor = CampaignExecutor(SETTINGS, jobs=1, cache=cache)
-        executor.run(self.JOBS + self.JOBS[:1])
-        assert len(gets) == len(set(gets)) == len(self.JOBS)
+        runner = StudyRunner(SETTINGS, jobs=1, cache=cache)
+        runner.run_cells(self.CELLS + self.CELLS[:1])
+        assert len(gets) == len(set(gets)) == len(self.CELLS)
         assert sorted(puts) == sorted(gets)
-        executor.run(self.JOBS)
-        assert len(gets) == 2 * len(self.JOBS)
-        assert len(puts) == len(self.JOBS)
+        # Memoized cells make no cache call; a fresh runner reads them all.
+        runner.run_cells(self.CELLS)
+        assert len(gets) == len(self.CELLS)
+        StudyRunner(SETTINGS, jobs=1, cache=cache).run_cells(self.CELLS)
+        assert len(gets) == 2 * len(self.CELLS)
+        assert len(puts) == len(self.CELLS)
 
-    def test_report_describe_and_merge(self, tmp_path):
+    def test_report_describe(self, tmp_path):
         cache = DirectoryBackend(tmp_path / "cache")
-        executor = CampaignExecutor(SETTINGS, jobs=1, cache=cache)
-        executor.run(self.JOBS[:1])
-        report = executor.last_report
+        report = StudyRunner(SETTINGS, jobs=1,
+                             cache=cache).run_cells(self.CELLS[:1])
         # CI greps this exact prefix; nothing follows the label.
         assert report.describe(cache) == \
             f"1 simulated, 0 cache hits (dir:{tmp_path / 'cache'})"
         assert report.describe() == "1 simulated, 0 cache hits (no cache)"
-        report.merge(CampaignReport(total=3, simulated=1, cache_hits=2,
-                                    deduplicated=1))
-        assert report == CampaignReport(total=4, simulated=2, cache_hits=2,
-                                        deduplicated=1)
 
     def test_duplicate_cells_simulated_once(self):
-        executor = CampaignExecutor(SETTINGS, jobs=1)
-        job = Job("sc", "apache", 1)
-        results = executor.run([job, job])
-        assert executor.last_report.simulated == 1
-        assert executor.last_report.deduplicated == 1
-        assert results[0] is results[1]
+        runner = StudyRunner(SETTINGS, jobs=1)
+        cell = self.CELLS[0]
+        report = runner.run_cells([cell, cell])
+        assert report.simulated == 1
+        assert report.deduplicated == 1
+        assert runner.result(cell) is runner.result(cell)
 
     def test_results_keep_input_order(self):
-        executor = CampaignExecutor(SETTINGS, jobs=1)
-        reordered = list(reversed(self.JOBS))
-        results = executor.run(reordered)
-        for job, result in zip(reordered, results):
-            assert result.workload == job.workload
-            assert result.seed == job.seed
-            assert result.config == make_config(job.config_name, SETTINGS)
+        runner = StudyRunner(SETTINGS, jobs=1)
+        reordered = list(reversed(self.CELLS))
+        runner.run_cells(reordered)
+        for cell in reordered:
+            result = runner.result(cell)
+            assert result.workload == cell.workload
+            assert result.seed == cell.seed
+            assert result.config == make_config(cell.config_name, SETTINGS)
 
     def test_parallel_matches_serial(self):
-        serial = CampaignExecutor(SETTINGS, jobs=1).run(self.JOBS)
-        parallel = CampaignExecutor(SETTINGS, jobs=4).run(self.JOBS)
-        for a, b in zip(serial, parallel):
+        serial = StudyRunner(SETTINGS, jobs=1)
+        parallel = StudyRunner(SETTINGS, jobs=4)
+        assert parallel.run_cells(self.CELLS).simulated == len(self.CELLS)
+        for cell in self.CELLS:
+            a, b = serial.result(cell), parallel.result(cell)
             assert a.summary() == b.summary()
             assert a.config == b.config
             assert a.seed == b.seed
@@ -240,43 +247,43 @@ class TestExecutor:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            CampaignExecutor(SETTINGS, jobs=0)
+            StudyRunner(SETTINGS, jobs=0)
 
 
 @pytest.fixture()
 def trace_builds(monkeypatch):
-    """Every trace the executor builds, as (workload, seed, threads)."""
+    """Every trace the runner builds, as (workload, seed, threads)."""
     builds = []
-    real_build = executor_module.build_trace
+    real_build = runner_module.build_trace
 
     def build(workload, num_threads, ops_per_thread, seed):
         builds.append((workload, seed, num_threads))
         return real_build(workload, num_threads=num_threads,
                           ops_per_thread=ops_per_thread, seed=seed)
 
-    monkeypatch.setattr(executor_module, "build_trace", build)
+    monkeypatch.setattr(runner_module, "build_trace", build)
     return builds
 
 
 class TestTraceLifetime:
-    """The serial path builds each trace once per run, then lets it go."""
+    """The serial path builds each trace once per size, then lets it go."""
 
-    JOBS = expand_jobs(("sc", "tso", "invisi_sc"), ("apache",), (1,))
+    CELLS = cells(("sc", "tso", "invisi_sc"))
 
-    def test_jobs_sharing_a_trace_build_it_once(self, trace_builds):
-        executor = CampaignExecutor(SETTINGS, jobs=1)
-        executor.run(self.JOBS)
+    def test_cells_sharing_a_trace_build_it_once(self, trace_builds):
+        runner = StudyRunner(SETTINGS, jobs=1)
+        runner.run_cells(self.CELLS)
         assert trace_builds == [("apache", 1, SETTINGS.num_cores)]
         # A later call rebuilds the trace it needs.
-        executor.run([Job("rmo", "apache", 1)])
+        runner.run_cells(cells(("rmo",)))
         assert len(trace_builds) == 2
 
     def test_trace_is_freed_once_run_returns(self, trace_builds):
-        executor = CampaignExecutor(SETTINGS, jobs=1)
-        trace = executor.trace_for("apache", 1)
+        runner = StudyRunner(SETTINGS, jobs=1)
+        trace = runner.trace_for("apache", 1, SETTINGS.num_cores)
         alive = weakref.ref(trace)
-        executor.run(self.JOBS)
-        # run() replayed the memoized trace instead of building another.
+        runner.run_cells(self.CELLS)
+        # run_cells() replayed the memoized trace instead of building another.
         assert len(trace_builds) == 1
         del trace
         assert alive() is None

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -16,7 +17,8 @@ RETIRED_ALIAS = "--cache" + "-dir"
 class TestSimulateCommand:
     def test_simulate_prints_summary(self, capsys):
         code = main(["simulate", "--workload", "barnes", "--config", "invisi_sc",
-                     "--cores", "2", "--ops", "400", "--seed", "3"])
+                     "--cores", "2", "--ops", "400", "--seed", "3",
+                     "--no-cache"])
         out = capsys.readouterr().out
         assert code == 0
         assert "simulation summary" in out
@@ -40,14 +42,52 @@ class TestEngineFlag:
         ["study", "run", "figure1", "--quick"],
         ["scenario", "run", "false-sharing-storm", "--small"],
         ["worker", "figure1", "--quick"],
-        ["profile", "sc", "apache", "--small"],
     ), ids=lambda argv: argv[0])
-    def test_retired_batch_engine_exits_2(self, argv, capsys):
-        """Every ``--engine`` flag offers only fast|reference."""
+    def test_campaign_commands_reject_engine_exit_2(self, argv, capsys):
+        """Campaigns always run the fast engine; they take no ``--engine``."""
         with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--engine", "batch"])
+            main(argv + ["--engine", "fast"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_profile_retired_batch_engine_exits_2(self, capsys):
+        """``profile`` offers only fast|reference."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "sc", "apache", "--small", "--engine", "batch"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+
+class TestCampaignCommandsShareOneCache:
+    CELL = ["--workload", "apache", "--cores", "2", "--ops", "400"]
+
+    def test_sweep_and_simulate_read_the_study_cache(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert main(["study", "run", "figure8", "--quick", "--cache", cache,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--configs",
+                     "sc,tso,rmo,invisi_sc,invisi_tso,invisi_rmo",
+                     "--workloads", "apache,barnes", "--cores", "2",
+                     "--ops", "400", "--cache", cache]) == 0
+        assert "0 simulated, 12 cache hits" in capsys.readouterr().out
+        assert main(["simulate", "--config", "invisi_sc", *self.CELL,
+                     "--cache", cache]) == 0
+        out = capsys.readouterr().out
+        assert "[plan] 2 cells across 1 studies -> 2 unique jobs" in out
+        assert "0 simulated, 2 cache hits" in out
+
+    def test_simulate_telemetry_is_campaign_telemetry(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "invisi_sc", *self.CELL,
+                     "--no-cache", "--telemetry"]) == 0
+        assert not (tmp_path / "results").exists()
+        payload = json.loads((tmp_path / "telemetry.json").read_text())
+        assert payload["counters"]["campaign.jobs"] == 2
+        assert payload["spans"]["job"]["count"] == 2
+        assert not [name for name in payload["counters"]
+                    if name.startswith("engine.")]
 
 
 class TestCacheFlag:

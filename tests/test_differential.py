@@ -19,14 +19,14 @@ telemetry both engines record.
 
 import pytest
 
-from repro.campaign import DirectoryBackend, Job
+from repro.campaign import DirectoryBackend
 from repro.campaign.cache import cache_key
-from repro.campaign.executor import CampaignExecutor
 from repro.engine.simulator import simulate
 from repro.engine.system import ENGINE_KINDS, build_system
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.scenarios.registry import scenario_names
+from repro.studies import StudyCell, StudyRunner
 from repro.workloads.presets import workload_names
 from repro.workloads.registry import build_trace, resolve_spec
 from tests.conftest import (GRID_CORES, GRID_OPS, GRID_SEED, GRID_WORKLOADS,
@@ -62,26 +62,18 @@ class TestEngineSelection:
             build_system(config, trace, engine="turbo")
 
     @pytest.mark.parametrize("engine", ("turbo", "batch"))
-    def test_unknown_engine_message_names_the_valid_kinds(self, engine,
-                                                          tmp_path):
+    def test_unknown_engine_message_names_the_valid_kinds(self, engine):
         """The error must tell the user what *is* accepted.
 
         ``batch`` (a retired engine) fails exactly like any other unknown
         name, at every entry point that accepts an engine.
         """
-        from repro.api import compile_study_plan
-        from repro.campaign.queue import QueueWorker
-
         trace = build_trace("apache", num_threads=_CORES,
                             ops_per_thread=20, seed=1)
         config = make_config("sc", _settings())
-        plan = compile_study_plan(["figure8"], _settings())
-        cache = DirectoryBackend(tmp_path / "cache")
         for entry_point in (
                 lambda: simulate(config, trace, engine=engine),
-                lambda: build_system(config, trace, engine=engine),
-                lambda: CampaignExecutor(_settings(), engine=engine),
-                lambda: QueueWorker(plan, cache, engine=engine)):
+                lambda: build_system(config, trace, engine=engine)):
             with pytest.raises(ConfigurationError) as excinfo:
                 entry_point()
             message = str(excinfo.value)
@@ -95,10 +87,6 @@ class TestEngineSelection:
         config = make_config("sc", _settings())
         with pytest.raises(ConfigurationError):
             simulate(config, trace, engine="FAST")  # names are exact
-
-    def test_executor_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            CampaignExecutor(_settings(), engine="turbo")
 
     def test_fast_engine_batches_and_reference_does_not(self):
         trace = build_trace("apache", num_threads=_CORES,
@@ -232,16 +220,16 @@ class TestCacheKeyStability:
         """A cache warmed by the fast path serves byte-identical results."""
         settings = _settings()
         cache = DirectoryBackend(tmp_path / "cache")
-        executor = CampaignExecutor(settings, jobs=1, cache=cache)
-        job = Job("invisi_sc", "apache", 3)
-        (fast_result,) = executor.run([job])
+        runner = StudyRunner(settings, jobs=1, cache=cache)
+        cell = StudyCell(settings.num_cores, "invisi_sc", "apache", 3)
+        fast_result = runner.result(cell)
 
         trace = build_trace("apache", num_threads=_CORES,
                             ops_per_thread=_OPS, seed=3)
         ref = simulate(make_config("invisi_sc", settings), trace,
                        warmup_fraction=settings.warmup_fraction,
                        engine="reference")
-        stored = cache.path_for(executor.key_for(job)).read_text(
+        stored = cache.path_for(runner.key_for(cell)).read_text(
             encoding="utf-8")
         assert fast_result.to_json() == ref.to_json()
         # On-disk cache bytes equal what a reference-path run would store.

@@ -77,9 +77,8 @@ class TestRunnerCaching:
         assert runner.run_cells([cell]).simulated == 0
 
     def test_traces_are_cached(self, runner):
-        executor = runner.executor_for(SETTINGS.num_cores)
-        assert executor is runner.executor_for(SETTINGS.num_cores)
-        assert executor.trace_for("apache", 1) is executor.trace_for("apache", 1)
+        trace = runner.trace_for("apache", 1, SETTINGS.num_cores)
+        assert runner.trace_for("apache", 1, SETTINGS.num_cores) is trace
 
     def test_speedup_of_baseline_is_one(self, ctx):
         assert ctx.speedup("sc", "apache", baseline="sc") == pytest.approx(1.0)

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignExecutor, DirectoryBackend, Job
+from repro.campaign import DirectoryBackend
 from repro.cli import main
 from repro.engine.simulator import simulate
 from repro.engine.system import ENGINE_KINDS, build_system
@@ -32,6 +32,7 @@ from repro.obs import (
     telemetry_payload,
     write_chrome_trace,
 )
+from repro.studies import StudyCell, StudyRunner
 from repro.workloads.registry import build_trace
 
 #: a small contended cell that reliably aborts under selective speculation.
@@ -291,13 +292,14 @@ class TestCampaignCounters:
                                       seeds=(3,), warmup_fraction=0.0)
         cache = DirectoryBackend(tmp_path / "cache")
         recorder = TraceRecorder()
-        jobs = [Job("sc", "apache", 3)]
+        cells = [StudyCell(2, "sc", "apache", 3)]
         reports = []
         for _ in range(2):
-            executor = CampaignExecutor(settings, jobs=1, cache=cache,
-                                        recorder=recorder)
-            executor.run(jobs)
-            reports.append(executor.last_report)
+            runner = StudyRunner(settings, jobs=1, cache=cache,
+                                 recorder=recorder)
+            reports.append(runner.run_cells(cells))
+            # A memoized cell is neither looked up nor counted again.
+            runner.run_cells(cells)
         assert [(r.simulated, r.cache_hits) for r in reports] == \
             [(1, 0), (0, 1)]
         assert len(cache) == 1

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend, Job, derived
-from repro.campaign.executor import CampaignExecutor
+from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend, derived
 from repro.cli import main
 from repro.config import resolved_interconnect, small_config
 from repro.cpu.stats import BREAKDOWN_COMPONENTS
 from repro.engine.simulator import Simulator
 from repro.engine.system import build_system
 from repro.experiments import ExperimentSettings, scaling_study
-from repro.studies import run_study
+from repro.studies import StudyCell, StudyRunner, run_study
 from repro.workloads.registry import build_trace
 
 CORE_COUNTS = (2, 4)
@@ -95,9 +94,9 @@ class TestGeometryVariantCampaigns:
         try:
             settings = ExperimentSettings(num_cores=2, ops_per_thread=200,
                                           seeds=(1,))
-            jobs = [Job(name, "apache", 1)]
-            serial = CampaignExecutor(settings, jobs=1).run(jobs)[0]
-            parallel = CampaignExecutor(settings, jobs=2).run(jobs)[0]
+            cell = StudyCell(settings.num_cores, name, "apache", 1)
+            serial = StudyRunner(settings, jobs=1).result(cell)
+            parallel = StudyRunner(settings, jobs=2).result(cell)
             assert serial.config.num_cores == 4
             assert len(serial.core_stats) == 4
             assert serial.to_json() == parallel.to_json()

@@ -9,7 +9,7 @@ equivalence of scenario cells).
 import pytest
 
 from repro.cli import main
-from repro.campaign import CampaignExecutor, DirectoryBackend, Job
+from repro.campaign import DirectoryBackend
 from repro.coherence.memory_system import MemorySystem
 from repro.config import ConsistencyModel
 from repro.cpu.stats import COUNTER_FIELDS, CoreStats
@@ -31,6 +31,7 @@ from repro.stats.phases import (
     phase_breakdown,
     phase_labels,
 )
+from repro.studies import StudyCell, StudyRunner
 from repro.trace.ops import OpKind
 from repro.trace.trace import MultiThreadedTrace, Trace
 from repro.workloads.generator import BLOCK_BYTES
@@ -453,31 +454,35 @@ class TestCampaignIntegration:
             settings = ExperimentSettings(num_cores=2, ops_per_thread=300,
                                           seeds=(1,),
                                           workloads=("runtime-only",))
-            executor = CampaignExecutor(settings, jobs=2)
-            payload = executor.payload_for(Job("sc", "runtime-only", 1))
+            runner = StudyRunner(settings, jobs=2)
+            cell = StudyCell(2, "sc", "runtime-only", 1)
+            payload = runner.payload_for(cell)
             assert isinstance(payload[1], ScenarioSpec)
             assert payload[1].total_ops_per_thread == 300
-            results = executor.run([Job("sc", "runtime-only", 1)])
-            assert results[0].phase_names == ("a", "b", "c")
+            assert runner.result(cell).phase_names == ("a", "b", "c")
         finally:
             DEFAULT_SCENARIO_REGISTRY.unregister("runtime-only")
 
     def test_serial_and_parallel_scenario_cells_identical(self, tmp_path):
         settings = ExperimentSettings(num_cores=2, ops_per_thread=400,
                                       seeds=(1,), workloads=("task-pool",))
-        jobs = [Job("sc", "task-pool", 1), Job("invisi_sc", "task-pool", 1)]
+        cells = [StudyCell(2, "sc", "task-pool", 1),
+                 StudyCell(2, "invisi_sc", "task-pool", 1)]
 
-        serial = CampaignExecutor(settings, jobs=1).run(jobs)
+        def run(jobs, cache=None):
+            runner = StudyRunner(settings, jobs=jobs, cache=cache)
+            report = runner.run_cells(cells)
+            return report, [runner.result(cell) for cell in cells]
+
+        _, serial = run(1)
         parallel_cache = DirectoryBackend(tmp_path / "cache")
-        parallel = CampaignExecutor(settings, jobs=2,
-                                    cache=parallel_cache).run(jobs)
+        _, parallel = run(2, parallel_cache)
         for a, b in zip(serial, parallel):
             assert a.to_json() == b.to_json()
 
         # Cached cells round-trip the per-phase stats bitwise.
-        rerun = CampaignExecutor(settings, jobs=1, cache=parallel_cache)
-        cached = rerun.run(jobs)
-        assert rerun.last_report.cache_hits == 2
+        report, cached = run(1, parallel_cache)
+        assert report.cache_hits == 2
         for a, b in zip(parallel, cached):
             assert a.to_json() == b.to_json()
             assert b.phase_stats is not None
@@ -518,7 +523,7 @@ class TestScenarioCli:
 
     def test_simulate_scenario_prints_phase_table(self, capsys):
         code = main(["simulate", "--workload", "pattern-tour", "--cores", "2",
-                     "--ops", "400", "--seed", "2"])
+                     "--ops", "400", "--seed", "2", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Per-phase stall breakdown" in out

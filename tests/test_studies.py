@@ -10,6 +10,7 @@ from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend
 from repro.cli import main
 from repro.errors import StudyError
 from repro.experiments import ExperimentSettings, scaling_study
+from repro.obs import TraceRecorder
 from repro.studies import (
     DEFAULT_STUDY_REGISTRY,
     METRICS,
@@ -45,6 +46,23 @@ class TestRegistry:
             DEFAULT_STUDY_REGISTRY.get("figure99")
 
 
+def record_cache_calls(cache):
+    """Log every ``get``/``put`` on ``cache`` as ("get"|"put", key)."""
+    calls = []
+    real_get, real_put = cache.get, cache.put
+
+    def get(key):
+        calls.append(("get", key))
+        return real_get(key)
+
+    def put(key, result):
+        calls.append(("put", key))
+        real_put(key, result)
+
+    cache.get, cache.put = get, put
+    return calls
+
+
 class TestPlanCompilation:
     def test_unified_plan_dedups_shared_cells(self):
         """Acceptance: one plan's job count < the sum of per-study cells."""
@@ -77,17 +95,49 @@ class TestPlanCompilation:
                  DEFAULT_STUDY_REGISTRY.get("figure9"))
         plan = compile_plan(specs, TINY)
         assert plan.total_cells == 15 and len(plan.unique_cells) == 6
-        runner = plan.runner(cache=DirectoryBackend(tmp_path / "cache"))
+        cache = DirectoryBackend(tmp_path / "cache")
+        calls = record_cache_calls(cache)
+        recorder = TraceRecorder()
+        runner = plan.runner(cache=cache, recorder=recorder)
         report = plan.execute(runner)
         assert report.simulated == 6
-        executor = runner.executor_for(TINY.num_cores)
-        plan_campaign = executor.last_report
+        plan_calls, plan_counters = len(calls), dict(recorder.counters)
+        assert plan_calls == 12 and plan_counters["campaign.jobs"] == 6
         for spec in specs:
             result = run_study(spec, TINY, study_runner=runner)
             assert result.format()
             # the per-study pass only reads memoized results: no further
-            # campaign runs, so nothing is simulated or looked up.
-            assert executor.last_report is plan_campaign
+            # campaign runs, so nothing is simulated, looked up or counted.
+            assert len(calls) == plan_calls
+            assert dict(recorder.counters) == plan_counters
+
+
+class TestRunnerOrderOfWork:
+    def test_sizes_in_first_appearance_order_gets_before_puts(self,
+                                                              tmp_path):
+        """Per machine size: one get per unique cell, then one put per
+        simulated cell; sizes run in the order they first appear."""
+        settings = ExperimentSettings(num_cores=4, ops_per_thread=200,
+                                      seeds=(1,), workloads=("barnes",))
+        scaling = scaling_study(core_counts=(2, 4), configs=("sc",),
+                                scenarios=("false-sharing-storm",))
+        plan = compile_plan([DEFAULT_STUDY_REGISTRY.get("figure1"), scaling],
+                            settings)
+        sizes = [cell.num_cores for cell in plan.unique_cells]
+        assert list(dict.fromkeys(sizes)) == [4, 2]  # not numeric order
+        cache = DirectoryBackend(tmp_path / "cache")
+        calls = record_cache_calls(cache)
+        runner = plan.runner(cache=cache)
+        report = plan.execute(runner)
+        assert report.simulated == len(plan.unique_cells)
+
+        expected = []
+        for size in (4, 2):
+            keys = [runner.key_for(cell) for cell in plan.unique_cells
+                    if cell.num_cores == size]
+            expected += [("get", key) for key in keys]
+            expected += [("put", key) for key in keys]
+        assert calls == expected
 
 
 class TestRunStudy:
