@@ -130,10 +130,6 @@ class MemorySystem:
         return self._topology
 
     @property
-    def latency_model(self) -> LatencyModel:
-        return self._latency
-
-    @property
     def contention_cycles(self) -> int:
         """Cycles messages spent queued behind busy links (0 when uncontended)."""
         return self._latency.contention_cycles

@@ -273,9 +273,6 @@ class SystemConfig:
     #: model approximates this by shortening the visible latency of write
     #: misses by this many cycles (never below the L1 hit latency).
     store_prefetch_lead: int = 150
-    #: maximum retirement width (ops retired back-to-back per cycle is 1 in
-    #: this model; compute ops carry their own multi-instruction weight).
-    retire_width: int = 4
     #: address-interleaved L2 banks.  One bank is the paper's monolithic
     #: shared L2; larger machines split the tag array so capacity conflicts
     #: stay local to a bank (see DESIGN.md section 4).
@@ -375,7 +372,6 @@ class SystemConfig:
             directory_latency=data["directory_latency"],
             clean_writeback_latency=data["clean_writeback_latency"],
             store_prefetch_lead=data["store_prefetch_lead"],
-            retire_width=data["retire_width"],
             l2_banks=data.get("l2_banks", 1),
         )
 

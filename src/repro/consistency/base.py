@@ -89,9 +89,9 @@ class ConsistencyController:
         flat kernel that leaves every counter, state bit, scheduled event
         and telemetry record exactly as :meth:`process_op` would; it may
         bypass the helpers below only where it repeats their effect.  The
-        kernels resolve hits through the memory system's probes, which a
-        reference memory system always declines, so a batching core on one
-        calls :meth:`process_op` instead (see ``Core._step_fast``).
+        kernels resolve hits through the memory system's probes, which
+        only the fast engine's memory system answers; only the fast
+        engine's step (``Core._step_fast``) calls this.
         """
         return self.process_op(op, now)
 

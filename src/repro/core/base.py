@@ -83,9 +83,6 @@ class SpeculativeController(ConsistencyController):
         ckpt = self.active_checkpoint()
         return ckpt.checkpoint_id if ckpt is not None else None
 
-    def oldest_checkpoint(self) -> Optional[Checkpoint]:
-        return self._checkpoints[0] if self._checkpoints else None
-
     @property
     def checkpoints_in_use(self) -> int:
         return len(self._checkpoints)

@@ -7,23 +7,27 @@ retiring.  The core then schedules itself to process the next operation at
 that time.
 
 Two step implementations exist and are proven equivalent by the
-differential suite (``tests/test_differential.py``):
+differential suite (``tests/test_differential.py``).  The core takes the
+one that matches its memory system's engine (``mem.fast``, set by
+``build_system``):
 
-* the **reference path** (``batching=False``) schedules one heap event per
-  operation, exactly as the original engine did, hands each op to the
-  controller's layered ``process_op`` and runs the warmup and
-  phase-boundary check before every op;
-* the **fast path** (``batching=True``, the default) consumes the trace's
-  compiled form and batches runs of operations in a single event: after
+* the **reference path** schedules one heap event per operation, exactly
+  as the original engine did, hands each op to the controller's layered
+  ``process_op`` and runs the warmup and phase-boundary check before
+  every op;
+* the **fast path** batches runs of operations in a single event: after
   finishing an op at time *t*, if the next pending heap event is
   *strictly later* than *t*, no other event in the whole system can fire
   before this core's next step would, so the next op is processed inline
-  ("run-until-interesting").  The queue clock and the
-  processed-event count are advanced exactly as if the per-op event had
-  been scheduled and popped, which keeps results bitwise identical.  Each
-  op goes to the controller's flat kernel, ``process_op_fast``, and the
-  warmup and phase-boundary check runs only at the precomputed trace
-  index where it has work (:attr:`Core._pre_op_at`).
+  ("run-until-interesting").  The queue clock is advanced exactly as if
+  the per-op event had been scheduled and popped, which keeps results
+  bitwise identical.  Each op goes to the controller's flat kernel,
+  ``process_op_fast``, and the warmup and phase-boundary check runs only
+  at the precomputed trace index where it has work
+  (:attr:`Core._pre_op_at`).
+
+Both paths read the trace's own op list and charge each op's ``cycles``
+as its instruction weight (1 for every op but a compute bundle).
 
 The batch condition is exact rather than heuristic: cross-core
 interactions (coherence transactions, conflict-triggered aborts, commit
@@ -37,8 +41,8 @@ Speculative controllers can roll the core back: :meth:`Core.rollback`
 resets the trace index to the checkpointed position, bumps the core's
 generation counter (so any in-flight step fires as a no-op), and
 reschedules processing.  Rollback targets are plain trace indices, so they
-map back to exact positions in the compiled trace regardless of how ops
-were batched.  Controllers schedule their own callbacks (commit checks,
+map back to exact positions in the trace regardless of how ops were
+batched.  Controllers schedule their own callbacks (commit checks,
 deferred aborts) on the event queue directly.
 """
 
@@ -76,8 +80,7 @@ class Core:
     def __init__(self, core_id: int, trace: Trace, config: SystemConfig,
                  mem: "MemorySystem", events: "EventQueue",
                  warmup_ops: int = 0,
-                 phase_bounds: Optional[Sequence[int]] = None,
-                 batching: bool = True) -> None:
+                 phase_bounds: Optional[Sequence[int]] = None) -> None:
         self.core_id = core_id
         self.trace = trace
         self.config = config
@@ -91,17 +94,11 @@ class Core:
         self.obs = None
         #: True for the batched fast path, False for the one-event-per-op
         #: reference path (kept for differential equivalence testing).
-        self.batching = batching
+        self.batching = mem.fast
         #: the step method every scheduled step calls, ``fn(now, generation)``.
-        self._fire = self._step_fast if batching else self._step_reference
-        #: True when the controller's flat kernel may run: it resolves hits
-        #: through the memory system's probes, which a reference memory
-        #: system always declines.
-        self._kernels = mem.fast
-        compiled = trace.compiled()
-        self._ops = compiled.ops
-        self._instr_weights = compiled.instr_weights
-        self._trace_len = compiled.length
+        self._fire = self._step_fast if mem.fast else self._step_reference
+        #: the trace's own op list (shared, so ops appended later are seen).
+        self._ops = trace.ops
 
         self._index = 0
         self._generation = 0
@@ -162,10 +159,6 @@ class Core:
     def finished(self) -> bool:
         return self._finished
 
-    @property
-    def remaining_ops(self) -> int:
-        return max(0, len(self.trace) - self._index)
-
     # -- phase attribution -----------------------------------------------------
 
     def phase_stats(self) -> List[CoreStats]:
@@ -196,13 +189,6 @@ class Core:
         """Schedule the first processing step."""
         if self.controller is None:
             raise SimulationError(f"core {self.core_id} has no controller attached")
-        # Re-resolve the compiled form in case the trace was mutated between
-        # construction and start (compiled() is cached, so this is free in
-        # the normal build-then-run flow).
-        compiled = self.trace.compiled()
-        self._ops = compiled.ops
-        self._instr_weights = compiled.instr_weights
-        self._trace_len = compiled.length
         self.events.schedule_step(at, self._fire, self._generation)
 
     def rollback(self, trace_index: int, now: int) -> None:
@@ -253,15 +239,12 @@ class Core:
             return
         controller = self.controller
         assert controller is not None
-        process_op = (controller.process_op_fast if self._kernels
-                      else controller.process_op)
+        process_op = controller.process_op_fast
         events = self.events
         heap = events._heap
         ops = self._ops
-        weights = self._instr_weights
-        trace_len = self._trace_len
+        trace_len = len(ops)
         stats = self.stats
-        limit = events.run_until
         budget = _MAX_INLINE_BATCH
         # Only _pre_op and rollback move it, and a rollback never lands
         # inside a step.
@@ -279,29 +262,26 @@ class Core:
                 # fires before the wake time, continue inline.
                 head = heap[0][0] if heap else None
                 budget -= 1
-                if budget > 0 and (head is None or head > wake) \
-                        and (limit is None or wake <= limit):
+                if budget > 0 and (head is None or head > wake):
                     events.note_inline(wake)
                     now = wake
                     continue
                 events.schedule_step(wake, self._fire, self._generation)
                 return
-            finish = process_op(ops[index], now)
+            op = ops[index]
+            finish = process_op(op, now)
             if finish < now:
                 raise SimulationError(
                     f"controller returned a finish time in the past on core {self.core_id}"
                 )
             self._index = index + 1
-            stats.instructions += weights[index]
+            stats.instructions += op.cycles
             head = heap[0][0] if heap else None
             budget -= 1
-            if budget > 0 and (head is None or head > finish) \
-                    and (limit is None or finish <= limit):
+            if budget > 0 and (head is None or head > finish):
                 # No event anywhere in the system fires before this core's
-                # next step would (and the next step lies within the active
-                # run(until=...) horizon, if any): process the next op
-                # inline, keeping the clock and event count in lockstep
-                # with the reference path.
+                # next step would: process the next op inline, keeping the
+                # clock in lockstep with the reference path.
                 events.note_inline(finish)
                 now = finish
                 continue
@@ -314,7 +294,7 @@ class Core:
             return
         assert self.controller is not None
         self._pre_op()
-        if self._index >= self._trace_len:
+        if self._index >= len(self._ops):
             wake = self._handle_trace_end(now)
             if wake is not None:
                 self.events.schedule_step(wake, self._fire, self._generation)
@@ -325,7 +305,7 @@ class Core:
             raise SimulationError(
                 f"controller returned a finish time in the past on core {self.core_id}"
             )
-        self.stats.instructions += self._instr_weights[self._index]
+        self.stats.instructions += op.cycles
         self._index += 1
         self.events.schedule_step(finish, self._fire, self._generation)
 

@@ -19,9 +19,11 @@ speculation episode has ended fires as a no-op because its epoch is.
 The queue also supports the core's inline batching ("run-until-
 interesting"): when the next heap entry is strictly later than an op's
 finish time, the core processes the following op inline instead of
-round-tripping through the heap, and calls :meth:`EventQueue.note_inline`
-so that the clock and the processed-event count match the unbatched
-execution exactly.
+round-tripping through the heap, and calls :meth:`EventQueue.note_inline`,
+which advances the clock and counts the op as processed.  ``processed``
+(heap pops plus inline ops) is what :meth:`EventQueue.run`'s
+``max_events`` runaway backstop counts.  It is engine bookkeeping, not
+part of a run's result.
 
 Beyond ``processed`` the queue counts only callbacks scheduled; steps
 scheduled, heap pops and inline ops follow from the sequence counter
@@ -51,10 +53,6 @@ class EventQueue:
         self._now = 0
         self.processed = 0
         self.callbacks_scheduled = 0
-        #: time horizon of the active run(until=...) call, if any; cores
-        #: must not inline-batch ops past it (they would fire in a later
-        #: run() call on the unbatched path).
-        self.run_until: Optional[int] = None
 
     @property
     def now(self) -> int:
@@ -129,34 +127,27 @@ class EventQueue:
         """Account one op processed inline (batched) at ``time``.
 
         Advances the clock and counts one processed event, exactly as if
-        the op's step had been scheduled and popped.  This keeps ``now``
-        and ``processed`` -- and therefore ``events_processed`` in
-        :class:`~repro.engine.results.RunResult` -- identical between the
-        batched fast path and the one-event-per-op reference path.
+        the op's step had been scheduled and popped.  So ``now`` matches
+        the one-event-per-op reference path, the ``max_events`` backstop
+        counts inline ops as well as heap pops, and :meth:`tally` reports
+        them as ``inline_ops``.
         """
         if time > self._now:
             self._now = time
         self.processed += 1
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Process events until the queue is empty (or a bound is reached).
+    def run(self, max_events: Optional[int] = None) -> int:
+        """Process events until the queue is empty (or ``max_events``).
 
         Returns the number of events processed by this call (including ops
         a core processed inline during a batched step).
         """
         start = self.processed
-        previous_until = self.run_until
-        self.run_until = until
         heap = self._heap
         pop = self.pop
-        try:
-            while heap:
-                if max_events is not None and self.processed - start >= max_events:
-                    break
-                if until is not None and heap[0][0] > until:
-                    break
-                time, _, fn, arg = pop()
-                fn(time, arg)
-        finally:
-            self.run_until = previous_until
+        while heap:
+            if max_events is not None and self.processed - start >= max_events:
+                break
+            time, _, fn, arg = pop()
+            fn(time, arg)
         return self.processed - start

@@ -4,6 +4,10 @@
 freely across processes and cached on disk without defensive copying; the
 ``to_dict``/``from_dict`` pair (and the ``to_json``/``from_json`` string
 forms) is the wire format used by the campaign result cache.
+
+A result holds simulated observables only, so both engines produce the
+same bytes.  Engine bookkeeping (heap pushes and pops, ops run inline)
+is telemetry: the ``engine.*`` counters of an attached recorder.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from ..cpu.stats import BREAKDOWN_COMPONENTS, CoreStats
 #: :class:`RunResult`/:class:`CoreStats` wire format so stale cache entries
 #: are treated as misses rather than misread.
 #: v2: per-phase stall attribution (``phase_names``/``phase_stats``).
-RESULT_SCHEMA_VERSION = 2
+#: v3: simulated observables only: the engine's processed-event count and
+#: the configuration's unused retirement width are gone.
+RESULT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -31,13 +37,6 @@ class RunResult:
     core_stats: List[CoreStats]
     #: total runtime in cycles (time at which the last core finished).
     runtime: int
-    #: engine diagnostic, not a simulated observable: the events the
-    #: one-event-per-op reference engine processes for this run -- every
-    #: heap pop (core steps, stale ones included, and controller
-    #: callbacks) plus every op the fast engine processed inline instead
-    #: of popping a step.  Both engines report the same number; telemetry
-    #: breaks it down (``engine.heap_pops`` + ``engine.inline_ops``).
-    events_processed: int = 0
     seed: Optional[int] = None
     #: phase labels, in order, for phase-structured (scenario) runs.
     phase_names: Optional[Tuple[str, ...]] = None
@@ -54,7 +53,6 @@ class RunResult:
             "workload": self.workload,
             "core_stats": [stats.to_dict() for stats in self.core_stats],
             "runtime": self.runtime,
-            "events_processed": self.events_processed,
             "seed": self.seed,
         }
         if self.phase_names is not None:
@@ -79,7 +77,6 @@ class RunResult:
             workload=data["workload"],
             core_stats=[CoreStats.from_dict(d) for d in data["core_stats"]],
             runtime=data["runtime"],
-            events_processed=data.get("events_processed", 0),
             seed=data.get("seed"),
             phase_names=tuple(phase_names) if phase_names is not None else None,
             phase_stats=[[CoreStats.from_dict(d) for d in cores]

@@ -62,7 +62,6 @@ class Simulator:
             workload=system.workload_name,
             core_stats=[core.stats for core in system.cores],
             runtime=system.finish_time(),
-            events_processed=processed,
             seed=seed,
             phase_names=phase_names,
             phase_stats=phase_stats,
@@ -103,9 +102,9 @@ def simulate(config: SystemConfig, trace: MultiThreadedTrace,
              recorder: Optional[Recorder] = None) -> RunResult:
     """Build a system for ``trace``, run it, and free it.
 
-    ``engine`` selects the execution kernel: ``"fast"`` (compiled traces,
-    batched steps, allocation-free hit path) or ``"reference"`` (the
-    original one-event-per-op path).  Results are bitwise identical
+    ``engine`` selects the execution kernel: ``"fast"`` (batched steps,
+    flat controller kernels, allocation-free hit path) or ``"reference"``
+    (the original one-event-per-op path).  Results are bitwise identical
     across both; an unknown name raises
     :class:`~repro.errors.ConfigurationError` naming the valid engines.
 

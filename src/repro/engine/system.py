@@ -92,8 +92,9 @@ class System:
             core.release()
 
 
-#: Engine variants accepted by :func:`build_system`.  ``"fast"`` is the
-#: compiled/batched kernel; ``"reference"`` retains the original
+#: Engine variants accepted by :func:`build_system`.  ``"fast"`` batches
+#: core steps and runs the controllers' flat kernels over the memory
+#: system's hit probes; ``"reference"`` retains the original
 #: one-event-per-op, allocation-per-outcome execution path and exists so the
 #: differential suite can prove the fast path bitwise-equivalent.
 ENGINE_KINDS = ("fast", "reference")
@@ -102,10 +103,10 @@ ENGINE_KINDS = ("fast", "reference")
 def validate_engine(engine: str) -> str:
     """Check ``engine`` against :data:`ENGINE_KINDS`; return it unchanged.
 
-    Raised eagerly by every entry point that accepts an engine name
-    (``simulate``, ``build_system``, the campaign executor, the CLI) so
-    an unknown name fails with one clear message instead of falling
-    through to a partially-wired system.
+    Raised eagerly by both entry points that accept an engine name,
+    ``simulate`` (which ``repro profile --engine`` calls) and
+    ``build_system``, so an unknown name fails with one clear message
+    instead of falling through to a partially-wired system.
     """
     if engine not in ENGINE_KINDS:
         raise ConfigurationError(
@@ -145,17 +146,17 @@ def build_system(config: SystemConfig, trace: MultiThreadedTrace,
         raise ConfigurationError("warmup_fraction must lie in [0, 1)")
     validate_engine(engine)
     rec = active(recorder)
-    fast = engine != "reference"
     events = EventQueue()
-    memory = MemorySystem(config, fast_path=fast, recorder=rec)
+    # The engine flag lives on the memory system; each core reads it there.
+    memory = MemorySystem(config, fast_path=engine != "reference",
+                          recorder=rec)
     cores: List[Core] = []
     phase_bounds = trace.phase_bounds
     for core_id in range(config.num_cores):
         thread_trace = trace[core_id]
         warmup_ops = int(len(thread_trace) * warmup_fraction)
         core = Core(core_id, thread_trace, config, memory, events,
-                    warmup_ops=warmup_ops, phase_bounds=phase_bounds,
-                    batching=fast)
+                    warmup_ops=warmup_ops, phase_bounds=phase_bounds)
         core.obs = rec
         controller = make_controller(core)
         core.attach_controller(controller)

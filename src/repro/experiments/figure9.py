@@ -33,10 +33,6 @@ class Figure9Result:
     def total(self, workload: str, config: str) -> float:
         return sum(self.breakdowns[workload][config].values())
 
-    def ordering_cycles(self, workload: str, config: str) -> float:
-        values = self.breakdowns[workload][config]
-        return values["sb_full"] + values["sb_drain"] + values["violation"]
-
     def format(self) -> str:
         return format_breakdown_table(
             self.breakdowns, BREAKDOWN_COMPONENTS,

@@ -2,7 +2,7 @@
 
 Each short-name maps to a :class:`~repro.scenarios.spec.ScenarioSpec`.
 Registered names are immediately usable wherever a workload preset name is
-accepted: the campaign executor and result cache, the CLI's
+accepted: the study runner and result cache, the CLI's
 ``scenario run`` / ``sweep`` / ``simulate`` commands, and the scenario
 figure driver.  New scenarios are one registration::
 

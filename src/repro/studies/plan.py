@@ -59,9 +59,15 @@ class StudyPlan:
                            registry=self.registry(), recorder=recorder)
 
     def execute(self, study_runner: StudyRunner) -> CampaignReport:
-        """Run the union once -- the single prefetch for every study."""
+        """Run the union once -- the single prefetch for every study.
+
+        The runner gets every study's cells in plan order and folds the
+        duplicates itself, into :attr:`unique_cells` in the same order, so
+        its report and ``campaign.deduplicated`` count what the plan shares.
+        """
         study_runner.require_configs(self.extra_configs)
-        return study_runner.run_cells(self.unique_cells)
+        return study_runner.run_cells(
+            [cell for cells in self.cells_by_study.values() for cell in cells])
 
     def describe(self) -> str:
         return (f"{self.total_cells} cells across {len(self.specs)} studies "

@@ -6,13 +6,11 @@ read-modify-writes, memory fences, and compute bundles that stand in for
 non-memory instructions).
 """
 
-from .compiled import CompiledTrace
 from .ops import MemOp, OpKind, atomic, compute, fence, load, store
 from .trace import Trace, MultiThreadedTrace
 from .serialization import load_trace, save_trace
 
 __all__ = [
-    "CompiledTrace",
     "MemOp",
     "OpKind",
     "load",

@@ -72,16 +72,22 @@ class MemOp:
     address: int = 0
     #: access size in bytes for memory operations.
     size: int = 8
-    #: busy cycles for COMPUTE bundles (number of abstracted instructions).
+    #: busy cycles for COMPUTE bundles (number of abstracted instructions);
+    #: always 1 for the other kinds, so it is every op's instruction weight.
     cycles: int = 1
     #: optional analysis tag, e.g. "lock_acquire" or "shared".
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.kind is OpKind.COMPUTE:
+            _check_compute(self.cycles)
+            return
         if self.kind.is_memory:
             _check_memory(self.address, self.size)
-        elif self.kind is OpKind.COMPUTE:
-            _check_compute(self.cycles)
+        if self.cycles != 1:
+            raise TraceError(
+                f"a {self.kind.value} op retires one instruction, "
+                f"not cycles={self.cycles}")
 
     @property
     def is_memory(self) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TraceError
-from .compiled import CompiledTrace
 from .ops import MemOp, OpKind
 
 #: One phase of a phase-structured trace: (phase name, ops per thread).
@@ -31,25 +30,12 @@ class Trace:
                  thread_id: int = 0) -> None:
         self._ops: List[MemOp] = list(ops) if ops is not None else []
         self.thread_id = thread_id
-        self._compiled: Optional[CompiledTrace] = None
 
     def append(self, op: MemOp) -> None:
         self._ops.append(op)
-        self._compiled = None
 
     def extend(self, ops: Iterable[MemOp]) -> None:
         self._ops.extend(ops)
-        self._compiled = None
-
-    def compiled(self) -> CompiledTrace:
-        """The compiled execution form (built once, cached).
-
-        The cache is invalidated by :meth:`append`/:meth:`extend`, so the
-        compiled form always describes the current operation list.
-        """
-        if self._compiled is None or self._compiled.length != len(self._ops):
-            self._compiled = CompiledTrace(self._ops)
-        return self._compiled
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -71,10 +57,7 @@ class Trace:
 
     def instruction_weight(self) -> int:
         """Total abstracted instruction count (compute bundles weighted)."""
-        total = 0
-        for op in self._ops:
-            total += op.cycles if op.kind is OpKind.COMPUTE else 1
-        return total
+        return sum(op.cycles for op in self._ops)
 
     def footprint(self, block_bytes: int) -> int:
         """Number of distinct cache blocks touched by this trace."""
@@ -160,9 +143,6 @@ class MultiThreadedTrace:
 
     def total_ops(self) -> int:
         return sum(len(t) for t in self._traces)
-
-    def total_instruction_weight(self) -> int:
-        return sum(t.instruction_weight() for t in self._traces)
 
     def shared_blocks(self, block_bytes: int) -> int:
         """Number of blocks touched by more than one thread."""

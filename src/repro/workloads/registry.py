@@ -2,7 +2,7 @@
 
 Names resolve against the workload presets first, then against the
 scenario registry, so a scenario short-name is accepted anywhere a
-workload preset name is (the campaign executor, the CLI's ``sweep`` and
+workload preset name is (the study runner, the CLI's ``sweep`` and
 ``simulate``, the figure drivers).  :func:`resolve_spec` returns the
 scaled specification object itself, which is what the result cache hashes
 to key a cell.

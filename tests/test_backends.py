@@ -170,6 +170,18 @@ class TestDirectoryBackend:
         reopened = DirectoryBackend(tmp_path / "cache")
         assert reopened.get(KEYS[0]).to_dict() == tiny_result.to_dict()
 
+    def test_schema_2_entry_is_a_miss(self, tmp_path, tiny_result):
+        """An entry in the schema-2 wire format is never served."""
+        old = tiny_result.to_dict()
+        old.update(schema=2, events_processed=1234)
+        old["config"]["retire_width"] = 4
+        backend = DirectoryBackend(tmp_path / "cache")
+        backend.root.mkdir()
+        backend.path_for(KEYS[0]).write_text(json.dumps(old, sort_keys=True),
+                                             encoding="utf-8")
+        assert backend.get(KEYS[0]) is None
+        assert not backend.contains(KEYS[0])
+
     def test_corrupt_entry_is_a_miss(self, tmp_path, tiny_result):
         backend = DirectoryBackend(tmp_path / "cache")
         backend.put(KEYS[0], tiny_result)

@@ -123,6 +123,14 @@ class TestResultSerialization:
         assert restored.runtime == tiny_result.runtime
         assert restored.summary() == tiny_result.summary()
 
+    def test_to_dict_holds_only_observables(self, tiny_result):
+        """Engine bookkeeping is in neither the result nor its config."""
+        data = tiny_result.to_dict()
+        assert set(data) == {"schema", "config", "workload", "core_stats",
+                             "runtime", "seed"}
+        assert "retire_width" not in data["config"]
+        assert data["schema"] == 3
+
     def test_schema_mismatch_rejected(self, tiny_result):
         data = tiny_result.to_dict()
         data["schema"] = 999

@@ -89,6 +89,15 @@ class TestCampaignCommandsShareOneCache:
         assert not [name for name in payload["counters"]
                     if name.startswith("engine.")]
 
+    def test_deduplicated_counts_the_cells_the_plan_folds(self, tmp_path):
+        """figure8 and figure9 share all 12 cells: 24 fold into 12."""
+        out = tmp_path / "out"
+        assert main(["-q", "study", "run", "figure8", "figure9", "--quick",
+                     "--no-cache", "--telemetry", "--out-dir", str(out)]) == 0
+        counters = json.loads((out / "telemetry.json").read_text())["counters"]
+        assert counters["campaign.jobs"] == 12
+        assert counters["campaign.deduplicated"] == 12
+
 
 class TestCacheFlag:
     @pytest.mark.parametrize("argv", (
@@ -111,7 +120,7 @@ class TestCacheFlag:
 class TestFigureCommand:
     def test_figure_1_runs_at_tiny_scale(self, capsys):
         code = main(["figure", "1", "--cores", "2", "--ops", "300",
-                     "--workloads", "barnes"])
+                     "--workloads", "barnes", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Figure 1" in out
@@ -119,7 +128,7 @@ class TestFigureCommand:
 
     def test_figure_10_runs_at_tiny_scale(self, capsys):
         code = main(["figure", "10", "--cores", "2", "--ops", "300",
-                     "--workloads", "barnes", "--seeds", "1"])
+                     "--workloads", "barnes", "--seeds", "1", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Figure 10" in out

@@ -1,12 +1,14 @@
 """Differential equivalence: the two engines must agree byte for byte.
 
-The whole-stack kernel refactor (compiled traces, batched steps, typed
-events, allocation-free coherence hit path) is gated by one guarantee:
-``simulate(..., engine="fast")`` and ``simulate(..., engine="reference")``
-produce *byte-identical* ``RunResult`` JSON -- every counter, every
-per-phase breakdown, every events-processed count.  The reference engine
-is the retained one-event-per-op path, kept as the ground truth this
-suite compares against.  It asserts the guarantee across every built-in
+The whole-stack kernel refactor (batched steps, tuple events, flat
+controller kernels, allocation-free coherence hit path) is gated by one
+guarantee: ``simulate(..., engine="fast")`` and
+``simulate(..., engine="reference")`` produce *byte-identical*
+``RunResult`` JSON -- every counter and every per-phase breakdown.  A
+result holds simulated observables only; the engines' heap traffic
+differs and is telemetry (``tests/test_obs.py::TestEngineCounters``).
+The reference engine is the retained one-event-per-op path, kept as the
+ground truth this suite compares against.  It asserts the guarantee across every built-in
 workload preset, every registered scenario, and the three controller
 kinds, at two and four cores, plus warmup and rollback-heavy corners,
 and that campaign cache keys/entries are engine-independent.

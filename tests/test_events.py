@@ -107,17 +107,6 @@ class TestQueueSize:
 
 
 class TestBoundedRun:
-    def test_until_bound(self):
-        queue = EventQueue()
-        fired = []
-        for t in (10, 20, 30):
-            queue.schedule(t, record(fired))
-        count = queue.run(until=20)
-        assert count == 2
-        assert [now for now, _ in fired] == [10, 20]
-        queue.run()
-        assert [now for now, _ in fired] == [10, 20, 30]
-
     def test_max_events_bound(self):
         queue = EventQueue()
         fired = []
@@ -209,7 +198,8 @@ class TestInlineAccounting:
         queue.schedule_step(11, noop, 0)
         queue.schedule_step(12, noop, 0)
         queue.schedule(40, noop)
-        queue.run(until=20)
+        assert queue.run(max_events=4) == 4  # the inline op counts too
+        assert queue.next_time() == 40
         assert queue.processed == 4
         assert queue.tally() == {"steps_scheduled": 2, "callbacks_scheduled": 2,
                                  "heap_pops": 3, "inline_ops": 1}

@@ -7,9 +7,9 @@ to it, and the ``tests/golden/`` study tables round to two decimals.
 ``tests/golden/observables.txt`` pins the exact simulated observables of
 every cell of the engine grid (``tests/conftest.py``): one line per cell
 with the runtime, each core's cycle breakdown and the speculation
-counters.  It leaves out ``events_processed`` (engine bookkeeping) and
-the result schema version, so neither engine work nor a wire-format
-bump moves it.  Both engines must reproduce it.
+counters.  It leaves out the result schema version, so a wire-format
+bump does not move it, and the result holds no engine bookkeeping, so
+engine work does not either.  Both engines must reproduce it.
 
 The grid's configs all run the contention-free interconnect on one L2
 bank.  The shared miss path specialises on both, so the file also pins

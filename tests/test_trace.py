@@ -49,6 +49,21 @@ class TestOps:
         with pytest.raises(TraceError):
             MemOp(OpKind.COMPUTE, cycles=0)
 
+    @pytest.mark.parametrize("kind", [OpKind.LOAD, OpKind.STORE,
+                                      OpKind.ATOMIC, OpKind.FENCE])
+    def test_only_compute_bundles_weigh_more_than_one(self, kind):
+        """``cycles`` is every op's instruction weight, 1 but for compute."""
+        with pytest.raises(TraceError, match="cycles=2"):
+            MemOp(kind, address=0, cycles=2)
+        assert MemOp(kind, address=0).cycles == 1
+
+    def test_is_memory_is_a_per_kind_constant(self):
+        memory = {kind for kind in OpKind if kind.is_memory}
+        assert memory == {OpKind.LOAD, OpKind.STORE, OpKind.ATOMIC}
+        ops = [load(0x100), store(0x140, size=4), atomic(0x180), fence(),
+               compute(7, label="spin")]
+        assert all(op.is_memory is op.kind.is_memory for op in ops)
+
     def test_ops_are_immutable(self):
         op = load(64)
         with pytest.raises(Exception):
