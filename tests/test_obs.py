@@ -15,7 +15,7 @@ import pytest
 
 from repro.campaign import DirectoryBackend
 from repro.cli import main
-from repro.engine.simulator import simulate
+from repro.engine.simulator import Simulator, simulate
 from repro.engine.system import ENGINE_KINDS, build_system
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.obs import (
@@ -255,8 +255,9 @@ class TestEngineCounters:
     speculation each take their own fast-engine kernel.
     """
 
-    #: (steps, callbacks, heap pops, inline ops).  The fast engine's heap
-    #: pops plus inline ops equal the reference engine's heap pops.
+    #: (steps, callbacks, heap pops, inline ops).  Heap pops plus inline
+    #: ops are the queue's ``processed`` count, which on the fast engine
+    #: equals the reference engine's heap pops.
     EXPECTED = {
         ("fast", "sc"): (1542, 0, 1542, 6464),
         ("fast", "invisi_sc"): (2190, 602, 2792, 5909),
@@ -271,19 +272,21 @@ class TestEngineCounters:
         return build_trace("apache", num_threads=4, ops_per_thread=2000, seed=3)
 
     @pytest.mark.parametrize("engine, config", sorted(EXPECTED))
-    def test_heap_traffic_by_kind(self, kernel_trace, engine, config):
+    def test_counts_split_events_processed(self, kernel_trace, engine, config):
         settings = ExperimentSettings(num_cores=4, ops_per_thread=2000,
                                       seeds=(3,), warmup_fraction=0.0)
         recorder = TraceRecorder()
-        simulate(make_config(config, settings), kernel_trace,
-                 engine=engine, recorder=recorder)
+        system = build_system(make_config(config, settings), kernel_trace,
+                              engine=engine, recorder=recorder)
+        Simulator(system).run()
         counters = recorder.counters
         names = ("steps_scheduled", "callbacks_scheduled", "heap_pops",
                  "inline_ops")
         got = tuple(counters[f"engine.{name}"] for name in names)
         assert got == self.EXPECTED[engine, config]
+        assert got[2] + got[3] == system.events.processed
         reference_pops = self.EXPECTED["reference", config][2]
-        assert got[2] + got[3] == reference_pops
+        assert system.events.processed == reference_pops
 
 
 class TestCampaignCounters:

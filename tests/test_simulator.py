@@ -17,7 +17,7 @@ from repro.engine.system import ENGINE_KINDS, build_system
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.obs import TraceRecorder
-from repro.trace.ops import compute, load
+from repro.trace.ops import atomic, compute, fence, load, store
 from repro.trace.trace import MultiThreadedTrace, Trace
 from repro.workloads.registry import build_trace
 from tests.conftest import block_addr, tiny_config
@@ -99,6 +99,29 @@ class TestSimulator:
         core.controller.at_trace_end = lambda now: ("wait", now + 10)
         with pytest.raises(SimulationError, match="stalled"):
             Simulator(system).run(max_events=20_000)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_instruction_weights_match_core_accounting(self, engine):
+        """A core retires each op's ``cycles``: a compute bundle's count, else 1."""
+        ops = [load(block_addr(1)), compute(7), store(block_addr(2)),
+               atomic(block_addr(3)), fence(), compute(1), load(block_addr(1))]
+        trace = MultiThreadedTrace(
+            [Trace(ops, thread_id=0), Trace(ops[:3], thread_id=1)], name="w")
+        result = simulate(tiny_config(num_cores=2), trace, engine=engine)
+        assert [stats.instructions for stats in result.core_stats] == [13, 9]
+        assert [stats.instructions for stats in result.core_stats] == \
+            [thread.instruction_weight() for thread in trace]
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_empty_thread_trace_finishes(self, engine):
+        """A core whose op list is empty finishes at once; the others run."""
+        trace = MultiThreadedTrace(
+            [Trace(thread_id=0), small_trace(1)[0]], name="w")
+        result = simulate(tiny_config(num_cores=2), trace, engine=engine)
+        idle, busy = result.core_stats
+        assert idle.instructions == 0 and idle.finish_time == 0
+        assert busy.instructions == 80 and busy.finish_time > 0
+        assert result.runtime == busy.finish_time
 
     def test_warmup_reduces_measured_cycles(self):
         full = simulate(tiny_config(num_cores=2), small_trace(2))

@@ -142,6 +142,16 @@ class TestTrace:
         assert [op.kind for op in trace] == [OpKind.LOAD, OpKind.STORE, OpKind.FENCE]
         assert trace[1].kind is OpKind.STORE
 
+    def test_ops_are_the_authored_ops(self):
+        """The core reads these objects; the trace keeps no second copy."""
+        ops = [load(0x100), store(0x140, size=4), atomic(0x180), fence(),
+               compute(7, label="spin")]
+        trace = Trace(ops)
+        assert len(trace) == len(trace.ops) == 5
+        assert list(trace.ops) == ops
+        assert all(a is b for a, b in zip(trace.ops, ops))
+        assert all(trace[index] is op for index, op in enumerate(ops))
+
     def test_count_by_kind(self):
         trace = Trace([load(0), load(64), store(0), fence(), compute(3)])
         assert trace.count(OpKind.LOAD) == 2
