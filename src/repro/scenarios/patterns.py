@@ -22,15 +22,18 @@ produces the idiom's characteristic traffic:
   ops, with occasional steals that CAS a victim's top-index block and read
   its task blocks: mostly-private traffic with sporadic remote atomics.
 
-Emitters draw randomness only from the RNG handed to them (a
-per-(seed, thread, phase) stream -- see
-:func:`repro.workloads.generator.phase_rng`), walk collective structures
-by deterministic iteration index, and may emit slightly more operations
-than asked; the scenario engine truncates to the exact phase length.
+Emitters draw randomness only from the stream handed to them (a
+per-(seed, thread, phase) :class:`~repro.workloads.generator.TraceRng` --
+see :func:`repro.workloads.generator.phase_rng`), walk collective
+structures by deterministic iteration index, and may emit slightly more
+operations than asked; the scenario engine truncates to the exact phase
+length.
 
-Address-map layout: pattern regions live between the workload generator's
-migratory region and its shared heap (blocks 200k-299k), so phases of
-either kind never collide on blocks by accident.
+Address-map layout: pattern regions (blocks 200k-299k) lie above the
+workload generator's shared heap, which starts at block 100k.  They stay
+disjoint from it, so phases of either kind never collide on blocks by
+accident, because a :class:`~repro.workloads.spec.WorkloadSpec` rejects
+``shared_blocks`` above 100,000.
 """
 
 from __future__ import annotations
@@ -38,12 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Tuple
 
-import numpy as np
-
 from ..errors import ScenarioError
 from ..memory.address import WORD_BYTES
 from ..trace.ops import MemOp, atomic, compute, fence, load, store
-from ..workloads.generator import BLOCK_BYTES
+from ..workloads.generator import BLOCK_BYTES, UNIT, TraceRng
 
 #: Words per cache block (the unit false sharing is built from).
 WORDS_PER_BLOCK = BLOCK_BYTES // WORD_BYTES
@@ -57,7 +58,7 @@ _DEQUE_BASE = 280_000
 
 #: Emitter signature: (rng, thread_id, num_threads, count, params) -> ops.
 PatternEmitter = Callable[
-    [np.random.Generator, int, int, int, Mapping[str, object]], List[MemOp]]
+    [TraceRng, int, int, int, Mapping[str, object]], List[MemOp]]
 
 
 def _word_addr(block: int, word: int) -> int:
@@ -81,7 +82,7 @@ def _fraction(params: Mapping[str, object], key: str, default: float) -> float:
 # ---------------------------------------------------------------------------
 # producer-consumer queue hand-off
 
-def emit_producer_consumer(rng: np.random.Generator, thread_id: int,
+def emit_producer_consumer(rng: TraceRng, thread_id: int,
                            num_threads: int, count: int,
                            params: Mapping[str, object]) -> List[MemOp]:
     """Ring hand-off: thread *t* fills queue *t*, drains queue *t-1*.
@@ -123,7 +124,7 @@ def emit_producer_consumer(rng: np.random.Generator, thread_id: int,
 # ---------------------------------------------------------------------------
 # barrier-synchronised compute phases
 
-def emit_barrier(rng: np.random.Generator, thread_id: int, num_threads: int,
+def emit_barrier(rng: TraceRng, thread_id: int, num_threads: int,
                  count: int, params: Mapping[str, object]) -> List[MemOp]:
     """Local compute intervals separated by sense-reversing barriers.
 
@@ -139,18 +140,19 @@ def emit_barrier(rng: np.random.Generator, thread_id: int, num_threads: int,
     sense = _BARRIER_BASE + 1
     scratch = _BARRIER_BASE + 8 + thread_id * local_blocks
 
+    raw, below = rng.raw, rng.below
     ops: List[MemOp] = []
     while len(ops) < count:
         for _ in range(max(1, int(rng.geometric(1.0 / interval)))):
-            draw = rng.random()
-            block = scratch + int(rng.integers(0, local_blocks))
-            if draw < 0.5:
+            draw = raw() >> 11  # Generator.random() * 2**53
+            block = scratch + below(local_blocks)
+            if draw < 0.5 * UNIT:
                 ops.append(compute(max(1, int(rng.geometric(1.0 / 3.0)))))
-            elif draw < 0.8:
-                ops.append(load(_word_addr(block, int(rng.integers(0, WORDS_PER_BLOCK))),
+            elif draw < 0.8 * UNIT:
+                ops.append(load(_word_addr(block, below(WORDS_PER_BLOCK)),
                                 label="barrier_local"))
             else:
-                ops.append(store(_word_addr(block, int(rng.integers(0, WORDS_PER_BLOCK))),
+                ops.append(store(_word_addr(block, below(WORDS_PER_BLOCK)),
                                  label="barrier_local"))
         ops.append(atomic(_word_addr(counter, 0), label="barrier_arrive"))
         ops.append(fence(label="barrier_fence"))
@@ -162,7 +164,7 @@ def emit_barrier(rng: np.random.Generator, thread_id: int, num_threads: int,
 # ---------------------------------------------------------------------------
 # false sharing
 
-def emit_false_sharing(rng: np.random.Generator, thread_id: int,
+def emit_false_sharing(rng: TraceRng, thread_id: int,
                        num_threads: int, count: int,
                        params: Mapping[str, object]) -> List[MemOp]:
     """Per-thread counters packed into shared blocks: distinct words, same
@@ -187,7 +189,7 @@ def emit_false_sharing(rng: np.random.Generator, thread_id: int,
     while len(ops) < count:
         block = base + i % hot_blocks
         addr = _word_addr(block, word)
-        if rng.random() < write_fraction:
+        if rng.chance(write_fraction):
             ops.append(store(addr, label="false_sharing"))
         else:
             ops.append(load(addr, label="false_sharing"))
@@ -199,7 +201,7 @@ def emit_false_sharing(rng: np.random.Generator, thread_id: int,
 # ---------------------------------------------------------------------------
 # readers-writer lock
 
-def emit_rw_lock(rng: np.random.Generator, thread_id: int, num_threads: int,
+def emit_rw_lock(rng: TraceRng, thread_id: int, num_threads: int,
                  count: int, params: Mapping[str, object]) -> List[MemOp]:
     """Read-mostly critical sections under a readers-writer lock.
 
@@ -217,24 +219,25 @@ def emit_rw_lock(rng: np.random.Generator, thread_id: int, num_threads: int,
     writer_word = _word_addr(_RWLOCK_BASE + 1, 0)
     data_base = _RWLOCK_BASE + 2
 
+    below = rng.below
     ops: List[MemOp] = []
     while len(ops) < count:
-        is_write = rng.random() < write_fraction
+        is_write = rng.chance(write_fraction)
         length = max(1, int(rng.geometric(1.0 / section_len)))
         if is_write:
             ops.append(atomic(writer_word, label="rw_writer_acquire"))
             ops.append(fence(label="rw_acquire_fence"))
             for _ in range(length):
-                block = data_base + int(rng.integers(0, data_blocks))
-                ops.append(store(_word_addr(block, int(rng.integers(0, WORDS_PER_BLOCK))),
+                block = data_base + below(data_blocks)
+                ops.append(store(_word_addr(block, below(WORDS_PER_BLOCK)),
                                  label="rw_write"))
             ops.append(store(writer_word, label="rw_writer_release"))
         else:
             ops.append(atomic(reader_word, label="rw_reader_acquire"))
             ops.append(fence(label="rw_acquire_fence"))
             for _ in range(length):
-                block = data_base + int(rng.integers(0, data_blocks))
-                ops.append(load(_word_addr(block, int(rng.integers(0, WORDS_PER_BLOCK))),
+                block = data_base + below(data_blocks)
+                ops.append(load(_word_addr(block, below(WORDS_PER_BLOCK)),
                                 label="rw_read"))
             ops.append(atomic(reader_word, label="rw_reader_release"))
         ops.append(compute(max(1, int(rng.geometric(1.0 / 3.0)))))
@@ -244,7 +247,7 @@ def emit_rw_lock(rng: np.random.Generator, thread_id: int, num_threads: int,
 # ---------------------------------------------------------------------------
 # work-stealing deque
 
-def emit_work_stealing(rng: np.random.Generator, thread_id: int,
+def emit_work_stealing(rng: TraceRng, thread_id: int,
                        num_threads: int, count: int,
                        params: Mapping[str, object]) -> List[MemOp]:
     """Chase-Lev-style deques: local push/pop, occasional remote steal.
@@ -266,12 +269,12 @@ def emit_work_stealing(rng: np.random.Generator, thread_id: int,
     ops: List[MemOp] = []
     item = 0
     while len(ops) < count:
-        if num_threads > 1 and rng.random() < steal_fraction:
-            victim = int(rng.integers(0, num_threads - 1))
+        if num_threads > 1 and rng.chance(steal_fraction):
+            victim = rng.below(num_threads - 1)
             if victim >= thread_id:
                 victim += 1
             ops.append(atomic(_word_addr(ctrl(victim), 0), label="steal_cas"))
-            slot = int(rng.integers(0, deque_blocks))
+            slot = rng.below(deque_blocks)
             for j in range(task_len):
                 block = ctrl(victim) + 1 + (slot + j) % deque_blocks
                 ops.append(load(_word_addr(block, j), label="steal_task"))

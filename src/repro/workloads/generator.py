@@ -29,42 +29,116 @@ import numpy as np
 from ..memory.address import WORD_BYTES
 from ..trace.ops import MemOp, atomic, compute, fence, load, store
 from ..trace.trace import MultiThreadedTrace, Trace
-from .spec import WorkloadSpec
+from .spec import (MAX_COUNTER_BLOCKS, MAX_LOCK_DATA_BLOCKS, MAX_LOCKS,
+                   MAX_MIGRATORY_BLOCKS, MAX_PRIVATE_BLOCKS, WorkloadSpec)
 
 #: Cache block size assumed by the address-map layout.
 BLOCK_BYTES = 64
 
-# Address-map region bases (in blocks).  Regions are disjoint by
-# construction for any reasonable spec sizes.
+#: Words per cache block: an access picks one word of its block.
+_WORDS = BLOCK_BYTES // WORD_BYTES
+
+# Address-map region bases (in blocks).  Each region holds the most blocks
+# a WorkloadSpec may ask of it, so regions are disjoint by construction;
+# the shared heap ends where the scenario pattern regions start (block
+# 200,000, see repro.scenarios.patterns).
 _LOCK_REGION_BASE = 1_000
-_LOCK_DATA_BASE = 10_000
-_COUNTER_BASE = 50_000
-_MIGRATORY_BASE = 60_000
-_SHARED_BASE = 100_000
+_LOCK_DATA_BASE = _LOCK_REGION_BASE + MAX_LOCKS  # 10,000
+_COUNTER_BASE = _LOCK_DATA_BASE + MAX_LOCK_DATA_BLOCKS  # 50,000
+_MIGRATORY_BASE = _COUNTER_BASE + MAX_COUNTER_BLOCKS  # 60,000
+_SHARED_BASE = _MIGRATORY_BASE + MAX_MIGRATORY_BLOCKS  # 100,000
 _PRIVATE_BASE = 10_000_000
-_PRIVATE_STRIDE = 1_000_000
+_PRIVATE_STRIDE = MAX_PRIVATE_BLOCKS
+
+#: ``raw >> 11 < p * UNIT`` is ``Generator.random() < p`` exactly: random()
+#: returns ``(raw >> 11) * 2**-53``, and scaling by a power of two is exact.
+UNIT = float(1 << 53)
+
+_TWO32 = 1 << 32
 
 
-def _block_to_addr(block: int, rng: np.random.Generator) -> int:
-    """Pick a word-aligned address inside ``block``."""
-    offset = int(rng.integers(0, BLOCK_BYTES // WORD_BYTES)) * WORD_BYTES
-    return block * BLOCK_BYTES + offset
+class TraceRng:
+    """One trace stream's draws, taken straight from its PCG64 raw outputs.
+
+    Each draw gives, value for value, what numpy's ``Generator`` over the
+    same bit generator would:
+
+    * :meth:`chance` (and ``raw() >> 11 < p * UNIT`` inline) is
+      ``Generator.random() < p``;
+    * :meth:`below` is ``int(Generator.integers(0, n))`` for n <= 2**32;
+    * :attr:`geometric` is ``Generator.geometric`` itself.
+
+    Trace emitters draw only through this object.  numpy keeps the unused
+    upper half of a raw output for its next 32-bit bounded draw inside
+    the bit generator, while this object keeps it here, so mixing its
+    draws with the Generator's ``integers`` would desync the stream.
+    Nothing is drawn ahead, so numpy's geometric (whose ziggurat tables
+    numpy does not expose) stays aligned with the draws around it.
+    """
+
+    __slots__ = ("raw", "geometric", "_half")
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        #: the stream's next 64-bit raw output.
+        self.raw = generator.bit_generator.random_raw
+        #: numpy's own geometric draw (number of trials, at least 1).
+        self.geometric = generator.geometric
+        # the unused upper 32 bits of the last raw output a bounded draw
+        # split, or -1 when there are none.
+        self._half = -1
+
+    def chance(self, p: float) -> bool:
+        """``Generator.random() < p``, from one raw output."""
+        return self.raw() >> 11 < p * UNIT
+
+    def below(self, n: int) -> int:
+        """``int(Generator.integers(0, n))``: numpy's 32-bit Lemire draw."""
+        if n <= 1 or n >= _TWO32:
+            if n == 1:
+                return 0  # numpy draws nothing for a one-value range
+            if n == _TWO32:
+                return self._next32()
+            raise ValueError(f"below(n) needs 1 <= n <= 2**32, got n={n}")
+        half = self._half
+        if half < 0:
+            raw = self.raw()
+            self._half = raw >> 32
+            m = (raw & 0xFFFFFFFF) * n
+        else:
+            self._half = -1
+            m = half * n
+        if m & 0xFFFFFFFF < n:
+            # Reject the low products that would bias the result.
+            threshold = (_TWO32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def _next32(self) -> int:
+        """numpy's ``next_uint32``: the low half first, the high half kept."""
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        raw = self.raw()
+        self._half = raw >> 32
+        return raw & 0xFFFFFFFF
 
 
-def thread_rng(seed: int, thread_id: int) -> np.random.Generator:
-    """The per-thread RNG stream used by single-spec workloads."""
-    return np.random.default_rng((seed * 65_537 + thread_id) & 0x7FFFFFFF)
+def thread_rng(seed: int, thread_id: int) -> TraceRng:
+    """The per-thread stream used by single-spec workloads."""
+    return TraceRng(np.random.default_rng((seed * 65_537 + thread_id) & 0x7FFFFFFF))
 
 
-def phase_rng(seed: int, thread_id: int, phase_index: int) -> np.random.Generator:
-    """Deterministic per-(seed, thread, phase) RNG stream.
+def phase_rng(seed: int, thread_id: int, phase_index: int) -> TraceRng:
+    """Deterministic per-(seed, thread, phase) stream.
 
     Phase splicing derives every phase's stream independently, so editing
     one phase of a scenario leaves the operations of every other phase
     bitwise unchanged.
     """
     entropy = (seed & 0xFFFFFFFF, thread_id, phase_index)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return TraceRng(np.random.default_rng(np.random.SeedSequence(entropy)))
 
 
 class SyntheticWorkloadGenerator:
@@ -86,44 +160,108 @@ class SyntheticWorkloadGenerator:
         ops = self.emit_ops(thread_id, rng, self.spec.ops_per_thread)
         return Trace(ops, thread_id=thread_id)
 
-    def emit_ops(self, thread_id: int, rng: np.random.Generator,
-                 count: int) -> List[MemOp]:
+    def emit_ops(self, thread_id: int, rng: TraceRng, count: int) -> List[MemOp]:
         """Emit exactly ``count`` operations of this spec's mix.
 
-        The RNG is injected so the scenario engine's phase splicing can
+        The stream is injected so the scenario engine's phase splicing can
         drive one spec with an independent per-(seed, thread, phase)
         stream; :meth:`generate_thread` wraps this with the classic
         per-thread stream.
+
+        Each background op is drawn and built in this one loop, with the
+        spec's probabilities turned into thresholds on ``raw() >> 11``
+        up front.  The draws, and their order, are the ones each op has
+        always taken (see :class:`TraceRng`), so traces do not change.
         """
         spec = self.spec
         ops: List[MemOp] = []
+        append = ops.append
+        raw = rng.raw
+        below = rng.below
+        geometric = rng.geometric
+
+        sync_cut = (1.0 / spec.sync_interval) * UNIT
+        atomic_prob = spec.lockfree_atomic_prob
+        atomic_cut = atomic_prob * UNIT
+        compute_cut = spec.compute_fraction * UNIT
+        store_cut = (spec.compute_fraction + spec.store_fraction) * UNIT
+        shared_cut = spec.shared_fraction * UNIT
+        migratory_cut = spec.migratory_fraction * UNIT
+        burst_cut = spec.store_burst_prob * UNIT
+        locality_cut = spec.locality * UNIT
+        compute_p = 1.0 / spec.compute_run_mean
+        counter_blocks = spec.atomic_counter_blocks
+        migratory_blocks = spec.migratory_blocks
+        shared_blocks = spec.shared_blocks
+        private_blocks = spec.private_blocks
+        reuse_window = spec.reuse_window
 
         private_base = _PRIVATE_BASE + thread_id * _PRIVATE_STRIDE
         private_recent: List[int] = []
         shared_recent: List[int] = []
 
-        sync_prob = 1.0 / spec.sync_interval
         while len(ops) < count:
-            if rng.random() < sync_prob:
+            if raw() >> 11 < sync_cut:
                 self._emit_critical_section(ops, rng, thread_id)
+                continue
+            if atomic_prob and raw() >> 11 < atomic_cut:
+                # Lock-free synchronisation: an atomic increment on a
+                # shared counter, with no fence attached.
+                block = _COUNTER_BASE + below(counter_blocks)
+                append(atomic(block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES,
+                              label="lockfree_atomic"))
+                continue
+
+            draw = raw() >> 11
+            if draw < compute_cut:
+                append(compute(max(1, int(geometric(compute_p)))))
+                continue
+            is_store = draw < store_cut
+            shared = raw() >> 11 < shared_cut
+
+            if shared and raw() >> 11 < migratory_cut:
+                # Migratory read-modify-write on a hot block.
+                block = _MIGRATORY_BASE + below(migratory_blocks)
+                addr = block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES
+                append(load(addr, label="migratory_read"))
+                append(store(addr, label="migratory_write"))
+                continue
+
+            if is_store and raw() >> 11 < burst_cut:
+                self._emit_store_burst(ops, rng, private_base, shared)
+                continue
+
+            # An ordinary access: reuse a recently touched block of the
+            # region, or touch a new one and remember it.
+            recent = shared_recent if shared else private_recent
+            if recent and raw() >> 11 < locality_cut:
+                block = recent[below(len(recent))]
             else:
-                self._emit_background_op(ops, rng, private_base,
-                                         private_recent, shared_recent)
+                if shared:
+                    block = _SHARED_BASE + below(shared_blocks)
+                else:
+                    block = private_base + below(private_blocks)
+                recent.append(block)
+                if len(recent) > reuse_window:
+                    del recent[0]
+            addr = block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES
+            label = "shared" if shared else "private"
+            append(store(addr, label=label) if is_store else load(addr, label=label))
         del ops[count:]
         return ops
 
     # -- pieces ------------------------------------------------------------------
 
-    def _pick_lock(self, rng: np.random.Generator, thread_id: int) -> int:
+    def _pick_lock(self, rng: TraceRng, thread_id: int) -> int:
         """Choose a lock, biased towards the thread's own partition."""
         spec = self.spec
-        if spec.lock_affinity and rng.random() < spec.lock_affinity:
+        if spec.lock_affinity and rng.chance(spec.lock_affinity):
             partition = max(1, spec.num_locks // max(1, self.num_threads))
             base = (thread_id % max(1, self.num_threads)) * partition
-            return (base + int(rng.integers(0, partition))) % spec.num_locks
-        return int(rng.integers(0, spec.num_locks))
+            return (base + rng.below(partition)) % spec.num_locks
+        return rng.below(spec.num_locks)
 
-    def _emit_critical_section(self, ops: List[MemOp], rng: np.random.Generator,
+    def _emit_critical_section(self, ops: List[MemOp], rng: TraceRng,
                                thread_id: int) -> None:
         spec = self.spec
         lock_id = self._pick_lock(rng, thread_id)
@@ -135,12 +273,13 @@ class SyntheticWorkloadGenerator:
         ops.append(atomic(lock_addr, label="lock_acquire"))
         ops.append(fence(label="acquire_fence"))
 
+        below = rng.below
         length = max(1, int(rng.geometric(1.0 / spec.critical_section_len)))
         data_base = _LOCK_DATA_BASE + lock_id * spec.blocks_per_lock
         for _ in range(length):
-            block = data_base + int(rng.integers(0, spec.blocks_per_lock))
-            addr = _block_to_addr(block, rng)
-            if rng.random() < 0.5:
+            block = data_base + below(spec.blocks_per_lock)
+            addr = block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES
+            if rng.chance(0.5):
                 ops.append(load(addr, label="critical_read"))
             else:
                 ops.append(store(addr, label="critical_write"))
@@ -148,45 +287,7 @@ class SyntheticWorkloadGenerator:
         # Release: an ordinary store to the lock word.
         ops.append(store(lock_addr, label="lock_release"))
 
-    def _emit_background_op(self, ops: List[MemOp], rng: np.random.Generator,
-                            private_base: int, private_recent: List[int],
-                            shared_recent: List[int]) -> None:
-        spec = self.spec
-        if spec.lockfree_atomic_prob and rng.random() < spec.lockfree_atomic_prob:
-            # Lock-free synchronisation: an atomic increment on a shared
-            # counter, with no fence attached.
-            block = _COUNTER_BASE + int(rng.integers(0, spec.atomic_counter_blocks))
-            ops.append(atomic(_block_to_addr(block, rng), label="lockfree_atomic"))
-            return
-
-        draw = rng.random()
-        if draw < spec.compute_fraction:
-            cycles = max(1, int(rng.geometric(1.0 / spec.compute_run_mean)))
-            ops.append(compute(cycles))
-            return
-
-        is_store = draw < spec.compute_fraction + spec.store_fraction
-        shared = rng.random() < spec.shared_fraction
-
-        if shared and rng.random() < spec.migratory_fraction:
-            # Migratory read-modify-write on a hot block.
-            block = _MIGRATORY_BASE + int(rng.integers(0, spec.migratory_blocks))
-            addr = _block_to_addr(block, rng)
-            ops.append(load(addr, label="migratory_read"))
-            ops.append(store(addr, label="migratory_write"))
-            return
-
-        if is_store and rng.random() < spec.store_burst_prob:
-            self._emit_store_burst(ops, rng, private_base, shared)
-            return
-
-        block = self._pick_block(rng, private_base, shared,
-                                 private_recent, shared_recent)
-        addr = _block_to_addr(block, rng)
-        label = "shared" if shared else "private"
-        ops.append(store(addr, label=label) if is_store else load(addr, label=label))
-
-    def _emit_store_burst(self, ops: List[MemOp], rng: np.random.Generator,
+    def _emit_store_burst(self, ops: List[MemOp], rng: TraceRng,
                           private_base: int, shared: bool) -> None:
         """Streaming stores over consecutive blocks (buffer copy / log write).
 
@@ -198,28 +299,13 @@ class SyntheticWorkloadGenerator:
         spec = self.spec
         length = max(2, int(rng.geometric(1.0 / spec.store_burst_len)))
         if shared:
-            start = _SHARED_BASE + int(rng.integers(0, max(1, spec.shared_blocks - length)))
+            start = _SHARED_BASE + rng.below(max(1, spec.shared_blocks - length))
         else:
-            start = private_base + int(rng.integers(0, max(1, spec.private_blocks - length)))
+            start = private_base + rng.below(max(1, spec.private_blocks - length))
         for i in range(length):
             base = (start + i) * BLOCK_BYTES
-            for word in range(BLOCK_BYTES // WORD_BYTES):
+            for word in range(_WORDS):
                 ops.append(store(base + word * WORD_BYTES, label="burst"))
-
-    def _pick_block(self, rng: np.random.Generator, private_base: int, shared: bool,
-                    private_recent: List[int], shared_recent: List[int]) -> int:
-        spec = self.spec
-        recent = shared_recent if shared else private_recent
-        if recent and rng.random() < spec.locality:
-            return recent[int(rng.integers(0, len(recent)))]
-        if shared:
-            block = _SHARED_BASE + int(rng.integers(0, spec.shared_blocks))
-        else:
-            block = private_base + int(rng.integers(0, spec.private_blocks))
-        recent.append(block)
-        if len(recent) > spec.reuse_window:
-            recent.pop(0)
-        return block
 
 
 def generate_workload(spec: WorkloadSpec, num_threads: int,

@@ -26,6 +26,24 @@ from typing import Dict
 
 from ..errors import WorkloadError
 
+# The most blocks each region of the generator's address map holds
+# (repro.workloads.generator lays its regions out from these): a spec that
+# asks a region for more is rejected, so regions are disjoint by
+# construction.  They also keep every bounded draw of trace generation
+# within the 32-bit range it is exact for.
+#: locks; lock ids sit below the lock data.
+MAX_LOCKS = 9_000
+#: ``num_locks * blocks_per_lock``; lock data sits below the counters.
+MAX_LOCK_DATA_BLOCKS = 40_000
+#: lock-free counters; they sit below the migratory blocks.
+MAX_COUNTER_BLOCKS = 10_000
+#: migratory blocks; they sit below the shared heap.
+MAX_MIGRATORY_BLOCKS = 40_000
+#: the shared heap; it sits below the scenario pattern regions.
+MAX_SHARED_BLOCKS = 100_000
+#: one thread's private region; the next thread's region starts above it.
+MAX_PRIVATE_BLOCKS = 1_000_000
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -104,22 +122,37 @@ class WorkloadSpec:
             )
         if self.ops_per_thread <= 0:
             raise WorkloadError("ops_per_thread must be positive")
-        if self.sync_interval <= 0 or self.critical_section_len <= 0:
-            raise WorkloadError("synchronisation parameters must be positive")
+        if self.sync_interval <= 0:
+            raise WorkloadError("sync_interval must be positive")
+        # Geometric means: each draws with probability 1 / mean, which
+        # must lie in (0, 1].
+        for name in ("compute_run_mean", "critical_section_len", "store_burst_len"):
+            value = getattr(self, name)
+            if not value >= 1.0:
+                raise WorkloadError(f"{name} must be at least 1, got {value}")
         if not 0.0 <= self.shared_fraction <= 1.0:
             raise WorkloadError("shared_fraction must lie in [0, 1]")
         if not 0.0 <= self.locality <= 1.0:
             raise WorkloadError("locality must lie in [0, 1]")
         if not 0.0 <= self.migratory_fraction <= 1.0:
             raise WorkloadError("migratory_fraction must lie in [0, 1]")
-        if self.num_locks <= 0 or self.private_blocks <= 0 or self.shared_blocks <= 0:
-            raise WorkloadError("region sizes must be positive")
+        for name, most in (("num_locks", MAX_LOCKS),
+                           ("blocks_per_lock", MAX_LOCK_DATA_BLOCKS),
+                           ("atomic_counter_blocks", MAX_COUNTER_BLOCKS),
+                           ("migratory_blocks", MAX_MIGRATORY_BLOCKS),
+                           ("shared_blocks", MAX_SHARED_BLOCKS),
+                           ("private_blocks", MAX_PRIVATE_BLOCKS)):
+            value = getattr(self, name)
+            if not 1 <= value <= most:
+                raise WorkloadError(f"{name} must lie in [1, {most:,}], got {value}")
+        if self.num_locks * self.blocks_per_lock > MAX_LOCK_DATA_BLOCKS:
+            raise WorkloadError(
+                f"num_locks x blocks_per_lock must be at most "
+                f"{MAX_LOCK_DATA_BLOCKS:,}, got {self.num_locks * self.blocks_per_lock:,}")
         if not 0.0 <= self.lockfree_atomic_prob <= 1.0:
             raise WorkloadError("lockfree_atomic_prob must lie in [0, 1]")
         if not 0.0 <= self.lock_affinity <= 1.0:
             raise WorkloadError("lock_affinity must lie in [0, 1]")
-        if self.atomic_counter_blocks <= 0:
-            raise WorkloadError("atomic_counter_blocks must be positive")
 
     def scaled(self, ops_per_thread: int) -> "WorkloadSpec":
         """Return a copy of this spec with a different trace length."""

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.scenarios import patterns
+from repro.scenarios.registry import scenario_names
 from repro.trace.ops import OpKind
+from repro.workloads import generator
 from repro.workloads.generator import BLOCK_BYTES, SyntheticWorkloadGenerator, generate_workload
 from repro.workloads.presets import WORKLOAD_PRESETS, preset, workload_names
 from repro.workloads.registry import build_trace
-from repro.workloads.spec import WorkloadSpec
+from repro.workloads.spec import MAX_SHARED_BLOCKS, WorkloadSpec
 
 
 def small_spec(**overrides) -> WorkloadSpec:
@@ -41,6 +44,53 @@ class TestWorkloadSpec:
     def test_bad_lock_affinity_rejected(self):
         with pytest.raises(WorkloadError):
             small_spec(lock_affinity=2.0)
+
+    # Each of these specs used to build, then fail mid-generation or lay
+    # one region over the next; the error names the field at fault.
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(blocks_per_lock=0), "blocks_per_lock"),
+        (dict(migratory_blocks=0), "migratory_blocks"),
+        (dict(compute_run_mean=0.0), "compute_run_mean"),
+        (dict(compute_run_mean=0.5), "compute_run_mean"),
+        (dict(critical_section_len=0.5), "critical_section_len"),
+        (dict(store_burst_len=0.5), "store_burst_len"),
+        (dict(num_locks=9_001), "num_locks"),
+        (dict(num_locks=5_000, blocks_per_lock=9), "num_locks x blocks_per_lock"),
+        (dict(atomic_counter_blocks=10_001), "atomic_counter_blocks"),
+        (dict(migratory_blocks=40_001), "migratory_blocks"),
+        (dict(shared_blocks=100_001), "shared_blocks"),
+        (dict(private_blocks=1_000_001), "private_blocks"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_spec_generation_cannot_honour_rejected(self, overrides, field):
+        with pytest.raises(WorkloadError, match=field):
+            small_spec(**overrides)
+
+    def test_largest_sizes_stay_inside_their_regions(self):
+        spec = small_spec(num_locks=8_000, blocks_per_lock=5,
+                          atomic_counter_blocks=10_000, migratory_blocks=40_000,
+                          shared_blocks=100_000, private_blocks=1_000_000,
+                          locality=0.0, sync_interval=8.0, lockfree_atomic_prob=0.1,
+                          shared_fraction=0.5, migratory_fraction=0.3,
+                          store_burst_prob=0.3, ops_per_thread=3_000)
+        regions = {"lock_acquire": (1_000, 10_000), "lock_release": (1_000, 10_000),
+                   "critical_read": (10_000, 50_000), "critical_write": (10_000, 50_000),
+                   "lockfree_atomic": (50_000, 60_000),
+                   "migratory_read": (60_000, 100_000),
+                   "migratory_write": (60_000, 100_000),
+                   "shared": (100_000, 200_000)}
+        trace = generate_workload(spec, num_threads=2, seed=5)
+        for thread in trace:
+            private = 10_000_000 + thread.thread_id * 1_000_000
+            for op in thread:
+                if not op.is_memory or op.label == "burst":
+                    continue
+                low, high = regions.get(op.label, (private, private + 1_000_000))
+                assert low <= op.address // BLOCK_BYTES < high, op
+        seen = {op.label for thread in trace for op in thread}
+        assert set(regions) <= seen
+
+    def test_shared_heap_ends_where_pattern_regions_start(self):
+        assert generator._SHARED_BASE + MAX_SHARED_BLOCKS == patterns._QUEUE_BASE
 
     def test_scaled_changes_only_length(self):
         spec = small_spec()
@@ -160,6 +210,11 @@ class TestPresets:
             trace = build_trace(name, num_threads=2, ops_per_thread=200, seed=1)
             assert trace.total_ops() == 400
             assert trace.name == name
+
+    @pytest.mark.parametrize("name", [*workload_names(), *scenario_names()])
+    def test_every_preset_and_scenario_builds(self, name):
+        trace = build_trace(name, num_threads=4, ops_per_thread=300, seed=1)
+        assert trace.total_ops() == 1_200
 
     def test_build_trace_accepts_spec_directly(self):
         trace = build_trace(small_spec(), num_threads=2, seed=1)
