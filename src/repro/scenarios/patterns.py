@@ -44,10 +44,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 from ..errors import ScenarioError
 from ..memory.address import WORD_BYTES
 from ..trace.ops import MemOp, atomic, compute, fence, load, store
-from ..workloads.generator import BLOCK_BYTES, UNIT, TraceRng
-
-#: Words per cache block (the unit false sharing is built from).
-WORDS_PER_BLOCK = BLOCK_BYTES // WORD_BYTES
+from ..workloads.generator import BLOCK_BYTES, UNIT, WORDS_PER_BLOCK, TraceRng
 
 # Region bases (in blocks); disjoint from the workload generator's regions.
 _QUEUE_BASE = 200_000

@@ -2,7 +2,10 @@
 
 Each thread's trace is generated independently from a deterministic
 per-thread RNG stream (derived from the workload seed and thread id), so
-traces are reproducible and threads can be generated lazily.
+traces are reproducible and threads can be generated lazily.  Every draw
+goes through a :class:`TraceRng`, which takes it straight from the
+stream's PCG64 raw outputs, value for value what numpy's ``Generator``
+would draw (DESIGN.md section 11).
 
 The generated behaviour, per thread:
 
@@ -36,7 +39,7 @@ from .spec import (MAX_COUNTER_BLOCKS, MAX_LOCK_DATA_BLOCKS, MAX_LOCKS,
 BLOCK_BYTES = 64
 
 #: Words per cache block: an access picks one word of its block.
-_WORDS = BLOCK_BYTES // WORD_BYTES
+WORDS_PER_BLOCK = BLOCK_BYTES // WORD_BYTES
 
 # Address-map region bases (in blocks).  Each region holds the most blocks
 # a WorkloadSpec may ask of it, so regions are disjoint by construction;
@@ -93,22 +96,14 @@ class TraceRng:
 
     def below(self, n: int) -> int:
         """``int(Generator.integers(0, n))``: numpy's 32-bit Lemire draw."""
-        if n <= 1 or n >= _TWO32:
+        if n <= 1 or n > _TWO32:
             if n == 1:
                 return 0  # numpy draws nothing for a one-value range
-            if n == _TWO32:
-                return self._next32()
             raise ValueError(f"below(n) needs 1 <= n <= 2**32, got n={n}")
-        half = self._half
-        if half < 0:
-            raw = self.raw()
-            self._half = raw >> 32
-            m = (raw & 0xFFFFFFFF) * n
-        else:
-            self._half = -1
-            m = half * n
+        m = self._next32() * n
         if m & 0xFFFFFFFF < n:
-            # Reject the low products that would bias the result.
+            # Reject the low products that would bias the result (none
+            # for n == 2**32, where numpy returns the 32-bit draw itself).
             threshold = (_TWO32 - n) % n
             while m & 0xFFFFFFFF < threshold:
                 m = self._next32() * n
@@ -168,10 +163,10 @@ class SyntheticWorkloadGenerator:
         stream; :meth:`generate_thread` wraps this with the classic
         per-thread stream.
 
-        Each background op is drawn and built in this one loop, with the
-        spec's probabilities turned into thresholds on ``raw() >> 11``
-        up front.  The draws, and their order, are the ones each op has
-        always taken (see :class:`TraceRng`), so traces do not change.
+        Each background op is drawn and built in this one loop; the
+        spec's probabilities become thresholds on ``raw() >> 11`` before
+        it starts (see :class:`TraceRng`).  Critical sections and store
+        bursts go to their helpers, which draw from the same stream.
         """
         spec = self.spec
         ops: List[MemOp] = []
@@ -208,7 +203,7 @@ class SyntheticWorkloadGenerator:
                 # Lock-free synchronisation: an atomic increment on a
                 # shared counter, with no fence attached.
                 block = _COUNTER_BASE + below(counter_blocks)
-                append(atomic(block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES,
+                append(atomic(block * BLOCK_BYTES + below(WORDS_PER_BLOCK) * WORD_BYTES,
                               label="lockfree_atomic"))
                 continue
 
@@ -222,7 +217,7 @@ class SyntheticWorkloadGenerator:
             if shared and raw() >> 11 < migratory_cut:
                 # Migratory read-modify-write on a hot block.
                 block = _MIGRATORY_BASE + below(migratory_blocks)
-                addr = block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES
+                addr = block * BLOCK_BYTES + below(WORDS_PER_BLOCK) * WORD_BYTES
                 append(load(addr, label="migratory_read"))
                 append(store(addr, label="migratory_write"))
                 continue
@@ -244,7 +239,7 @@ class SyntheticWorkloadGenerator:
                 recent.append(block)
                 if len(recent) > reuse_window:
                     del recent[0]
-            addr = block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES
+            addr = block * BLOCK_BYTES + below(WORDS_PER_BLOCK) * WORD_BYTES
             label = "shared" if shared else "private"
             append(store(addr, label=label) if is_store else load(addr, label=label))
         del ops[count:]
@@ -278,7 +273,7 @@ class SyntheticWorkloadGenerator:
         data_base = _LOCK_DATA_BASE + lock_id * spec.blocks_per_lock
         for _ in range(length):
             block = data_base + below(spec.blocks_per_lock)
-            addr = block * BLOCK_BYTES + below(_WORDS) * WORD_BYTES
+            addr = block * BLOCK_BYTES + below(WORDS_PER_BLOCK) * WORD_BYTES
             if rng.chance(0.5):
                 ops.append(load(addr, label="critical_read"))
             else:
@@ -304,7 +299,7 @@ class SyntheticWorkloadGenerator:
             start = private_base + rng.below(max(1, spec.private_blocks - length))
         for i in range(length):
             base = (start + i) * BLOCK_BYTES
-            for word in range(_WORDS):
+            for word in range(WORDS_PER_BLOCK):
                 ops.append(store(base + word * WORD_BYTES, label="burst"))
 
 

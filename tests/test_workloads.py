@@ -20,6 +20,25 @@ def small_spec(**overrides) -> WorkloadSpec:
     return WorkloadSpec(**base)
 
 
+#: (overrides, field the error names): each of these specs used to build,
+#: then fail mid-generation or lay one region of the address map over the
+#: next.
+UNHONOURABLE = [
+    (dict(blocks_per_lock=0), "blocks_per_lock"),
+    (dict(migratory_blocks=0), "migratory_blocks"),
+    (dict(compute_run_mean=0.0), "compute_run_mean"),
+    (dict(compute_run_mean=0.5), "compute_run_mean"),
+    (dict(critical_section_len=0.5), "critical_section_len"),
+    (dict(store_burst_len=0.5), "store_burst_len"),
+    (dict(num_locks=9_001), "num_locks"),
+    (dict(num_locks=5_000, blocks_per_lock=9), "num_locks x blocks_per_lock"),
+    (dict(atomic_counter_blocks=10_001), "atomic_counter_blocks"),
+    (dict(migratory_blocks=40_001), "migratory_blocks"),
+    (dict(shared_blocks=100_001), "shared_blocks"),
+    (dict(private_blocks=1_000_001), "private_blocks"),
+]
+
+
 class TestWorkloadSpec:
     def test_valid_spec(self):
         spec = small_spec()
@@ -45,22 +64,9 @@ class TestWorkloadSpec:
         with pytest.raises(WorkloadError):
             small_spec(lock_affinity=2.0)
 
-    # Each of these specs used to build, then fail mid-generation or lay
-    # one region over the next; the error names the field at fault.
-    @pytest.mark.parametrize("overrides, field", [
-        (dict(blocks_per_lock=0), "blocks_per_lock"),
-        (dict(migratory_blocks=0), "migratory_blocks"),
-        (dict(compute_run_mean=0.0), "compute_run_mean"),
-        (dict(compute_run_mean=0.5), "compute_run_mean"),
-        (dict(critical_section_len=0.5), "critical_section_len"),
-        (dict(store_burst_len=0.5), "store_burst_len"),
-        (dict(num_locks=9_001), "num_locks"),
-        (dict(num_locks=5_000, blocks_per_lock=9), "num_locks x blocks_per_lock"),
-        (dict(atomic_counter_blocks=10_001), "atomic_counter_blocks"),
-        (dict(migratory_blocks=40_001), "migratory_blocks"),
-        (dict(shared_blocks=100_001), "shared_blocks"),
-        (dict(private_blocks=1_000_001), "private_blocks"),
-    ], ids=lambda v: v if isinstance(v, str) else None)
+    @pytest.mark.parametrize("overrides, field", UNHONOURABLE,
+                             ids=[",".join(f"{k}={v}" for k, v in overrides.items())
+                                  for overrides, _ in UNHONOURABLE])
     def test_spec_generation_cannot_honour_rejected(self, overrides, field):
         with pytest.raises(WorkloadError, match=field):
             small_spec(**overrides)
