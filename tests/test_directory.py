@@ -1,6 +1,7 @@
 """Tests for the full-map directory and the shared L2."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.l2 import L2Cache
@@ -146,6 +147,85 @@ class TestBankedL2:
         assert len(l2) == 16
         for i in range(16):
             assert l2.contains(i * 64)
+
+
+class L2Model:
+    """The L2 as DESIGN section 4 describes it, one recency list per set.
+
+    A block lands in bank ``blocknum % banks`` and, within that bank, in
+    set ``(blocknum // banks) % sets_per_bank``.  Each set lists its
+    blocks least recently installed first, with their dirty flags; an
+    install moves its block to the end, a probe moves nothing, and a
+    full set drops its first block, writing it back if dirty.
+    """
+
+    def __init__(self, num_sets: int, assoc: int, banks: int) -> None:
+        self.assoc = assoc
+        self.banks = banks
+        self.sets_per_bank = num_sets // banks
+        self.sets = {}
+        self.hits = self.misses = self.writebacks = 0
+
+    def _ways(self, addr: int) -> list:
+        blocknum = addr // 64
+        key = (blocknum % self.banks,
+               (blocknum // self.banks) % self.sets_per_bank)
+        return self.sets.setdefault(key, [])
+
+    def install(self, addr: int, dirty: bool) -> None:
+        ways = self._ways(addr)
+        resident = [way for way in ways if way[0] == addr]
+        if resident:
+            ways.remove(resident[0])
+        elif len(ways) == self.assoc:
+            self.writebacks += ways.pop(0)[1]
+        ways.append((addr, dirty))
+
+    def contains(self, addr: int) -> bool:
+        return any(way[0] == addr for way in self._ways(addr))
+
+    def probe(self, addr: int) -> bool:
+        hit = self.contains(addr)
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return hit
+
+    def __len__(self) -> int:
+        return sum(len(ways) for ways in self.sets.values())
+
+
+l2_steps = st.lists(
+    st.tuples(st.sampled_from(("install", "install_dirty", "probe")),
+              st.integers(0, 47)),
+    min_size=30, max_size=120)
+
+
+class TestL2AgainstRecencyModel:
+    @given(st.sampled_from((1, 2, 4)), l2_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_set_recency_lists(self, banks, steps):
+        l2 = L2Cache(CacheConfig(size_bytes=16 * 64, associativity=4,
+                                 block_bytes=64, hit_latency=10), banks=banks)
+        model = L2Model(num_sets=4, assoc=4, banks=banks)
+        touched = set()
+        for op, index in steps:
+            addr = index * 64
+            touched.add(addr)
+            if op == "probe":
+                assert l2.probe(addr) == model.probe(addr)
+            elif op == "install":
+                l2.install(addr)
+                model.install(addr, False)
+            else:
+                l2.install_dirty(addr)
+                model.install(addr, True)
+            assert (l2.hits, l2.misses, l2.writebacks) == \
+                (model.hits, model.misses, model.writebacks)
+            assert len(l2) == len(model)
+            for seen in touched:
+                assert l2.contains(seen) == model.contains(seen), hex(seen)
 
 
 class Test64CoreDirectory:

@@ -18,11 +18,19 @@ queued interconnect (``name@queued``, built as
 ``tests/test_differential.py::TestQueuedInterconnectEquivalence`` builds
 it) and with a two-bank L2 (``name@l2x2``).
 
+No line above evicts from an L1 or the L2 or forces a commit: the
+grid's caches hold every block it touches.  So every grid config runs
+that workload once more on tiny caches (``name@tiny``: a 1 KiB 2-way L1
+and a 4 KiB 4-way L2 in two banks), which pins the fill path: the L1's
+victim choice, the forced commit when every way of a set is
+speculative (and its delay), and L2 replacement with its writebacks.
+
 To regenerate after an intentional change to simulated behaviour::
 
     PYTHONPATH=src python tests/test_golden_observables.py --regen
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -49,13 +57,19 @@ VARIANT_WORKLOAD = "false-sharing-storm"
 
 
 def variant_configs(configs):
-    """Each config under the queued interconnect and with two L2 banks."""
+    """Each config queued, with two L2 banks, and on tiny caches."""
     variants = {}
     for suffix, vary in (
             ("queued", lambda c: c.replace(interconnect=resolved_interconnect(
                 GRID_CORES, hop_latency=c.interconnect.hop_latency,
                 contention="queued", link_bandwidth=2))),
-            ("l2x2", lambda c: c.replace(l2_banks=2))):
+            ("l2x2", lambda c: c.replace(l2_banks=2)),
+            ("tiny", lambda c: c.replace(
+                l1=dataclasses.replace(c.l1, size_bytes=1024,
+                                       associativity=2),
+                l2=dataclasses.replace(c.l2, size_bytes=4096,
+                                       associativity=4),
+                l2_banks=2))):
         for name, config in configs.items():
             variants[f"{name}@{suffix}"] = vary(config)
     return variants
