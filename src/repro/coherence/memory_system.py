@@ -33,7 +33,7 @@ from ..interconnect.latency import LatencyModel
 from ..interconnect.topology import TorusTopology
 from ..memory.address import block_mask
 from ..memory.block import CoherenceState
-from ..memory.cache import NO_VICTIM, CacheArray
+from ..memory.cache import CacheArray
 from ..obs.recorder import COHERENCE_TID_BASE, active
 from .directory import Directory, DirectoryEntry
 from .l2 import L2Cache
@@ -310,7 +310,8 @@ class MemorySystem:
     # One frame per transaction, shared by both engines: the directory
     # entry and the L1 line checks are read here, not through Directory or
     # CacheArray calls.  Only the network legs (traverse), the L2 probe
-    # and fills, the L1 fill (prepare_fill/install), and the listener
+    # and fills, the L1 fill (one install, which picks its own victim),
+    # the victim's directory and L2 update (_evict), and the listener
     # hooks (conflicts, forced commit) are calls.
 
     def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
@@ -448,12 +449,26 @@ class MemorySystem:
 
         # Fill the requester's L1.
         l1 = self._l1s[core_id]
-        room = l1.prepare_fill(baddr)
+        block, victim = l1.install(baddr, new_state, is_write)
         forced_delay = 0
-        if room is not NO_VICTIM:
-            forced_delay = self._make_room(core_id, baddr, now, room)
+        if block is None:
+            # Every way of the set is speculative: the requester commits
+            # first (Section 3.2), and the fill waits for the commit.
+            listener = self._listeners.get(core_id)
+            if listener is None:
+                raise SimulationError(
+                    "a fill requires evicting speculative state but no "
+                    f"controller is registered for core {core_id}"
+                )
+            forced_delay = max(0, listener.forced_commit(now) - now)
             completion += forced_delay
-        block = l1.install(baddr, new_state, is_write)
+            block, victim = l1.install(baddr, new_state, is_write)
+            if block is None:
+                raise SimulationError(
+                    "forced commit did not release any way in the target set"
+                )
+        if victim is not None:
+            self._evict(core_id, victim)
         if spec_checkpoint is not None:
             if is_write:
                 block.mark_spec_written(spec_checkpoint)
@@ -484,44 +499,16 @@ class MemorySystem:
         resolution = listener.on_external_conflict(baddr, is_write, arrival)
         return max(0, resolution.extra_delay)
 
-    def _make_room(self, core_id: int, baddr: int, now: int, result) -> int:
-        """Finish a fill's :meth:`CacheArray.prepare_fill` that found no free way.
-
-        Forces the requester's speculation to commit when every way is
-        speculative, then evicts the victim; returns the forced-commit
-        delay.
-        """
-        l1 = self._l1s[core_id]
-        forced_delay = 0
-        if result.requires_forced_commit:
-            listener = self._listeners.get(core_id)
-            if listener is None:
-                raise SimulationError(
-                    "a fill requires evicting speculative state but no "
-                    f"controller is registered for core {core_id}"
-                )
-            commit_done = listener.forced_commit(now)
-            forced_delay = max(0, commit_done - now)
-            result = l1.prepare_fill(baddr)
-            if result.requires_forced_commit:
-                raise SimulationError(
-                    "forced commit did not release any way in the target set"
-                )
-        victim = result.victim
-        if victim is not None:
-            self._evict(core_id, victim, needs_writeback=result.needs_writeback)
-        return forced_delay
-
-    def _evict(self, core_id: int, victim, needs_writeback: bool) -> None:
+    def _evict(self, core_id: int, victim) -> None:
         """Update directory/L2 state when an L1 block is evicted."""
         entry = self._dir_entries.get(victim.address)
         if entry is not None:
             entry.sharers.discard(core_id)
             if entry.owner == core_id:
                 entry.owner = None
-        if needs_writeback:
+        if victim.dirty and victim.state is _MODIFIED:
             self._l2.install_dirty(victim.address)
-        elif victim.state.is_valid:
+        else:
             # Clean eviction: the L2 may or may not already hold the block;
             # installing it keeps the inclusive-ish latency model simple.
             self._l2.install(victim.address)

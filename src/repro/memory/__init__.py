@@ -14,7 +14,7 @@ protocol and the processor model:
 
 from .address import Address, block_address, block_index, word_address
 from .block import CacheBlock, CoherenceState
-from .cache import CacheArray, EvictionResult
+from .cache import CacheArray
 
 __all__ = [
     "Address",
@@ -24,5 +24,4 @@ __all__ = [
     "CacheBlock",
     "CoherenceState",
     "CacheArray",
-    "EvictionResult",
 ]

@@ -14,17 +14,17 @@ Two operations mirror the flash circuits of Figure 3:
   whose speculatively-written bit is set (used on abort), again optionally
   restricted to one checkpoint id.
 
+A fill is one :meth:`CacheArray.install` call that picks its own victim.
 Victim selection prefers non-speculative blocks so that a fill does not
 force the eviction of a speculatively accessed block unless the whole set
-is speculative; in that case the caller is told a *forced commit* is needed
-(Section 3.2: "forcing a commit before evicting any speculatively-read or
-speculatively-written block").
+is speculative; in that case nothing is installed and the caller must
+force a commit and install again (Section 3.2: "forcing a commit before
+evicting any speculatively-read or speculatively-written block").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..errors import SimulationError
@@ -32,31 +32,6 @@ from .address import block_mask
 from .block import CacheBlock, CoherenceState
 
 _INVALID = CoherenceState.INVALID
-
-
-@dataclass(frozen=True)
-class EvictionResult:
-    """Outcome of preparing a fill: which victim (if any) was evicted.
-
-    Immutable, so the two victimless outcomes are shared constants
-    (:data:`NO_VICTIM`, :data:`MUST_COMMIT`) rather than built per fill.
-    """
-
-    #: the evicted block (already removed from the cache), or None.
-    victim: Optional[CacheBlock]
-    #: True when the victim was dirty and must be written back.
-    needs_writeback: bool
-    #: True when every candidate way held speculative state, so the caller
-    #: must force a speculation commit before the fill can proceed.
-    requires_forced_commit: bool
-
-
-#: a fill that finds its block present or a free way: nothing to evict.
-NO_VICTIM = EvictionResult(victim=None, needs_writeback=False,
-                           requires_forced_commit=False)
-#: a fill whose every candidate way is speculative: commit first.
-MUST_COMMIT = EvictionResult(victim=None, needs_writeback=False,
-                             requires_forced_commit=True)
 
 
 class CacheArray:
@@ -139,82 +114,67 @@ class CacheArray:
 
     # -- fills and evictions ----------------------------------------------
 
-    def prepare_fill(self, addr: int) -> EvictionResult:
-        """Make room for a fill of the block containing ``addr``.
-
-        If the block is already present, or the set has a free way, no
-        victim is chosen.  Otherwise the least-recently-used
-        *non-speculative* block is evicted.  If every way in the set holds
-        speculative state the caller must commit the current speculation
-        first; no eviction is performed in that case.
-        """
-        baddr = addr & self._block_mask
-        existing = self.lines.get(baddr)
-        if existing is not None and existing.state is not _INVALID:
-            return NO_VICTIM
-        index = (baddr >> self._block_shift) % self._num_sets
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
-        # Drop any stale invalid entry for this address.
-        if existing is not None:
-            del cache_set[baddr]
-            del self.lines[baddr]
-        if len(cache_set) < self._assoc:
-            return NO_VICTIM
-        # Purge invalid placeholders to free ways; only needed once the raw
-        # way count fills up (invalid blocks are unobservable elsewhere:
-        # lookups, iteration, and len() all skip them).
-        for key in [k for k, b in cache_set.items() if b.state is _INVALID]:
-            del cache_set[key]
-            del self.lines[key]
-        if len(cache_set) < self._assoc:
-            return NO_VICTIM
-        candidates = [b for b in cache_set.values() if not b.speculative]
-        if not candidates:
-            return MUST_COMMIT
-        victim = min(candidates, key=lambda b: b.last_use)
-        del cache_set[victim.address]
-        del self.lines[victim.address]
-        return EvictionResult(victim=victim,
-                              needs_writeback=victim.dirty
-                              and victim.state is CoherenceState.MODIFIED,
-                              requires_forced_commit=False)
-
-    def install(self, addr: int, state: CoherenceState,
-                dirty: bool = False) -> CacheBlock:
+    def install(self, addr: int, state: CoherenceState, dirty: bool = False
+                ) -> Tuple[Optional[CacheBlock], Optional[CacheBlock]]:
         """Install (or update) the block containing ``addr``.
 
-        Callers must have invoked :meth:`prepare_fill` first when a new
-        block may be needed; installing into a full set raises.
+        Returns ``(block, victim)``.  A present valid block takes the new
+        state and dirty bit in place.  A new block takes a free way; in a
+        full set, invalid placeholders are purged first, and only when
+        none is left is the least-recently-used *non-speculative* block
+        evicted and returned as ``victim`` (``None`` when nothing was
+        evicted).  When every way holds speculative state nothing is
+        installed and ``(None, None)`` is returned: the caller must commit
+        the speculation first and install again.
         """
         if state is _INVALID:
             raise SimulationError("cannot install a block in the INVALID state")
         baddr = addr & self._block_mask
-        block = self.lines.get(baddr)
-        if block is None:
+        lines = self.lines
+        block = lines.get(baddr)
+        victim = None
+        if block is not None and block.state is not _INVALID:
+            block.state = state
+            block.dirty = dirty
+        else:
             index = (baddr >> self._block_shift) % self._num_sets
             cache_set = self._sets.get(index)
             if cache_set is None:
                 cache_set = self._sets[index] = {}
+            elif block is not None:
+                # Drop the stale invalid entry for this address.
+                del cache_set[baddr]
+                del lines[baddr]
             if len(cache_set) >= self._assoc:
-                raise SimulationError(
-                    f"install into full set for address {baddr:#x}; "
-                    "prepare_fill must be called first"
-                )
+                # Invalid placeholders are unobservable elsewhere (lookups,
+                # iteration and len() skip them); purging one frees a way.
+                stale = [key for key, way in cache_set.items()
+                         if way.state is _INVALID]
+                for key in stale:
+                    del cache_set[key]
+                    del lines[key]
+                if not stale:
+                    # The least recently used non-speculative way; the
+                    # first one on a tie.
+                    for way in cache_set.values():
+                        if way.spec_read is None and way.spec_written is None \
+                                and (victim is None
+                                     or way.last_use < victim.last_use):
+                            victim = way
+                    if victim is None:
+                        return None, None
+                    del cache_set[victim.address]
+                    del lines[victim.address]
             # Positional arguments: a fill builds a block on most L1
             # misses, and keyword arguments make the dataclass call about
             # twice as slow.
             block = CacheBlock(baddr, state, dirty)
             block.spec_registry = self._spec_marked
             cache_set[baddr] = block
-            self.lines[baddr] = block
-        else:
-            block.state = state
-            block.dirty = dirty
+            lines[baddr] = block
         self.lru_clock += 1
         block.last_use = self.lru_clock
-        return block
+        return block, victim
 
     def remove(self, addr: int) -> Optional[CacheBlock]:
         """Remove and return the block containing ``addr`` (if present)."""

@@ -49,12 +49,20 @@ class TestCacheArrayProperties:
     def test_capacity_and_uniqueness(self, block_indices):
         cache = CacheArray(CacheConfig(size_bytes=16 * 64, associativity=2,
                                        block_bytes=64, hit_latency=1))
+        num_sets = cache.config.num_sets
         for index in block_indices:
             addr = index * 64
-            result = cache.prepare_fill(addr)
-            assert not result.requires_forced_commit
-            cache.install(addr, CoherenceState.SHARED)
-            assert cache.contains(addr)
+            same_set = [b for b in cache.blocks() if b.address // 64 % num_sets
+                        == index % num_sets]
+            full = len(same_set) == 2 and not cache.contains(addr)
+            block, victim = cache.install(addr, CoherenceState.SHARED)
+            assert block is not None and cache.contains(addr)
+            if full:
+                # The LRU way of the set, now gone.
+                assert victim is min(same_set, key=lambda b: b.last_use)
+                assert not cache.contains(victim.address)
+            else:
+                assert victim is None
         assert len(cache) <= 16
         seen = [b.address for b in cache.blocks()]
         assert len(seen) == len(set(seen))
@@ -65,14 +73,28 @@ class TestCacheArrayProperties:
     def test_flash_operations_leave_no_spec_bits(self, accesses):
         cache = CacheArray(CacheConfig(size_bytes=32 * 64, associativity=4,
                                        block_bytes=64, hit_latency=1))
+        num_sets = cache.config.num_sets
         for index, is_write in accesses:
             addr = index * 64
-            result = cache.prepare_fill(addr)
-            if result.requires_forced_commit:
+            state = CoherenceState.MODIFIED if is_write else CoherenceState.SHARED
+            same_set = [b for b in cache.blocks() if b.address // 64 % num_sets
+                        == index % num_sets]
+            full = len(same_set) == 4 and not cache.contains(addr)
+            candidates = [b for b in same_set if not b.speculative]
+            block, victim = cache.install(addr, state, dirty=is_write)
+            if block is None:
+                # Every way is speculative: nothing was evicted or installed.
+                assert full and not candidates
+                assert victim is None and not cache.contains(addr)
                 cache.flash_clear_spec_bits()
-                result = cache.prepare_fill(addr)
-            block = cache.install(addr, CoherenceState.MODIFIED if is_write
-                                  else CoherenceState.SHARED, dirty=is_write)
+                candidates = same_set
+                block, victim = cache.install(addr, state, dirty=is_write)
+            assert block is not None
+            if full:
+                # The LRU way among the non-speculative ones.
+                assert victim is min(candidates, key=lambda b: b.last_use)
+            else:
+                assert victim is None
             if is_write:
                 block.mark_spec_written(1)
             else:
