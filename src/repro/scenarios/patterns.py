@@ -33,7 +33,10 @@ Address-map layout: pattern regions (blocks 200k-299k) lie above the
 workload generator's shared heap, which starts at block 100k.  They stay
 disjoint from it, so phases of either kind never collide on blocks by
 accident, because a :class:`~repro.workloads.spec.WorkloadSpec` rejects
-``shared_blocks`` above 100,000.
+``shared_blocks`` above 100,000.  Each pattern owns the 20,000 blocks
+from its base, and an emitter raises :class:`~repro.errors.ScenarioError`
+when its parameters at the phase's thread count would lay blocks past
+them, into the next pattern's region.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ _BARRIER_BASE = 220_000
 _FALSE_BASE = 240_000
 _RWLOCK_BASE = 260_000
 _DEQUE_BASE = 280_000
+#: blocks each pattern's region holds from its base, up to the next base.
+_REGION_BLOCKS = 20_000
 
 #: Emitter signature: (rng, thread_id, num_threads, count, params) -> ops.
 PatternEmitter = Callable[
@@ -67,6 +72,16 @@ def _param(params: Mapping[str, object], key: str, default: int) -> int:
     if value <= 0:
         raise ScenarioError(f"pattern parameter {key!r} must be positive, got {value}")
     return value
+
+
+def _check_region(pattern: str, extent: int, num_threads: int,
+                  **sizes: int) -> None:
+    """Reject a phase whose ``extent`` blocks overrun its pattern's region."""
+    if extent > _REGION_BLOCKS:
+        named = ", ".join(f"{key}={value}" for key, value in sizes.items())
+        raise ScenarioError(
+            f"pattern {pattern!r} with {named} at {num_threads} threads "
+            f"spans {extent} blocks; its region holds {_REGION_BLOCKS}")
 
 
 def _fraction(params: Mapping[str, object], key: str, default: float) -> float:
@@ -94,6 +109,8 @@ def emit_producer_consumer(rng: TraceRng, thread_id: int,
     payload = _param(params, "payload_blocks", 2)
     pacing = _param(params, "compute", 4)
     stride = 1 + slots * payload  # control block + payload slots
+    _check_region("producer_consumer", num_threads * stride, num_threads,
+                  slots=slots, payload_blocks=payload)
     own_base = _QUEUE_BASE + thread_id * stride
     prev_base = _QUEUE_BASE + ((thread_id - 1) % num_threads) * stride
 
@@ -133,6 +150,8 @@ def emit_barrier(rng: TraceRng, thread_id: int, num_threads: int,
     interval = _param(params, "interval", 40)
     spin_reads = _param(params, "spin_reads", 3)
     local_blocks = _param(params, "local_blocks", 64)
+    _check_region("barrier", 8 + num_threads * local_blocks, num_threads,
+                  local_blocks=local_blocks)
     counter = _BARRIER_BASE
     sense = _BARRIER_BASE + 1
     scratch = _BARRIER_BASE + 8 + thread_id * local_blocks
@@ -177,6 +196,9 @@ def emit_false_sharing(rng: TraceRng, thread_id: int,
     hot_blocks = _param(params, "hot_blocks", 4)
     write_fraction = _fraction(params, "write_fraction", 0.7)
     pacing = _param(params, "compute", 2)
+    groups = -(-num_threads // WORDS_PER_BLOCK)
+    _check_region("false_sharing", groups * hot_blocks, num_threads,
+                  hot_blocks=hot_blocks)
     group = thread_id // WORDS_PER_BLOCK
     word = thread_id % WORDS_PER_BLOCK
     base = _FALSE_BASE + group * hot_blocks
@@ -212,6 +234,8 @@ def emit_rw_lock(rng: TraceRng, thread_id: int, num_threads: int,
     data_blocks = _param(params, "data_blocks", 8)
     section_len = _param(params, "section_len", 4)
     write_fraction = _fraction(params, "write_fraction", 0.1)
+    _check_region("rw_lock", 2 + data_blocks, num_threads,
+                  data_blocks=data_blocks)
     reader_word = _word_addr(_RWLOCK_BASE, 0)
     writer_word = _word_addr(_RWLOCK_BASE + 1, 0)
     data_base = _RWLOCK_BASE + 2
@@ -259,6 +283,8 @@ def emit_work_stealing(rng: TraceRng, thread_id: int,
     steal_fraction = _fraction(params, "steal_fraction", 0.1)
     pacing = _param(params, "compute", 4)
     stride = 1 + deque_blocks  # top-index control block + task blocks
+    _check_region("work_stealing", num_threads * stride, num_threads,
+                  deque_blocks=deque_blocks)
 
     def ctrl(owner: int) -> int:
         return _DEQUE_BASE + owner * stride

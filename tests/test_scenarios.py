@@ -259,6 +259,51 @@ class TestWorkStealing:
                     assert op.kind is OpKind.ATOMIC
 
 
+class TestPatternRegions:
+    """Each pattern's blocks stay inside the 20,000 from its region base."""
+
+    #: per pattern: sizes one block past the region at 16 threads, and the
+    #: largest that fit.
+    SIZES = {
+        "producer_consumer": ({"slots": 1000, "payload_blocks": 4},
+                              {"slots": 1249, "payload_blocks": 1}),
+        "barrier": ({"local_blocks": 1250}, {"local_blocks": 1249}),
+        "false_sharing": ({"hot_blocks": 10_001}, {"hot_blocks": 10_000}),
+        "rw_lock": ({"data_blocks": 19_999}, {"data_blocks": 19_998}),
+        "work_stealing": ({"deque_blocks": 1250}, {"deque_blocks": 1249}),
+    }
+
+    def test_sizes_cover_every_pattern(self):
+        assert set(self.SIZES) == set(pattern_names())
+
+    def test_producer_consumer_overrun_rejected(self):
+        self._assert_rejected("producer_consumer")
+
+    def test_barrier_overrun_rejected(self):
+        self._assert_rejected("barrier")
+
+    def test_false_sharing_overrun_rejected(self):
+        self._assert_rejected("false_sharing")
+
+    def test_rw_lock_overrun_rejected(self):
+        self._assert_rejected("rw_lock")
+
+    def test_work_stealing_overrun_rejected(self):
+        self._assert_rejected("work_stealing")
+
+    def _assert_rejected(self, name):
+        too_big, _ = self.SIZES[name]
+        named = ", ".join(f"{key}={value}" for key, value in too_big.items())
+        with pytest.raises(ScenarioError, match=f"'{name}' with {named} at 16 threads"):
+            pattern_trace(name, num_threads=16, count=20, **too_big)
+
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_largest_fitting_sizes_build(self, name):
+        _, fits = self.SIZES[name]
+        trace = pattern_trace(name, num_threads=16, count=20, **fits)
+        assert all(len(t) == 20 for t in trace)
+
+
 class TestPhaseSplicing:
     def scenario(self):
         return ScenarioSpec(name="splice", phases=(
