@@ -9,12 +9,12 @@ recalling L1 copies (a documented simplification).
 
 With ``banks > 1`` the tag array is divided into equal banks selected by
 block-address interleaving (the same interleave the directory uses for
-home nodes), so a hot address range's capacity conflicts stay local to a
-bank.  One bank reproduces the paper's monolithic shared L2 exactly.
+home nodes).  One bank reproduces the paper's monolithic shared L2
+exactly, and so does any other bank count: a banked L2 holds every block
+in the set the monolithic one would (DESIGN section 4).
 
 Nothing but a block's presence, its dirty flag and its install order is
-ever read, so each set is a dict from block address to dirty flag, kept
-in least-recently-installed order.
+ever read, so no :class:`~repro.memory.cache.CacheArray` backs the L2.
 """
 
 from __future__ import annotations
@@ -101,4 +101,3 @@ class L2Cache:
 
     def __len__(self) -> int:
         return sum(len(ways) for ways in self._sets.values())
-

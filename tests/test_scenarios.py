@@ -262,7 +262,7 @@ class TestWorkStealing:
 class TestPatternRegions:
     """Each pattern's blocks stay inside the 20,000 from its region base."""
 
-    #: per pattern: sizes one block past the region at 16 threads, and the
+    #: per pattern: sizes that overrun the region at 16 threads, and the
     #: largest that fit.
     SIZES = {
         "producer_consumer": ({"slots": 1000, "payload_blocks": 4},
@@ -272,9 +272,6 @@ class TestPatternRegions:
         "rw_lock": ({"data_blocks": 19_999}, {"data_blocks": 19_998}),
         "work_stealing": ({"deque_blocks": 1250}, {"deque_blocks": 1249}),
     }
-
-    def test_sizes_cover_every_pattern(self):
-        assert set(self.SIZES) == set(pattern_names())
 
     def test_producer_consumer_overrun_rejected(self):
         self._assert_rejected("producer_consumer")
