@@ -14,6 +14,8 @@ sequence of ``n`` stores occupies the cache's external interface for
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ..config import StoreBufferConfig, StoreBufferKind
 from ..cpu.store_buffer import FIFOStoreBuffer
 
@@ -35,7 +37,8 @@ class ScalableStoreBuffer(FIFOStoreBuffer):
 
     def speculative_store_count(self, now: int) -> int:
         """Number of live speculative entries (the cost driver of commit)."""
-        return sum(1 for e in self._live(now) if e.speculative)
+        live = self._checkpoints[bisect_right(self.releases, now):]
+        return len(live) - live.count(None)
 
     def commit_drain_latency(self, now: int) -> int:
         """Cycles needed to drain the current speculative stores to the L2."""

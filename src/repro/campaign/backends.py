@@ -127,6 +127,20 @@ class CacheBackend:
         """The owner of a live lease on ``key``, or ``None``."""
         raise NotImplementedError
 
+    # -- lifetime ------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release what the backend holds open (nothing, by default).
+
+        A closed backend may still be used: it reopens what it needs.
+        """
+
+    def __enter__(self) -> "CacheBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
 
 def _decode(text: str) -> Optional[RunResult]:
     try:

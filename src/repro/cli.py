@@ -519,20 +519,24 @@ def _run_plan(args: argparse.Namespace, command: str,
     then prints the ``[campaign]`` line and writes the telemetry.
     """
     cache = _open_cli_cache(args)
-    rec = _campaign_recorder(args, command)
-    plan = compile_study_plan(specs, settings)
-    if rec is not None:
-        rec.meta["studies"] = ",".join(spec.name for spec in specs)
-    study_runner = plan.runner(jobs=args.jobs, cache=cache, recorder=rec)
-    start = time.perf_counter()
-    report = plan.execute(study_runner)
-    elapsed = time.perf_counter() - start
-    _info(f"[plan] {plan.describe()}")
-    _debug(f"[plan] settings: {settings}")
-    show([run_study(spec, settings, study_runner=study_runner)
-          for spec in specs])
-    _info(f"[campaign] {report.describe(cache)} in {elapsed:.1f}s, "
-          f"--jobs {args.jobs}")
+    try:
+        rec = _campaign_recorder(args, command)
+        plan = compile_study_plan(specs, settings)
+        if rec is not None:
+            rec.meta["studies"] = ",".join(spec.name for spec in specs)
+        study_runner = plan.runner(jobs=args.jobs, cache=cache, recorder=rec)
+        start = time.perf_counter()
+        report = plan.execute(study_runner)
+        elapsed = time.perf_counter() - start
+        _info(f"[plan] {plan.describe()}")
+        _debug(f"[plan] settings: {settings}")
+        show([run_study(spec, settings, study_runner=study_runner)
+              for spec in specs])
+        _info(f"[campaign] {report.describe(cache)} in {elapsed:.1f}s, "
+              f"--jobs {args.jobs}")
+    finally:
+        if cache is not None:
+            cache.close()
     _write_campaign_telemetry(rec, out_dir)
     return 0
 
@@ -561,17 +565,18 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         raise ReproError("worker coordinates through the shared cache; "
                          "pass --cache URL (e.g. sqlite://results/queue.sqlite) "
                          "instead of --no-cache")
-    plan = compile_study_plan(specs, settings)
-    rec = _campaign_recorder(args, "worker")
-    if rec is not None:
-        rec.meta["studies"] = ",".join(spec.name for spec in specs)
-    worker = QueueWorker(plan, cache, worker_id=args.worker_id,
-                         lease_ttl=args.lease_ttl,
-                         poll_interval=args.poll_interval,
-                         max_wait=args.max_wait, recorder=rec)
-    _info(f"[worker {worker.worker_id}] draining {plan.describe()} "
-          f"via {cache.label}")
-    report = worker.drain()
+    with cache:
+        plan = compile_study_plan(specs, settings)
+        rec = _campaign_recorder(args, "worker")
+        if rec is not None:
+            rec.meta["studies"] = ",".join(spec.name for spec in specs)
+        worker = QueueWorker(plan, cache, worker_id=args.worker_id,
+                             lease_ttl=args.lease_ttl,
+                             poll_interval=args.poll_interval,
+                             max_wait=args.max_wait, recorder=rec)
+        _info(f"[worker {worker.worker_id}] draining {plan.describe()} "
+              f"via {cache.label}")
+        report = worker.drain()
     _out(f"[worker {worker.worker_id}] {report.describe()}")
     _write_campaign_telemetry(rec)
     return 0

@@ -1,11 +1,11 @@
 """Full-map directory state.
 
 The directory records, for every cache block that has ever been requested,
-the set of L1 caches holding the block in a shared state and the single L1
-(if any) holding it in a writable (Exclusive/Modified) state.  A per-block
-``busy_until`` timestamp serialises transactions to the same block, which is
-the property the paper relies on ("these protocols serialize all writes to
-the same address").
+a presence bit per L1 cache holding the block in a shared state and the
+single L1 (if any) holding it in a writable (Exclusive/Modified) state.  A
+per-block ``busy_until`` timestamp serialises transactions to the same
+block, which is the property the paper relies on ("these protocols
+serialize all writes to the same address").
 
 The directory is deliberately unbounded: the shared L2 tag array only
 affects hit/miss *latency*, never correctness (see DESIGN.md section 3).
@@ -13,48 +13,43 @@ affects hit/miss *latency*, never correctness (see DESIGN.md section 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import CoherenceError
 
 
-@dataclass(slots=True)
 class DirectoryEntry:
-    """Coherence metadata for a single cache block."""
+    """Coherence metadata for a single cache block.
 
-    address: int
-    sharers: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None
-    #: directory occupancy: transactions to this block issued before this
-    #: time are serialised behind the previous transaction.
-    busy_until: int = 0
+    A full-map entry: ``sharers`` is a presence vector, one bit per core
+    (bit ``i`` set when core ``i``'s L1 may hold the block Shared), and
+    ``owner`` is the one core that may hold it Exclusive or Modified.
+    """
 
-    @property
-    def is_uncached(self) -> bool:
-        return self.owner is None and not self.sharers
+    __slots__ = ("address", "sharers", "owner", "busy_until")
 
-    @property
-    def is_shared(self) -> bool:
-        return self.owner is None and bool(self.sharers)
+    def __init__(self, address: int, sharers: int = 0,
+                 owner: Optional[int] = None, busy_until: int = 0) -> None:
+        self.address = address
+        #: presence bits of the cores that may hold the block Shared.
+        self.sharers = sharers
+        self.owner = owner
+        #: directory occupancy: transactions to this block issued before
+        #: this time are serialised behind the previous transaction.
+        self.busy_until = busy_until
 
-    @property
-    def is_modified(self) -> bool:
-        return self.owner is not None
-
-    def holders(self) -> Set[int]:
-        """All L1 caches that may hold a valid copy."""
-        holders = set(self.sharers)
-        if self.owner is not None:
-            holders.add(self.owner)
-        return holders
+    def sharer_ids(self) -> List[int]:
+        """The ids of the cores whose presence bit is set, ascending."""
+        sharers = self.sharers
+        return [core for core in range(sharers.bit_length())
+                if sharers >> core & 1]
 
     def check(self) -> None:
         """Validate the single-writer / multiple-reader invariant."""
         if self.owner is not None and self.sharers:
             raise CoherenceError(
                 f"block {self.address:#x} has owner {self.owner} and sharers "
-                f"{sorted(self.sharers)} simultaneously"
+                f"{self.sharer_ids()} simultaneously"
             )
 
 

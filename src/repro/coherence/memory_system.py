@@ -337,8 +337,10 @@ class MemorySystem:
             own = l1_lines[core_id].get(baddr)
             if own is None or own.state is _INVALID:
                 entry.owner = None
-        sharers = entry.sharers
-        sharers.discard(core_id)
+        # The presence vector, without the requester's bit, stays in a
+        # local until the directory update below writes it back.
+        bit = 1 << core_id
+        sharers = entry.sharers & ~bit
 
         if self._obs is not None:
             self._obs.count("coherence.transactions")
@@ -388,8 +390,7 @@ class MemorySystem:
             l2_hit = True
             entry.owner = None
             if not is_write:
-                sharers.add(owner)
-                sharers.add(core_id)
+                sharers |= 1 << owner | bit
         else:
             l2_hit = self._l2.probe(baddr)
             depart = start + (self._l2_hit_cost if l2_hit
@@ -401,12 +402,15 @@ class MemorySystem:
             record.l2_hit = l2_hit
 
         if is_write and sharers:
-            # Invalidate every sharer in parallel; the last ack sets the
-            # completion.
+            # Invalidate every sharer in parallel, in ascending core order
+            # (lowest set bit first); the last ack sets the completion.  The
+            # requester's own bit is clear, so every set bit is another core.
             fanout = 0
-            for sharer in sorted(sharers):
-                if sharer == core_id:
-                    continue
+            pending = sharers
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                sharer = low.bit_length() - 1
                 fanout += 1
                 if record is not None:
                     record.invalidated_sharers.append(sharer)
@@ -437,15 +441,16 @@ class MemorySystem:
         # Update directory state.  Exclusive fills are tracked as ownership so
         # that a later silent E->M write hit cannot leave stale sharers.
         if is_write:
-            sharers.clear()
+            sharers = 0
             entry.owner = core_id
             new_state = _MODIFIED
         elif entry.owner is None and not sharers:
             entry.owner = core_id
             new_state = _EXCLUSIVE
         else:
-            sharers.add(core_id)
+            sharers |= bit
             new_state = _SHARED
+        entry.sharers = sharers
 
         # Fill the requester's L1.
         l1 = self._l1s[core_id]
@@ -503,7 +508,7 @@ class MemorySystem:
         """Update directory/L2 state when an L1 block is evicted."""
         entry = self._dir_entries.get(victim.address)
         if entry is not None:
-            entry.sharers.discard(core_id)
+            entry.sharers &= ~(1 << core_id)
             if entry.owner == core_id:
                 entry.owner = None
         if victim.dirty and victim.state is _MODIFIED:

@@ -241,10 +241,11 @@ class ConsistencyController:
                       spec_checkpoint: Optional[int] = None) -> int:
         """Stall for a free entry, then perform the store and buffer it.
 
-        Every FIFO store ends here, hit or miss; a coalescing buffer's
-        store does when its block has a live entry, or on the layered
-        path when it misses in the L1.  A miss goes on to
-        :meth:`_store_miss`.
+        On the layered path every FIFO store ends here, hit or miss; the
+        conventional kernel sends only a FIFO store that finds the buffer
+        full.  A coalescing buffer's store ends here when its block has a
+        live entry, or on the layered path when it misses in the L1.  A
+        miss goes on to :meth:`_store_miss`.
         """
         if self.sb.is_full(now):
             now = self._wait_for_sb_slot(now)

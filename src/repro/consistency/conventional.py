@@ -22,6 +22,7 @@ kernel of the same rules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from ..config import ConsistencyModel
@@ -63,15 +64,24 @@ class ConventionalController(ConsistencyController):
         """:meth:`process_op` as one flat kernel (the fast engine's entry).
 
         Loads and stores that hit the L1 are resolved here through one
-        hit probe; a store the probe declined goes to :meth:`_store_miss`,
-        and other misses, store-buffer stalls, atomics and fences go to
-        the same helpers :meth:`process_op` uses.
+        hit probe, and an SC load's wait for the store buffer to drain is
+        charged here too; a store the probe declined goes to
+        :meth:`_store_miss`, and other misses, a full store buffer,
+        atomics and fences go to the same helpers :meth:`process_op`
+        uses.
         """
         kind = op.kind
         stats = self.stats
         if kind is _LOAD:
-            if self._load_drains and self.sb.max_release > now:
-                now = self._drain_store_buffer(now)
+            if self._load_drains:
+                drain = self.sb.max_release
+                if drain > now:
+                    if self._obs is None:
+                        # _drain_store_buffer's effect, without its frame.
+                        stats.sb_drain += drain - now
+                        now = drain
+                    else:
+                        now = self._drain_store_buffer(now)
             stats.loads += 1
             completion = self._load_hit_time(self.core_id, op.address, now)
             if completion is None:
@@ -82,9 +92,9 @@ class ConventionalController(ConsistencyController):
             return finish
         if kind is _STORE:
             stats.stores += 1
+            sb = self.sb
             if self._sb_coalescing:
                 # RMO: a store that has write permission retires into the L1.
-                sb = self.sb
                 if sb.max_release > now and sb.has_block(op.address, now):
                     return self._buffer_store(op, now)
                 completion = self._store_hit_time(self.core_id, op.address, now)
@@ -94,8 +104,21 @@ class ConventionalController(ConsistencyController):
                     return self._retire_store_hit(op, now, completion, None)
                 stats.busy += RETIRE_CYCLES
                 return now + RETIRE_CYCLES
-            # SC/TSO: every store takes a FIFO entry, hit or miss.
-            return self._buffer_store(op, now)
+            # SC/TSO: every store takes a FIFO entry, hit or miss.  A
+            # full buffer waits in _buffer_store; otherwise a hit retires
+            # here with one probe and one insert (the capacity test is
+            # FIFOStoreBuffer.is_full on its release list).
+            releases = sb.releases
+            capacity = sb.capacity
+            if len(releases) >= capacity \
+                    and len(releases) - bisect_right(releases, now) >= capacity:
+                return self._buffer_store(op, now)
+            completion = self._store_hit_time(self.core_id, op.address, now)
+            if completion is None:
+                return self._store_miss(op, now)
+            sb.add_store(op.address, now, completion)
+            stats.busy += RETIRE_CYCLES
+            return now + RETIRE_CYCLES
         if kind is _COMPUTE:
             stats.busy += op.cycles
             return now + op.cycles

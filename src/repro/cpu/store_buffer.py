@@ -40,30 +40,31 @@ from ..memory.address import WORD_BYTES, block_mask
 
 @dataclass(slots=True)
 class StoreBufferEntry:
-    """One buffered store (word or block granularity)."""
+    """One buffered store (word or block granularity).
+
+    The coalescing buffer holds one per entry; the FIFO buffer holds none
+    and builds them only as views, in :meth:`FIFOStoreBuffer.entries`.
+    """
 
     address: int
-    #: time at which the write permission / cleaning operation completes.
-    completion_time: int
-    #: time at which the entry actually leaves the buffer (>= completion).
+    #: time at which the entry leaves the buffer (its write permission has
+    #: arrived and, in a FIFO, every older entry has left).
     release_time: int
     speculative: bool = False
     #: id of the checkpoint/chunk that issued the store, if speculative.
     checkpoint_id: Optional[int] = None
-    insertion_order: int = 0
 
 
 class StoreBufferBase:
-    """Shared bookkeeping for both store buffer organisations."""
+    """Shared bookkeeping and interface of both store buffer organisations."""
 
     def __init__(self, config: StoreBufferConfig) -> None:
         self._config = config
-        self._capacity = config.entries
+        #: number of entries (read-only).
+        self.capacity = config.entries
         #: AND-mask to this buffer's entry granularity: a word here, an
         #: entry-sized block in the coalescing buffer.
         self._address_mask = ~(WORD_BYTES - 1)
-        self._entries: List[StoreBufferEntry] = []
-        self._insertions = 0
         #: largest release time over current entries (0 when empty); kept so
         #: the per-op ``is_empty``/``drain_time`` queries are O(1).  Entry
         #: removal can only drop already-released entries (purge) or trigger
@@ -76,40 +77,15 @@ class StoreBufferBase:
         self.total_inserted = 0
         self.flash_invalidated = 0
 
-    # -- housekeeping --------------------------------------------------------
-
     @property
     def config(self) -> StoreBufferConfig:
         return self._config
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def _live(self, now: int) -> List[StoreBufferEntry]:
-        """Entries still resident at time ``now`` (non-destructive)."""
-        return [e for e in self._entries if e.release_time > now]
-
-    def occupancy(self, now: int) -> int:
-        return sum(1 for e in self._entries if e.release_time > now)
+    # -- timing queries -------------------------------------------------------
 
     def is_empty(self, now: int) -> bool:
         # O(1): every current entry's release time is <= max_release.
         return self.max_release <= now
-
-    def is_full(self, now: int) -> bool:
-        # Fewer current entries than capacity can never be full; counting is
-        # only needed in the (rare) at-capacity case.
-        if len(self._entries) < self._capacity:
-            return False
-        return self.occupancy(now) >= self._capacity
-
-    def entries(self, now: Optional[int] = None) -> List[StoreBufferEntry]:
-        if now is None:
-            return list(self._entries)
-        return self._live(now)
-
-    # -- timing queries -------------------------------------------------------
 
     def drain_time(self, now: int) -> int:
         """Time at which the buffer will be empty, given current contents."""
@@ -117,26 +93,29 @@ class StoreBufferBase:
         # leave, and that maximum is tracked incrementally.
         return self.max_release if self.max_release > now else now
 
+    def occupancy(self, now: int) -> int:
+        """Number of entries still resident at ``now``."""
+        raise NotImplementedError
+
+    def is_full(self, now: int) -> bool:
+        """True when every entry is still resident at ``now``."""
+        raise NotImplementedError
+
     def next_free_slot_time(self, now: int) -> int:
         """Earliest time at which at least one entry will be free."""
-        live = self._live(now)
-        if len(live) < self._capacity:
-            return now
-        return min(e.release_time for e in live)
+        raise NotImplementedError
 
     def drain_time_for_checkpoint(self, checkpoint_id: int, now: int) -> int:
         """Time at which all stores issued by one checkpoint have completed."""
-        times = [e.release_time for e in self._live(now)
-                 if e.speculative and e.checkpoint_id == checkpoint_id]
-        return max(times) if times else now
+        raise NotImplementedError
 
     def has_block(self, addr: int, now: int) -> bool:
         """True when any live entry covers ``addr`` at this buffer's granularity."""
-        baddr = addr & self._address_mask
-        for e in self._entries:
-            if e.address == baddr and e.release_time > now:
-                return True
-        return False
+        raise NotImplementedError
+
+    def entries(self, now: Optional[int] = None) -> List[StoreBufferEntry]:
+        """The entries held (all of them, or those live at ``now``), oldest first."""
+        raise NotImplementedError
 
     # -- speculation support ---------------------------------------------------
 
@@ -147,47 +126,30 @@ class StoreBufferBase:
         An entry released at or before ``now`` has left the buffer, so it
         stays (until the next insertion purges it) and is not counted.
         """
-        before = len(self._entries)
-        self._entries = [
-            e for e in self._entries
-            if not (e.speculative and e.release_time > now
-                    and (checkpoint_id is None
-                         or e.checkpoint_id == checkpoint_id))]
-        dropped = before - len(self._entries)
-        if dropped:
-            self.max_release = max(
-                (e.release_time for e in self._entries), default=0)
-            self._on_entries_rebuilt()
-        self.flash_invalidated += dropped
-        return dropped
-
-    def _on_entries_rebuilt(self) -> None:
-        """Hook for subclasses that keep parallel per-entry arrays."""
+        raise NotImplementedError
 
     def mark_all_non_speculative(self, now: int,
                                  checkpoint_id: Optional[int] = None) -> None:
         """Commit path: buffered speculative stores become ordinary stores."""
-        for entry in self._entries:
-            if entry.speculative and (checkpoint_id is None
-                                      or entry.checkpoint_id == checkpoint_id):
-                entry.speculative = False
-                entry.checkpoint_id = None
+        raise NotImplementedError
 
     # -- insertion -------------------------------------------------------------
 
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
-                  checkpoint_id: Optional[int] = None) -> StoreBufferEntry:
-        """Insert a store; the caller must have checked capacity first.
+                  checkpoint_id: Optional[int] = None) -> int:
+        """Insert a store; return its release time.
 
-        One pass over the entries: drop those released at or before
-        ``now`` (the physical cleanup, done with the inserting core's own
-        clock, which never runs ahead of the queries other components
-        make about the present), raise :class:`StoreBufferError` when the
-        live entries fill the buffer, and append the new entry; a
-        coalescing buffer may instead merge the store into a live entry.
-        Every entry left after the purge is live, so the occupancy that
-        ``peak_occupancy`` tracks is just the list length.
+        The caller must have checked capacity first.  One pass: drop the
+        entries released at or before ``now`` (the physical cleanup, done
+        with the inserting core's own clock, which never runs ahead of the
+        queries other components make about the present), raise
+        :class:`StoreBufferError` when the live entries fill the buffer,
+        and append the new entry; a coalescing buffer may instead merge
+        the store into a live entry.  Every entry left after the purge is
+        live, so the occupancy that ``peak_occupancy`` tracks is just the
+        number of entries held.  The release time is when the store
+        becomes visible: it leaves the buffer then.
         """
         raise NotImplementedError
 
@@ -195,76 +157,122 @@ class StoreBufferBase:
 class FIFOStoreBuffer(StoreBufferBase):
     """Word-granularity, age-ordered store buffer (conventional SC/TSO).
 
-    Release times are a running maximum over insertion order, so they are
-    monotonically non-decreasing along ``_entries``.  A parallel sorted
-    array of release times therefore answers the per-op occupancy and
-    purge queries by binary search instead of scanning.
+    Holds no object per store: three parallel lists, oldest entry first,
+    give each entry's release time (``releases``), word address and
+    checkpoint id (``None`` for a non-speculative store).  Release times
+    are a running maximum over insertion order, so ``releases`` is
+    non-decreasing: the entries live at ``now`` are the suffix after
+    ``bisect_right(releases, now)``, and every occupancy, capacity and
+    purge question is one bisection.
     """
 
     def __init__(self, config: StoreBufferConfig) -> None:
         if config.kind is not StoreBufferKind.FIFO_WORD:
             raise StoreBufferError("FIFOStoreBuffer requires a FIFO_WORD configuration")
         super().__init__(config)
-        #: release times parallel to ``_entries`` (non-decreasing).
-        self._releases: List[int] = []
-
-    def _on_entries_rebuilt(self) -> None:
-        self._releases = [e.release_time for e in self._entries]
+        #: release times, oldest first (non-decreasing).  Read-only outside
+        #: this module: the SC/TSO op kernel tests capacity on it without a
+        #: call, as the kernels read ``max_release``.
+        self.releases: List[int] = []
+        self._addresses: List[int] = []
+        self._checkpoints: List[Optional[int]] = []
 
     def occupancy(self, now: int) -> int:
-        releases = self._releases
+        releases = self.releases
         return len(releases) - bisect_right(releases, now)
 
     def is_full(self, now: int) -> bool:
-        releases = self._releases
-        if len(releases) < self._capacity:
+        releases = self.releases
+        if len(releases) < self.capacity:
             return False
-        return len(releases) - bisect_right(releases, now) >= self._capacity
+        return len(releases) - bisect_right(releases, now) >= self.capacity
 
     def next_free_slot_time(self, now: int) -> int:
-        """Earliest time at which at least one entry will be free."""
-        releases = self._releases
+        releases = self.releases
         first_live = bisect_right(releases, now)
-        if len(releases) - first_live < self._capacity:
+        if len(releases) - first_live < self.capacity:
             return now
         # Monotone release times: the oldest live entry leaves first.
         return releases[first_live]
 
+    def drain_time_for_checkpoint(self, checkpoint_id: int, now: int) -> int:
+        releases = self.releases
+        checkpoints = self._checkpoints
+        # The youngest live entry of the checkpoint leaves last.
+        for i in range(len(releases) - 1, bisect_right(releases, now) - 1, -1):
+            if checkpoints[i] == checkpoint_id:
+                return releases[i]
+        return now
+
+    def has_block(self, addr: int, now: int) -> bool:
+        first_live = bisect_right(self.releases, now)
+        return (addr & self._address_mask) in self._addresses[first_live:]
+
+    def entries(self, now: Optional[int] = None) -> List[StoreBufferEntry]:
+        first = 0 if now is None else bisect_right(self.releases, now)
+        return [StoreBufferEntry(address, release, checkpoint is not None,
+                                 checkpoint)
+                for address, release, checkpoint in zip(
+                    self._addresses[first:], self.releases[first:],
+                    self._checkpoints[first:])]
+
+    def flash_invalidate_speculative(self, now: int,
+                                     checkpoint_id: Optional[int] = None) -> int:
+        releases = self.releases
+        checkpoints = self._checkpoints
+        first_live = bisect_right(releases, now)
+        kept = [i for i in range(first_live, len(releases))
+                if checkpoints[i] is None
+                or (checkpoint_id is not None and checkpoints[i] != checkpoint_id)]
+        dropped = len(releases) - first_live - len(kept)
+        if dropped:
+            addresses = self._addresses
+            releases[first_live:] = [releases[i] for i in kept]
+            addresses[first_live:] = [addresses[i] for i in kept]
+            checkpoints[first_live:] = [checkpoints[i] for i in kept]
+            self.max_release = releases[-1] if releases else 0
+        self.flash_invalidated += dropped
+        return dropped
+
+    def mark_all_non_speculative(self, now: int,
+                                 checkpoint_id: Optional[int] = None) -> None:
+        checkpoints = self._checkpoints
+        for i, owner in enumerate(checkpoints):
+            if owner is not None and (checkpoint_id is None
+                                      or owner == checkpoint_id):
+                checkpoints[i] = None
+
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
-                  checkpoint_id: Optional[int] = None) -> StoreBufferEntry:
+                  checkpoint_id: Optional[int] = None) -> int:
         # FIFO ordering: an entry can only be released after every older
         # entry has been released, so the release time is the running
         # maximum of completion times in insertion order.
-        releases = self._releases
-        entries = self._entries
+        releases = self.releases
         release = completion_time
         if releases:
             if releases[-1] > release:
                 release = releases[-1]
             if releases[0] <= now:
                 cut = bisect_right(releases, now)
-                del entries[:cut]
                 del releases[:cut]
+                del self._addresses[:cut]
+                del self._checkpoints[:cut]
         elif now > release:
             release = now
-        if len(releases) >= self._capacity:
+        if len(releases) >= self.capacity:
             raise StoreBufferError("FIFO store buffer overflow; check is_full first")
-        # Fields in order (address, completion, release, speculative,
-        # checkpoint, insertion order): keyword arguments would make the
-        # dataclass call about twice as slow.
-        entry = StoreBufferEntry(addr & self._address_mask, completion_time,
-                                 release, speculative, checkpoint_id,
-                                 self._insertions)
-        self._insertions += 1
-        self.total_inserted += 1
-        entries.append(entry)
+        if speculative and checkpoint_id is None:
+            raise StoreBufferError("a speculative store needs its checkpoint id")
         releases.append(release)
+        self._addresses.append(addr & self._address_mask)
+        self._checkpoints.append(checkpoint_id if speculative else None)
+        self.total_inserted += 1
         if release > self.max_release:
             self.max_release = release
-        if len(entries) > self.peak_occupancy:
-            self.peak_occupancy = len(entries)
-        return entry
+        if len(releases) > self.peak_occupancy:
+            self.peak_occupancy = len(releases)
+        return release
 
 
 class CoalescingStoreBuffer(StoreBufferBase):
@@ -278,10 +286,71 @@ class CoalescingStoreBuffer(StoreBufferBase):
         super().__init__(config)
         self.coalesced = 0
         self._address_mask = block_mask(config.entry_bytes)
+        self._entries: List[StoreBufferEntry] = []
+
+    def _live(self, now: int) -> List[StoreBufferEntry]:
+        """Entries still resident at time ``now`` (non-destructive)."""
+        return [e for e in self._entries if e.release_time > now]
+
+    def occupancy(self, now: int) -> int:
+        return sum(1 for e in self._entries if e.release_time > now)
+
+    def is_full(self, now: int) -> bool:
+        # Fewer current entries than capacity can never be full; counting is
+        # only needed in the (rare) at-capacity case.
+        if len(self._entries) < self.capacity:
+            return False
+        return self.occupancy(now) >= self.capacity
+
+    def next_free_slot_time(self, now: int) -> int:
+        live = self._live(now)
+        if len(live) < self.capacity:
+            return now
+        return min(e.release_time for e in live)
+
+    def drain_time_for_checkpoint(self, checkpoint_id: int, now: int) -> int:
+        times = [e.release_time for e in self._live(now)
+                 if e.speculative and e.checkpoint_id == checkpoint_id]
+        return max(times) if times else now
+
+    def has_block(self, addr: int, now: int) -> bool:
+        baddr = addr & self._address_mask
+        for e in self._entries:
+            if e.address == baddr and e.release_time > now:
+                return True
+        return False
+
+    def entries(self, now: Optional[int] = None) -> List[StoreBufferEntry]:
+        if now is None:
+            return list(self._entries)
+        return self._live(now)
+
+    def flash_invalidate_speculative(self, now: int,
+                                     checkpoint_id: Optional[int] = None) -> int:
+        before = len(self._entries)
+        self._entries = [
+            e for e in self._entries
+            if not (e.speculative and e.release_time > now
+                    and (checkpoint_id is None
+                         or e.checkpoint_id == checkpoint_id))]
+        dropped = before - len(self._entries)
+        if dropped:
+            self.max_release = max(
+                (e.release_time for e in self._entries), default=0)
+        self.flash_invalidated += dropped
+        return dropped
+
+    def mark_all_non_speculative(self, now: int,
+                                 checkpoint_id: Optional[int] = None) -> None:
+        for entry in self._entries:
+            if entry.speculative and (checkpoint_id is None
+                                      or entry.checkpoint_id == checkpoint_id):
+                entry.speculative = False
+                entry.checkpoint_id = None
 
     def add_store(self, addr: int, now: int, completion_time: int,
                   speculative: bool = False,
-                  checkpoint_id: Optional[int] = None) -> StoreBufferEntry:
+                  checkpoint_id: Optional[int] = None) -> int:
         """Coalesce into a live entry of the same block and kind, or insert.
 
         The scan that looks for the entry to coalesce into also collects
@@ -297,30 +366,27 @@ class CoalescingStoreBuffer(StoreBufferBase):
                     # Coalesce: the entry's lifetime covers the latest
                     # completion.
                     self.coalesced += 1
-                    if completion_time > existing.completion_time:
-                        existing.completion_time = completion_time
                     if completion_time > existing.release_time:
                         existing.release_time = completion_time
                         if completion_time > self.max_release:
                             self.max_release = completion_time
-                    return existing
+                    return existing.release_time
                 live.append(existing)
-        if len(live) >= self._capacity:
+        if len(live) >= self.capacity:
             raise StoreBufferError(
                 "coalescing store buffer overflow; check is_full first"
             )
-        # Positional, in field order, as in FIFOStoreBuffer.add_store.
-        entry = StoreBufferEntry(baddr, completion_time, completion_time,
-                                 speculative, checkpoint_id, self._insertions)
-        self._insertions += 1
+        # Positional, in field order: keyword arguments would make the
+        # dataclass call about twice as slow.
+        live.append(StoreBufferEntry(baddr, completion_time, speculative,
+                                     checkpoint_id))
         self.total_inserted += 1
-        live.append(entry)
         self._entries = live
         if completion_time > self.max_release:
             self.max_release = completion_time
         if len(live) > self.peak_occupancy:
             self.peak_occupancy = len(live)
-        return entry
+        return completion_time
 
 
 def make_store_buffer(config: StoreBufferConfig) -> StoreBufferBase:

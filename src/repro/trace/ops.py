@@ -44,16 +44,9 @@ class OpKind(Enum):
         return self.value
 
 
-def _check_memory(address: int, size: int) -> None:
-    if address < 0:
-        raise TraceError("memory operations need a non-negative address")
-    if size <= 0:
-        raise TraceError("memory operations need a positive size")
-
-
-def _check_compute(cycles: int) -> None:
-    if cycles <= 0:
-        raise TraceError("compute bundles must take at least one cycle")
+_NEGATIVE_ADDRESS = "memory operations need a non-negative address"
+_NONPOSITIVE_SIZE = "memory operations need a positive size"
+_NONPOSITIVE_CYCLES = "compute bundles must take at least one cycle"
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +73,14 @@ class MemOp:
 
     def __post_init__(self) -> None:
         if self.kind is OpKind.COMPUTE:
-            _check_compute(self.cycles)
+            if self.cycles <= 0:
+                raise TraceError(_NONPOSITIVE_CYCLES)
             return
         if self.kind.is_memory:
-            _check_memory(self.address, self.size)
+            if self.address < 0:
+                raise TraceError(_NEGATIVE_ADDRESS)
+            if self.size <= 0:
+                raise TraceError(_NONPOSITIVE_SIZE)
         if self.cycles != 1:
             raise TraceError(
                 f"a {self.kind.value} op retires one instruction, "
@@ -115,10 +112,11 @@ class MemOp:
 
 # -- concise constructors used throughout tests and generators -------------
 #
-# Each constructor runs the checks MemOp.__post_init__ runs for its kind,
-# then _build fills the five slots through the class's slot descriptors:
-# the frozen dataclass's generated __init__ would pay one
-# object.__setattr__ per field plus the __post_init__ call.
+# Each constructor runs the checks MemOp.__post_init__ runs for its kind and
+# fills the five slots through the class's slot descriptors, all in its own
+# frame: the frozen dataclass's generated __init__ would pay one
+# object.__setattr__ per field plus the __post_init__ call, and trace
+# generation builds hundreds of thousands of ops.
 
 _new_op = object.__new__
 _set_kind = MemOp.__dict__["kind"].__set__
@@ -126,43 +124,76 @@ _set_address = MemOp.__dict__["address"].__set__
 _set_size = MemOp.__dict__["size"].__set__
 _set_cycles = MemOp.__dict__["cycles"].__set__
 _set_label = MemOp.__dict__["label"].__set__
-
-
-def _build(kind: OpKind, address: int, size: int, cycles: int,
-           label: Optional[str]) -> MemOp:
-    op = _new_op(MemOp)
-    _set_kind(op, kind)
-    _set_address(op, address)
-    _set_size(op, size)
-    _set_cycles(op, cycles)
-    _set_label(op, label)
-    return op
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_ATOMIC = OpKind.ATOMIC
+_COMPUTE = OpKind.COMPUTE
 
 
 def load(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct a LOAD operation."""
-    _check_memory(address, size)
-    return _build(OpKind.LOAD, address, size, 1, label)
+    if address < 0:
+        raise TraceError(_NEGATIVE_ADDRESS)
+    if size <= 0:
+        raise TraceError(_NONPOSITIVE_SIZE)
+    op = _new_op(MemOp)
+    _set_kind(op, _LOAD)
+    _set_address(op, address)
+    _set_size(op, size)
+    _set_cycles(op, 1)
+    _set_label(op, label)
+    return op
 
 
 def store(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct a STORE operation."""
-    _check_memory(address, size)
-    return _build(OpKind.STORE, address, size, 1, label)
+    if address < 0:
+        raise TraceError(_NEGATIVE_ADDRESS)
+    if size <= 0:
+        raise TraceError(_NONPOSITIVE_SIZE)
+    op = _new_op(MemOp)
+    _set_kind(op, _STORE)
+    _set_address(op, address)
+    _set_size(op, size)
+    _set_cycles(op, 1)
+    _set_label(op, label)
+    return op
 
 
 def atomic(address: int, size: int = 8, label: Optional[str] = None) -> MemOp:
     """Construct an ATOMIC read-modify-write operation."""
-    _check_memory(address, size)
-    return _build(OpKind.ATOMIC, address, size, 1, label)
+    if address < 0:
+        raise TraceError(_NEGATIVE_ADDRESS)
+    if size <= 0:
+        raise TraceError(_NONPOSITIVE_SIZE)
+    op = _new_op(MemOp)
+    _set_kind(op, _ATOMIC)
+    _set_address(op, address)
+    _set_size(op, size)
+    _set_cycles(op, 1)
+    _set_label(op, label)
+    return op
 
 
 def fence(label: Optional[str] = None) -> MemOp:
     """Construct a full memory FENCE."""
-    return _build(OpKind.FENCE, 0, 8, 1, label)
+    op = _new_op(MemOp)
+    _set_kind(op, OpKind.FENCE)
+    _set_address(op, 0)
+    _set_size(op, 8)
+    _set_cycles(op, 1)
+    _set_label(op, label)
+    return op
 
 
 def compute(cycles: int, label: Optional[str] = None) -> MemOp:
     """Construct a COMPUTE bundle occupying ``cycles`` cycles."""
-    _check_compute(cycles)
-    return _build(OpKind.COMPUTE, 0, 8, cycles, label)
+    if cycles <= 0:
+        raise TraceError(_NONPOSITIVE_CYCLES)
+    op = _new_op(MemOp)
+    _set_kind(op, _COMPUTE)
+    _set_address(op, 0)
+    _set_size(op, 8)
+    _set_cycles(op, cycles)
+    _set_label(op, label)
+    return op

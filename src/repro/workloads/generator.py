@@ -100,7 +100,15 @@ class TraceRng:
             if n == 1:
                 return 0  # numpy draws nothing for a one-value range
             raise ValueError(f"below(n) needs 1 <= n <= 2**32, got n={n}")
-        m = self._next32() * n
+        # The first 32-bit draw is _next32 without its frame.
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            m = half * n
+        else:
+            raw = self.raw()
+            self._half = raw >> 32
+            m = (raw & 0xFFFFFFFF) * n
         if m & 0xFFFFFFFF < n:
             # Reject the low products that would bias the result (none
             # for n == 2**32, where numpy returns the 32-bit draw itself).

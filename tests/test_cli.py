@@ -2,6 +2,7 @@
 
 import json
 import re
+import sqlite3
 
 import pytest
 
@@ -115,6 +116,32 @@ class TestCacheFlag:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {RETIRED_ALIAS}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", (
+        ["simulate", "--cores", "2", "--ops", "200"],
+        ["worker", "figure1", "--quick", "--worker-id", "w1"],
+    ), ids=lambda argv: argv[0])
+    def test_closes_every_sqlite_connection_it_opens(self, argv, tmp_path,
+                                                     monkeypatch, capsys):
+        """The two ways the CLI opens a backend both close it."""
+        opened, closed = [], []
+        real_connect = sqlite3.connect
+
+        class TrackedConnection(sqlite3.Connection):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        def connect(*args, **kwargs):
+            conn = real_connect(*args, factory=TrackedConnection, **kwargs)
+            opened.append(conn)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        url = f"sqlite://{tmp_path}/c.sqlite"
+        assert main(argv + ["--cache", url]) == 0
+        assert opened, "the command opened no sqlite connection"
+        assert {id(conn) for conn in closed} == {id(conn) for conn in opened}
 
 
 class TestFigureCommand:

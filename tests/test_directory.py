@@ -12,24 +12,26 @@ from repro.errors import CoherenceError
 class TestDirectoryEntry:
     def test_initial_state_uncached(self):
         entry = DirectoryEntry(address=0)
-        assert entry.is_uncached
-        assert not entry.is_shared
-        assert not entry.is_modified
-        assert entry.holders() == set()
+        assert entry.owner is None
+        assert entry.sharer_ids() == []
 
     def test_shared_state(self):
-        entry = DirectoryEntry(address=0, sharers={1, 2})
-        assert entry.is_shared
-        assert entry.holders() == {1, 2}
+        entry = DirectoryEntry(address=0, sharers=1 << 1 | 1 << 2)
+        assert entry.owner is None
+        assert entry.sharer_ids() == [1, 2]
 
     def test_modified_state(self):
         entry = DirectoryEntry(address=0, owner=3)
-        assert entry.is_modified
-        assert entry.holders() == {3}
+        assert entry.owner == 3
+        assert entry.sharer_ids() == []
+
+    def test_sharer_ids_read_the_presence_bits_in_core_order(self):
+        entry = DirectoryEntry(address=0, sharers=1 << 63 | 1 << 31 | 1 << 5 | 1)
+        assert entry.sharer_ids() == [0, 5, 31, 63]
 
     def test_invariant_check(self):
-        entry = DirectoryEntry(address=0, owner=1, sharers={2})
-        with pytest.raises(CoherenceError):
+        entry = DirectoryEntry(address=0, owner=1, sharers=1 << 2)
+        with pytest.raises(CoherenceError, match=r"sharers \[2\]"):
             entry.check()
 
 
@@ -48,11 +50,11 @@ class TestDirectory:
 
     def test_check_invariants_scans_all(self):
         directory = Directory(block_bytes=64)
-        directory.entry(0).sharers.add(1)
+        directory.entry(0).sharers |= 1 << 1
         directory.entry(64).owner = 2
         directory.check_invariants()
         directory.entry(128).owner = 1
-        directory.entry(128).sharers.add(3)
+        directory.entry(128).sharers |= 1 << 3
         with pytest.raises(CoherenceError):
             directory.check_invariants()
 
@@ -246,7 +248,8 @@ class Test64CoreDirectory:
             memory.access(core, 0x1000, is_write=False, now=core * 1000)
         entry = memory.directory.peek(0x1000)
         assert entry is not None
-        assert entry.holders() == set(range(64))
+        assert entry.owner is None
+        assert entry.sharer_ids() == list(range(64))
         memory.check_invariants()
 
     def test_write_invalidates_63_sharers(self):
@@ -256,10 +259,45 @@ class Test64CoreDirectory:
         memory.access(7, 0x1000, is_write=True, now=200_000)
         entry = memory.directory.peek(0x1000)
         assert entry.owner == 7
-        assert entry.sharers == set()
+        assert entry.sharer_ids() == []
         for core in range(64):
             if core != 7:
                 assert not memory.contains(core, 0x1000)
+        memory.check_invariants()
+
+    def test_write_invalidates_sharers_in_ascending_core_order(self):
+        from repro.coherence.memory_system import MemorySystem
+        from repro.coherence.messages import ConflictResolution
+
+        _, config = self._system()
+        memory = MemorySystem(config, record_transactions=True)
+        conflicts = []
+
+        class Listener:
+            def __init__(self, core):
+                self.core = core
+
+            def on_external_conflict(self, block_addr, is_write, arrival_time):
+                conflicts.append(self.core)
+                return ConflictResolution()
+
+            def forced_commit(self, now):
+                return now
+
+        # Speculative reads, so each sharer's controller hears of its
+        # invalidation; the reads arrive out of core order.
+        sharers = [0, 5, 31, 63]
+        for i, core in enumerate((63, 5, 31, 0)):
+            memory.register_listener(core, Listener(core))
+            memory.access(core, 0x1000, is_write=False, now=i * 1000,
+                          spec_checkpoint=1)
+        assert memory.directory.peek(0x1000).sharer_ids() == sharers
+        out = memory.access(7, 0x1000, is_write=True, now=100_000)
+        assert conflicts == sharers
+        assert out.record.invalidated_sharers == sharers
+        assert out.record.conflicts == sharers
+        assert not any(memory.contains(core, 0x1000) for core in sharers)
+        assert memory.directory.peek(0x1000).owner == 7
         memory.check_invariants()
 
     def test_invalidation_latency_grows_with_sharer_distance(self):

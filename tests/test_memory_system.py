@@ -60,7 +60,7 @@ class TestBasicAccesses:
         out = mem.access(1, BLOCK, is_write=False, now=10)
         assert out.state is CoherenceState.SHARED
         entry = mem.directory.entry(BLOCK)
-        assert entry.sharers == {0, 1}
+        assert entry.sharer_ids() == [0, 1]
 
     def test_store_miss_gets_modified(self):
         mem = make_mem()
@@ -119,7 +119,7 @@ class TestOwnerForwarding:
         assert not owner_block.dirty
         entry = mem.directory.entry(BLOCK)
         assert entry.owner is None
-        assert entry.sharers == {0, 1}
+        assert entry.sharer_ids() == [0, 1]
         # The dirty data went to the L2.
         assert mem.l2.contains(BLOCK)
 
@@ -327,7 +327,7 @@ class TestExactLatencies:
         # 5000 + 20 to home; directory 4 + L2 10; 20 back.
         self._assert_record(out, start=5020, completion=5054, l2_hit=True)
         assert out.state is CoherenceState.SHARED
-        assert mem.directory.entry(BLOCK).sharers == {0, 1, 3}
+        assert mem.directory.entry(BLOCK).sharer_ids() == [0, 1, 3]
 
     def test_three_hop_forward_from_modified_owner(self):
         mem = make_mem(num_cores=4)

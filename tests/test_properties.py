@@ -121,9 +121,9 @@ class TestStoreBufferProperties:
         for index, latency, spec in ops:
             if sb.is_full(now):
                 now = sb.next_free_slot_time(now)
-            entry = sb.add_store(index * 8, now, now + latency, speculative=spec,
-                                 checkpoint_id=1 if spec else None)
-            releases.append(entry.release_time)
+            releases.append(sb.add_store(index * 8, now, now + latency,
+                                         speculative=spec,
+                                         checkpoint_id=1 if spec else None))
             assert sb.occupancy(now) <= sb.capacity
         assert releases == sorted(releases)
         assert sb.drain_time(now) >= max(releases)

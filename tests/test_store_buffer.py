@@ -1,7 +1,9 @@
 """Tests for repro.cpu.store_buffer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.aso.ssb import ScalableStoreBuffer
 from repro.config import StoreBufferConfig, StoreBufferKind
 from repro.cpu.store_buffer import (
     CoalescingStoreBuffer,
@@ -62,13 +64,13 @@ class TestFIFO:
         first = sb.add_store(0, now=0, completion_time=200)
         second = sb.add_store(8, now=0, completion_time=50)
         # The younger store cannot leave before the older one.
-        assert second.release_time >= first.release_time
+        assert second >= first == 200
         assert sb.drain_time(0) == 200
 
     def test_release_times_monotonic(self):
         sb = fifo(entries=8)
         times = [300, 100, 250, 50, 400]
-        releases = [sb.add_store(i * 8, 0, t).release_time for i, t in enumerate(times)]
+        releases = [sb.add_store(i * 8, 0, t) for i, t in enumerate(times)]
         assert releases == sorted(releases)
 
     def test_capacity_and_free_slot(self):
@@ -111,8 +113,7 @@ class TestCoalescing:
     def test_coalescing_extends_lifetime(self):
         sb = coalescing(entries=4)
         sb.add_store(0, now=0, completion_time=100)
-        entry = sb.add_store(8, now=0, completion_time=250)
-        assert entry.release_time == 250
+        assert sb.add_store(8, now=0, completion_time=250) == 250
         assert sb.drain_time(0) == 250
 
     def test_different_blocks_take_separate_entries(self):
@@ -126,7 +127,7 @@ class TestCoalescing:
         older = sb.add_store(0, now=0, completion_time=500)
         younger = sb.add_store(64, now=0, completion_time=50)
         # Coalescing buffers are unordered: the younger store may complete first.
-        assert younger.release_time < older.release_time
+        assert younger < older
         assert sb.occupancy(100) == 1
 
     def test_speculative_and_nonspeculative_never_merge(self):
@@ -146,11 +147,13 @@ class TestCoalescing:
     def test_coalescing_leaves_released_entries_until_an_insertion(self):
         sb = coalescing(entries=2)
         sb.add_store(0, 0, 100)
-        live = sb.add_store(64, 0, 500)
-        assert sb.add_store(72, now=200, completion_time=600) is live
+        sb.add_store(64, 0, 500)
+        # Coalesces into the live entry for block 64, extending it.
+        assert sb.add_store(72, now=200, completion_time=600) == 600
         assert len(sb.entries()) == 2       # the released entry is still held
         sb.add_store(128, now=200, completion_time=300)
-        assert [e.address for e in sb.entries()] == [64, 128]
+        assert [(e.address, e.release_time) for e in sb.entries()] == \
+            [(64, 600), (128, 300)]
         assert sb.total_inserted == 3 and sb.coalesced == 1
 
     def test_released_entries_do_not_count_against_capacity(self):
@@ -193,13 +196,14 @@ class TestSpeculativeBookkeeping:
     @pytest.mark.parametrize("make", [coalescing, fifo])
     def test_flash_invalidate_keeps_released_entries(self, make):
         sb = make(entries=8)
-        released = sb.add_store(0, 0, 100, speculative=True, checkpoint_id=2)
-        live = sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=2)
-        other = sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=1)
+        sb.add_store(0, 0, 100, speculative=True, checkpoint_id=2)  # released
+        sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=2)
+        sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=1)
         assert sb.flash_invalidate_speculative(500, checkpoint_id=2) == 1
         assert sb.flash_invalidated == 1
-        held = sb.entries()
-        assert released in held and other in held and live not in held
+        # Block 64's live entry went; the released entry and the other
+        # checkpoint's stay.
+        assert [e.address for e in sb.entries()] == [0, 128]
         assert sb.drain_time(500) == 1000
 
     def test_mark_all_non_speculative(self):
@@ -225,3 +229,126 @@ class TestSpeculativeBookkeeping:
         assert sb.drain_time_for_checkpoint(1, 0) == 300
         assert sb.drain_time_for_checkpoint(2, 0) == 700
         assert sb.drain_time_for_checkpoint(99, 0) == 0
+
+
+class _FIFOModel:
+    """A FIFO store buffer as a plain list of entries, oldest first.
+
+    Each entry is ``[word address, release time, checkpoint id or None]``;
+    an entry is live at ``now`` while its release time is later.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.held = []
+        self.peak = 0
+        self.inserted = 0
+        self.invalidated = 0
+
+    def live(self, now):
+        return [e for e in self.held if e[1] > now]
+
+    def add(self, addr, now, completion, checkpoint):
+        """The release time, or ``None`` when the live entries fill the buffer."""
+        # An entry leaves after every older one; an empty buffer cannot
+        # release a store before the present.
+        if self.held:
+            release = max(completion, max(e[1] for e in self.held))
+        else:
+            release = max(completion, now)
+        self.held = self.live(now)
+        if len(self.held) >= self.capacity:
+            return None
+        self.held.append([addr & ~7, release, checkpoint])
+        self.inserted += 1
+        self.peak = max(self.peak, len(self.held))
+        return release
+
+    def flash(self, now, checkpoint):
+        kept = [e for e in self.held
+                if e[2] is None or e[1] <= now
+                or (checkpoint is not None and e[2] != checkpoint)]
+        dropped = len(self.held) - len(kept)
+        self.held = kept
+        self.invalidated += dropped
+        return dropped
+
+    def commit(self, checkpoint):
+        for e in self.held:
+            if e[2] is not None and checkpoint in (None, e[2]):
+                e[2] = None
+
+
+_CHECKPOINTS = st.sampled_from([None, 1, 2, 3])
+_FIFO_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("advance"), st.integers(0, 300)),
+    st.tuples(st.just("store"), st.integers(0, 47), st.integers(0, 400),
+              _CHECKPOINTS),
+    st.tuples(st.just("flash"), _CHECKPOINTS),
+    st.tuples(st.just("commit"), _CHECKPOINTS),
+), max_size=60)
+
+
+class TestFIFOAgainstListModel:
+    """The FIFO buffer and the SSB answer every query as the list model does."""
+
+    @staticmethod
+    def _views(entries):
+        return [(e.address, e.release_time, e.speculative, e.checkpoint_id)
+                for e in entries]
+
+    def _compare(self, sb, model, now):
+        live = model.live(now)
+        assert sb.occupancy(now) == len(live)
+        assert sb.is_full(now) == (len(live) >= model.capacity)
+        assert sb.next_free_slot_time(now) == (
+            now if len(live) < model.capacity else min(e[1] for e in live))
+        assert sb.drain_time(now) == max([now] + [e[1] for e in model.held])
+        for addr in range(0, 48, 4):
+            assert sb.has_block(addr, now) == any(
+                e[0] == addr & ~7 for e in live)
+        for checkpoint in (1, 2, 3):
+            assert sb.drain_time_for_checkpoint(checkpoint, now) == max(
+                [now] + [e[1] for e in live if e[2] == checkpoint])
+        assert sb.peak_occupancy == model.peak
+        assert sb.total_inserted == model.inserted
+        assert sb.flash_invalidated == model.invalidated
+        if hasattr(sb, "speculative_store_count"):
+            assert sb.speculative_store_count(now) == sum(
+                1 for e in live if e[2] is not None)
+        expected = [(a, r, c is not None, c) for a, r, c in model.held]
+        assert self._views(sb.entries()) == expected
+        assert self._views(sb.entries(now)) == [
+            view for view in expected if view[1] > now]
+
+    @pytest.mark.parametrize("make", [
+        lambda: fifo(entries=4),
+        lambda: ScalableStoreBuffer(entries=4),
+    ], ids=["fifo", "ssb"])
+    @given(steps=_FIFO_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_model(self, make, steps):
+        sb, model, now = make(), _FIFOModel(4), 0
+        for step in steps:
+            kind = step[0]
+            if kind == "advance":
+                now += step[1]
+            elif kind == "store":
+                _, addr, latency, checkpoint = step
+                release = model.add(addr, now, now + latency, checkpoint)
+                if release is None:
+                    with pytest.raises(StoreBufferError):
+                        sb.add_store(addr, now, now + latency,
+                                     speculative=checkpoint is not None,
+                                     checkpoint_id=checkpoint)
+                else:
+                    sb.add_store(addr, now, now + latency,
+                                 speculative=checkpoint is not None,
+                                 checkpoint_id=checkpoint)
+            elif kind == "flash":
+                assert sb.flash_invalidate_speculative(now, step[1]) == \
+                    model.flash(now, step[1])
+            else:
+                sb.mark_all_non_speculative(now, step[1])
+                model.commit(step[1])
+            self._compare(sb, model, now)
