@@ -28,10 +28,11 @@ Example::
     # One cell on the engine:
     result = simulate("invisi_sc", "apache", cores=8, ops=4000)
 
-    # Ten studies, one deduplicated plan, sqlite-backed:
-    execution = execute_plan(["figure8", "figure9"], jobs=4,
-                             cache="sqlite://results/cache.sqlite")
-    print(execution.result("figure8").format())
+    # Ten studies, one deduplicated plan, sqlite-backed; leaving the
+    # ``with`` block closes the backend the URL opened:
+    with execute_plan(["figure8", "figure9"], jobs=4,
+                      cache="sqlite://results/cache.sqlite") as execution:
+        print(execution.result("figure8").format())
 """
 
 from __future__ import annotations
@@ -140,25 +141,50 @@ def run_study(study, settings=None, *, jobs: int = 1,
     """Execute one study end to end; returns its result object.
 
     A thin wrapper over :func:`repro.studies.runner.run_study` that also
-    accepts cache URLs; see that function for the sharing semantics of
+    accepts cache URLs, and closes the backend a URL opened before it
+    returns; see that function for the sharing semantics of
     ``study_runner``.
     """
     from .studies.runner import run_study as _run_study
 
-    return _run_study(study, settings, study_runner=study_runner, jobs=jobs,
-                      cache=_open_optional(cache), out_dir=out_dir,
-                      recorder=recorder)
+    backend = _open_optional(cache)
+    try:
+        return _run_study(study, settings, study_runner=study_runner,
+                          jobs=jobs, cache=backend, out_dir=out_dir,
+                          recorder=recorder)
+    finally:
+        if backend is not cache:
+            backend.close()
 
 
 @dataclass
 class PlanExecution:
-    """An executed study plan: the report plus lazily built results."""
+    """An executed study plan: the report plus lazily built results.
+
+    A backend that :func:`execute_plan` opened from a cache URL belongs to
+    the execution: :meth:`close`, or leaving a ``with`` block, closes it.
+    A backend the caller passed in stays open.  Every cell of the plan is
+    memoized, so results stay readable after closing.
+    """
 
     plan: Any
     runner: Any
     #: what the campaign actually did for the whole plan.
     report: CampaignReport
     _results: Dict[str, Any] = field(default_factory=dict)
+    #: the backend :func:`execute_plan` opened, or ``None``.
+    _opened: Optional[CacheBackend] = None
+
+    def close(self) -> None:
+        """Close the backend :func:`execute_plan` opened, if any."""
+        if self._opened is not None:
+            self._opened.close()
+
+    def __enter__(self) -> "PlanExecution":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     @property
     def cache(self) -> Optional[CacheBackend]:
@@ -198,13 +224,22 @@ def execute_plan(studies: Union[str, Iterable], settings=None, *,
     simulated exactly once; missing cells fan out over ``jobs`` worker
     processes and persist in ``cache`` (anything :func:`open_cache`
     accepts -- pass a shared ``sqlite://`` URL to cooperate with
-    ``repro worker`` processes draining the same plan).
+    ``repro worker`` processes draining the same plan).  A backend opened
+    from a URL is closed by the returned execution (use it in a ``with``
+    block), or here if the plan fails.
     """
     plan = compile_study_plan(studies, settings)
-    runner = plan.runner(jobs=jobs, cache=_open_optional(cache),
-                         recorder=recorder)
-    report = plan.execute(runner)
-    return PlanExecution(plan=plan, runner=runner, report=report)
+    backend = _open_optional(cache)
+    opened = None if backend is cache else backend
+    try:
+        runner = plan.runner(jobs=jobs, cache=backend, recorder=recorder)
+        report = plan.execute(runner)
+    except BaseException:
+        if opened is not None:
+            opened.close()
+        raise
+    return PlanExecution(plan=plan, runner=runner, report=report,
+                         _opened=opened)
 
 
 def compile_study_plan(studies: Union[str, Iterable], settings=None):

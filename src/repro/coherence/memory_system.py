@@ -1,11 +1,11 @@
 """The coherent memory system.
 
 :class:`MemorySystem` ties together the per-core L1 tag arrays, the shared
-L2, the full-map directory, and the torus latency model.  It exposes a
-*synchronous* interface: an L1 access computes the complete latency of the
-corresponding coherence transaction, applies every global state change
-immediately, and returns the completion time to the caller.  Cross-core
-timing interactions are still honoured:
+L2, the full-map directory, and the torus's one-way latency matrix.  It
+exposes a *synchronous* interface: an L1 access computes the complete
+latency of the corresponding coherence transaction, applies every global
+state change immediately, and returns the completion time to the caller.
+Cross-core timing interactions are still honoured:
 
 * Transactions to the same block are serialised through the directory
   entry's ``busy_until`` timestamp.
@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..interconnect.latency import LatencyModel
 from ..interconnect.topology import TorusTopology
 from ..memory.address import block_mask
 from ..memory.block import CoherenceState
@@ -72,19 +71,19 @@ class MemorySystem:
     def __init__(self, config: SystemConfig, record_transactions: bool = False,
                  fast_path: bool = True, recorder=None) -> None:
         self._config = config
-        self._topology = TorusTopology(config.interconnect)
-        self._latency = LatencyModel(config, self._topology)
+        #: one-way network latency, ``_net[src][dst]``: each leg of a
+        #: transaction adds one entry (the network is contention-free).
+        self._net = TorusTopology(config.interconnect).latency
         self._l1s: List[CacheArray] = [CacheArray(config.l1) for _ in range(config.num_cores)]
         #: each L1's line index (block address -> block), read by the hit
         #: probes so a hit costs one dict lookup and no CacheArray call.
         self._l1_lines = [l1.lines for l1 in self._l1s]
         self._hit_latency = config.l1.hit_latency
-        self._l2 = L2Cache(config.l2, banks=config.l2_banks)
+        self._l2 = L2Cache(config.l2)
         self._directory = Directory(config.block_bytes)
         #: the directory's entry map, read by the transaction engine
         #: without a call (DESIGN section 9).
         self._dir_entries = self._directory.entries
-        self._traverse = self._latency.traverse
         self._dir_latency = config.directory_latency
         #: directory lookup plus L2 data access, without and with memory.
         self._l2_hit_cost = config.directory_latency + config.l2.hit_latency
@@ -96,7 +95,7 @@ class MemorySystem:
         self._record = record_transactions
         self._block_mask = block_mask(config.block_bytes)
         self._block_bytes = config.block_bytes
-        self._num_nodes = self._topology.num_nodes
+        self._num_nodes = config.interconnect.num_nodes
         #: when True, :meth:`load_hit_time`/:meth:`store_hit_time` resolve
         #: sufficient-state L1 hits in one call; when False they always
         #: decline, forcing every access down the reference path through
@@ -111,7 +110,6 @@ class MemorySystem:
         self.l1_hits = [0] * config.num_cores
         self.l1_misses = [0] * config.num_cores
         self.upgrades = [0] * config.num_cores
-        self.clean_writebacks = [0] * config.num_cores
         self.conflicts_detected = 0
 
     # -- plumbing ----------------------------------------------------------
@@ -124,15 +122,6 @@ class MemorySystem:
     def fast(self) -> bool:
         """True when the hit probes answer (the fast engine's memory system)."""
         return self._fast
-
-    @property
-    def topology(self) -> TorusTopology:
-        return self._topology
-
-    @property
-    def contention_cycles(self) -> int:
-        """Cycles messages spent queued behind busy links (0 when uncontended)."""
-        return self._latency.contention_cycles
 
     @property
     def l2(self) -> L2Cache:
@@ -297,8 +286,7 @@ class MemorySystem:
         # for the cleaning writeback to finish.
         completion = now + self._hit_latency
         if block.dirty and block.spec_written is None:
-            self.clean_writebacks[core_id] += 1
-            self._l2.install_dirty(block.address)
+            self._l2.install(block.address)
             block.dirty = False
             completion = now + self._config.clean_writeback_latency
         block.mark_spec_written(spec_checkpoint)
@@ -309,10 +297,11 @@ class MemorySystem:
     #
     # One frame per transaction, shared by both engines: the directory
     # entry and the L1 line checks are read here, not through Directory or
-    # CacheArray calls.  Only the network legs (traverse), the L2 probe
-    # and fills, the L1 fill (one install, which picks its own victim),
-    # the victim's directory and L2 update (_evict), and the listener
-    # hooks (conflicts, forced commit) are calls.
+    # CacheArray calls, and each network leg adds one entry of the latency
+    # matrix.  Only the L2 lookup and fills, the L1 fill (one install,
+    # which picks its own victim), the victim's directory and L2 update
+    # (_evict), and the listener hooks (conflicts, forced commit) are
+    # calls.
 
     def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
                      is_write: bool, now: int,
@@ -323,11 +312,11 @@ class MemorySystem:
         if entry is None:
             entry = self._dir_entries[baddr] = DirectoryEntry(baddr)
         l1_lines = self._l1_lines
+        net = self._net
 
-        # The request travels to the home node (queuing behind other
-        # messages under the contended interconnect) and is serialised
-        # behind any in-flight transaction for the same block.
-        arrive_home = self._traverse(core_id, home, now)
+        # The request travels to the home node and is serialised behind
+        # any in-flight transaction for the same block.
+        arrive_home = now + net[core_id][home]
         start = entry.busy_until if entry.busy_until > arrive_home else arrive_home
 
         # Clean up stale directory information about the requester itself
@@ -364,9 +353,9 @@ class MemorySystem:
             assert owner != core_id
             if record is not None:
                 record.forwarded_from_owner = owner
-            probe_arrival = self._traverse(home, owner, start)
-            completion = self._traverse(owner, core_id,
-                                        probe_arrival + self._forward_cost)
+            probe_arrival = start + net[home][owner]
+            completion = (probe_arrival + self._forward_cost
+                          + net[owner][core_id])
             owner_block = l1_lines[owner].get(baddr)
             if owner_block is not None and owner_block.state is not _INVALID:
                 # An external write conflicts with either speculative bit,
@@ -386,16 +375,15 @@ class MemorySystem:
                     owner_block.state = _SHARED
                     owner_block.dirty = False
             # The owner's (pre-speculative) data is written back to the L2.
-            self._l2.install_dirty(baddr)
+            self._l2.install(baddr)
             l2_hit = True
             entry.owner = None
             if not is_write:
                 sharers |= 1 << owner | bit
         else:
-            l2_hit = self._l2.probe(baddr)
-            depart = start + (self._l2_hit_cost if l2_hit
-                              else self._l2_miss_cost)
-            completion = self._traverse(home, core_id, depart)
+            l2_hit = self._l2.contains(baddr)
+            completion = start + (self._l2_hit_cost if l2_hit
+                                  else self._l2_miss_cost) + net[home][core_id]
             if not l2_hit:
                 self._l2.install(baddr)
         if record is not None:
@@ -414,8 +402,8 @@ class MemorySystem:
                 fanout += 1
                 if record is not None:
                     record.invalidated_sharers.append(sharer)
-                arrival = self._traverse(home, sharer, start)
-                ack = self._traverse(sharer, core_id, arrival)
+                arrival = start + net[home][sharer]
+                ack = arrival + net[sharer][core_id]
                 sharer_block = l1_lines[sharer].get(baddr)
                 if sharer_block is not None \
                         and sharer_block.state is not _INVALID:
@@ -511,12 +499,9 @@ class MemorySystem:
             entry.sharers &= ~(1 << core_id)
             if entry.owner == core_id:
                 entry.owner = None
-        if victim.dirty and victim.state is _MODIFIED:
-            self._l2.install_dirty(victim.address)
-        else:
-            # Clean eviction: the L2 may or may not already hold the block;
-            # installing it keeps the inclusive-ish latency model simple.
-            self._l2.install(victim.address)
+        # Dirty or clean, the victim goes to the L2: it may already hold
+        # the block, and installing it keeps the latency model simple.
+        self._l2.install(victim.address)
 
     # -- debugging helpers --------------------------------------------------
 

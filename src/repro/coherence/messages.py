@@ -22,8 +22,6 @@ class TransactionKind(Enum):
     GETS = "GetS"
     GETM = "GetM"
     UPGRADE = "Upgrade"
-    WRITEBACK = "Writeback"
-    CLEAN_WRITEBACK = "CleanWriteback"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

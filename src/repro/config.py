@@ -120,54 +120,31 @@ class StoreBufferConfig:
             raise ConfigurationError("store buffer entry size must be positive")
 
 
-#: Accepted values for :attr:`InterconnectConfig.contention`.
-CONTENTION_MODES = ("none", "queued")
-
 #: Largest machine the geometry resolver will lay out (an 8x8 torus).
 MAX_RESOLVED_CORES = 64
 
 
 @dataclass(frozen=True)
 class InterconnectConfig:
-    """2-D torus parameters (Figure 6), plus the optional contention model.
+    """2-D torus parameters (Figure 6).
 
-    ``contention`` selects the link model: ``"none"`` (the paper's
-    contention-free network: every traversal costs ``hops * hop_latency``)
-    or ``"queued"`` (messages queue per directed link and per ejection
-    port, each occupying a link for ``hop_latency // link_bandwidth``
-    cycles -- see DESIGN.md section 4).  The default is ``"none"`` so that
-    existing configurations, cache keys aside, simulate byte-identically.
+    The network is the paper's contention-free one: a message between
+    two nodes costs ``hops * hop_latency`` cycles (DESIGN.md section 4).
     """
 
     mesh_width: int
     mesh_height: int
     hop_latency: int
-    contention: str = "none"
-    #: messages one directed link can accept per ``hop_latency`` window
-    #: (only meaningful under ``contention="queued"``).
-    link_bandwidth: int = 1
 
     def __post_init__(self) -> None:
         if self.mesh_width <= 0 or self.mesh_height <= 0:
             raise ConfigurationError("torus dimensions must be positive")
         if self.hop_latency < 0:
             raise ConfigurationError("hop latency must be non-negative")
-        if self.contention not in CONTENTION_MODES:
-            raise ConfigurationError(
-                f"unknown contention mode {self.contention!r}; "
-                f"expected one of {CONTENTION_MODES}"
-            )
-        if self.link_bandwidth < 1:
-            raise ConfigurationError("link bandwidth must be at least 1")
 
     @property
     def num_nodes(self) -> int:
         return self.mesh_width * self.mesh_height
-
-    @property
-    def link_occupancy(self) -> int:
-        """Cycles one message occupies a link under ``contention="queued"``."""
-        return max(1, self.hop_latency // self.link_bandwidth)
 
 
 def torus_geometry(num_cores: int) -> Tuple[int, int]:
@@ -193,14 +170,12 @@ def torus_geometry(num_cores: int) -> Tuple[int, int]:
     return width, num_cores // width
 
 
-def resolved_interconnect(num_cores: int, hop_latency: int = 25 * 4,
-                          contention: str = "none",
-                          link_bandwidth: int = 1) -> InterconnectConfig:
+def resolved_interconnect(num_cores: int,
+                          hop_latency: int = 25 * 4) -> InterconnectConfig:
     """An :class:`InterconnectConfig` sized for ``num_cores`` by the resolver."""
     width, height = torus_geometry(num_cores)
     return InterconnectConfig(mesh_width=width, mesh_height=height,
-                              hop_latency=hop_latency, contention=contention,
-                              link_bandwidth=link_bandwidth)
+                              hop_latency=hop_latency)
 
 
 @dataclass(frozen=True)
@@ -273,10 +248,6 @@ class SystemConfig:
     #: model approximates this by shortening the visible latency of write
     #: misses by this many cycles (never below the L1 hit latency).
     store_prefetch_lead: int = 150
-    #: address-interleaved L2 banks.  One bank is the paper's monolithic
-    #: shared L2; larger machines split the tag array so capacity conflicts
-    #: stay local to a bank (see DESIGN.md section 4).
-    l2_banks: int = 1
 
     def __post_init__(self) -> None:
         if self.num_cores <= 0:
@@ -287,13 +258,6 @@ class SystemConfig:
             )
         if self.l1.block_bytes != self.l2.block_bytes:
             raise ConfigurationError("L1 and L2 must use the same block size")
-        if self.l2_banks < 1:
-            raise ConfigurationError("the L2 needs at least one bank")
-        if self.l2.num_sets % self.l2_banks != 0:
-            raise ConfigurationError(
-                f"L2 with {self.l2.num_sets} sets cannot be split into "
-                f"{self.l2_banks} equal banks"
-            )
         if self.memory_latency < 0 or self.directory_latency < 0:
             raise ConfigurationError("latencies must be non-negative")
         if self.store_buffer is None:
@@ -324,15 +288,12 @@ class SystemConfig:
             "L1": f"{self.l1.size_bytes // 1024}KB {self.l1.associativity}-way, "
                   f"{self.l1.hit_latency}-cycle",
             "L2": f"{self.l2.size_bytes // (1024 * 1024)}MB {self.l2.associativity}-way, "
-                  f"{self.l2.hit_latency}-cycle"
-                  + (f", {self.l2_banks} banks" if self.l2_banks > 1 else ""),
+                  f"{self.l2.hit_latency}-cycle",
             "store buffer": f"{sb.kind.value} x{sb.entries} ({sb.entry_bytes}B)",
             "memory latency": f"{self.memory_latency} cycles",
             "interconnect": f"{self.interconnect.mesh_width}x"
                             f"{self.interconnect.mesh_height} torus, "
-                            f"{self.interconnect.hop_latency} cycles/hop"
-                            + (f", {self.interconnect.contention} contention"
-                               if self.interconnect.contention != "none" else ""),
+                            f"{self.interconnect.hop_latency} cycles/hop",
         }
 
     def replace(self, **changes: object) -> "SystemConfig":
@@ -372,7 +333,6 @@ class SystemConfig:
             directory_latency=data["directory_latency"],
             clean_writeback_latency=data["clean_writeback_latency"],
             store_prefetch_lead=data["store_prefetch_lead"],
-            l2_banks=data.get("l2_banks", 1),
         )
 
 
@@ -402,47 +362,26 @@ def default_store_buffer(
     return StoreBufferConfig(StoreBufferKind.COALESCING_BLOCK, 8, 64)
 
 
-def default_l2_banks(num_cores: int) -> int:
-    """L2 banking for a core count: monolithic up to 16 cores, then split.
-
-    The paper's 16-core machine uses one shared L2; larger machines split
-    the tag array roughly one bank per 16 cores (32 -> 2, 64 -> 4) so a
-    single bank's set conflicts do not become a global bottleneck.  The
-    bank count is rounded down to a power of two so it always divides the
-    (power-of-two) set counts of the stock L2 configurations — 48 cores
-    get 2 banks, not an unsplittable 3.
-    """
-    banks = 1
-    while banks * 2 <= num_cores // 16:
-        banks *= 2
-    return banks
-
-
 def paper_config(
     consistency: ConsistencyModel = ConsistencyModel.SC,
     speculation: Optional[SpeculationConfig] = None,
     num_cores: int = 16,
-    interconnect: Optional[InterconnectConfig] = None,
 ) -> SystemConfig:
     """Build the Figure 6 baseline system for a given configuration.
 
     The torus is sized for ``num_cores`` by :func:`torus_geometry` (the
-    paper's 16 cores resolve to its 4x4 torus) unless an explicit
-    ``interconnect`` overrides it, e.g. to enable the contention model.
+    paper's 16 cores resolve to its 4x4 torus).
     """
     spec = speculation if speculation is not None else SpeculationConfig()
-    if interconnect is None:
-        interconnect = resolved_interconnect(num_cores, hop_latency=25 * 4)
     return SystemConfig(num_cores=num_cores, consistency=consistency,
-                        speculation=spec, interconnect=interconnect,
-                        l2_banks=default_l2_banks(num_cores))
+                        speculation=spec,
+                        interconnect=resolved_interconnect(num_cores))
 
 
 def small_config(
     consistency: ConsistencyModel = ConsistencyModel.SC,
     speculation: Optional[SpeculationConfig] = None,
     num_cores: int = 4,
-    interconnect: Optional[InterconnectConfig] = None,
 ) -> SystemConfig:
     """A scaled-down system for tests and quick benchmark runs.
 
@@ -451,8 +390,6 @@ def small_config(
     exercise capacity effects and runs complete quickly.
     """
     spec = speculation if speculation is not None else SpeculationConfig()
-    if interconnect is None:
-        interconnect = resolved_interconnect(num_cores, hop_latency=20)
     return SystemConfig(
         num_cores=num_cores,
         consistency=consistency,
@@ -461,10 +398,9 @@ def small_config(
                        hit_latency=2),
         l2=CacheConfig(size_bytes=256 * 1024, associativity=8, block_bytes=64,
                        hit_latency=12),
-        interconnect=interconnect,
+        interconnect=resolved_interconnect(num_cores, hop_latency=20),
         memory_latency=80,
         directory_latency=4,
         clean_writeback_latency=10,
         store_prefetch_lead=30,
-        l2_banks=default_l2_banks(num_cores),
     )

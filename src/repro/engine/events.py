@@ -93,10 +93,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def next_time(self) -> Optional[int]:
-        """Firing time of the next entry, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
     def pop(self) -> Optional[Entry]:
         """Remove and return the next entry, or ``None`` when empty."""
         if not self._heap:

@@ -25,7 +25,9 @@ from ..cpu.stats import BREAKDOWN_COMPONENTS, CoreStats
 #: v2: per-phase stall attribution (``phase_names``/``phase_stats``).
 #: v3: simulated observables only: the engine's processed-event count and
 #: the configuration's unused retirement width are gone.
-RESULT_SCHEMA_VERSION = 3
+#: v4: the configuration lost ``l2_banks`` and the interconnect's
+#: ``contention`` and ``link_bandwidth``.
+RESULT_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ campaign), and the result is summarised as
   ``violation`` for the speculative variants).
 
 Core counts map to tori via :func:`repro.config.torus_geometry`
-(4 -> 2x2 ... 64 -> 8x8); the interconnect stays contention-free by
-default so cells remain comparable with every other figure's, and the
-opt-in queued model (``InterconnectConfig.contention="queued"``) can be
-layered on through a registered configuration variant.
+(4 -> 2x2 ... 64 -> 8x8), in front of one shared L2.  The interconnect
+is the paper's contention-free one, as in every other figure, so the
+curves and the ranking of configurations rest on a network that never
+queues a message (DESIGN.md section 4).
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Interconnect model: a 2-D torus with fixed per-hop latency (Figure 6)."""
 
 from .topology import TorusTopology
-from .latency import LatencyModel
 
-__all__ = ["TorusTopology", "LatencyModel"]
+__all__ = ["TorusTopology"]

@@ -3,36 +3,33 @@
 The paper's system is a 4x4 2-D torus with 25 ns per-hop latency; the
 machine-scaling experiments lay out anything from a 1xN ring up to an 8x8
 torus (see :func:`repro.config.torus_geometry`).  This module provides
-node placement, minimal-hop distance computations, and dimension-order
-routes; the latency model in :mod:`repro.interconnect.latency` converts
-hop counts into cycles and, under the queued contention model, charges
-each directed link on the route.
+node placement, minimal-hop distances, and the one-way latency matrix the
+coherence transaction engine reads: the network is contention-free, so a
+message from ``src`` to ``dst`` always takes ``hops * hop_latency`` cycles
+(DESIGN.md section 4).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import InterconnectConfig
 from ..errors import ConfigurationError
-
-#: Directed-link direction indices used by :meth:`TorusTopology.route`.
-_POS_X, _NEG_X, _POS_Y, _NEG_Y = range(4)
 
 
 class TorusTopology:
     """Node coordinates and wrap-around hop distances on a 2-D torus."""
 
     def __init__(self, config: InterconnectConfig) -> None:
-        self._config = config
         self._width = config.mesh_width
         self._height = config.mesh_height
-        self._distance_cache: Dict[Tuple[int, int], int] = {}
-        self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-    @property
-    def config(self) -> InterconnectConfig:
-        return self._config
+        nodes = range(self.num_nodes)
+        #: one-way network latency in cycles, ``latency[src][dst]``.  The
+        #: torus has at most 64 nodes, so the whole matrix is built once
+        #: and a network leg costs two list indexes.
+        self.latency: List[List[int]] = [
+            [self.hops(src, dst) * config.hop_latency for dst in nodes]
+            for src in nodes]
 
     @property
     def num_nodes(self) -> int:
@@ -43,68 +40,14 @@ class TorusTopology:
         self._check_node(node)
         return node % self._width, node // self._width
 
-    def node_at(self, x: int, y: int) -> int:
-        """Return the node id at position (x, y)."""
-        if not (0 <= x < self._width and 0 <= y < self._height):
-            raise ConfigurationError(f"coordinates ({x}, {y}) outside torus")
-        return y * self._width + x
-
     def hops(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes, with wrap-around links."""
-        key = (src, dst)
-        cached = self._distance_cache.get(key)
-        if cached is not None:
-            return cached
         sx, sy = self.coordinates(src)
         dx, dy = self.coordinates(dst)
         xdist = abs(sx - dx)
-        xdist = min(xdist, self._width - xdist)
         ydist = abs(sy - dy)
-        ydist = min(ydist, self._height - ydist)
-        total = xdist + ydist
-        self._distance_cache[key] = total
-        self._distance_cache[(dst, src)] = total
-        return total
-
-    def route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Directed links of the dimension-order (X then Y) route src -> dst.
-
-        Each link is encoded as ``node * 4 + direction`` for the node the
-        message *leaves* through that direction; wrap-around picks the
-        shorter way around each ring and breaks exact ties toward the
-        positive direction, so routes are deterministic.  The route has
-        exactly :meth:`hops` entries (empty when ``src == dst``).
-        """
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
-        x, y = self.coordinates(src)
-        dx, dy = self.coordinates(dst)
-        links: List[int] = []
-        width, height = self._width, self._height
-
-        forward = (dx - x) % width
-        step, direction = ((1, _POS_X) if forward <= width - forward
-                           else (-1, _NEG_X))
-        while x != dx:
-            links.append(self.node_at(x, y) * 4 + direction)
-            x = (x + step) % width
-
-        forward = (dy - y) % height
-        step, direction = ((1, _POS_Y) if forward <= height - forward
-                           else (-1, _NEG_Y))
-        while y != dy:
-            links.append(self.node_at(x, y) * 4 + direction)
-            y = (y + step) % height
-
-        route = tuple(links)
-        self._route_cache[key] = route
-        return route
-
-    def home_node(self, block_addr: int, block_bytes: int) -> int:
-        """Address-interleaved home (directory) node for a block."""
-        return (block_addr // block_bytes) % self.num_nodes
+        return (min(xdist, self._width - xdist)
+                + min(ydist, self._height - ydist))
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

@@ -3,7 +3,7 @@
 This package provides the storage structures shared by the coherence
 protocol and the processor model:
 
-* :mod:`repro.memory.address` -- block/word address arithmetic.
+* :mod:`repro.memory.address` -- the block mask and the word size.
 * :mod:`repro.memory.block` -- per-block coherence state plus the
   speculatively-read / speculatively-written bits that InvisiFence adds to
   the L1 tags (Section 3.1 of the paper).
@@ -12,15 +12,12 @@ protocol and the processor model:
   relies on for constant-time commit and abort.
 """
 
-from .address import Address, block_address, block_index, word_address
+from .address import Address
 from .block import CacheBlock, CoherenceState
 from .cache import CacheArray
 
 __all__ = [
     "Address",
-    "block_address",
-    "block_index",
-    "word_address",
     "CacheBlock",
     "CoherenceState",
     "CacheArray",

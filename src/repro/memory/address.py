@@ -1,9 +1,9 @@
 """Address arithmetic helpers.
 
-Addresses are plain integers (byte addresses).  The helpers here convert
-between byte addresses, cache-block addresses (the byte address of the
-first byte in the block) and word addresses (8-byte granularity, matching
-the FIFO store buffer entries of the SC/TSO baselines in Figure 6).
+Addresses are plain integers (byte addresses).  A cache-block address is
+the byte address of the first byte in the block; words are 8 bytes,
+matching the FIFO store buffer entries of the SC/TSO baselines in
+Figure 6.
 """
 
 from __future__ import annotations
@@ -16,50 +16,11 @@ WORD_BYTES = 8
 Address = int
 
 
-def _check_block_size(block_bytes: int) -> None:
+def block_mask(block_bytes: int) -> int:
+    """Validated AND-mask that maps a byte address to its block address.
+
+    Hot paths precompute this once and apply it per access.
+    """
     if block_bytes <= 0 or block_bytes & (block_bytes - 1):
         raise ConfigurationError(f"block size must be a power of two, got {block_bytes}")
-
-
-def block_address(addr: Address, block_bytes: int) -> Address:
-    """Return the byte address of the block containing ``addr``."""
-    _check_block_size(block_bytes)
-    return addr & ~(block_bytes - 1)
-
-
-def block_mask(block_bytes: int) -> int:
-    """Validated AND-mask such that ``addr & mask == block_address(addr)``.
-
-    Hot paths precompute this once instead of calling :func:`block_address`
-    (and its power-of-two validation) per access.
-    """
-    _check_block_size(block_bytes)
     return ~(block_bytes - 1)
-
-
-def block_index(addr: Address, block_bytes: int) -> int:
-    """Return the index of the block containing ``addr``."""
-    _check_block_size(block_bytes)
-    return addr >> block_bytes.bit_length() - 1
-
-
-def block_offset(addr: Address, block_bytes: int) -> int:
-    """Return the offset of ``addr`` within its block."""
-    _check_block_size(block_bytes)
-    return addr & (block_bytes - 1)
-
-
-def word_address(addr: Address) -> Address:
-    """Return the byte address of the 8-byte word containing ``addr``."""
-    return addr & ~(WORD_BYTES - 1)
-
-
-def words_in_block(block_bytes: int) -> int:
-    """Number of 8-byte words per cache block."""
-    _check_block_size(block_bytes)
-    return block_bytes // WORD_BYTES
-
-
-def same_block(a: Address, b: Address, block_bytes: int) -> bool:
-    """True when two byte addresses fall in the same cache block."""
-    return block_address(a, block_bytes) == block_address(b, block_bytes)

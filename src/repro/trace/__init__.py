@@ -8,7 +8,6 @@ non-memory instructions).
 
 from .ops import MemOp, OpKind, atomic, compute, fence, load, store
 from .trace import Trace, MultiThreadedTrace
-from .serialization import load_trace, save_trace
 
 __all__ = [
     "MemOp",
@@ -20,6 +19,4 @@ __all__ = [
     "compute",
     "Trace",
     "MultiThreadedTrace",
-    "save_trace",
-    "load_trace",
 ]

@@ -54,8 +54,8 @@ class MemOp:
     """One operation in a program-order trace.
 
     Slotted, so an op is small and cheap to build: trace generation makes
-    hundreds of thousands of them.  A direct ``MemOp(...)`` call (the
-    serializer, ``dataclasses.replace``, tests) validates in
+    hundreds of thousands of them.  A direct ``MemOp(...)`` call
+    (``dataclasses.replace``, tests) validates in
     :meth:`__post_init__`; the constructors below validate their own
     arguments and skip the generated ``__init__``.
     """

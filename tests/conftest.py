@@ -9,7 +9,8 @@ deterministic.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+import sqlite3
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -188,3 +189,25 @@ def invisi_sc_config() -> SystemConfig:
 @pytest.fixture
 def invisi_rmo_config() -> SystemConfig:
     return selective_config(ConsistencyModel.RMO)
+
+
+@pytest.fixture
+def sqlite_connections(monkeypatch) -> Tuple[List, List]:
+    """``(opened, closed)``: every sqlite connection the test opens, and
+    those it closed, recorded through a wrapped ``sqlite3.connect``."""
+    opened: List = []
+    closed: List = []
+    real_connect = sqlite3.connect
+
+    class TrackedConnection(sqlite3.Connection):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    def connect(*args, **kwargs):
+        conn = real_connect(*args, factory=TrackedConnection, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    return opened, closed

@@ -3,70 +3,25 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.memory.address import (
-    WORD_BYTES,
-    block_address,
-    block_index,
-    block_offset,
-    same_block,
-    word_address,
-    words_in_block,
-)
+from repro.memory.address import block_mask
 
 
 class TestBlockAddress:
     def test_aligns_down(self):
-        assert block_address(0, 64) == 0
-        assert block_address(63, 64) == 0
-        assert block_address(64, 64) == 64
-        assert block_address(130, 64) == 128
+        mask = block_mask(64)
+        assert 0 & mask == 0
+        assert 63 & mask == 0
+        assert 64 & mask == 64
+        assert 130 & mask == 128
 
     def test_identity_for_aligned(self):
         for addr in (0, 64, 128, 1024 * 64):
-            assert block_address(addr, 64) == addr
+            assert addr & block_mask(64) == addr
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigurationError):
-            block_address(100, 48)
+            block_mask(48)
 
     def test_rejects_zero_block(self):
         with pytest.raises(ConfigurationError):
-            block_address(100, 0)
-
-
-class TestBlockIndexAndOffset:
-    def test_index(self):
-        assert block_index(0, 64) == 0
-        assert block_index(64, 64) == 1
-        assert block_index(64 * 10 + 5, 64) == 10
-
-    def test_offset(self):
-        assert block_offset(0, 64) == 0
-        assert block_offset(65, 64) == 1
-        assert block_offset(127, 64) == 63
-
-    def test_index_and_offset_recompose(self):
-        for addr in (0, 1, 63, 64, 1000, 123456):
-            assert block_index(addr, 64) * 64 + block_offset(addr, 64) == addr
-
-
-class TestWords:
-    def test_word_address_aligns(self):
-        assert word_address(0) == 0
-        assert word_address(7) == 0
-        assert word_address(8) == 8
-        assert word_address(100) == 96
-
-    def test_words_in_block(self):
-        assert words_in_block(64) == 64 // WORD_BYTES
-        assert words_in_block(128) == 16
-
-
-class TestSameBlock:
-    def test_same_block_true(self):
-        assert same_block(0, 63, 64)
-        assert same_block(128, 191, 64)
-
-    def test_same_block_false(self):
-        assert not same_block(63, 64, 64)
-        assert not same_block(0, 128, 64)
+            block_mask(0)

@@ -117,6 +117,44 @@ class TestRunStudyAndExecutePlan:
         assert execution.report.simulated == len(execution.plan.unique_cells)
 
 
+def _ids(connections):
+    return {id(conn) for conn in connections}
+
+
+class TestCacheLifetime:
+    """The facade closes every sqlite connection it opens from a URL."""
+
+    def test_run_study_closes_the_backend_it_opens(self, tmp_path,
+                                                   sqlite_connections):
+        opened, closed = sqlite_connections
+        run_study("figure1", QUICK, cache=f"sqlite://{tmp_path}/c.sqlite")
+        assert opened, "run_study opened no sqlite connection"
+        assert _ids(closed) == _ids(opened)
+
+    def test_execution_closes_the_backend_execute_plan_opens(
+            self, tmp_path, sqlite_connections):
+        opened, closed = sqlite_connections
+        url = f"sqlite://{tmp_path}/c.sqlite"
+        with execute_plan(["figure1"], QUICK, cache=url) as execution:
+            table = execution.result("figure1").format()
+        assert opened, "execute_plan opened no sqlite connection"
+        assert _ids(closed) == _ids(opened)
+        # Every cell is memoized: results stay readable, with no reopen.
+        assert execution.result("figure1").format() == table
+        assert len(opened) == len(closed)
+
+    def test_a_backend_the_caller_passes_stays_open(self, tmp_path,
+                                                    sqlite_connections):
+        opened, closed = sqlite_connections
+        backend = open_cache(f"sqlite://{tmp_path}/c.sqlite")
+        run_study("figure1", QUICK, cache=backend)
+        with execute_plan(["figure1"], QUICK, cache=backend):
+            pass
+        assert opened and not closed
+        backend.close()
+        assert _ids(closed) == _ids(opened)
+
+
 class TestUnifiedCliFlags:
     CAMPAIGN_COMMANDS = (
         ["simulate", "--cores", "2", "--ops", "200"],

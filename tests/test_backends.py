@@ -182,6 +182,21 @@ class TestDirectoryBackend:
         assert backend.get(KEYS[0]) is None
         assert not backend.contains(KEYS[0])
 
+    def test_schema_3_entry_is_a_miss(self, tmp_path, tiny_result):
+        """An entry whose config still carries L2 banks and the queued
+        link model's fields (the schema-3 wire format) is never served."""
+        old = tiny_result.to_dict()
+        old.update(schema=3)
+        old["config"]["l2_banks"] = 1
+        old["config"]["interconnect"].update(contention="none",
+                                             link_bandwidth=1)
+        backend = DirectoryBackend(tmp_path / "cache")
+        backend.root.mkdir()
+        backend.path_for(KEYS[0]).write_text(json.dumps(old, sort_keys=True),
+                                             encoding="utf-8")
+        assert backend.get(KEYS[0]) is None
+        assert not backend.contains(KEYS[0])
+
     def test_corrupt_entry_is_a_miss(self, tmp_path, tiny_result):
         backend = DirectoryBackend(tmp_path / "cache")
         backend.put(KEYS[0], tiny_result)

@@ -129,7 +129,10 @@ class TestResultSerialization:
         assert set(data) == {"schema", "config", "workload", "core_stats",
                              "runtime", "seed"}
         assert "retire_width" not in data["config"]
-        assert data["schema"] == 3
+        assert "l2_banks" not in data["config"]
+        assert set(data["config"]["interconnect"]) == {
+            "mesh_width", "mesh_height", "hop_latency"}
+        assert data["schema"] == 4
 
     def test_schema_mismatch_rejected(self, tiny_result):
         data = tiny_result.to_dict()

@@ -2,7 +2,6 @@
 
 import json
 import re
-import sqlite3
 
 import pytest
 
@@ -121,23 +120,10 @@ class TestCacheFlag:
         ["simulate", "--cores", "2", "--ops", "200"],
         ["worker", "figure1", "--quick", "--worker-id", "w1"],
     ), ids=lambda argv: argv[0])
-    def test_closes_every_sqlite_connection_it_opens(self, argv, tmp_path,
-                                                     monkeypatch, capsys):
+    def test_closes_every_sqlite_connection_it_opens(
+            self, argv, tmp_path, sqlite_connections, capsys):
         """The two ways the CLI opens a backend both close it."""
-        opened, closed = [], []
-        real_connect = sqlite3.connect
-
-        class TrackedConnection(sqlite3.Connection):
-            def close(self):
-                closed.append(self)
-                super().close()
-
-        def connect(*args, **kwargs):
-            conn = real_connect(*args, factory=TrackedConnection, **kwargs)
-            opened.append(conn)
-            return conn
-
-        monkeypatch.setattr(sqlite3, "connect", connect)
+        opened, closed = sqlite_connections
         url = f"sqlite://{tmp_path}/c.sqlite"
         assert main(argv + ["--cache", url]) == 0
         assert opened, "the command opened no sqlite connection"

@@ -14,7 +14,6 @@ from repro.config import (
     StoreBufferKind,
     SystemConfig,
     ViolationPolicy,
-    default_l2_banks,
     default_store_buffer,
     paper_config,
     resolved_interconnect,
@@ -71,33 +70,6 @@ class TestInterconnectConfig:
         with pytest.raises(ConfigurationError):
             InterconnectConfig(mesh_width=0, mesh_height=4, hop_latency=1)
 
-    def test_contention_defaults_off(self):
-        net = InterconnectConfig(mesh_width=4, mesh_height=4, hop_latency=100)
-        assert net.contention == "none"
-        assert net.link_bandwidth == 1
-
-    def test_rejects_unknown_contention_mode(self):
-        with pytest.raises(ConfigurationError):
-            InterconnectConfig(mesh_width=2, mesh_height=2, hop_latency=10,
-                               contention="infinite")
-
-    def test_rejects_zero_link_bandwidth(self):
-        with pytest.raises(ConfigurationError):
-            InterconnectConfig(mesh_width=2, mesh_height=2, hop_latency=10,
-                               link_bandwidth=0)
-
-    def test_link_occupancy_scales_with_bandwidth(self):
-        slow = InterconnectConfig(mesh_width=2, mesh_height=2, hop_latency=20,
-                                  contention="queued")
-        fast = InterconnectConfig(mesh_width=2, mesh_height=2, hop_latency=20,
-                                  contention="queued", link_bandwidth=4)
-        assert slow.link_occupancy == 20
-        assert fast.link_occupancy == 5
-        # Occupancy never collapses to zero, however wide the link.
-        wide = InterconnectConfig(mesh_width=2, mesh_height=2, hop_latency=1,
-                                  contention="queued", link_bandwidth=8)
-        assert wide.link_occupancy == 1
-
 
 class TestTorusGeometryResolver:
     @pytest.mark.parametrize("cores,expected", [
@@ -124,27 +96,16 @@ class TestTorusGeometryResolver:
             torus_geometry(65)
 
     def test_resolved_interconnect_carries_knobs(self):
-        net = resolved_interconnect(8, hop_latency=40, contention="queued",
-                                    link_bandwidth=2)
+        net = resolved_interconnect(8, hop_latency=40)
         assert (net.mesh_width, net.mesh_height) == (2, 4)
-        assert net.contention == "queued"
-        assert net.link_occupancy == 20
-
-    def test_default_l2_banks(self):
-        assert default_l2_banks(4) == 1
-        assert default_l2_banks(16) == 1
-        assert default_l2_banks(32) == 2
-        # Rounded down to a power of two: 3 banks cannot split a
-        # power-of-two set count.
-        assert default_l2_banks(48) == 2
-        assert default_l2_banks(64) == 4
+        assert net.hop_latency == 40
 
     def test_every_resolvable_core_count_builds_a_config(self):
         for cores in range(1, 65):
             config = paper_config(num_cores=cores)
             assert config.interconnect.num_nodes == cores
             small = small_config(num_cores=cores)
-            assert small.l2.num_sets % small.l2_banks == 0
+            assert small.interconnect.num_nodes == cores
 
 
 class TestSpeculationConfig:
@@ -234,24 +195,12 @@ class TestSystemConfig:
         assert paper_config(num_cores=17).interconnect.num_nodes == 17
         big = paper_config(num_cores=64)
         assert (big.interconnect.mesh_width, big.interconnect.mesh_height) == (8, 8)
-        assert big.l2_banks == 4
         with pytest.raises(ConfigurationError):
             paper_config(num_cores=65)
 
     def test_rejects_more_cores_than_nodes(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(num_cores=17)  # default interconnect is the 4x4 torus
-
-    def test_explicit_interconnect_override(self):
-        net = resolved_interconnect(16, contention="queued", link_bandwidth=2)
-        config = paper_config(num_cores=16, interconnect=net)
-        assert config.interconnect.contention == "queued"
-
-    def test_rejects_unsplittable_l2_banking(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(num_cores=2, l2_banks=3)
-        with pytest.raises(ConfigurationError):
-            SystemConfig(num_cores=2, l2_banks=0)
 
     def test_rejects_mismatched_block_sizes(self):
         with pytest.raises(ConfigurationError):

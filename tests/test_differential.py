@@ -239,35 +239,6 @@ class TestCacheKeyStability:
 
 
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
-class TestQueuedInterconnectEquivalence:
-    """The opt-in contended interconnect preserves engine equivalence.
-
-    Both kernels issue coherence transactions in the same order, so the
-    stateful per-link queues resolve identically; this pins that property
-    (and that the contention default stays "none" for every registered
-    configuration, which is what keeps the rest of this suite meaningful).
-    """
-
-    def test_byte_identical_under_queued_contention(self, config_name):
-        from repro.config import resolved_interconnect
-
-        trace = build_trace("false-sharing-storm", num_threads=4,
-                            ops_per_thread=_OPS, seed=5)
-        base = make_config(config_name, ExperimentSettings(
-            num_cores=4, ops_per_thread=_OPS, seeds=(5,),
-            warmup_fraction=0.0))
-        config = base.replace(interconnect=resolved_interconnect(
-            4, hop_latency=base.interconnect.hop_latency,
-            contention="queued", link_bandwidth=2))
-        fast, ref = _run_both(config, trace)
-        assert fast.to_json() == ref.to_json()
-
-    def test_registered_configs_default_contention_free(self, config_name):
-        config = make_config(config_name, _settings())
-        assert config.interconnect.contention == "none"
-
-
-@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
 @pytest.mark.parametrize("workload", tuple(scenario_names()))
 class TestMulticoreByteIdentical:
     """Every scenario at four cores (``TestByteIdenticalResults`` runs two).

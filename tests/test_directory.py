@@ -66,21 +66,15 @@ class TestDirectory:
 
 
 class TestL2Cache:
-    def _l2(self, blocks: int = 16) -> L2Cache:
-        return L2Cache(CacheConfig(size_bytes=blocks * 64, associativity=4,
+    def _l2(self, blocks: int = 16, assoc: int = 4) -> L2Cache:
+        return L2Cache(CacheConfig(size_bytes=blocks * 64, associativity=assoc,
                                    block_bytes=64, hit_latency=10))
 
     def test_miss_then_hit(self):
         l2 = self._l2()
-        assert not l2.probe(0)
+        assert not l2.contains(0)
         l2.install(0)
-        assert l2.probe(0)
-        assert l2.hits == 1 and l2.misses == 1
-
-    def test_install_dirty(self):
-        l2 = self._l2()
-        l2.install_dirty(64)
-        assert l2.contains(64)
+        assert l2.contains(0)
 
     def test_eviction_bounded_by_capacity(self):
         l2 = self._l2(blocks=8)
@@ -88,62 +82,8 @@ class TestL2Cache:
             l2.install(i * 64)
         assert len(l2) <= 8
 
-    def test_dirty_evictions_counted(self):
-        l2 = self._l2(blocks=4)
-        for i in range(12):
-            l2.install_dirty(i * 64)
-        assert l2.writebacks > 0
-
-
-class TestBankedL2:
-    def _banked(self, blocks: int = 16, banks: int = 4) -> L2Cache:
-        return L2Cache(CacheConfig(size_bytes=blocks * 64, associativity=1,
-                                   block_bytes=64, hit_latency=10),
-                       banks=banks)
-
-    def test_single_bank_matches_monolithic(self):
-        mono = L2Cache(CacheConfig(size_bytes=8 * 64, associativity=4,
-                                   block_bytes=64, hit_latency=10))
-        assert mono.num_banks == 1
-        banked = self._banked(blocks=8, banks=1)
-        for i in range(32):
-            mono.install(i * 64)
-            banked.install(i * 64)
-        assert len(mono) <= 8 and len(banked) <= 8
-
-    def test_blocks_interleave_across_banks(self):
-        l2 = self._banked(blocks=16, banks=4)
-        for i in range(4):
-            assert l2.bank_of(i * 64) == i
-        assert l2.bank_of(4 * 64) == 0
-
-    def test_bank_capacity_is_partitioned(self):
-        # 16 direct-mapped blocks over 4 banks: 4 blocks per bank.  Fill
-        # one bank's worth of conflicting addresses; other banks untouched.
-        l2 = self._banked(blocks=16, banks=4)
-        for i in range(12):
-            l2.install(i * 4 * 64)  # all map to bank 0
-        assert len(l2) <= 4
-        l2.install(64)  # bank 1
-        assert l2.contains(64)
-
-    def test_total_capacity_respected(self):
-        l2 = self._banked(blocks=16, banks=4)
-        for i in range(128):
-            l2.install(i * 64)
-        assert len(l2) <= 16
-
-    def test_every_bank_set_is_reachable(self):
-        # Regression: banking must divide the interleave stride out of the
-        # set index, or each bank only ever reaches 1/banks of its sets.
-        l2 = self._banked(blocks=16, banks=4)
-        for i in range(4):  # blocks 0, 4, 8, 12 all interleave to bank 0
-            l2.install(i * 4 * 64)
-        for i in range(4):
-            assert l2.contains(i * 4 * 64)
-
     def test_full_nominal_capacity_is_usable(self):
-        l2 = self._banked(blocks=16, banks=4)
+        l2 = self._l2(blocks=16, assoc=1)
         for i in range(16):
             l2.install(i * 64)
         assert len(l2) == 16
@@ -152,79 +92,57 @@ class TestBankedL2:
 
 
 class L2Model:
-    """The L2 as DESIGN section 4 describes it, one recency list per set.
+    """The L2 as DESIGN section 9 describes it, one recency list per set.
 
-    A block lands in bank ``blocknum % banks`` and, within that bank, in
-    set ``(blocknum // banks) % sets_per_bank``.  Each set lists its
-    blocks least recently installed first, with their dirty flags; an
-    install moves its block to the end, a probe moves nothing, and a
-    full set drops its first block, writing it back if dirty.
+    Block ``n`` lands in set ``n % num_sets``.  Each set lists its blocks
+    least recently installed first; an install moves its block to the
+    end, a lookup moves nothing, and a full set drops its first block.
     """
 
-    def __init__(self, num_sets: int, assoc: int, banks: int) -> None:
+    def __init__(self, num_sets: int, assoc: int) -> None:
+        self.num_sets = num_sets
         self.assoc = assoc
-        self.banks = banks
-        self.sets_per_bank = num_sets // banks
         self.sets = {}
-        self.hits = self.misses = self.writebacks = 0
 
     def _ways(self, addr: int) -> list:
-        blocknum = addr // 64
-        key = (blocknum % self.banks,
-               (blocknum // self.banks) % self.sets_per_bank)
-        return self.sets.setdefault(key, [])
+        return self.sets.setdefault(addr // 64 % self.num_sets, [])
 
-    def install(self, addr: int, dirty: bool) -> None:
+    def install(self, addr: int) -> None:
         ways = self._ways(addr)
-        resident = [way for way in ways if way[0] == addr]
-        if resident:
-            ways.remove(resident[0])
+        if addr in ways:
+            ways.remove(addr)
         elif len(ways) == self.assoc:
-            self.writebacks += ways.pop(0)[1]
-        ways.append((addr, dirty))
+            ways.pop(0)
+        ways.append(addr)
 
     def contains(self, addr: int) -> bool:
-        return any(way[0] == addr for way in self._ways(addr))
-
-    def probe(self, addr: int) -> bool:
-        hit = self.contains(addr)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
+        return addr in self._ways(addr)
 
     def __len__(self) -> int:
         return sum(len(ways) for ways in self.sets.values())
 
 
 l2_steps = st.lists(
-    st.tuples(st.sampled_from(("install", "install_dirty", "probe")),
-              st.integers(0, 47)),
+    st.tuples(st.sampled_from(("install", "contains")), st.integers(0, 47)),
     min_size=30, max_size=120)
 
 
 class TestL2AgainstRecencyModel:
-    @given(st.sampled_from((1, 2, 4)), l2_steps)
+    @given(l2_steps)
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_set_recency_lists(self, banks, steps):
+    def test_matches_per_set_recency_lists(self, steps):
         l2 = L2Cache(CacheConfig(size_bytes=16 * 64, associativity=4,
-                                 block_bytes=64, hit_latency=10), banks=banks)
-        model = L2Model(num_sets=4, assoc=4, banks=banks)
+                                 block_bytes=64, hit_latency=10))
+        model = L2Model(num_sets=4, assoc=4)
         touched = set()
         for op, index in steps:
             addr = index * 64
             touched.add(addr)
-            if op == "probe":
-                assert l2.probe(addr) == model.probe(addr)
-            elif op == "install":
-                l2.install(addr)
-                model.install(addr, False)
+            if op == "contains":
+                assert l2.contains(addr) == model.contains(addr)
             else:
-                l2.install_dirty(addr)
-                model.install(addr, True)
-            assert (l2.hits, l2.misses, l2.writebacks) == \
-                (model.hits, model.misses, model.writebacks)
+                l2.install(addr)
+                model.install(addr)
             assert len(l2) == len(model)
             for seen in touched:
                 assert l2.contains(seen) == model.contains(seen), hex(seen)
@@ -239,7 +157,6 @@ class Test64CoreDirectory:
 
         config = small_config(num_cores=64)
         assert config.interconnect.num_nodes == 64
-        assert config.l2_banks == 4
         return MemorySystem(config), config
 
     def test_all_64_cores_share_one_block(self):

@@ -98,13 +98,6 @@ class TestQueueSize:
         queue.run()
         assert queue.empty()
 
-    def test_next_time(self):
-        queue = EventQueue()
-        assert queue.next_time() is None
-        queue.schedule(9, noop)
-        queue.schedule(4, noop)
-        assert queue.next_time() == 4
-
 
 class TestBoundedRun:
     def test_max_events_bound(self):
@@ -199,7 +192,7 @@ class TestInlineAccounting:
         queue.schedule_step(12, noop, 0)
         queue.schedule(40, noop)
         assert queue.run(max_events=4) == 4  # the inline op counts too
-        assert queue.next_time() == 40
         assert queue.processed == 4
         assert queue.tally() == {"steps_scheduled": 2, "callbacks_scheduled": 2,
                                  "heap_pops": 3, "inline_ops": 1}
+        assert queue.pop()[0] == 40  # the bound left the last entry queued

@@ -11,19 +11,12 @@ counters.  It leaves out the result schema version, so a wire-format
 bump does not move it, and the result holds no engine bookkeeping, so
 engine work does not either.  Both engines must reproduce it.
 
-The grid's configs all run the contention-free interconnect on one L2
-bank.  The shared miss path specialises on both, so the file also pins
-every grid config on one contended workload twice more: under the
-queued interconnect (``name@queued``, built as
-``tests/test_differential.py::TestQueuedInterconnectEquivalence`` builds
-it) and with a two-bank L2 (``name@l2x2``).
-
-No line above evicts from an L1 or the L2 or forces a commit: the
+No grid line evicts from an L1 or the L2 or forces a commit: the
 grid's caches hold every block it touches.  So every grid config runs
-that workload once more on tiny caches (``name@tiny``: a 1 KiB 2-way L1
-and a 4 KiB 4-way L2 in two banks), which pins the fill path: the L1's
-victim choice, the forced commit when every way of a set is
-speculative (and its delay), and L2 replacement with its writebacks.
+one contended workload once more on tiny caches (``name@tiny``: a
+1 KiB 2-way L1 and a 4 KiB 4-way L2), which pins the fill path: the
+L1's victim choice, the forced commit when every way of a set is
+speculative (and its delay), and L2 replacement.
 
 To regenerate after an intentional change to simulated behaviour::
 
@@ -39,7 +32,6 @@ import pytest
 if __name__ == "__main__":  # run as a script: make ``tests`` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.config import resolved_interconnect  # noqa: E402
 from repro.cpu.stats import BREAKDOWN_COMPONENTS  # noqa: E402
 from repro.engine.simulator import simulate  # noqa: E402
 from repro.engine.system import ENGINE_KINDS  # noqa: E402
@@ -52,27 +44,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "observables.txt"
 #: speculation counters summed over the cores of a cell.
 SPEC_COUNTERS = ("speculations", "commits", "aborts", "replayed_ops")
 
-#: the contended workload the queued and banked variants run.
+#: the contended workload the tiny-cache variant runs.
 VARIANT_WORKLOAD = "false-sharing-storm"
 
 
-def variant_configs(configs):
-    """Each config queued, with two L2 banks, and on tiny caches."""
-    variants = {}
-    for suffix, vary in (
-            ("queued", lambda c: c.replace(interconnect=resolved_interconnect(
-                GRID_CORES, hop_latency=c.interconnect.hop_latency,
-                contention="queued", link_bandwidth=2))),
-            ("l2x2", lambda c: c.replace(l2_banks=2)),
-            ("tiny", lambda c: c.replace(
-                l1=dataclasses.replace(c.l1, size_bytes=1024,
-                                       associativity=2),
-                l2=dataclasses.replace(c.l2, size_bytes=4096,
-                                       associativity=4),
-                l2_banks=2))):
-        for name, config in configs.items():
-            variants[f"{name}@{suffix}"] = vary(config)
-    return variants
+def tiny_configs(configs):
+    """Each config on tiny caches."""
+    return {f"{name}@tiny": config.replace(
+        l1=dataclasses.replace(config.l1, size_bytes=1024, associativity=2),
+        l2=dataclasses.replace(config.l2, size_bytes=4096, associativity=4))
+        for name, config in configs.items()}
 
 
 def observables_line(name: str, workload: str, result) -> str:
@@ -98,7 +79,7 @@ def build_lines(engine: str = "fast") -> str:
             lines.append(observables_line(name, workload, result))
     trace = build_trace(VARIANT_WORKLOAD, num_threads=GRID_CORES,
                         ops_per_thread=GRID_OPS, seed=GRID_SEED)
-    for name, config in variant_configs(configs).items():
+    for name, config in tiny_configs(configs).items():
         result = simulate(config, trace, engine=engine)
         lines.append(observables_line(name, VARIANT_WORKLOAD, result))
     return "\n".join(lines) + "\n"

@@ -5,7 +5,6 @@ import pytest
 from tests.conftest import tiny_config
 from repro.coherence.memory_system import MemorySystem
 from repro.coherence.messages import ConflictResolution, TransactionKind
-from repro.config import resolved_interconnect
 from repro.errors import SimulationError
 from repro.memory.block import CoherenceState
 
@@ -214,7 +213,6 @@ class TestSpeculativeStores:
         out = mem.access(0, BLOCK, is_write=True, now=t, spec_checkpoint=9)
         assert out.hit
         assert out.completion_time == t + mem.config.clean_writeback_latency
-        assert mem.clean_writebacks[0] == 1
         # The pre-speculative data is preserved in the L2.
         assert mem.l2.contains(BLOCK)
         block = mem.l1(0).lookup(BLOCK, touch=False)
@@ -226,7 +224,6 @@ class TestSpeculativeStores:
         t = 1000
         out = mem.access(0, BLOCK, is_write=True, now=t, spec_checkpoint=9)
         assert out.completion_time == t + mem.config.l1.hit_latency
-        assert mem.clean_writebacks[0] == 0
 
 
 class TestEvictionsAndForcedCommit:
@@ -392,20 +389,6 @@ class TestExactLatencies:
         self._assert_record(out, start=0, completion=24, l2_hit=False)
         load = mem.access(0, BLOCK + 64 * 4, is_write=False, now=100)
         self._assert_record(load, start=100, completion=154, l2_hit=False)
-
-    def test_queued_link_delays_a_second_request(self):
-        config = tiny_config().replace(interconnect=resolved_interconnect(
-            2, hop_latency=10, contention="queued", link_bandwidth=1))
-        mem = MemorySystem(config, record_transactions=True)
-        first = mem.access(1, BLOCK, is_write=False, now=0)
-        # Uncontended: one hop each way around the 1x2 ring.
-        self._assert_record(first, start=10, completion=74, l2_hit=False)
-        assert mem.contention_cycles == 0
-        second = mem.access(1, BLOCK + 64 * 2, is_write=False, now=0)
-        # Same home, same link: the request waits one link occupancy (10)
-        # behind the first, and its data leaves home at 20 + 54 = 74.
-        self._assert_record(second, start=20, completion=84, l2_hit=False)
-        assert mem.contention_cycles == 10
 
 
 class TestInvariants:

@@ -7,7 +7,7 @@ from repro.cpu.stats import CoreStats, STALL_CLASSES
 from repro.cpu.store_buffer import CoalescingStoreBuffer, FIFOStoreBuffer
 from repro.engine.events import EventQueue
 from repro.engine.simulator import simulate
-from repro.memory.address import block_address, block_offset, same_block, word_address
+from repro.memory.address import block_mask
 from repro.memory.block import CoherenceState
 from repro.memory.cache import CacheArray
 from repro.workloads.generator import generate_workload
@@ -23,24 +23,10 @@ block_sizes = st.sampled_from([32, 64, 128, 256])
 class TestAddressProperties:
     @given(addresses, block_sizes)
     def test_block_address_is_idempotent_and_aligned(self, addr, block):
-        aligned = block_address(addr, block)
-        assert aligned % block == 0
-        assert aligned <= addr
-        assert block_address(aligned, block) == aligned
-
-    @given(addresses, block_sizes)
-    def test_offset_within_block(self, addr, block):
-        assert 0 <= block_offset(addr, block) < block
-        assert block_address(addr, block) + block_offset(addr, block) == addr
-
-    @given(addresses, addresses, block_sizes)
-    def test_same_block_consistent_with_block_address(self, a, b, block):
-        assert same_block(a, b, block) == (block_address(a, block) == block_address(b, block))
-
-    @given(addresses)
-    def test_word_address_aligned(self, addr):
-        assert word_address(addr) % 8 == 0
-        assert 0 <= addr - word_address(addr) < 8
+        mask = block_mask(block)
+        aligned = addr & mask
+        assert aligned == addr - addr % block
+        assert aligned & mask == aligned
 
 
 class TestCacheArrayProperties:

@@ -4,13 +4,10 @@ import pytest
 
 from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend, derived
 from repro.cli import main
-from repro.config import resolved_interconnect, small_config
+from repro.config import resolved_interconnect
 from repro.cpu.stats import BREAKDOWN_COMPONENTS
-from repro.engine.simulator import Simulator
-from repro.engine.system import build_system
 from repro.experiments import ExperimentSettings, scaling_study
 from repro.studies import StudyCell, StudyRunner, run_study
-from repro.workloads.registry import build_trace
 
 CORE_COUNTS = (2, 4)
 CONFIGS = ("sc", "invisi_sc")
@@ -102,37 +99,6 @@ class TestGeometryVariantCampaigns:
             assert serial.to_json() == parallel.to_json()
         finally:
             DEFAULT_REGISTRY.unregister(name)
-
-
-class TestContentionEndToEnd:
-    def test_queued_interconnect_slows_contended_sharing(self):
-        trace = build_trace("false-sharing-storm", num_threads=4,
-                            ops_per_thread=300, seed=5)
-        runtimes = {}
-        for mode in ("none", "queued"):
-            config = small_config(
-                num_cores=4,
-                interconnect=resolved_interconnect(4, hop_latency=20,
-                                                   contention=mode))
-            system = build_system(config, trace)
-            result = Simulator(system).run(seed=5)
-            runtimes[mode] = result.runtime
-            if mode == "none":
-                assert system.memory.contention_cycles == 0
-            else:
-                assert system.memory.contention_cycles > 0
-        assert runtimes["queued"] > runtimes["none"]
-
-    def test_queued_runs_are_deterministic(self):
-        trace = build_trace("false-sharing-storm", num_threads=4,
-                            ops_per_thread=200, seed=9)
-        config = small_config(
-            num_cores=4,
-            interconnect=resolved_interconnect(4, hop_latency=20,
-                                               contention="queued"))
-        first = Simulator(build_system(config, trace)).run(seed=9)
-        second = Simulator(build_system(config, trace)).run(seed=9)
-        assert first.to_json() == second.to_json()
 
 
 class TestScalingCli:

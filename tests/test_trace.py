@@ -1,4 +1,4 @@
-"""Tests for repro.trace (ops, containers, serialization)."""
+"""Tests for repro.trace (ops and containers)."""
 
 import dataclasses
 import pickle
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.ops import MemOp, OpKind, atomic, compute, fence, load, store
-from repro.trace.serialization import load_trace, save_trace
 from repro.trace.trace import MultiThreadedTrace, Trace
 
 
@@ -196,108 +195,3 @@ class TestMultiThreadedTrace:
         t1 = Trace([store(shared), load(64 * 100)])
         bundle = MultiThreadedTrace([t0, t1])
         assert bundle.shared_blocks(64) == 1
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        t0 = Trace([load(64, label="x"), store(128), fence(label="f"),
-                    compute(7), atomic(192, label="l")])
-        t1 = Trace([compute(2), load(0)])
-        bundle = MultiThreadedTrace([t0, t1], name="demo", seed=42)
-        path = tmp_path / "trace.jsonl"
-        save_trace(bundle, path)
-        loaded = load_trace(path)
-        assert loaded.name == "demo"
-        assert loaded.seed == 42
-        assert loaded.num_threads == 2
-        for original, restored in zip(bundle, loaded):
-            assert len(original) == len(restored)
-            for a, b in zip(original, restored):
-                assert a == b
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        bundle = MultiThreadedTrace([Trace([load(0), store(0)])], name="demo")
-        path = tmp_path / "trace.jsonl"
-        save_trace(bundle, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"version": 99, "name": "x", "seed": 0, "threads": 0, '
-                        '"ops_per_thread": []}\n')
-        with pytest.raises(TraceError):
-            load_trace(path)
-
-    def test_round_trip_all_op_kinds_with_fences_and_atomics(self, tmp_path):
-        """Every op kind, with and without labels and non-default sizes."""
-        ops = [
-            load(64), load(128, size=4, label="narrow"),
-            store(192), store(256, size=1, label="byte"),
-            atomic(320), atomic(384, size=16, label="wide_cas"),
-            fence(), fence(label="acquire"),
-            compute(1), compute(99, label="bundle"),
-        ]
-        bundle = MultiThreadedTrace([Trace(ops)], name="kinds", seed=7)
-        path = tmp_path / "kinds.jsonl"
-        save_trace(bundle, path)
-        restored = load_trace(path)
-        assert list(restored[0]) == ops
-        for original, back in zip(ops, restored[0]):
-            assert back.kind is original.kind
-            assert back.size == original.size
-            assert back.label == original.label
-            assert back.cycles == original.cycles
-
-    def test_round_trip_preserves_phase_layout(self, tmp_path):
-        t0 = Trace([load(0), store(64), fence(), atomic(128), compute(2)])
-        t1 = Trace([atomic(0), fence(), load(64), store(128), compute(3)])
-        bundle = MultiThreadedTrace([t0, t1], name="phased", seed=3,
-                                    phases=[("warm", 2), ("storm", 3)])
-        path = tmp_path / "phased.jsonl"
-        save_trace(bundle, path)
-        restored = load_trace(path)
-        assert restored.phases == (("warm", 2), ("storm", 3))
-        assert restored.phase_bounds == (2, 5)
-        assert restored.phase_names == ("warm", "storm")
-
-    def test_plain_trace_round_trip_has_no_phases(self, tmp_path):
-        bundle = MultiThreadedTrace([Trace([load(0)])], name="plain")
-        path = tmp_path / "plain.jsonl"
-        save_trace(bundle, path)
-        assert load_trace(path).phases is None
-
-
-class TestPhaseSplicedSerialization:
-    def test_spliced_scenario_trace_round_trips_and_is_deterministic(self, tmp_path):
-        """Same (spec, seed) twice -> identical traces; both survive disk."""
-        from repro.scenarios import PhaseSpec, ScenarioSpec, generate_scenario
-        from repro.workloads.presets import preset
-
-        spec = ScenarioSpec(name="rt", phases=(
-            PhaseSpec("mix", 120, workload=preset("zeus")),
-            PhaseSpec("pc", 90, pattern="producer_consumer"),
-            PhaseSpec("bar", 90, pattern="barrier"),
-        ))
-        first = generate_scenario(spec, num_threads=2, seed=11)
-        second = generate_scenario(spec, num_threads=2, seed=11)
-        for a, b in zip(first, second):
-            assert list(a) == list(b)
-
-        path = tmp_path / "spliced.jsonl"
-        save_trace(first, path)
-        restored = load_trace(path)
-        assert restored.phases == first.phases
-        for a, b in zip(first, restored):
-            assert list(a) == list(b)
-        # The spliced stream contains the synchronisation every phase relies on.
-        kinds = {op.kind for thread in restored for op in thread}
-        assert OpKind.ATOMIC in kinds and OpKind.FENCE in kinds
