@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.memory.address import block_mask
+from repro.memory.address import WORD_BYTES, block_mask
 
 
 class TestBlockAddress:
@@ -25,3 +25,24 @@ class TestBlockAddress:
     def test_rejects_zero_block(self):
         with pytest.raises(ConfigurationError):
             block_mask(0)
+
+    @pytest.mark.parametrize("block", (1, 8, 64, 128, 4096))
+    def test_matches_the_remainder_definition(self, block):
+        mask = block_mask(block)
+        for addr in (0, 1, block - 1, block, block + 1,
+                     3 * block + block // 2, (1 << 40) + 5):
+            assert addr & mask == addr - addr % block
+
+    @pytest.mark.parametrize("block", (-64, -1, 3, 96, 100))
+    def test_rejects_sizes_other_than_positive_powers_of_two(self, block):
+        with pytest.raises(ConfigurationError):
+            block_mask(block)
+
+    def test_word_is_a_fifo_store_buffer_entry(self):
+        from repro.config import (ConsistencyModel, SpeculationConfig,
+                                  default_store_buffer)
+
+        for model in (ConsistencyModel.SC, ConsistencyModel.TSO):
+            fifo = default_store_buffer(model, SpeculationConfig())
+            assert fifo.entry_bytes == WORD_BYTES
+        assert 64 % WORD_BYTES == 0

@@ -143,6 +143,44 @@ class TestCacheLifetime:
         assert execution.result("figure1").format() == table
         assert len(opened) == len(closed)
 
+    @staticmethod
+    def _failing_put(monkeypatch):
+        """Make every cache write fail, after a lookup opened the
+        connection."""
+        def put(self, key, result):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SqliteBackend, "put", put)
+
+    def test_run_study_closes_the_backend_when_the_study_fails(
+            self, tmp_path, sqlite_connections, monkeypatch):
+        opened, closed = sqlite_connections
+        self._failing_put(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            run_study("figure1", QUICK, cache=f"sqlite://{tmp_path}/c.sqlite")
+        assert opened, "run_study opened no sqlite connection"
+        assert _ids(closed) == _ids(opened)
+
+    def test_execute_plan_closes_the_backend_when_the_plan_fails(
+            self, tmp_path, sqlite_connections, monkeypatch):
+        opened, closed = sqlite_connections
+        self._failing_put(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            execute_plan(["figure1"], QUICK,
+                         cache=f"sqlite://{tmp_path}/c.sqlite")
+        assert opened, "execute_plan opened no sqlite connection"
+        assert _ids(closed) == _ids(opened)
+
+    def test_closing_an_execution_twice_is_harmless(self, tmp_path,
+                                                    sqlite_connections):
+        opened, closed = sqlite_connections
+        with execute_plan(["figure1"], QUICK,
+                          cache=f"sqlite://{tmp_path}/c.sqlite") as execution:
+            execution.close()
+        execution.close()
+        assert opened and _ids(closed) == _ids(opened)
+        assert len(closed) == len(opened)
+
     def test_a_backend_the_caller_passes_stays_open(self, tmp_path,
                                                     sqlite_connections):
         opened, closed = sqlite_connections

@@ -1,6 +1,7 @@
 """Tests for repro.config."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -69,6 +70,18 @@ class TestInterconnectConfig:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ConfigurationError):
             InterconnectConfig(mesh_width=0, mesh_height=4, hop_latency=1)
+
+    def test_rejects_zero_height(self):
+        with pytest.raises(ConfigurationError):
+            InterconnectConfig(mesh_width=4, mesh_height=0, hop_latency=1)
+
+    def test_rejects_negative_hop_latency(self):
+        with pytest.raises(ConfigurationError):
+            InterconnectConfig(mesh_width=4, mesh_height=4, hop_latency=-1)
+
+    def test_zero_hop_latency_is_a_free_network(self):
+        net = InterconnectConfig(mesh_width=2, mesh_height=2, hop_latency=0)
+        assert net.num_nodes == 4
 
 
 class TestTorusGeometryResolver:
@@ -244,6 +257,36 @@ class TestSystemConfig:
         assert str(SpeculationMode.SELECTIVE) == "selective"
         assert str(ViolationPolicy.COMMIT_ON_VIOLATE) == "commit_on_violate"
         assert str(StoreBufferKind.FIFO_WORD) == "fifo_word"
+
+    def test_wire_format_fields(self):
+        """The fields every cache key hashes.  Changing them changes every
+        key, so it goes with a ``RESULT_SCHEMA_VERSION`` bump."""
+        data = paper_config().to_dict()
+        assert set(data) == {
+            "num_cores", "consistency", "speculation", "l1", "l2",
+            "store_buffer", "interconnect", "memory_latency",
+            "directory_latency", "clean_writeback_latency",
+            "store_prefetch_lead"}
+        assert data["interconnect"] == {"mesh_width": 4, "mesh_height": 4,
+                                        "hop_latency": 100}
+
+    @pytest.mark.parametrize("cores", (1, 7, 64))
+    def test_resolved_machines_round_trip_through_json(self, cores):
+        for config in (paper_config(num_cores=cores),
+                       small_config(num_cores=cores)):
+            data = json.loads(json.dumps(config.to_dict()))
+            assert SystemConfig.from_dict(data) == config
+
+    def test_replace_interconnect_overrides_the_torus(self):
+        config = small_config(num_cores=4)
+        wide = config.replace(interconnect=InterconnectConfig(
+            mesh_width=2, mesh_height=4, hop_latency=40))
+        assert wide.interconnect.num_nodes == 8  # four idle nodes
+        assert wide.interconnect.hop_latency == 40
+        assert wide.l2 == config.l2 and wide.num_cores == 4
+        assert wide.replace(interconnect=config.interconnect) == config
+        with pytest.raises(ConfigurationError):
+            config.replace(interconnect=resolved_interconnect(2))
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -23,6 +23,7 @@ import pytest
 
 from repro.campaign import DirectoryBackend
 from repro.campaign.cache import cache_key
+from repro.config import InterconnectConfig, torus_geometry
 from repro.engine.simulator import simulate
 from repro.engine.system import ENGINE_KINDS, build_system
 from repro.errors import ConfigurationError
@@ -236,6 +237,42 @@ class TestCacheKeyStability:
         assert fast_result.to_json() == ref.to_json()
         # On-disk cache bytes equal what a reference-path run would store.
         assert stored == ref.to_json()
+
+
+@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
+class TestInterconnectVariantEquivalence:
+    """Both engines read one latency matrix, so they agree on any torus.
+
+    Every registered configuration lays out the resolver's torus; these
+    cases swap in a ring and a free network on the same four cores.
+    """
+
+    @staticmethod
+    def _run_on(config_name, interconnect):
+        trace = build_trace("false-sharing-storm", num_threads=4,
+                            ops_per_thread=_OPS, seed=5)
+        base = make_config(config_name, ExperimentSettings(
+            num_cores=4, ops_per_thread=_OPS, seeds=(5,),
+            warmup_fraction=0.0))
+        return _run_both(base.replace(interconnect=interconnect), trace)
+
+    def test_byte_identical_on_a_ring(self, config_name):
+        fast, ref = self._run_on(config_name, InterconnectConfig(
+            mesh_width=1, mesh_height=4, hop_latency=20))
+        assert fast.to_json() == ref.to_json()
+
+    def test_byte_identical_on_a_free_network(self, config_name):
+        fast, ref = self._run_on(config_name, InterconnectConfig(
+            mesh_width=2, mesh_height=2, hop_latency=0))
+        assert fast.to_json() == ref.to_json()
+
+    def test_registered_configs_lay_out_the_resolved_torus(self, config_name):
+        for cores in (2, 4, 8, 16):
+            config = make_config(config_name, ExperimentSettings(
+                num_cores=cores, ops_per_thread=_OPS, seeds=(3,),
+                warmup_fraction=0.0))
+            net = config.interconnect
+            assert (net.mesh_width, net.mesh_height) == torus_geometry(cores)
 
 
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)

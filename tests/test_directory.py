@@ -90,6 +90,70 @@ class TestL2Cache:
         for i in range(16):
             assert l2.contains(i * 64)
 
+    @pytest.mark.parametrize("blocks,assoc", [
+        (16, 1), (16, 2), (16, 4), (16, 16), (64, 8),
+    ])
+    def test_every_set_holds_its_associativity(self, blocks, assoc):
+        l2 = self._l2(blocks=blocks, assoc=assoc)
+        for i in range(blocks):
+            l2.install(i * 64)
+        assert len(l2) == blocks
+        # Block ``blocks`` maps to set 0 and displaces only block 0, the
+        # set's least recently installed one.
+        l2.install(blocks * 64)
+        assert len(l2) == blocks
+        assert not l2.contains(0)
+        assert all(l2.contains(i * 64) for i in range(1, blocks + 1))
+
+    def test_a_full_set_leaves_the_other_sets_alone(self):
+        l2 = self._l2(blocks=16, assoc=4)  # four sets
+        for i in (1, 2, 3):
+            l2.install(i * 64)
+        # Ten blocks of set 0 churn through its four ways.
+        for n in range(10):
+            l2.install(n * 4 * 64)
+        assert [n for n in range(10) if l2.contains(n * 4 * 64)] == [6, 7, 8, 9]
+        assert all(l2.contains(i * 64) for i in (1, 2, 3))
+        assert len(l2) == 7
+
+    def test_lookup_never_reorders_a_set(self):
+        l2 = self._l2(blocks=2, assoc=2)  # one set of two ways
+        l2.install(0)
+        l2.install(64)
+        assert l2.contains(0)  # a hit does not refresh block 0
+        l2.install(128)
+        assert not l2.contains(0)
+        assert l2.contains(64) and l2.contains(128)
+
+    def test_reinstall_moves_the_block_to_most_recent(self):
+        l2 = self._l2(blocks=2, assoc=2)
+        l2.install(0)
+        l2.install(64)
+        l2.install(0)  # block 0 is now the most recently installed
+        assert len(l2) == 2
+        l2.install(128)
+        assert l2.contains(0) and l2.contains(128)
+        assert not l2.contains(64)
+
+    def test_full_set_evicts_the_least_recently_installed(self):
+        l2 = self._l2(blocks=4, assoc=4)
+        for n in range(4):
+            l2.install(n * 64)
+        for n in range(4, 8):
+            l2.install(n * 64)
+            assert not l2.contains((n - 4) * 64)
+            assert all(l2.contains(m * 64) for m in range(n - 3, n + 1))
+
+    def test_set_index_follows_the_block_size(self):
+        l2 = L2Cache(CacheConfig(size_bytes=4 * 128, associativity=1,
+                                 block_bytes=128, hit_latency=10))
+        for n in range(4):
+            l2.install(n * 128)  # one block in each of the four sets
+        assert len(l2) == 4
+        l2.install(4 * 128)  # back in set 0
+        assert not l2.contains(0)
+        assert all(l2.contains(n * 128) for n in range(1, 5))
+
 
 class L2Model:
     """The L2 as DESIGN section 9 describes it, one recency list per set.

@@ -112,6 +112,40 @@ class TestEdgeGeometries:
                     assert topo.hops(a, b) <= topo.hops(a, c) + topo.hops(c, b)
 
 
+def torus_distances(width: int, height: int, src: int) -> dict:
+    """Shortest paths from ``src`` over the torus's links, by breadth-first
+    search: each node links to its x and y neighbours, wrapping around."""
+    distance = {src: 0}
+    frontier = [src]
+    while frontier:
+        reached = []
+        for node in frontier:
+            x, y = node % width, node // width
+            for nx, ny in (((x + 1) % width, y), ((x - 1) % width, y),
+                           (x, (y + 1) % height), (x, (y - 1) % height)):
+                neighbour = ny * width + nx
+                if neighbour not in distance:
+                    distance[neighbour] = distance[node] + 1
+                    reached.append(neighbour)
+        frontier = reached
+    return distance
+
+
+@pytest.mark.parametrize("width,height", [
+    (1, 1), (1, 2), (1, 7), (2, 2), (2, 3), (2, 4), (3, 5), (4, 4), (4, 8),
+    (8, 8),
+])
+def test_hops_are_shortest_paths_over_the_links(width, height):
+    """``hops`` and the latency matrix agree with a search of the links."""
+    topo = torus(width=width, height=height, hop=7)
+    for src in range(topo.num_nodes):
+        distance = torus_distances(width, height, src)
+        assert len(distance) == topo.num_nodes
+        for dst in range(topo.num_nodes):
+            assert topo.hops(src, dst) == distance[dst]
+            assert topo.latency[src][dst] == 7 * distance[dst]
+
+
 class TestLatencyMatrix:
     """The one-way latency matrix the transaction engine reads."""
 

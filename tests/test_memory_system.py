@@ -5,7 +5,9 @@ import pytest
 from tests.conftest import tiny_config
 from repro.coherence.memory_system import MemorySystem
 from repro.coherence.messages import ConflictResolution, TransactionKind
+from repro.config import resolved_interconnect
 from repro.errors import SimulationError
+from repro.interconnect.topology import TorusTopology
 from repro.memory.block import CoherenceState
 
 
@@ -389,6 +391,78 @@ class TestExactLatencies:
         self._assert_record(out, start=0, completion=24, l2_hit=False)
         load = mem.access(0, BLOCK + 64 * 4, is_write=False, now=100)
         self._assert_record(load, start=100, completion=154, l2_hit=False)
+
+
+class TestHomeNodes:
+    """A block's directory home is its block index modulo the node count."""
+
+    @pytest.mark.parametrize("num_cores", (2, 4, 9, 16, 64))
+    def test_request_leg_reaches_the_home_node(self, num_cores):
+        mem = make_mem(num_cores=num_cores)
+        topo = TorusTopology(mem.config.interconnect)
+        hop = mem.config.interconnect.hop_latency
+        nodes = topo.num_nodes
+        for core in range(num_cores):
+            for home in range(nodes):
+                # A block of its own per (core, home) keeps every request
+                # a cold miss to an idle directory entry.
+                block = (core * nodes + home) * 64
+                out = mem.access(core, block, is_write=False, now=0)
+                assert out.record.start_time == topo.hops(core, home) * hop
+
+    def test_home_is_stable_within_a_block(self):
+        timings = set()
+        for offset in (0, 8, 63):
+            mem = make_mem(num_cores=4)
+            out = mem.access(3, BLOCK + offset, is_write=False, now=0)
+            assert out.record.block_address == BLOCK
+            timings.add((out.record.start_time, out.completion_time))
+        # Block 1000 is homed at node 0, two hops from core 3.
+        assert timings == {(20, 94)}
+        # The next block is homed at node 1, one hop from core 3.
+        out = make_mem(num_cores=4).access(3, BLOCK + 64, is_write=False,
+                                           now=0)
+        assert out.record.start_time == 10
+
+
+class TestContentionFreeNetwork:
+    """Every network leg costs its hops times the hop latency, however
+    many messages are in flight (DESIGN.md section 4)."""
+
+    @staticmethod
+    def _ring_mem() -> MemorySystem:
+        config = tiny_config().replace(
+            interconnect=resolved_interconnect(2, hop_latency=10))
+        return MemorySystem(config, record_transactions=True)
+
+    def test_concurrent_requests_to_one_home_are_not_delayed(self):
+        mem = self._ring_mem()
+        first = mem.access(1, BLOCK, is_write=False, now=0)
+        # One hop each way around the 1x2 ring; directory 4 + L2 10 +
+        # memory 40 at home 0.
+        assert (first.record.start_time, first.completion_time) == (10, 74)
+        # Another block with the same home, sent over the same link at
+        # the same time, pays exactly the same.
+        second = mem.access(1, BLOCK + 64 * 2, is_write=False, now=0)
+        assert (second.record.start_time, second.completion_time) == (10, 74)
+
+    def test_round_trip_is_twice_the_one_way_latency(self):
+        mem = make_mem(num_cores=16)
+        topo = TorusTopology(mem.config.interconnect)
+        for core in range(16):
+            # Every core misses on its own block, all homed at node 0.
+            out = mem.access(core, core * 16 * 64, is_write=False, now=0)
+            leg = topo.hops(core, 0) * 10
+            assert out.record.start_time == leg
+            assert out.completion_time == 2 * leg + 4 + 10 + 40
+
+    @pytest.mark.parametrize("hop", (0, 10, 25))
+    def test_cold_miss_scales_with_hop_latency(self, hop):
+        mem = make_mem(num_cores=4, hop_latency=hop)
+        out = mem.access(3, BLOCK, is_write=False, now=0)
+        # Core 3 is two hops from home 0 in each direction.
+        assert out.record.start_time == 2 * hop
+        assert out.completion_time == 4 * hop + 4 + 10 + 40
 
 
 class TestInvariants:

@@ -4,10 +4,13 @@ import pytest
 
 from repro.campaign import DEFAULT_REGISTRY, DirectoryBackend, derived
 from repro.cli import main
-from repro.config import resolved_interconnect
+from repro.config import InterconnectConfig, resolved_interconnect, small_config
 from repro.cpu.stats import BREAKDOWN_COMPONENTS
+from repro.engine.simulator import Simulator
+from repro.engine.system import build_system
 from repro.experiments import ExperimentSettings, scaling_study
 from repro.studies import StudyCell, StudyRunner, run_study
+from repro.workloads.registry import build_trace
 
 CORE_COUNTS = (2, 4)
 CONFIGS = ("sc", "invisi_sc")
@@ -99,6 +102,33 @@ class TestGeometryVariantCampaigns:
             assert serial.to_json() == parallel.to_json()
         finally:
             DEFAULT_REGISTRY.unregister(name)
+
+
+class TestInterconnectEndToEnd:
+    """The network's latency reaches a whole run's result."""
+
+    @staticmethod
+    def _run(interconnect, ops, seed):
+        trace = build_trace("false-sharing-storm", num_threads=4,
+                            ops_per_thread=ops, seed=seed)
+        config = small_config(num_cores=4).replace(interconnect=interconnect)
+        return Simulator(build_system(config, trace)).run(seed=seed)
+
+    def test_longer_hops_slow_contended_sharing(self):
+        runtimes = [self._run(resolved_interconnect(4, hop_latency=hop),
+                              ops=300, seed=5).runtime
+                    for hop in (20, 80)]
+        assert runtimes[1] > runtimes[0]
+
+    def test_ring_runs_are_deterministic(self):
+        ring = InterconnectConfig(mesh_width=1, mesh_height=4, hop_latency=20)
+        first = self._run(ring, ops=200, seed=9)
+        assert first.to_json() == self._run(ring, ops=200, seed=9).to_json()
+        # The ring's distances differ from the 2x2 torus's, and so does
+        # the run.
+        torus = self._run(resolved_interconnect(4, hop_latency=20),
+                          ops=200, seed=9)
+        assert first.runtime != torus.runtime
 
 
 class TestScalingCli:
