@@ -9,26 +9,22 @@ that substrate:
 * :mod:`repro.coherence.directory` -- full-map directory state (sharers,
   owner, per-block serialisation).
 * :mod:`repro.coherence.l2` -- shared L2 tag array used for hit/miss latency.
-* :mod:`repro.coherence.messages` -- transaction records for tracing/tests.
 * :mod:`repro.coherence.memory_system` -- the synchronous protocol engine
   that L1s/cores call into; it computes transaction latencies, applies
   global state changes, and performs InvisiFence conflict detection by
-  consulting the speculative bits of victim L1 blocks.
+  consulting the speculative bits of victim L1 blocks.  An enabled
+  recorder's ``dir.*`` instant is the only record of each transaction.
 """
 
 from .directory import Directory, DirectoryEntry
 from .l2 import L2Cache
-from .messages import AccessOutcome, ConflictResolution, TransactionKind, TransactionRecord
-from .memory_system import ExternalConflictListener, MemorySystem
+from .memory_system import AccessOutcome, ExternalConflictListener, MemorySystem
 
 __all__ = [
     "Directory",
     "DirectoryEntry",
     "L2Cache",
     "AccessOutcome",
-    "ConflictResolution",
-    "TransactionKind",
-    "TransactionRecord",
     "MemorySystem",
     "ExternalConflictListener",
 ]

@@ -25,6 +25,7 @@ driven and only state and timing matter.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..config import SystemConfig
@@ -36,24 +37,44 @@ from ..memory.cache import CacheArray
 from ..obs.recorder import COHERENCE_TID_BASE, active
 from .directory import Directory, DirectoryEntry
 from .l2 import L2Cache
-from .messages import AccessOutcome, ConflictResolution, TransactionKind, TransactionRecord
 
 
 _INVALID = CoherenceState.INVALID
 _SHARED = CoherenceState.SHARED
 _EXCLUSIVE = CoherenceState.EXCLUSIVE
 _MODIFIED = CoherenceState.MODIFIED
-_GETS = TransactionKind.GETS
-_GETM = TransactionKind.GETM
-_UPGRADE = TransactionKind.UPGRADE
+#: the recorder's event name for each transaction type (DESIGN section 6).
+_GETS = "dir.gets"
+_GETM = "dir.getm"
+_UPGRADE = "dir.upgrade"
+
+
+@dataclass
+class AccessOutcome:
+    """Result of an L1 access as seen by the requesting core."""
+
+    hit: bool
+    completion_time: int
+    state: CoherenceState
+    #: extra cycles the requester spent waiting for its own forced
+    #: speculation commit before a fill could evict a speculative block.
+    forced_commit_delay: int = 0
+
+    @property
+    def miss(self) -> bool:
+        return not self.hit
 
 
 class ExternalConflictListener(Protocol):
     """Interface a consistency controller exposes to the memory system."""
 
     def on_external_conflict(self, block_addr: int, is_write: bool,
-                             arrival_time: int) -> ConflictResolution:
-        """An external request conflicts with this core's speculation."""
+                             arrival_time: int) -> int:
+        """An external request conflicts with this core's speculation.
+
+        Returns the cycles the request is deferred: 0 when the core aborts
+        its speculation, and the commit-on-violate wait otherwise.
+        """
         ...  # pragma: no cover - protocol definition
 
     def forced_commit(self, now: int) -> int:
@@ -68,8 +89,8 @@ class ExternalConflictListener(Protocol):
 class MemorySystem:
     """Directory-coherent memory hierarchy shared by all cores."""
 
-    def __init__(self, config: SystemConfig, record_transactions: bool = False,
-                 fast_path: bool = True, recorder=None) -> None:
+    def __init__(self, config: SystemConfig, fast_path: bool = True,
+                 recorder=None) -> None:
         self._config = config
         #: one-way network latency, ``_net[src][dst]``: each leg of a
         #: transaction adds one entry (the network is contention-free).
@@ -92,7 +113,6 @@ class MemorySystem:
         self._forward_cost = config.directory_latency + config.l1.hit_latency
         self._prefetch_lead = config.store_prefetch_lead
         self._listeners: Dict[int, ExternalConflictListener] = {}
-        self._record = record_transactions
         self._block_mask = block_mask(config.block_bytes)
         self._block_bytes = config.block_bytes
         self._num_nodes = config.interconnect.num_nodes
@@ -103,9 +123,9 @@ class MemorySystem:
         self._fast = fast_path
         #: observability slot: ``None`` (telemetry off) or an enabled
         #: recorder, checked with a single ``if``.  Only the transaction
-        #: engine hooks it, never the hit paths.
+        #: engine hooks it, never the hit paths; its ``dir.*`` instant is
+        #: the only record of a transaction's history.
         self._obs = active(recorder)
-        self.transactions: List[TransactionRecord] = []
         # simple per-core counters
         self.l1_hits = [0] * config.num_cores
         self.l1_misses = [0] * config.num_cores
@@ -160,7 +180,6 @@ class MemorySystem:
         could evict a speculative block.  When ``spec_checkpoint`` is given
         the access is speculative and the block's speculatively-read /
         speculatively-written bit is set, tagged with that checkpoint id.
-        Only a coherence transaction with recording on builds a record.
         """
         baddr = addr & self._block_mask
         block = self._l1_lines[core_id].get(baddr)
@@ -193,22 +212,18 @@ class MemorySystem:
                spec_checkpoint: Optional[int] = None) -> AccessOutcome:
         """:meth:`request`, described by an :class:`AccessOutcome`.
 
-        For analysis and tests: the outcome carries whether the access hit,
-        the requester's resulting block state and, when transaction
-        recording is on, the transaction's record.  The simulator itself
+        For analysis and tests: the outcome carries whether the access hit
+        and the requester's resulting block state.  The simulator itself
         calls :meth:`request`.
         """
         l1 = self._l1s[core_id]
         hit = l1.is_writable(addr) if is_write else l1.contains(addr)
-        recorded = len(self.transactions)
         completion, forced = self.request(core_id, addr, is_write, now,
                                           spec_checkpoint)
-        record = (self.transactions[-1] if len(self.transactions) > recorded
-                  else None)
         block = l1.lookup(addr, touch=False)
         return AccessOutcome(hit=hit, completion_time=completion,
                              state=block.state if block is not None else _INVALID,
-                             forced_commit_delay=forced, record=record)
+                             forced_commit_delay=forced)
 
     # -- hit probes -----------------------------------------------------------
     #
@@ -303,10 +318,13 @@ class MemorySystem:
     # (_evict), and the listener hooks (conflicts, forced commit) are
     # calls.
 
-    def _transaction(self, core_id: int, baddr: int, kind: TransactionKind,
+    def _transaction(self, core_id: int, baddr: int, event: str,
                      is_write: bool, now: int,
                      spec_checkpoint: Optional[int]) -> Tuple[int, int]:
-        """Run one coherence transaction; see :meth:`request` for the result."""
+        """Run one coherence transaction; see :meth:`request` for the result.
+
+        ``event`` names the transaction's ``dir.*`` instant.
+        """
         home = (baddr // self._block_bytes) % self._num_nodes
         entry = self._dir_entries.get(baddr)
         if entry is None:
@@ -331,28 +349,12 @@ class MemorySystem:
         bit = 1 << core_id
         sharers = entry.sharers & ~bit
 
-        if self._obs is not None:
-            self._obs.count("coherence.transactions")
-            self._obs.sim_instant(
-                COHERENCE_TID_BASE + core_id, f"dir.{kind.name.lower()}",
-                start, {"block": hex(baddr), "home": home})
-
-        # Record objects are for analysis only; skip building them (two list
-        # allocations each) unless transaction recording is on.
-        record = None
-        if self._record:
-            record = TransactionRecord(kind=kind, requester=core_id,
-                                       block_address=baddr, issue_time=now,
-                                       start_time=start, completion_time=start)
-
         owner = entry.owner
         if owner is not None:
             # Three-hop: forward to the owner.  The probe leg home -> owner
             # is one physical message; its arrival anchors both conflict
             # detection and the forwarded data response.
             assert owner != core_id
-            if record is not None:
-                record.forwarded_from_owner = owner
             probe_arrival = start + net[home][owner]
             completion = (probe_arrival + self._forward_cost
                           + net[owner][core_id])
@@ -362,13 +364,8 @@ class MemorySystem:
                 # an external read only with the speculatively-written one.
                 if owner_block.spec_written is not None or (
                         is_write and owner_block.spec_read is not None):
-                    delay = self._resolve_conflict(owner, baddr, is_write,
-                                                   probe_arrival)
-                    completion += delay
-                    if record is not None:
-                        record.conflicts.append(owner)
-                        record.deferred_cycles = max(record.deferred_cycles,
-                                                     delay)
+                    completion += self._resolve_conflict(owner, baddr, is_write,
+                                                         probe_arrival)
                 if is_write:
                     owner_block.invalidate()
                 else:
@@ -386,42 +383,27 @@ class MemorySystem:
                                   else self._l2_miss_cost) + net[home][core_id]
             if not l2_hit:
                 self._l2.install(baddr)
-        if record is not None:
-            record.l2_hit = l2_hit
 
-        if is_write and sharers:
-            # Invalidate every sharer in parallel, in ascending core order
-            # (lowest set bit first); the last ack sets the completion.  The
-            # requester's own bit is clear, so every set bit is another core.
-            fanout = 0
-            pending = sharers
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                sharer = low.bit_length() - 1
-                fanout += 1
-                if record is not None:
-                    record.invalidated_sharers.append(sharer)
-                arrival = start + net[home][sharer]
-                ack = arrival + net[sharer][core_id]
-                sharer_block = l1_lines[sharer].get(baddr)
-                if sharer_block is not None \
-                        and sharer_block.state is not _INVALID:
-                    if sharer_block.spec_read is not None \
-                            or sharer_block.spec_written is not None:
-                        delay = self._resolve_conflict(sharer, baddr, True,
-                                                       arrival)
-                        ack += delay
-                        if record is not None:
-                            record.conflicts.append(sharer)
-                            record.deferred_cycles = max(
-                                record.deferred_cycles, delay)
-                    sharer_block.invalidate()
-                if ack > completion:
-                    completion = ack
-            if self._obs is not None and fanout:
-                self._obs.count("coherence.invalidations", fanout)
-                self._obs.observe("coherence.inval_fanout", fanout)
+        # A write invalidates every other sharer in parallel, in ascending
+        # core order (lowest set bit first); the last ack sets the
+        # completion.  The requester's own bit is clear, so every set bit
+        # is another core.
+        invalidated = sharers if is_write else 0
+        pending = invalidated
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            sharer = low.bit_length() - 1
+            arrival = start + net[home][sharer]
+            ack = arrival + net[sharer][core_id]
+            sharer_block = l1_lines[sharer].get(baddr)
+            if sharer_block is not None and sharer_block.state is not _INVALID:
+                if sharer_block.spec_read is not None \
+                        or sharer_block.spec_written is not None:
+                    ack += self._resolve_conflict(sharer, baddr, True, arrival)
+                sharer_block.invalidate()
+            if ack > completion:
+                completion = ack
 
         # Directory occupancy for the next transaction to this block.
         entry.busy_until = start + self._dir_latency
@@ -475,22 +457,33 @@ class MemorySystem:
             earliest = now + self._hit_latency + forced_delay
             completion = max(earliest, completion - self._prefetch_lead)
 
-        if record is not None:
-            record.completion_time = completion
-            self.transactions.append(record)
         if entry.owner is not None and sharers:
             entry.check()  # raises: single writer or multiple readers
+        if self._obs is not None:
+            # The transaction's whole history, as one instant at its start:
+            # one core's store misses overlap in time, so spans on its
+            # track would not nest.
+            ids = [sharer for sharer in range(invalidated.bit_length())
+                   if invalidated >> sharer & 1]
+            self._obs.count("coherence.transactions")
+            if ids:
+                self._obs.count("coherence.invalidations", len(ids))
+                self._obs.observe("coherence.inval_fanout", len(ids))
+            self._obs.sim_instant(
+                COHERENCE_TID_BASE + core_id, event, start,
+                {"block": hex(baddr), "home": home, "issue": now,
+                 "done": completion, "l2_hit": l2_hit, "owner": owner,
+                 "invalidated": ids})
         return completion, forced_delay
 
     def _resolve_conflict(self, victim: int, baddr: int, is_write: bool,
                           arrival: int) -> int:
-        """Ask the victim's controller how to resolve a speculative conflict."""
+        """Ask the victim's controller how long it defers the request."""
         self.conflicts_detected += 1
         listener = self._listeners.get(victim)
         if listener is None:
             return 0
-        resolution = listener.on_external_conflict(baddr, is_write, arrival)
-        return max(0, resolution.extra_delay)
+        return max(0, listener.on_external_conflict(baddr, is_write, arrival))
 
     def _evict(self, core_id: int, victim) -> None:
         """Update directory/L2 state when an L1 block is evicted."""

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from ..coherence.messages import ConflictResolution
 from ..config import SystemConfig
 from ..cpu.store_buffer import CoalescingStoreBuffer, StoreBufferBase, make_store_buffer
 from ..errors import SimulationError
@@ -118,9 +117,9 @@ class ConsistencyController:
     # ------------------------------------------------------------------
 
     def on_external_conflict(self, block_addr: int, is_write: bool,
-                             arrival_time: int) -> ConflictResolution:
+                             arrival_time: int) -> int:
         """Non-speculative controllers never have speculative conflicts."""
-        return ConflictResolution(extra_delay=0)
+        return 0
 
     def forced_commit(self, now: int) -> int:
         """Non-speculative controllers never pin blocks speculatively."""
@@ -253,9 +252,7 @@ class ConsistencyController:
                                           spec_checkpoint)
         if completion is None:
             return self._store_miss(op, now, spec_checkpoint)
-        self.sb.add_store(op.address, now, completion,
-                          speculative=spec_checkpoint is not None,
-                          checkpoint_id=spec_checkpoint)
+        self.sb.add_store(op.address, now, completion, spec_checkpoint)
         self.stats.busy += RETIRE_CYCLES
         return now + RETIRE_CYCLES
 
@@ -279,9 +276,7 @@ class ConsistencyController:
             # request() returns a forced-commit delay >= 0, so this is > 0.
             stats.sb_drain += forced
             now += forced
-        sb.add_store(op.address, now, completion,
-                     speculative=spec_checkpoint is not None,
-                     checkpoint_id=spec_checkpoint)
+        sb.add_store(op.address, now, completion, spec_checkpoint)
         stats.busy += RETIRE_CYCLES
         return now + RETIRE_CYCLES
 
@@ -294,9 +289,7 @@ class ConsistencyController:
         # A speculative store to a dirty block waits for the cleaning
         # writeback inside the store buffer.
         now = self._wait_for_sb_slot(now)
-        self.sb.add_store(op.address, now, completion,
-                          speculative=spec_checkpoint is not None,
-                          checkpoint_id=spec_checkpoint)
+        self.sb.add_store(op.address, now, completion, spec_checkpoint)
         self.stats.busy += RETIRE_CYCLES
         return now + RETIRE_CYCLES
 
@@ -349,8 +342,7 @@ class ConsistencyController:
         if forced:
             self._account("sb_drain", forced)
             now += forced
-        self.sb.add_store(op.address, now, completion,
-                          speculative=True, checkpoint_id=spec_checkpoint)
+        self.sb.add_store(op.address, now, completion, spec_checkpoint)
         self._account("busy", 2 * RETIRE_CYCLES)
         return now + 2 * RETIRE_CYCLES
 
@@ -361,8 +353,7 @@ class ConsistencyController:
             self._account("busy", 2 * RETIRE_CYCLES)
             return now + 2 * RETIRE_CYCLES
         now = self._wait_for_sb_slot(now)
-        self.sb.add_store(op.address, now, completion,
-                          speculative=True, checkpoint_id=spec_checkpoint)
+        self.sb.add_store(op.address, now, completion, spec_checkpoint)
         self._account("busy", 2 * RETIRE_CYCLES)
         return now + 2 * RETIRE_CYCLES
 

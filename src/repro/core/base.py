@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-from ..coherence.messages import ConflictResolution
 from ..consistency.base import ConsistencyController
 from ..config import ViolationPolicy
 from ..errors import SpeculationError
@@ -266,13 +265,16 @@ class SpeculativeController(ConsistencyController):
     # ------------------------------------------------------------------
 
     def on_external_conflict(self, block_addr: int, is_write: bool,
-                             arrival_time: int) -> ConflictResolution:
-        """Resolve an external request that conflicts with our speculation."""
+                             arrival_time: int) -> int:
+        """Resolve an external request that conflicts with our speculation.
+
+        Returns the cycles the request is deferred: 0 for an abort.
+        """
         if not self.speculating:
-            return ConflictResolution(extra_delay=0)
+            return 0
         target = self._conflict_checkpoint(block_addr)
         if target is None:
-            return ConflictResolution(extra_delay=0)
+            return 0
 
         if (self.spec_config.violation_policy is ViolationPolicy.COMMIT_ON_VIOLATE
                 or self._defer_conflicts_until_commit):
@@ -282,21 +284,25 @@ class SpeculativeController(ConsistencyController):
         self._events.schedule(
             arrival_time, self._deferred_abort,
             (self._spec_epoch, target.checkpoint_id, False, cause))
-        return ConflictResolution(extra_delay=0, aborted=True)
+        return 0
 
     def _resolve_commit_on_violate(self, target: Checkpoint,
-                                   arrival_time: int) -> ConflictResolution:
-        """Defer the request while we try to commit (CoV, Section 3.2)."""
+                                   arrival_time: int) -> int:
+        """Defer the request while we try to commit (CoV, Section 3.2).
+
+        Returns the deferral: until the store buffer drains, or until the
+        CoV timeout when the drain would take longer.
+        """
         ready = max(arrival_time, self.sb.drain_time(arrival_time))
         deadline = arrival_time + self.spec_config.cov_timeout
         epoch = self._spec_epoch
         if ready <= deadline:
             self._events.schedule(ready, self._cov_commit, (epoch, deadline))
-            return ConflictResolution(extra_delay=ready - arrival_time, deferred=True)
+            return ready - arrival_time
         self._events.schedule(
             deadline, self._deferred_abort,
             (epoch, target.checkpoint_id, True, "cov-timeout"))
-        return ConflictResolution(extra_delay=deadline - arrival_time, deferred=True)
+        return deadline - arrival_time
 
     def _conflict_checkpoint(self, block_addr: int) -> Optional[Checkpoint]:
         """Pick the checkpoint that must roll back for a conflict on a block.

@@ -50,9 +50,13 @@ class StoreBufferEntry:
     #: time at which the entry leaves the buffer (its write permission has
     #: arrived and, in a FIFO, every older entry has left).
     release_time: int
-    speculative: bool = False
     #: id of the checkpoint/chunk that issued the store, if speculative.
     checkpoint_id: Optional[int] = None
+
+    @property
+    def speculative(self) -> bool:
+        """True while the store belongs to an uncommitted checkpoint."""
+        return self.checkpoint_id is not None
 
 
 class StoreBufferBase:
@@ -136,9 +140,11 @@ class StoreBufferBase:
     # -- insertion -------------------------------------------------------------
 
     def add_store(self, addr: int, now: int, completion_time: int,
-                  speculative: bool = False,
                   checkpoint_id: Optional[int] = None) -> int:
         """Insert a store; return its release time.
+
+        A store with a ``checkpoint_id`` is speculative: it belongs to that
+        checkpoint until a commit or an abort.
 
         The caller must have checked capacity first.  One pass: drop the
         entries released at or before ``now`` (the physical cleanup, done
@@ -210,8 +216,7 @@ class FIFOStoreBuffer(StoreBufferBase):
 
     def entries(self, now: Optional[int] = None) -> List[StoreBufferEntry]:
         first = 0 if now is None else bisect_right(self.releases, now)
-        return [StoreBufferEntry(address, release, checkpoint is not None,
-                                 checkpoint)
+        return [StoreBufferEntry(address, release, checkpoint)
                 for address, release, checkpoint in zip(
                     self._addresses[first:], self.releases[first:],
                     self._checkpoints[first:])]
@@ -243,7 +248,6 @@ class FIFOStoreBuffer(StoreBufferBase):
                 checkpoints[i] = None
 
     def add_store(self, addr: int, now: int, completion_time: int,
-                  speculative: bool = False,
                   checkpoint_id: Optional[int] = None) -> int:
         # FIFO ordering: an entry can only be released after every older
         # entry has been released, so the release time is the running
@@ -262,11 +266,9 @@ class FIFOStoreBuffer(StoreBufferBase):
             release = now
         if len(releases) >= self.capacity:
             raise StoreBufferError("FIFO store buffer overflow; check is_full first")
-        if speculative and checkpoint_id is None:
-            raise StoreBufferError("a speculative store needs its checkpoint id")
         releases.append(release)
         self._addresses.append(addr & self._address_mask)
-        self._checkpoints.append(checkpoint_id if speculative else None)
+        self._checkpoints.append(checkpoint_id)
         self.total_inserted += 1
         if release > self.max_release:
             self.max_release = release
@@ -310,7 +312,7 @@ class CoalescingStoreBuffer(StoreBufferBase):
 
     def drain_time_for_checkpoint(self, checkpoint_id: int, now: int) -> int:
         times = [e.release_time for e in self._live(now)
-                 if e.speculative and e.checkpoint_id == checkpoint_id]
+                 if e.checkpoint_id == checkpoint_id]
         return max(times) if times else now
 
     def has_block(self, addr: int, now: int) -> bool:
@@ -330,7 +332,7 @@ class CoalescingStoreBuffer(StoreBufferBase):
         before = len(self._entries)
         self._entries = [
             e for e in self._entries
-            if not (e.speculative and e.release_time > now
+            if not (e.checkpoint_id is not None and e.release_time > now
                     and (checkpoint_id is None
                          or e.checkpoint_id == checkpoint_id))]
         dropped = before - len(self._entries)
@@ -343,26 +345,27 @@ class CoalescingStoreBuffer(StoreBufferBase):
     def mark_all_non_speculative(self, now: int,
                                  checkpoint_id: Optional[int] = None) -> None:
         for entry in self._entries:
-            if entry.speculative and (checkpoint_id is None
-                                      or entry.checkpoint_id == checkpoint_id):
-                entry.speculative = False
+            if checkpoint_id is None or entry.checkpoint_id == checkpoint_id:
                 entry.checkpoint_id = None
 
     def add_store(self, addr: int, now: int, completion_time: int,
-                  speculative: bool = False,
                   checkpoint_id: Optional[int] = None) -> int:
         """Coalesce into a live entry of the same block and kind, or insert.
 
-        The scan that looks for the entry to coalesce into also collects
-        the live entries; a coalescing store returns before the purge, so
-        only an insertion drops released entries.
+        Speculative stores coalesce into the block's speculative entry,
+        whatever its checkpoint; non-speculative ones into its
+        non-speculative entry.  The scan that looks for the entry to
+        coalesce into also collects the live entries; a coalescing store
+        returns before the purge, so only an insertion drops released
+        entries.
         """
         baddr = addr & self._address_mask
+        speculative = checkpoint_id is not None
         live = []
         for existing in self._entries:
             if existing.release_time > now:
                 if existing.address == baddr \
-                        and existing.speculative == speculative:
+                        and (existing.checkpoint_id is not None) == speculative:
                     # Coalesce: the entry's lifetime covers the latest
                     # completion.
                     self.coalesced += 1
@@ -378,8 +381,7 @@ class CoalescingStoreBuffer(StoreBufferBase):
             )
         # Positional, in field order: keyword arguments would make the
         # dataclass call about twice as slow.
-        live.append(StoreBufferEntry(baddr, completion_time, speculative,
-                                     checkpoint_id))
+        live.append(StoreBufferEntry(baddr, completion_time, checkpoint_id))
         self.total_inserted += 1
         self._entries = live
         if completion_time > self.max_release:

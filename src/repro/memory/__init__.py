@@ -12,12 +12,10 @@ protocol and the processor model:
   relies on for constant-time commit and abort.
 """
 
-from .address import Address
 from .block import CacheBlock, CoherenceState
 from .cache import CacheArray
 
 __all__ = [
-    "Address",
     "CacheBlock",
     "CoherenceState",
     "CacheArray",

@@ -13,8 +13,6 @@ from ..errors import ConfigurationError
 #: Word size used by the word-granularity FIFO store buffers (bytes).
 WORD_BYTES = 8
 
-Address = int
-
 
 def block_mask(block_bytes: int) -> int:
     """Validated AND-mask that maps a byte address to its block address.

@@ -63,14 +63,6 @@ class CacheBlock:
         """True when either speculative bit is set."""
         return self.spec_read is not None or self.spec_written is not None
 
-    def conflicts_with_external_write(self) -> bool:
-        """An external write (invalidation) conflicts if we read or wrote it."""
-        return self.speculative
-
-    def conflicts_with_external_read(self) -> bool:
-        """An external read conflicts only if we speculatively wrote it."""
-        return self.spec_written is not None
-
     def speculation_ids(self) -> set:
         """Identifiers of all checkpoints that touched this block."""
         ids = set()

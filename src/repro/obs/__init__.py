@@ -8,13 +8,12 @@ the hook-site inventory.
 
 from .export import (TELEMETRY_SCHEMA_VERSION, chrome_trace, format_profile,
                      telemetry_payload, write_chrome_trace, write_telemetry)
-from .recorder import (COHERENCE_TID_BASE, NULL_RECORDER, PID_CAMPAIGN,
-                       PID_SIM, InstantEvent, NullRecorder, Recorder,
-                       SpanEvent, TraceRecorder, active)
+from .recorder import (COHERENCE_TID_BASE, PID_CAMPAIGN, PID_SIM,
+                       InstantEvent, NullRecorder, Recorder, SpanEvent,
+                       TraceRecorder, active)
 
 __all__ = [
     "COHERENCE_TID_BASE",
-    "NULL_RECORDER",
     "PID_CAMPAIGN",
     "PID_SIM",
     "TELEMETRY_SCHEMA_VERSION",

@@ -14,7 +14,9 @@ exporter targets:
 * **histograms** -- named value distributions (:meth:`Recorder.observe`),
   e.g. the invalidation fan-out of each directory write;
 * **spans and instants** -- timestamped intervals / points on a
-  ``(pid, tid)`` track.  Two timebases coexist: ``PID_SIM`` tracks carry
+  ``(pid, tid)`` track (:meth:`Recorder.sim_span`,
+  :meth:`Recorder.sim_instant`, :meth:`Recorder.wall_span`).  Two
+  timebases coexist: ``PID_SIM`` tracks carry
   *simulated-cycle* timestamps (speculation episodes, drain stalls,
   directory transactions), ``PID_CAMPAIGN`` tracks carry *wall-clock*
   microseconds relative to the recorder's creation (per-job campaign
@@ -91,17 +93,7 @@ class Recorder:
     def observe(self, name: str, value: int) -> None:
         """Record one sample of the named distribution."""
 
-    # -- spans and instants ------------------------------------------------
-
-    def span(self, pid: int, tid: int, name: str, ts: int, dur: int,
-             args: Optional[Dict[str, Any]] = None) -> None:
-        """Record a closed interval ``[ts, ts + dur]`` on ``(pid, tid)``."""
-
-    def instant(self, pid: int, tid: int, name: str, ts: int,
-                args: Optional[Dict[str, Any]] = None) -> None:
-        """Record a point event on ``(pid, tid)``."""
-
-    # -- timebase helpers --------------------------------------------------
+    # -- spans and instants, one method per timebase ---------------------
 
     def sim_span(self, tid: int, name: str, start: int, end: int,
                  args: Optional[Dict[str, Any]] = None) -> None:
@@ -115,10 +107,6 @@ class Recorder:
                   args: Optional[Dict[str, Any]] = None) -> None:
         """A span on the wall-clock timebase (``time.time()`` seconds)."""
 
-    def wall_instant(self, tid: int, name: str,
-                     args: Optional[Dict[str, Any]] = None) -> None:
-        """An instant on the wall-clock timebase, stamped *now*."""
-
 
 class NullRecorder(Recorder):
     """The default recorder: records nothing, costs nothing.
@@ -127,10 +115,6 @@ class NullRecorder(Recorder):
     passing ``None``: :func:`active` strips it before any hook site can
     see it.
     """
-
-
-#: Shared default instance (recorders carry no state when disabled).
-NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder(Recorder):
@@ -165,17 +149,7 @@ class TraceRecorder(Recorder):
             hist = self.histograms[name] = Counter()
         hist[value] += 1
 
-    # -- spans and instants ------------------------------------------------
-
-    def span(self, pid: int, tid: int, name: str, ts: int, dur: int,
-             args: Optional[Dict[str, Any]] = None) -> None:
-        self.spans.append(SpanEvent(pid, tid, name, ts, dur, args))
-
-    def instant(self, pid: int, tid: int, name: str, ts: int,
-                args: Optional[Dict[str, Any]] = None) -> None:
-        self.instants.append(InstantEvent(pid, tid, name, ts, args))
-
-    # -- timebase helpers --------------------------------------------------
+    # -- spans and instants, one method per timebase ---------------------
 
     def sim_span(self, tid: int, name: str, start: int, end: int,
                  args: Optional[Dict[str, Any]] = None) -> None:
@@ -195,11 +169,6 @@ class TraceRecorder(Recorder):
         self.spans.append(SpanEvent(PID_CAMPAIGN, tid, name, start,
                                     max(0, self._wall_us(end_s) - start),
                                     args))
-
-    def wall_instant(self, tid: int, name: str,
-                     args: Optional[Dict[str, Any]] = None) -> None:
-        self.instants.append(InstantEvent(PID_CAMPAIGN, tid, name,
-                                          self._wall_us(time.time()), args))
 
 
 def active(recorder: Optional[Recorder]) -> Optional[Recorder]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import sqlite3
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -25,6 +25,7 @@ from repro.config import (
 )
 from repro.engine.simulator import Simulator
 from repro.engine.system import System, build_system
+from repro.obs import COHERENCE_TID_BASE, TraceRecorder
 from repro.trace.ops import MemOp
 from repro.trace.trace import MultiThreadedTrace, Trace
 
@@ -129,6 +130,19 @@ def block_addr(index: int) -> int:
     return index * 64
 
 
+def dir_transactions(recorder: TraceRecorder) -> List[Dict[str, Any]]:
+    """The coherence transactions ``recorder`` saw, in the order they ran.
+
+    One dict per ``dir.*`` instant: the instant's args (``block``,
+    ``home``, ``issue``, ``done``, ``l2_hit``, ``owner``, ``invalidated``)
+    plus its ``name`` (``dir.gets``, ``dir.getm`` or ``dir.upgrade``),
+    the requesting ``core`` and ``start``, the instant's timestamp.
+    """
+    return [dict(inst.args, name=inst.name, start=inst.ts,
+                 core=inst.tid - COHERENCE_TID_BASE)
+            for inst in recorder.instants if inst.name.startswith("dir.")]
+
+
 # ---------------------------------------------------------------------------
 # The engine grid: every registered config on three workloads
 # ---------------------------------------------------------------------------
@@ -191,10 +205,16 @@ def invisi_rmo_config() -> SystemConfig:
     return selective_config(ConsistencyModel.RMO)
 
 
-@pytest.fixture
-def sqlite_connections(monkeypatch) -> Tuple[List, List]:
-    """``(opened, closed)``: every sqlite connection the test opens, and
-    those it closed, recorded through a wrapped ``sqlite3.connect``."""
+@pytest.fixture(autouse=True)
+def sqlite_guard(monkeypatch):
+    """Fail any test that leaves a sqlite connection open in this process.
+
+    Wraps ``sqlite3.connect`` for the test and yields ``(opened, closed)``:
+    every connection the test opened, and those it closed.  Only
+    Python 3.13 warns about an unclosed connection, so the guard checks
+    on every version; it closes what the test left open, then fails it.
+    Connections opened in child processes are not seen.
+    """
     opened: List = []
     closed: List = []
     real_connect = sqlite3.connect
@@ -210,4 +230,18 @@ def sqlite_connections(monkeypatch) -> Tuple[List, List]:
         return conn
 
     monkeypatch.setattr(sqlite3, "connect", connect)
-    return opened, closed
+    yield opened, closed
+    closed_ids = {id(conn) for conn in closed}
+    left_open = [conn for conn in opened if id(conn) not in closed_ids]
+    for conn in left_open:
+        conn.close()
+    if left_open:
+        pytest.fail(f"the test left {len(left_open)} of its "
+                    f"{len(opened)} sqlite connection(s) open")
+
+
+@pytest.fixture
+def sqlite_connections(sqlite_guard) -> Tuple[List, List]:
+    """``(opened, closed)``: every sqlite connection the test opens, and
+    those it closed, as :func:`sqlite_guard` records them."""
+    return sqlite_guard

@@ -26,8 +26,7 @@ class TestScalableStoreBuffer:
     def test_commit_drain_latency_scales_with_store_count(self):
         ssb = ScalableStoreBuffer(drain_cycles_per_store=2)
         for i in range(5):
-            ssb.add_store(i * 8, now=0, completion_time=10_000, speculative=True,
-                          checkpoint_id=1)
+            ssb.add_store(i * 8, now=0, completion_time=10_000, checkpoint_id=1)
         assert ssb.speculative_store_count(0) == 5
         assert ssb.commit_drain_latency(0) == 10
         assert ssb.commit_drains == 1
@@ -35,7 +34,7 @@ class TestScalableStoreBuffer:
 
     def test_non_speculative_stores_not_counted(self):
         ssb = ScalableStoreBuffer()
-        ssb.add_store(0, 0, 10_000, speculative=False)
+        ssb.add_store(0, 0, 10_000)
         assert ssb.speculative_store_count(0) == 0
 
 

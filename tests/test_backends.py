@@ -71,7 +71,8 @@ BACKENDS = {"dir": _dir_backend, "sqlite": _sqlite_backend}
 
 @pytest.fixture(params=sorted(BACKENDS))
 def backend(request, tmp_path):
-    return BACKENDS[request.param](tmp_path)
+    with BACKENDS[request.param](tmp_path) as opened:
+        yield opened
 
 
 class TestBackendConformance:
@@ -117,10 +118,10 @@ class TestBackendConformance:
         """``label`` reads ``scheme:location``; that URL reopens the store."""
         backend.put(KEYS[0], tiny_result)
         scheme, _, location = backend.label.partition(":")
-        reopened = backend_from_url(f"{scheme}://{location}")
-        assert type(reopened) is type(backend)
-        assert reopened.label == backend.label
-        assert reopened.get(KEYS[0]).to_dict() == tiny_result.to_dict()
+        with backend_from_url(f"{scheme}://{location}") as reopened:
+            assert type(reopened) is type(backend)
+            assert reopened.label == backend.label
+            assert reopened.get(KEYS[0]).to_dict() == tiny_result.to_dict()
 
     def test_clear_removes_everything(self, backend, tiny_result):
         for key in KEYS[:3]:
@@ -222,11 +223,11 @@ class TestDirectoryBackend:
 
 def _sqlite_writer(args):
     path, text, start = args
-    backend = SqliteBackend(path)
     result = RunResult.from_json(text)
-    for n in range(start, start + 10):
-        backend.put("%064x" % n, result)
-    backend.put("f" * 64, result)  # every writer races on this one
+    with SqliteBackend(path) as backend:
+        for n in range(start, start + 10):
+            backend.put("%064x" % n, result)
+        backend.put("f" * 64, result)  # every writer races on this one
 
 
 class TestSqliteBackend:
@@ -236,71 +237,73 @@ class TestSqliteBackend:
         text = tiny_result.to_json()
         with multiprocessing.Pool(4) as pool:
             pool.map(_sqlite_writer, [(path, text, n * 10) for n in range(4)])
-        backend = SqliteBackend(path)
-        assert len(backend) == 41  # 4 x 10 distinct + 1 contended
-        assert backend.get("f" * 64).to_dict() == tiny_result.to_dict()
-        for n in range(40):
-            assert backend.contains("%064x" % n)
+        with SqliteBackend(path) as backend:
+            assert len(backend) == 41  # 4 x 10 distinct + 1 contended
+            assert backend.get("f" * 64).to_dict() == tiny_result.to_dict()
+            for n in range(40):
+                assert backend.contains("%064x" % n)
 
     def test_survives_reopen(self, tmp_path, tiny_result):
         path = tmp_path / "c.sqlite"
-        SqliteBackend(path).put(KEYS[0], tiny_result)
-        reopened = SqliteBackend(path)
-        assert reopened.get(KEYS[0]).to_dict() == tiny_result.to_dict()
+        with SqliteBackend(path) as backend:
+            backend.put(KEYS[0], tiny_result)
+        with SqliteBackend(path) as reopened:
+            assert reopened.get(KEYS[0]).to_dict() == tiny_result.to_dict()
 
     def test_busy_past_retry_budget_is_a_clear_error(self, tmp_path,
                                                      tiny_result):
         """A writer locked out past every retry raises; nothing is stored."""
         path = tmp_path / "busy.sqlite"
-        backend = SqliteBackend(path, timeout=0.05)
-        assert not backend.contains(KEYS[0])  # creates the schema
-        blocker = sqlite3.connect(path, isolation_level=None)
-        try:
-            blocker.execute("BEGIN IMMEDIATE")
-            with pytest.raises(sqlite3.OperationalError,
-                               match="database is locked"):
-                backend.put(KEYS[0], tiny_result)
-        finally:
-            blocker.execute("ROLLBACK")
-            blocker.close()
-        assert not backend.contains(KEYS[0])
-        assert len(backend) == 0
+        with SqliteBackend(path, timeout=0.05) as backend:
+            assert not backend.contains(KEYS[0])  # creates the schema
+            blocker = sqlite3.connect(path, isolation_level=None)
+            try:
+                blocker.execute("BEGIN IMMEDIATE")
+                with pytest.raises(sqlite3.OperationalError,
+                                   match="database is locked"):
+                    backend.put(KEYS[0], tiny_result)
+            finally:
+                blocker.execute("ROLLBACK")
+                blocker.close()
+            assert not backend.contains(KEYS[0])
+            assert len(backend) == 0
 
     def test_claim_busy_past_retry_budget_is_a_clear_error(self, tmp_path):
         """A locked-out claim raises rather than answering "new" or "held"."""
         path = tmp_path / "busy.sqlite"
-        backend = SqliteBackend(path, timeout=0.05)
-        assert backend.lease_owner(KEYS[0]) is None  # creates the schema
-        blocker = sqlite3.connect(path, isolation_level=None)
-        try:
-            blocker.execute("BEGIN IMMEDIATE")
-            with pytest.raises(sqlite3.OperationalError,
-                               match="database is locked"):
-                backend.try_claim(KEYS[0], "w1", ttl=60.0)
-        finally:
-            blocker.execute("ROLLBACK")
-            blocker.close()
-        assert backend.lease_owner(KEYS[0]) is None
-        assert backend.try_claim(KEYS[0], "w1", ttl=60.0) == "new"
+        with SqliteBackend(path, timeout=0.05) as backend:
+            assert backend.lease_owner(KEYS[0]) is None  # creates the schema
+            blocker = sqlite3.connect(path, isolation_level=None)
+            try:
+                blocker.execute("BEGIN IMMEDIATE")
+                with pytest.raises(sqlite3.OperationalError,
+                                   match="database is locked"):
+                    backend.try_claim(KEYS[0], "w1", ttl=60.0)
+            finally:
+                blocker.execute("ROLLBACK")
+                blocker.close()
+            assert backend.lease_owner(KEYS[0]) is None
+            assert backend.try_claim(KEYS[0], "w1", ttl=60.0) == "new"
 
     def test_readers_proceed_under_a_held_write_lock(self, tmp_path,
                                                      tiny_result):
         """WAL mode: a peer's open write transaction blocks no reader."""
         path = tmp_path / "wal.sqlite"
-        backend = SqliteBackend(path, timeout=0.05)
-        backend.put(KEYS[0], tiny_result)
-        blocker = sqlite3.connect(path, isolation_level=None)
-        try:
-            assert blocker.execute("PRAGMA journal_mode").fetchone()[0] == \
-                "wal"
-            blocker.execute("BEGIN IMMEDIATE")
-            blocker.execute("DELETE FROM entries")  # uncommitted
-            assert backend.get(KEYS[0]).to_dict() == tiny_result.to_dict()
-            assert backend.contains(KEYS[0])
-            assert len(backend) == 1
-        finally:
-            blocker.execute("ROLLBACK")
-            blocker.close()
+        with SqliteBackend(path, timeout=0.05) as backend:
+            backend.put(KEYS[0], tiny_result)
+            blocker = sqlite3.connect(path, isolation_level=None)
+            try:
+                assert blocker.execute(
+                    "PRAGMA journal_mode").fetchone()[0] == "wal"
+                blocker.execute("BEGIN IMMEDIATE")
+                blocker.execute("DELETE FROM entries")  # uncommitted
+                assert backend.get(KEYS[0]).to_dict() == \
+                    tiny_result.to_dict()
+                assert backend.contains(KEYS[0])
+                assert len(backend) == 1
+            finally:
+                blocker.execute("ROLLBACK")
+                blocker.close()
 
 
 class TestBackendUrls:
@@ -397,8 +400,8 @@ class TestKernelVersionInvalidation:
                  for config in ("sc", "invisi_sc")]
 
         def run():
-            return StudyRunner(SETTINGS,
-                               cache=open_cache(cache_url)).run_cells(cells)
+            with open_cache(cache_url) as cache:
+                return StudyRunner(SETTINGS, cache=cache).run_cells(cells)
 
         assert run().simulated == 2
 
@@ -418,10 +421,10 @@ class TestKernelVersionInvalidation:
 
 
 def _drain(plan, url, worker_id, reports):
-    cache = open_cache(url)  # each thread gets its own connection
-    worker = QueueWorker(plan, cache, worker_id=worker_id,
-                         poll_interval=0.01, max_wait=60.0)
-    reports[worker_id] = worker.drain()
+    with open_cache(url) as cache:  # each thread gets its own connection
+        worker = QueueWorker(plan, cache, worker_id=worker_id,
+                             poll_interval=0.01, max_wait=60.0)
+        reports[worker_id] = worker.drain()
 
 
 def _drain_until_killed(plan, url, marker):
@@ -434,13 +437,14 @@ def _drain_until_killed(plan, url, marker):
         time.sleep(120)
 
     queue.simulate_cell = hang  # this process only
-    QueueWorker(plan, open_cache(url), worker_id="doomed",
-                lease_ttl=0.5).drain()
+    with open_cache(url) as cache:
+        QueueWorker(plan, cache, worker_id="doomed", lease_ttl=0.5).drain()
 
 
 def _entries(path):
-    return dict(SqliteBackend(path)._connect().execute(
-        "SELECT key, body FROM entries"))
+    with SqliteBackend(path) as backend:
+        return dict(backend._connect().execute(
+            "SELECT key, body FROM entries"))
 
 
 def _study_table(plan, cache):
@@ -461,8 +465,8 @@ class TestDistributedDrain:
                                             workloads=("apache", "barnes"))
         plan = compile_study_plan("figure8", settings)
 
-        serial_url = f"sqlite://{tmp_path}/serial.sqlite"
-        serial_table, _ = _study_table(plan, open_cache(serial_url))
+        with open_cache(f"sqlite://{tmp_path}/serial.sqlite") as serial:
+            serial_table, _ = _study_table(plan, serial)
 
         shared_url = f"sqlite://{tmp_path}/shared.sqlite"
         reports = {}
@@ -484,7 +488,8 @@ class TestDistributedDrain:
 
         # and a study run over the drained store simulates nothing while
         # producing the identical table.
-        drained_table, report = _study_table(plan, open_cache(shared_url))
+        with open_cache(shared_url) as drained:
+            drained_table, report = _study_table(plan, drained)
         assert json.dumps(drained_table, sort_keys=True) == \
             json.dumps(serial_table, sort_keys=True)
         assert report.simulated == 0
@@ -537,14 +542,15 @@ class TestDistributedDrain:
             child.join(timeout=30.0)
         assert child.exitcode == -signal.SIGKILL
 
-        survivor = QueueWorker(plan, open_cache(url), worker_id="survivor",
-                               poll_interval=0.01, max_wait=60.0)
-        report = survivor.drain()
+        with open_cache(url) as cache:
+            survivor = QueueWorker(plan, cache, worker_id="survivor",
+                                   poll_interval=0.01, max_wait=60.0)
+            report = survivor.drain()
         assert report.reissued == 1
         assert report.simulated == report.total == len(plan.unique_cells)
 
-        serial = open_cache(f"sqlite://{tmp_path}/serial.sqlite")
-        plan.execute(plan.runner(cache=serial))
+        with open_cache(f"sqlite://{tmp_path}/serial.sqlite") as serial:
+            plan.execute(plan.runner(cache=serial))
         assert _entries(tmp_path / "q.sqlite") == \
             _entries(tmp_path / "serial.sqlite")
 
@@ -553,18 +559,18 @@ class TestDistributedDrain:
                                             workloads=("apache",))
         plan = compile_study_plan("figure1", settings)
         url = f"sqlite://{tmp_path}/q.sqlite"
-        cache = open_cache(url)
+        with open_cache(url) as cache:
+            # a "crashed" worker claimed every cell with an already-expired
+            # TTL and never finished.
+            stale = QueueWorker(plan, cache, worker_id="crashed",
+                                lease_ttl=60.0)
+            for key, _ in stale._payloads():
+                assert cache.try_claim(key, "crashed", ttl=0.0) is not None
 
-        # a "crashed" worker claimed every cell with an already-expired
-        # TTL and never finished.
-        stale = QueueWorker(plan, cache, worker_id="crashed",
-                            lease_ttl=60.0)
-        for key, _ in stale._payloads():
-            assert cache.try_claim(key, "crashed", ttl=0.0) is not None
-
-        worker = QueueWorker(plan, open_cache(url), worker_id="rescuer",
-                             poll_interval=0.01, max_wait=60.0)
-        report = worker.drain()
+        with open_cache(url) as cache:
+            worker = QueueWorker(plan, cache, worker_id="rescuer",
+                                 poll_interval=0.01, max_wait=60.0)
+            report = worker.drain()
         assert report.simulated == len(plan.unique_cells)
         assert report.reissued == len(plan.unique_cells)
 
@@ -575,39 +581,39 @@ class TestDistributedDrain:
                                             workloads=("apache",))
         plan = compile_study_plan("figure1", settings)
         url = f"sqlite://{tmp_path}/q.sqlite"
-        cache = open_cache(url)
-        worker = QueueWorker(plan, cache, worker_id="w1",
-                             poll_interval=0.01, max_wait=60.0)
-        raced, _ = worker._payloads()[0]
-        peer = open_cache(url)
-        claim = cache.try_claim
+        with open_cache(url) as cache, open_cache(url) as peer:
+            worker = QueueWorker(plan, cache, worker_id="w1",
+                                 poll_interval=0.01, max_wait=60.0)
+            raced, _ = worker._payloads()[0]
+            claim = cache.try_claim
 
-        def peer_finishes_first(key, owner, ttl):
-            if key == raced:
-                peer.put(key, tiny_result)
-            return claim(key, owner, ttl)
+            def peer_finishes_first(key, owner, ttl):
+                if key == raced:
+                    peer.put(key, tiny_result)
+                return claim(key, owner, ttl)
 
-        monkeypatch.setattr(cache, "try_claim", peer_finishes_first)
-        report = worker.drain()
-        assert report.simulated == len(plan.unique_cells) - 1
-        assert report.served_elsewhere == 1
-        assert cache.lease_owner(raced) is None
+            monkeypatch.setattr(cache, "try_claim", peer_finishes_first)
+            report = worker.drain()
+            assert report.simulated == len(plan.unique_cells) - 1
+            assert report.served_elsewhere == 1
+            assert cache.lease_owner(raced) is None
 
     def test_stuck_peer_lease_times_out(self, tmp_path):
         settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
                                             workloads=("apache",))
         plan = compile_study_plan("figure1", settings)
         url = f"sqlite://{tmp_path}/q.sqlite"
-        cache = open_cache(url)
-        probe = QueueWorker(plan, cache, worker_id="probe")
-        key, _ = probe._payloads()[0]
-        # a live peer holds one cell and never finishes it.
-        assert cache.try_claim(key, "wedged", ttl=3600.0) == "new"
+        with open_cache(url) as cache:
+            probe = QueueWorker(plan, cache, worker_id="probe")
+            key, _ = probe._payloads()[0]
+            # a live peer holds one cell and never finishes it.
+            assert cache.try_claim(key, "wedged", ttl=3600.0) == "new"
 
-        worker = QueueWorker(plan, open_cache(url), worker_id="w1",
-                             poll_interval=0.01, max_wait=0.2)
-        with pytest.raises(ReproError, match="wedged"):
-            worker.drain()
+        with open_cache(url) as cache:
+            worker = QueueWorker(plan, cache, worker_id="w1",
+                                 poll_interval=0.01, max_wait=0.2)
+            with pytest.raises(ReproError, match="wedged"):
+                worker.drain()
         # everything not held was still completed.
         assert worker.last_report.simulated == len(plan.unique_cells) - 1
 
@@ -641,22 +647,23 @@ class TestCorruptEntryRecovery:
                                             workloads=("apache",))
         plan = compile_study_plan("figure1", settings)
         url = url_format.format(tmp_path)
-        first = QueueWorker(plan, open_cache(url), worker_id="w1",
-                            poll_interval=0.01, max_wait=60.0)
-        assert first.drain().simulated == len(plan.unique_cells)
+        with open_cache(url) as cache:
+            first = QueueWorker(plan, cache, worker_id="w1",
+                                poll_interval=0.01, max_wait=60.0)
+            assert first.drain().simulated == len(plan.unique_cells)
 
-        cache = open_cache(url)
-        key, _ = first._payloads()[0]
-        corrupt(cache, key)
-        assert not cache.contains(key)
+        with open_cache(url) as cache:
+            key, _ = first._payloads()[0]
+            corrupt(cache, key)
+            assert not cache.contains(key)
 
-        worker = QueueWorker(plan, cache, worker_id="w2",
-                             poll_interval=0.01, max_wait=60.0)
-        report = worker.drain()
-        assert report.simulated == 1
-        assert report.served_elsewhere == len(plan.unique_cells) - 1
-        assert cache.get(key) is not None
-        assert len(cache) == len(plan.unique_cells)
+            worker = QueueWorker(plan, cache, worker_id="w2",
+                                 poll_interval=0.01, max_wait=60.0)
+            report = worker.drain()
+            assert report.simulated == 1
+            assert report.served_elsewhere == len(plan.unique_cells) - 1
+            assert cache.get(key) is not None
+            assert len(cache) == len(plan.unique_cells)
 
     def test_drain_takes_over_truncated_lease(self, tmp_path):
         """A claimant that died mid-write leaves a torn lease: reissue it."""
@@ -664,20 +671,21 @@ class TestCorruptEntryRecovery:
                                             workloads=("apache",))
         plan = compile_study_plan("figure1", settings)
         url = f"dir://{tmp_path}/cache"
-        first = QueueWorker(plan, open_cache(url), worker_id="w1",
-                            poll_interval=0.01, max_wait=60.0)
-        assert first.drain().simulated == len(plan.unique_cells)
+        with open_cache(url) as cache:
+            first = QueueWorker(plan, cache, worker_id="w1",
+                                poll_interval=0.01, max_wait=60.0)
+            assert first.drain().simulated == len(plan.unique_cells)
 
-        cache = open_cache(url)
-        key, _ = first._payloads()[0]
-        cache.path_for(key).unlink()
-        (tmp_path / "cache" / f"{key}.lease").write_text(
-            '{"owner": "w1", "exp', encoding="utf-8")
+        with open_cache(url) as cache:
+            key, _ = first._payloads()[0]
+            cache.path_for(key).unlink()
+            (tmp_path / "cache" / f"{key}.lease").write_text(
+                '{"owner": "w1", "exp', encoding="utf-8")
 
-        worker = QueueWorker(plan, cache, worker_id="w2",
-                             poll_interval=0.01, max_wait=60.0)
-        report = worker.drain()
-        assert report.simulated == 1 and report.reissued == 1
-        assert report.served_elsewhere == len(plan.unique_cells) - 1
-        assert cache.contains(key)
-        assert cache.lease_owner(key) is None
+            worker = QueueWorker(plan, cache, worker_id="w2",
+                                 poll_interval=0.01, max_wait=60.0)
+            report = worker.drain()
+            assert report.simulated == 1 and report.reissued == 1
+            assert report.served_elsewhere == len(plan.unique_cells) - 1
+            assert cache.contains(key)
+            assert cache.lease_owner(key) is None

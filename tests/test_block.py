@@ -21,21 +21,21 @@ class TestSpeculativeBits:
     def test_fresh_block_not_speculative(self):
         block = CacheBlock(address=0)
         assert not block.speculative
-        assert not block.conflicts_with_external_write()
-        assert not block.conflicts_with_external_read()
 
-    def test_spec_read_conflicts_only_with_writes(self):
+    # Which external requests conflict with each bit is the memory
+    # system's rule: tests/test_memory_system.py::TestConflictDetection.
+
+    def test_spec_read_sets_only_the_read_bit(self):
         block = CacheBlock(address=0, state=CoherenceState.SHARED)
         block.mark_spec_read(7)
         assert block.speculative
-        assert block.conflicts_with_external_write()
-        assert not block.conflicts_with_external_read()
+        assert (block.spec_read, block.spec_written) == (7, None)
 
-    def test_spec_written_conflicts_with_any_external_request(self):
+    def test_spec_written_sets_only_the_write_bit(self):
         block = CacheBlock(address=0, state=CoherenceState.MODIFIED)
         block.mark_spec_written(7)
-        assert block.conflicts_with_external_write()
-        assert block.conflicts_with_external_read()
+        assert block.speculative
+        assert (block.spec_read, block.spec_written) == (None, 7)
 
     def test_first_setter_retained(self):
         block = CacheBlock(address=0, state=CoherenceState.MODIFIED)

@@ -248,10 +248,12 @@ class Test64CoreDirectory:
 
     def test_write_invalidates_sharers_in_ascending_core_order(self):
         from repro.coherence.memory_system import MemorySystem
-        from repro.coherence.messages import ConflictResolution
+        from repro.obs import TraceRecorder
+        from tests.conftest import dir_transactions
 
         _, config = self._system()
-        memory = MemorySystem(config, record_transactions=True)
+        recorder = TraceRecorder()
+        memory = MemorySystem(config, recorder=recorder)
         conflicts = []
 
         class Listener:
@@ -260,7 +262,7 @@ class Test64CoreDirectory:
 
             def on_external_conflict(self, block_addr, is_write, arrival_time):
                 conflicts.append(self.core)
-                return ConflictResolution()
+                return 0
 
             def forced_commit(self, now):
                 return now
@@ -273,10 +275,9 @@ class Test64CoreDirectory:
             memory.access(core, 0x1000, is_write=False, now=i * 1000,
                           spec_checkpoint=1)
         assert memory.directory.peek(0x1000).sharer_ids() == sharers
-        out = memory.access(7, 0x1000, is_write=True, now=100_000)
+        memory.access(7, 0x1000, is_write=True, now=100_000)
         assert conflicts == sharers
-        assert out.record.invalidated_sharers == sharers
-        assert out.record.conflicts == sharers
+        assert dir_transactions(recorder)[-1]["invalidated"] == sharers
         assert not any(memory.contains(core, 0x1000) for core in sharers)
         assert memory.directory.peek(0x1000).owner == 7
         memory.check_invariants()

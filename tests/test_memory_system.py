@@ -2,17 +2,17 @@
 
 import pytest
 
-from tests.conftest import tiny_config
+from tests.conftest import dir_transactions, tiny_config
 from repro.coherence.memory_system import MemorySystem
-from repro.coherence.messages import ConflictResolution, TransactionKind
 from repro.config import resolved_interconnect
 from repro.errors import SimulationError
 from repro.interconnect.topology import TorusTopology
 from repro.memory.block import CoherenceState
+from repro.obs import TraceRecorder
 
 
-def make_mem(**kwargs) -> MemorySystem:
-    return MemorySystem(tiny_config(**kwargs), record_transactions=True)
+def make_mem(recorder=None, **kwargs) -> MemorySystem:
+    return MemorySystem(tiny_config(**kwargs), recorder=recorder)
 
 
 BLOCK = 64 * 1000  # an arbitrary aligned block address
@@ -29,7 +29,7 @@ class RecordingListener:
 
     def on_external_conflict(self, block_addr, is_write, arrival_time):
         self.conflicts.append((block_addr, is_write, arrival_time))
-        return ConflictResolution(extra_delay=self.extra_delay)
+        return self.extra_delay
 
     def forced_commit(self, now):
         self.forced_commits.append(now)
@@ -89,7 +89,8 @@ class TestBasicAccesses:
         assert mem.upgrades[0] == 1
 
     def test_l2_miss_costs_memory_latency(self):
-        mem = make_mem()
+        rec = TraceRecorder()
+        mem = make_mem(rec)
         cold = mem.access(0, BLOCK, is_write=False, now=0)
         # Two more blocks of the same L1 set evict the (clean) block, so
         # the directory drops it while the L2 keeps it.
@@ -98,22 +99,27 @@ class TestBasicAccesses:
         mem.access(0, BLOCK + 2 * stride, is_write=False, now=2000)
         assert not mem.contains(0, BLOCK)
         warm = mem.access(0, BLOCK, is_write=False, now=3000)
-        assert not cold.record.l2_hit
-        assert warm.record.l2_hit
-        assert warm.record.forwarded_from_owner is None
+        transactions = dir_transactions(rec)
+        cold_txn, warm_txn = transactions[0], transactions[-1]
+        assert (cold_txn["done"], warm_txn["done"]) == \
+            (cold.completion_time, warm.completion_time)
+        assert not cold_txn["l2_hit"]
+        assert warm_txn["l2_hit"]
+        assert warm_txn["owner"] is None
         # Same requester, same home, both served by the directory: the
         # miss pays exactly the memory latency on top of the hit.
-        assert ((cold.completion_time - cold.record.issue_time)
-                - (warm.completion_time - warm.record.issue_time)
+        assert ((cold_txn["done"] - cold_txn["issue"])
+                - (warm_txn["done"] - warm_txn["issue"])
                 == mem.config.memory_latency)
 
 
 class TestOwnerForwarding:
     def test_read_forwarded_from_modified_owner(self):
-        mem = make_mem()
+        rec = TraceRecorder()
+        mem = make_mem(rec)
         mem.access(0, BLOCK, is_write=True, now=0)
-        out = mem.access(1, BLOCK, is_write=False, now=1000)
-        assert out.record.forwarded_from_owner == 0
+        mem.access(1, BLOCK, is_write=False, now=1000)
+        assert dir_transactions(rec)[-1]["owner"] == 0
         # The previous owner is downgraded to Shared; directory tracks both.
         owner_block = mem.l1(0).lookup(BLOCK, touch=False)
         assert owner_block.state is CoherenceState.SHARED
@@ -125,28 +131,31 @@ class TestOwnerForwarding:
         assert mem.l2.contains(BLOCK)
 
     def test_write_invalidates_modified_owner(self):
-        mem = make_mem()
+        rec = TraceRecorder()
+        mem = make_mem(rec)
         mem.access(0, BLOCK, is_write=True, now=0)
-        out = mem.access(1, BLOCK, is_write=True, now=1000)
-        assert out.record.forwarded_from_owner == 0
+        mem.access(1, BLOCK, is_write=True, now=1000)
+        assert dir_transactions(rec)[-1]["owner"] == 0
         assert not mem.contains(0, BLOCK)
         assert mem.directory.entry(BLOCK).owner == 1
 
     def test_write_invalidates_all_sharers(self):
-        mem = make_mem(num_cores=4)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=4)
         for core in range(3):
             mem.access(core, BLOCK, is_write=False, now=core * 10)
-        out = mem.access(3, BLOCK, is_write=True, now=1000)
-        assert sorted(out.record.invalidated_sharers) == [0, 1, 2]
+        mem.access(3, BLOCK, is_write=True, now=1000)
+        assert dir_transactions(rec)[-1]["invalidated"] == [0, 1, 2]
         for core in range(3):
             assert not mem.contains(core, BLOCK)
         assert mem.directory.entry(BLOCK).owner == 3
 
     def test_directory_serialises_same_block(self):
-        mem = make_mem()
-        first = mem.access(0, BLOCK, is_write=True, now=0)
+        rec = TraceRecorder()
+        mem = make_mem(rec)
+        mem.access(0, BLOCK, is_write=True, now=0)
         second = mem.access(1, BLOCK, is_write=True, now=0)
-        assert second.record.start_time >= mem.config.directory_latency
+        assert dir_transactions(rec)[-1]["start"] >= mem.config.directory_latency
         assert second.completion_time > 0
 
 
@@ -178,6 +187,18 @@ class TestConflictDetection:
         mem.access(1, BLOCK, is_write=False, now=500)
         assert len(listener.conflicts) == 1
         assert listener.conflicts[0][1] is False
+
+    def test_external_write_to_spec_written_block_is_a_conflict(self):
+        mem = make_mem()
+        listener = RecordingListener()
+        mem.register_listener(0, listener)
+        mem.access(0, BLOCK, is_write=True, now=0, spec_checkpoint=7)
+        mem.access(1, BLOCK, is_write=True, now=500)
+        assert len(listener.conflicts) == 1
+        addr, is_write, arrival = listener.conflicts[0]
+        assert addr == BLOCK and is_write
+        assert arrival >= 500
+        assert not mem.contains(0, BLOCK)
 
     def test_conflict_deferral_extends_requester_latency(self):
         baseline_mem = make_mem()
@@ -301,49 +322,55 @@ class TestExactLatencies:
     """
 
     @staticmethod
-    def _assert_record(out, start, completion, l2_hit, owner=None,
-                       sharers=()):
-        record = out.record
-        assert (record.start_time, record.completion_time) == (start, completion)
+    def _assert_transaction(rec, out, start, completion, l2_hit, owner=None,
+                            sharers=()):
+        txn = dir_transactions(rec)[-1]
+        assert (txn["start"], txn["done"]) == (start, completion)
         assert out.completion_time == completion
-        assert record.l2_hit is l2_hit
-        assert record.forwarded_from_owner == owner
-        assert record.invalidated_sharers == list(sharers)
+        assert txn["l2_hit"] is l2_hit
+        assert txn["owner"] == owner
+        assert txn["invalidated"] == list(sharers)
 
     def test_two_hop_l2_miss(self):
-        mem = make_mem(num_cores=4)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=4)
         out = mem.access(3, BLOCK, is_write=False, now=0)
         # core 3 -> home 0 is two hops: 20; directory 4 + L2 10 + memory
         # 40; home -> core 3: 20.
-        self._assert_record(out, start=20, completion=94, l2_hit=False)
+        self._assert_transaction(rec, out, start=20, completion=94,
+                                 l2_hit=False)
         assert out.state is CoherenceState.EXCLUSIVE
 
     def test_two_hop_l2_hit(self):
-        mem = make_mem(num_cores=4)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=4)
         mem.access(0, BLOCK, is_write=False, now=0)      # owner 0, L2 fill
         mem.access(1, BLOCK, is_write=False, now=1000)   # both now share
         out = mem.access(3, BLOCK, is_write=False, now=5000)
         # 5000 + 20 to home; directory 4 + L2 10; 20 back.
-        self._assert_record(out, start=5020, completion=5054, l2_hit=True)
+        self._assert_transaction(rec, out, start=5020, completion=5054,
+                                 l2_hit=True)
         assert out.state is CoherenceState.SHARED
         assert mem.directory.entry(BLOCK).sharer_ids() == [0, 1, 3]
 
     def test_three_hop_forward_from_modified_owner(self):
-        mem = make_mem(num_cores=4)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=4)
         mem.access(1, BLOCK, is_write=True, now=0)
         out = mem.access(3, BLOCK, is_write=False, now=1000)
         # 1000 + 20 to home 0; the probe reaches owner 1 one hop later
         # (1030); directory 4 + L1 hit 2 at the owner; owner 1 -> core 3
         # is one hop: 1036 + 10.
-        self._assert_record(out, start=1020, completion=1046, l2_hit=True,
-                            owner=1)
+        self._assert_transaction(rec, out, start=1020, completion=1046,
+                                 l2_hit=True, owner=1)
         assert out.state is CoherenceState.SHARED
         owner_block = mem.l1(1).lookup(BLOCK, touch=False)
         assert owner_block.state is CoherenceState.SHARED
         assert not owner_block.dirty
 
     def test_farthest_sharer_ack_sets_write_completion(self):
-        mem = make_mem(num_cores=16)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=16)
         mem.access(9, BLOCK, is_write=False, now=0)      # owner 9, L2 fill
         mem.access(2, BLOCK, is_write=False, now=1000)   # sharers {2, 9}
         out = mem.access(8, BLOCK, is_write=True, now=5000)
@@ -351,46 +378,51 @@ class TestExactLatencies:
         # network time: 5000 + 4 + 10 = 5014.  Sharer 9 at (1, 2) is one
         # hop away: its ack is back at 5000 + 10 + 10.  Sharer 2 at (2, 0)
         # is four hops away: 5000 + 40 + 40 = 5080 sets the completion.
-        self._assert_record(out, start=5000, completion=5080, l2_hit=True,
-                            sharers=(2, 9))
+        self._assert_transaction(rec, out, start=5000, completion=5080,
+                                 l2_hit=True, sharers=(2, 9))
         assert out.state is CoherenceState.MODIFIED
         assert not mem.contains(2, BLOCK) and not mem.contains(9, BLOCK)
 
     def test_upgrade_invalidates_only_the_other_sharers(self):
-        mem = make_mem(num_cores=4)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=4)
         mem.access(1, BLOCK, is_write=False, now=0)      # owner 1, L2 fill
         mem.access(3, BLOCK, is_write=False, now=1000)   # sharers {1, 3}
         out = mem.access(1, BLOCK, is_write=True, now=5000)
         # Core 1 upgrades its Shared copy: one hop to home 0 (5010); the
         # L2 data is back at 5010 + 14 + 10, but the invalidation reaches
         # core 3 two hops from home (5030) and its ack needs one more hop.
-        assert out.record.kind is TransactionKind.UPGRADE
-        self._assert_record(out, start=5010, completion=5040, l2_hit=True,
-                            sharers=(3,))
+        assert dir_transactions(rec)[-1]["name"] == "dir.upgrade"
+        self._assert_transaction(rec, out, start=5010, completion=5040,
+                                 l2_hit=True, sharers=(3,))
         assert mem.upgrades[1] == 1
         assert mem.contains(1, BLOCK) and not mem.contains(3, BLOCK)
 
     def test_same_block_requests_serialise_on_busy_until(self):
-        mem = make_mem()
+        rec = TraceRecorder()
+        mem = make_mem(rec)
         first = mem.access(1, BLOCK, is_write=True, now=0)
         # One hop to home 0 (10); directory 4 + L2 10 + memory 40; one hop
         # back.  The directory entry stays busy until 10 + 4.
-        self._assert_record(first, start=10, completion=74, l2_hit=False)
+        self._assert_transaction(rec, first, start=10, completion=74,
+                                 l2_hit=False)
         second = mem.access(0, BLOCK, is_write=True, now=10)
         # Core 0 is at home and arrives at 10, but starts at 14; the probe
         # reaches owner 1 at 24, and 24 + 4 + 2 + 10 hops back.
-        assert second.record.issue_time == 10
-        self._assert_record(second, start=14, completion=40, l2_hit=True,
-                            owner=1)
+        assert dir_transactions(rec)[-1]["issue"] == 10
+        self._assert_transaction(rec, second, start=14, completion=40,
+                                 l2_hit=True, owner=1)
 
     def test_store_prefetch_lead(self):
-        mem = MemorySystem(tiny_config(store_prefetch_lead=30),
-                           record_transactions=True)
+        rec = TraceRecorder()
+        mem = make_mem(rec, store_prefetch_lead=30)
         out = mem.access(0, BLOCK, is_write=True, now=0)
         # Core 0 is at home 0: 0 + 4 + 10 + 40 = 54 without the lead.
-        self._assert_record(out, start=0, completion=24, l2_hit=False)
+        self._assert_transaction(rec, out, start=0, completion=24,
+                                 l2_hit=False)
         load = mem.access(0, BLOCK + 64 * 4, is_write=False, now=100)
-        self._assert_record(load, start=100, completion=154, l2_hit=False)
+        self._assert_transaction(rec, load, start=100, completion=154,
+                                 l2_hit=False)
 
 
 class TestHomeNodes:
@@ -398,7 +430,8 @@ class TestHomeNodes:
 
     @pytest.mark.parametrize("num_cores", (2, 4, 9, 16, 64))
     def test_request_leg_reaches_the_home_node(self, num_cores):
-        mem = make_mem(num_cores=num_cores)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=num_cores)
         topo = TorusTopology(mem.config.interconnect)
         hop = mem.config.interconnect.hop_latency
         nodes = topo.num_nodes
@@ -407,22 +440,27 @@ class TestHomeNodes:
                 # A block of its own per (core, home) keeps every request
                 # a cold miss to an idle directory entry.
                 block = (core * nodes + home) * 64
-                out = mem.access(core, block, is_write=False, now=0)
-                assert out.record.start_time == topo.hops(core, home) * hop
+                mem.access(core, block, is_write=False, now=0)
+                txn = dir_transactions(rec)[-1]
+                assert txn["home"] == home
+                assert txn["start"] == topo.hops(core, home) * hop
 
     def test_home_is_stable_within_a_block(self):
         timings = set()
         for offset in (0, 8, 63):
-            mem = make_mem(num_cores=4)
+            rec = TraceRecorder()
+            mem = make_mem(rec, num_cores=4)
             out = mem.access(3, BLOCK + offset, is_write=False, now=0)
-            assert out.record.block_address == BLOCK
-            timings.add((out.record.start_time, out.completion_time))
+            txn = dir_transactions(rec)[-1]
+            assert txn["block"] == hex(BLOCK)
+            timings.add((txn["start"], out.completion_time))
         # Block 1000 is homed at node 0, two hops from core 3.
         assert timings == {(20, 94)}
         # The next block is homed at node 1, one hop from core 3.
-        out = make_mem(num_cores=4).access(3, BLOCK + 64, is_write=False,
-                                           now=0)
-        assert out.record.start_time == 10
+        rec = TraceRecorder()
+        make_mem(rec, num_cores=4).access(3, BLOCK + 64, is_write=False,
+                                          now=0)
+        assert dir_transactions(rec)[-1]["start"] == 10
 
 
 class TestContentionFreeNetwork:
@@ -430,38 +468,43 @@ class TestContentionFreeNetwork:
     many messages are in flight (DESIGN.md section 4)."""
 
     @staticmethod
-    def _ring_mem() -> MemorySystem:
+    def _ring_mem(recorder) -> MemorySystem:
         config = tiny_config().replace(
             interconnect=resolved_interconnect(2, hop_latency=10))
-        return MemorySystem(config, record_transactions=True)
+        return MemorySystem(config, recorder=recorder)
 
     def test_concurrent_requests_to_one_home_are_not_delayed(self):
-        mem = self._ring_mem()
+        rec = TraceRecorder()
+        mem = self._ring_mem(rec)
         first = mem.access(1, BLOCK, is_write=False, now=0)
         # One hop each way around the 1x2 ring; directory 4 + L2 10 +
         # memory 40 at home 0.
-        assert (first.record.start_time, first.completion_time) == (10, 74)
+        assert dir_transactions(rec)[-1]["start"] == 10
+        assert first.completion_time == 74
         # Another block with the same home, sent over the same link at
         # the same time, pays exactly the same.
         second = mem.access(1, BLOCK + 64 * 2, is_write=False, now=0)
-        assert (second.record.start_time, second.completion_time) == (10, 74)
+        assert dir_transactions(rec)[-1]["start"] == 10
+        assert second.completion_time == 74
 
     def test_round_trip_is_twice_the_one_way_latency(self):
-        mem = make_mem(num_cores=16)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=16)
         topo = TorusTopology(mem.config.interconnect)
         for core in range(16):
             # Every core misses on its own block, all homed at node 0.
             out = mem.access(core, core * 16 * 64, is_write=False, now=0)
             leg = topo.hops(core, 0) * 10
-            assert out.record.start_time == leg
+            assert dir_transactions(rec)[-1]["start"] == leg
             assert out.completion_time == 2 * leg + 4 + 10 + 40
 
     @pytest.mark.parametrize("hop", (0, 10, 25))
     def test_cold_miss_scales_with_hop_latency(self, hop):
-        mem = make_mem(num_cores=4, hop_latency=hop)
+        rec = TraceRecorder()
+        mem = make_mem(rec, num_cores=4, hop_latency=hop)
         out = mem.access(3, BLOCK, is_write=False, now=0)
         # Core 3 is two hops from home 0 in each direction.
-        assert out.record.start_time == 2 * hop
+        assert dir_transactions(rec)[-1]["start"] == 2 * hop
         assert out.completion_time == 4 * hop + 4 + 10 + 40
 
 
@@ -475,11 +518,17 @@ class TestInvariants:
         mem.check_invariants()
 
     def test_transaction_records_collected(self):
-        mem = make_mem()
+        rec = TraceRecorder()
+        mem = make_mem(rec)
         mem.access(0, BLOCK, is_write=True, now=0)
+        mem.access(0, BLOCK + 8, is_write=True, now=50)    # a write hit
         mem.access(1, BLOCK, is_write=False, now=100)
-        assert len(mem.transactions) == 2
-        assert all(t.completion_time >= t.issue_time for t in mem.transactions)
+        transactions = dir_transactions(rec)
+        assert [(t["name"], t["core"]) for t in transactions] == \
+            [("dir.getm", 0), ("dir.gets", 1)]
+        assert rec.counters["coherence.transactions"] == 2
+        assert all(t["issue"] <= t["start"] <= t["done"]
+                   for t in transactions)
 
 
 class TestHitProbes:

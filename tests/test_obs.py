@@ -20,7 +20,6 @@ from repro.engine.system import ENGINE_KINDS, build_system
 from repro.experiments.common import ExperimentSettings, make_config
 from repro.obs import (
     COHERENCE_TID_BASE,
-    NULL_RECORDER,
     NullRecorder,
     PID_CAMPAIGN,
     PID_SIM,
@@ -34,13 +33,14 @@ from repro.obs import (
 )
 from repro.studies import StudyCell, StudyRunner
 from repro.workloads.registry import build_trace
+from tests.conftest import dir_transactions
 
 #: a small contended cell that reliably aborts under selective speculation.
 _CONTENDED = dict(config="invisi_sc", workload="false-sharing-storm",
                   cores=4, ops=800, seed=3)
 
 
-def _traced_contended_run():
+def _traced_contended_run(engine="fast"):
     """One traced rollback-heavy run (module-scope cache would hide bugs)."""
     settings = ExperimentSettings(num_cores=_CONTENDED["cores"],
                                   ops_per_thread=_CONTENDED["ops"],
@@ -52,7 +52,7 @@ def _traced_contended_run():
                         seed=_CONTENDED["seed"])
     recorder = TraceRecorder()
     result = simulate(make_config(_CONTENDED["config"], settings), trace,
-                      engine="fast", recorder=recorder)
+                      engine=engine, recorder=recorder)
     return recorder, result
 
 
@@ -63,17 +63,13 @@ class TestRecorderProtocol:
         # Every protocol method is callable and silently does nothing.
         rec.count("x")
         rec.observe("x", 3)
-        rec.span(1, 0, "s", 0, 5)
-        rec.instant(1, 0, "i", 0)
         rec.sim_span(0, "s", 0, 5)
         rec.sim_instant(0, "i", 0)
         rec.wall_span(0, "s", 0.0, 1.0)
-        rec.wall_instant(0, "i")
 
     def test_active_strips_none_and_disabled(self):
         assert active(None) is None
         assert active(NullRecorder()) is None
-        assert active(NULL_RECORDER) is None
         rec = TraceRecorder()
         assert active(rec) is rec
 
@@ -201,6 +197,30 @@ class TestChromeTraceExport:
                 assert earlier.ts + earlier.dur <= later.ts
             for span in spans:
                 assert span.ts + span.dur <= result.runtime
+
+    def test_dir_instants_hold_each_transactions_history(self):
+        """The ``dir.*`` instant is the one record of a transaction, and
+        both engines record the same history."""
+        recorder, _ = _traced_contended_run()
+        transactions = dir_transactions(recorder)
+        counters = recorder.counters
+        assert len(transactions) == counters["coherence.transactions"]
+        assert sum(len(t["invalidated"]) for t in transactions) == \
+            counters["coherence.invalidations"]
+        assert any(t["owner"] is not None for t in transactions)
+        assert any(t["invalidated"] for t in transactions)
+        for t in transactions:
+            assert t["name"] in ("dir.gets", "dir.getm", "dir.upgrade")
+            assert t["issue"] <= t["start"] and t["issue"] < t["done"]
+            assert t["invalidated"] == sorted(set(t["invalidated"]))
+            assert t["core"] not in t["invalidated"]
+            assert t["owner"] != t["core"]
+            if t["owner"] is not None:
+                assert t["l2_hit"]
+            if t["name"] == "dir.gets":
+                assert t["invalidated"] == []
+        reference, _ = _traced_contended_run(engine="reference")
+        assert dir_transactions(reference) == transactions
 
     def test_written_trace_is_loadable_json(self, tmp_path):
         recorder, _ = _traced_contended_run()

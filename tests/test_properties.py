@@ -108,7 +108,6 @@ class TestStoreBufferProperties:
             if sb.is_full(now):
                 now = sb.next_free_slot_time(now)
             releases.append(sb.add_store(index * 8, now, now + latency,
-                                         speculative=spec,
                                          checkpoint_id=1 if spec else None))
             assert sb.occupancy(now) <= sb.capacity
         assert releases == sorted(releases)
@@ -124,7 +123,7 @@ class TestStoreBufferProperties:
         for index, latency, spec in ops:
             if sb.is_full(now):
                 now = sb.next_free_slot_time(now)
-            sb.add_store(index * 64, now, now + latency, speculative=spec,
+            sb.add_store(index * 64, now, now + latency,
                          checkpoint_id=1 if spec else None)
             assert sb.occupancy(now) <= sb.capacity
             assert sb.drain_time(now) >= now

@@ -16,6 +16,7 @@ from repro.cpu.stats import COUNTER_FIELDS, CoreStats
 from repro.engine.simulator import simulate
 from repro.errors import ScenarioError, TraceError, WorkloadError
 from repro.experiments.common import ExperimentSettings
+from repro.obs import TraceRecorder
 from repro.scenarios import (
     PhaseSpec,
     ScenarioRegistry,
@@ -37,7 +38,7 @@ from repro.trace.trace import MultiThreadedTrace, Trace
 from repro.workloads.generator import BLOCK_BYTES
 from repro.workloads.presets import preset
 from repro.workloads.registry import build_trace, resolve_spec
-from tests.conftest import selective_config, tiny_config
+from tests.conftest import dir_transactions, selective_config, tiny_config
 
 
 def pattern_trace(name, num_threads=2, count=300, seed=1, **params):
@@ -58,13 +59,15 @@ def blocks(addresses):
 
 
 def replay_round_robin(trace, config):
-    """Feed a trace's memory ops through a recording MemorySystem.
+    """Feed a trace's memory ops through a recorded MemorySystem.
 
     Interleaves threads round-robin at one op per turn, which is enough to
     observe the pattern's coherence transactions without the full timing
-    model.
+    model.  Returns the transactions, as :func:`dir_transactions` reads
+    them.
     """
-    mem = MemorySystem(config, record_transactions=True)
+    recorder = TraceRecorder()
+    mem = MemorySystem(config, recorder=recorder)
     cursors = [iter(t) for t in trace]
     now = 0
     live = set(range(len(cursors)))
@@ -78,7 +81,7 @@ def replay_round_robin(trace, config):
                 outcome = mem.access(tid, op.address, is_write=op.writes, now=now)
                 now = max(now, outcome.completion_time)
             now += 1
-    return mem
+    return dir_transactions(recorder)
 
 
 class TestPhaseSpecValidation:
@@ -149,9 +152,8 @@ class TestProducerConsumer:
     def test_consumer_gets_dirty_forwards(self):
         """Replaying the pattern produces owner-forwarded transfers."""
         trace = pattern_trace("producer_consumer", num_threads=2, count=200)
-        mem = replay_round_robin(trace, tiny_config(num_cores=2))
-        forwards = [t for t in mem.transactions
-                    if t.forwarded_from_owner is not None]
+        transactions = replay_round_robin(trace, tiny_config(num_cores=2))
+        forwards = [t for t in transactions if t["owner"] is not None]
         assert forwards, "producer-consumer should trigger migratory forwards"
 
 
@@ -194,15 +196,13 @@ class TestFalseSharing:
     def test_causes_invalidations(self):
         trace = pattern_trace("false_sharing", num_threads=2, count=200,
                               hot_blocks=1, write_fraction=0.6)
-        mem = replay_round_robin(trace, tiny_config(num_cores=2))
+        transactions = replay_round_robin(trace, tiny_config(num_cores=2))
         # Reader copies are invalidated by the other thread's writes ...
-        invalidations = [t for t in mem.transactions if t.invalidated_sharers]
+        invalidations = [t for t in transactions if t["invalidated"]]
         assert invalidations, "false sharing should invalidate reader copies"
         # ... and block ownership ping-pongs between the writers.
-        from repro.coherence.messages import TransactionKind
-        stolen = {t.requester for t in mem.transactions
-                  if t.kind is TransactionKind.GETM
-                  and t.forwarded_from_owner is not None}
+        stolen = {t["core"] for t in transactions
+                  if t["name"] == "dir.getm" and t["owner"] is not None}
         assert stolen == {0, 1}, "ownership should migrate both ways"
 
     def test_many_threads_spill_to_more_blocks(self):

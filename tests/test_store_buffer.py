@@ -132,9 +132,24 @@ class TestCoalescing:
 
     def test_speculative_and_nonspeculative_never_merge(self):
         sb = coalescing(entries=4)
-        sb.add_store(0, now=0, completion_time=100, speculative=False)
-        sb.add_store(8, now=0, completion_time=100, speculative=True, checkpoint_id=1)
+        sb.add_store(0, now=0, completion_time=100)
+        sb.add_store(8, now=0, completion_time=100, checkpoint_id=1)
         assert sb.occupancy(0) == 2
+        # Nor a non-speculative store into a speculative entry.
+        sb.add_store(64, now=0, completion_time=100, checkpoint_id=1)
+        sb.add_store(72, now=0, completion_time=100)
+        assert [(e.address, e.speculative) for e in sb.entries(0)] == \
+            [(0, False), (0, True), (64, True), (64, False)]
+
+    def test_speculative_stores_of_two_checkpoints_share_one_entry(self):
+        sb = coalescing(entries=4)
+        sb.add_store(0, now=0, completion_time=100, checkpoint_id=1)
+        assert sb.add_store(8, now=0, completion_time=300,
+                            checkpoint_id=2) == 300
+        # The entry keeps the first store's checkpoint.
+        assert [(e.address, e.release_time, e.checkpoint_id)
+                for e in sb.entries(0)] == [(0, 300, 1)]
+        assert sb.coalesced == 1
 
     def test_capacity_enforced(self):
         sb = coalescing(entries=2)
@@ -177,17 +192,17 @@ class TestCoalescing:
 class TestSpeculativeBookkeeping:
     def test_flash_invalidate_speculative_only(self):
         sb = coalescing(entries=8)
-        sb.add_store(0, 0, 1000, speculative=False)
-        sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=1)
-        sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=2)
+        sb.add_store(0, 0, 1000)
+        sb.add_store(64, 0, 1000, checkpoint_id=1)
+        sb.add_store(128, 0, 1000, checkpoint_id=2)
         dropped = sb.flash_invalidate_speculative(0)
         assert dropped == 2
         assert sb.occupancy(0) == 1
 
     def test_flash_invalidate_specific_checkpoint(self):
         sb = coalescing(entries=8)
-        sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=1)
-        sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=2)
+        sb.add_store(64, 0, 1000, checkpoint_id=1)
+        sb.add_store(128, 0, 1000, checkpoint_id=2)
         dropped = sb.flash_invalidate_speculative(0, checkpoint_id=2)
         assert dropped == 1
         remaining = sb.entries(0)
@@ -196,9 +211,9 @@ class TestSpeculativeBookkeeping:
     @pytest.mark.parametrize("make", [coalescing, fifo])
     def test_flash_invalidate_keeps_released_entries(self, make):
         sb = make(entries=8)
-        sb.add_store(0, 0, 100, speculative=True, checkpoint_id=2)  # released
-        sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=2)
-        sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=1)
+        sb.add_store(0, 0, 100, checkpoint_id=2)  # released
+        sb.add_store(64, 0, 1000, checkpoint_id=2)
+        sb.add_store(128, 0, 1000, checkpoint_id=1)
         assert sb.flash_invalidate_speculative(500, checkpoint_id=2) == 1
         assert sb.flash_invalidated == 1
         # Block 64's live entry went; the released entry and the other
@@ -208,7 +223,7 @@ class TestSpeculativeBookkeeping:
 
     def test_mark_all_non_speculative(self):
         sb = coalescing(entries=8)
-        sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=1)
+        sb.add_store(64, 0, 1000, checkpoint_id=1)
         sb.mark_all_non_speculative(0)
         assert all(not e.speculative for e in sb.entries(0))
         # Nothing left to invalidate afterwards.
@@ -216,16 +231,16 @@ class TestSpeculativeBookkeeping:
 
     def test_mark_specific_checkpoint_non_speculative(self):
         sb = coalescing(entries=8)
-        sb.add_store(64, 0, 1000, speculative=True, checkpoint_id=1)
-        sb.add_store(128, 0, 1000, speculative=True, checkpoint_id=2)
+        sb.add_store(64, 0, 1000, checkpoint_id=1)
+        sb.add_store(128, 0, 1000, checkpoint_id=2)
         sb.mark_all_non_speculative(0, checkpoint_id=1)
         specs = [e.checkpoint_id for e in sb.entries(0) if e.speculative]
         assert specs == [2]
 
     def test_drain_time_for_checkpoint(self):
         sb = coalescing(entries=8)
-        sb.add_store(64, 0, 300, speculative=True, checkpoint_id=1)
-        sb.add_store(128, 0, 700, speculative=True, checkpoint_id=2)
+        sb.add_store(64, 0, 300, checkpoint_id=1)
+        sb.add_store(128, 0, 700, checkpoint_id=2)
         assert sb.drain_time_for_checkpoint(1, 0) == 300
         assert sb.drain_time_for_checkpoint(2, 0) == 700
         assert sb.drain_time_for_checkpoint(99, 0) == 0
@@ -339,11 +354,9 @@ class TestFIFOAgainstListModel:
                 if release is None:
                     with pytest.raises(StoreBufferError):
                         sb.add_store(addr, now, now + latency,
-                                     speculative=checkpoint is not None,
                                      checkpoint_id=checkpoint)
                 else:
                     sb.add_store(addr, now, now + latency,
-                                 speculative=checkpoint is not None,
                                  checkpoint_id=checkpoint)
             elif kind == "flash":
                 assert sb.flash_invalidate_speculative(now, step[1]) == \
