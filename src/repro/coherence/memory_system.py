@@ -89,8 +89,7 @@ class ExternalConflictListener(Protocol):
 class MemorySystem:
     """Directory-coherent memory hierarchy shared by all cores."""
 
-    def __init__(self, config: SystemConfig, fast_path: bool = True,
-                 recorder=None) -> None:
+    def __init__(self, config: SystemConfig, recorder=None) -> None:
         self._config = config
         #: one-way network latency, ``_net[src][dst]``: each leg of a
         #: transaction adds one entry (the network is contention-free).
@@ -116,11 +115,6 @@ class MemorySystem:
         self._block_mask = block_mask(config.block_bytes)
         self._block_bytes = config.block_bytes
         self._num_nodes = config.interconnect.num_nodes
-        #: when True, :meth:`load_hit_time`/:meth:`store_hit_time` resolve
-        #: sufficient-state L1 hits in one call; when False they always
-        #: decline, forcing every access down the reference path through
-        #: :meth:`request`.
-        self._fast = fast_path
         #: observability slot: ``None`` (telemetry off) or an enabled
         #: recorder, checked with a single ``if``.  Only the transaction
         #: engine hooks it, never the hit paths; its ``dir.*`` instant is
@@ -137,11 +131,6 @@ class MemorySystem:
     @property
     def config(self) -> SystemConfig:
         return self._config
-
-    @property
-    def fast(self) -> bool:
-        """True when the hit probes answer (the fast engine's memory system)."""
-        return self._fast
 
     @property
     def l2(self) -> L2Cache:
@@ -180,23 +169,19 @@ class MemorySystem:
         could evict a speculative block.  When ``spec_checkpoint`` is given
         the access is speculative and the block's speculatively-read /
         speculatively-written bit is set, tagged with that checkpoint id.
+        A hit is answered by :meth:`load_hit_time` or
+        :meth:`store_hit_time`.
         """
         baddr = addr & self._block_mask
         block = self._l1_lines[core_id].get(baddr)
         if block is not None and block.state is not _INVALID:
-            l1 = self._l1s[core_id]
-            l1.lru_clock += 1
-            block.last_use = l1.lru_clock
             if not is_write:
-                self.l1_hits[core_id] += 1
-                if spec_checkpoint is not None:
-                    block.mark_spec_read(spec_checkpoint)
-                return now + self._hit_latency, 0
+                return self.load_hit_time(core_id, addr, now,
+                                          spec_checkpoint), 0
             state = block.state
             if state is _MODIFIED or state is _EXCLUSIVE:
-                self.l1_hits[core_id] += 1
-                return self._write_hit_time(core_id, block, now,
-                                            spec_checkpoint), 0
+                return self.store_hit_time(core_id, addr, now,
+                                           spec_checkpoint), 0
             # Present but Shared: upgrade miss.
             self.upgrades[core_id] += 1
             return self._transaction(core_id, baddr, _UPGRADE, True, now,
@@ -220,7 +205,7 @@ class MemorySystem:
         hit = l1.is_writable(addr) if is_write else l1.contains(addr)
         completion, forced = self.request(core_id, addr, is_write, now,
                                           spec_checkpoint)
-        block = l1.lookup(addr, touch=False)
+        block = l1.lookup(addr)
         return AccessOutcome(hit=hit, completion_time=completion,
                              state=block.state if block is not None else _INVALID,
                              forced_commit_delay=forced)
@@ -230,16 +215,16 @@ class MemorySystem:
     # The hot loops of every controller boil down to "does this access hit a
     # line already in a sufficient state, and when does it complete?".  These
     # two methods answer exactly that with a plain int, in one call, and
-    # decline (return None) in every other case.  A declined probe has no
-    # side effect at all -- no LRU stamp, no counter -- so the caller's
-    # fallback to :meth:`request` leaves the L1 exactly as a direct request
-    # would have.
+    # decline (return None) in every other case.  They are the only code
+    # that stamps a hit's LRU, counts an L1 hit or sets a speculative bit on
+    # a hit; :meth:`request` answers a hit through them.  A declined probe
+    # has no side effect at all -- no LRU stamp, no counter -- so the
+    # caller's fallback to :meth:`request` leaves the L1 exactly as a direct
+    # request would have.
 
     def load_hit_time(self, core_id: int, addr: int, now: int,
                       spec_checkpoint: Optional[int] = None) -> Optional[int]:
         """Completion time of a load that hits, or ``None`` (take the slow path)."""
-        if not self._fast:
-            return None
         block = self._l1_lines[core_id].get(addr & self._block_mask)
         if block is None or block.state is _INVALID:
             return None
@@ -254,8 +239,6 @@ class MemorySystem:
     def store_hit_time(self, core_id: int, addr: int, now: int,
                        spec_checkpoint: Optional[int] = None) -> Optional[int]:
         """Completion time of a store that hits writable, or ``None``."""
-        if not self._fast:
-            return None
         block = self._l1_lines[core_id].get(addr & self._block_mask)
         if block is None:
             return None
@@ -266,16 +249,21 @@ class MemorySystem:
         l1.lru_clock += 1
         block.last_use = l1.lru_clock
         self.l1_hits[core_id] += 1
+        block.state = _MODIFIED
         if spec_checkpoint is None:
-            block.state = _MODIFIED
             block.dirty = True
             return now + self._hit_latency
         if block.spec_written is None:
-            if block.dirty:
-                # First speculative write to a dirty block: clean it first.
-                return self._write_hit_time(core_id, block, now, spec_checkpoint)
             block.mark_spec_written(spec_checkpoint)
-        block.state = _MODIFIED
+            if block.dirty:
+                # First speculative write to a non-speculatively dirty
+                # block: the only copy of the pre-speculative data is in
+                # this L1, so a clean writeback pushes it to the L2 before
+                # the speculative value may overwrite it (Section 3.2).
+                # The store waits in the store buffer for the writeback.
+                self._l2.install(block.address)
+                block.dirty = False
+                return now + self._config.clean_writeback_latency
         return now + self._hit_latency
 
     def is_write_hit(self, core_id: int, addr: int) -> bool:
@@ -284,29 +272,6 @@ class MemorySystem:
 
     def contains(self, core_id: int, addr: int) -> bool:
         return self._l1s[core_id].contains(addr)
-
-    # -- write-hit path (including speculative dirty-block cleaning) -------
-
-    def _write_hit_time(self, core_id: int, block, now: int,
-                        spec_checkpoint: Optional[int]) -> int:
-        """Apply a write hit's state changes; return its completion time."""
-        if spec_checkpoint is None:
-            block.state = _MODIFIED
-            block.dirty = True
-            return now + self._hit_latency
-        # Speculative store.  If the block is non-speculatively dirty, the
-        # only copy of the pre-speculative data is in this L1, so a clean
-        # writeback pushes it to the L2 before the speculative value may
-        # overwrite it (Section 3.2).  The store waits in the store buffer
-        # for the cleaning writeback to finish.
-        completion = now + self._hit_latency
-        if block.dirty and block.spec_written is None:
-            self._l2.install(block.address)
-            block.dirty = False
-            completion = now + self._config.clean_writeback_latency
-        block.mark_spec_written(spec_checkpoint)
-        block.state = _MODIFIED
-        return completion
 
     # -- the coherence transaction engine ----------------------------------
     #
@@ -503,7 +468,7 @@ class MemorySystem:
         self._directory.check_invariants()
         for entry in self._directory:
             if entry.owner is not None:
-                block = self._l1s[entry.owner].lookup(entry.address, touch=False)
+                block = self._l1s[entry.owner].lookup(entry.address)
                 if block is not None and not block.state.is_writable:
                     raise SimulationError(
                         f"directory says core {entry.owner} owns {entry.address:#x} "

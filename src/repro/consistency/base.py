@@ -63,8 +63,6 @@ class ConsistencyController:
         #: cached ``isinstance`` check for the per-store dispatch; subclasses
         #: that replace ``self.sb`` (ASO) must refresh it.
         self._sb_coalescing = isinstance(self.sb, CoalescingStoreBuffer)
-        #: cached fast-path flag of the memory system (immutable per run).
-        self._mem_fast = self.mem.fast
         self._hit_latency = self.config.l1.hit_latency
         #: the memory system's hit probes, bound once for the op kernels.
         self._load_hit_time = self.mem.load_hit_time
@@ -88,9 +86,9 @@ class ConsistencyController:
         flat kernel that leaves every counter, state bit, scheduled event
         and telemetry record exactly as :meth:`process_op` would; it may
         bypass the helpers below only where it repeats their effect.  The
-        kernels resolve hits through the memory system's probes, which
-        only the fast engine's memory system answers; only the fast
-        engine's step (``Core._step_fast``) calls this.
+        kernels resolve hits through the memory system's hit probes, as
+        the helpers do; only the fast engine's step (``Core._step_fast``)
+        calls this.
         """
         return self.process_op(op, now)
 
@@ -219,21 +217,13 @@ class ConsistencyController:
         with a FIFO buffer every store occupies an entry to preserve order.
         """
         self.stats.stores += 1
-
-        if self._sb_coalescing:
-            if self._mem_fast:
-                if not self.sb.has_block(op.address, now):
-                    completion = self._store_hit_time(
-                        self.core_id, op.address, now, spec_checkpoint)
-                    if completion is not None:
-                        return self._retire_store_hit(op, now, completion,
-                                                      spec_checkpoint)
-            elif self.mem.is_write_hit(self.core_id, op.address) \
-                    and not self.sb.has_block(op.address, now):
-                completion, _ = self.mem.request(self.core_id, op.address,
-                                                 True, now, spec_checkpoint)
-                return self._retire_store_hit(op, now, completion,
+        if self._sb_coalescing and not self.sb.has_block(op.address, now):
+            completion = self._store_hit_time(self.core_id, op.address, now,
                                               spec_checkpoint)
+            if completion is None:
+                return self._store_miss(op, now, spec_checkpoint)
+            return self._retire_store_hit(op, now, completion,
+                                          spec_checkpoint)
         return self._buffer_store(op, now, spec_checkpoint)
 
     def _buffer_store(self, op: MemOp, now: int,
@@ -243,8 +233,7 @@ class ConsistencyController:
         On the layered path every FIFO store ends here, hit or miss; the
         conventional kernel sends only a FIFO store that finds the buffer
         full.  A coalescing buffer's store ends here when its block has a
-        live entry, or on the layered path when it misses in the L1.  A
-        miss goes on to :meth:`_store_miss`.
+        live entry.  A miss goes on to :meth:`_store_miss`.
         """
         if self.sb.is_full(now):
             now = self._wait_for_sb_slot(now)
@@ -257,14 +246,17 @@ class ConsistencyController:
         return now + RETIRE_CYCLES
 
     def _store_miss(self, op: MemOp, now: int,
-                    spec_checkpoint: Optional[int] = None) -> int:
+                    spec_checkpoint: Optional[int] = None,
+                    cycles: int = RETIRE_CYCLES) -> int:
         """Stall for a free entry, then perform and buffer a store miss.
 
-        For a store whose hit probe has declined (``stores`` is counted).
-        The op kernels call it straight after their own probe: only
-        :meth:`_wait_for_sb_slot` runs between that probe and the request,
-        and it moves time, not L1 state, so a second probe would decline
-        too.
+        For a store whose hit probe has declined (``stores`` is counted),
+        retiring in ``cycles``.  Callers call it straight after their own
+        probe: only :meth:`_wait_for_sb_slot` runs between that probe and
+        the request, and it moves time, not L1 state, so a second probe
+        would decline too.  The one hit it can see is a speculative atomic
+        whose block has a live entry; the request answers it through the
+        hit probe.
         """
         sb = self.sb
         if sb.is_full(now):
@@ -277,21 +269,22 @@ class ConsistencyController:
             stats.sb_drain += forced
             now += forced
         sb.add_store(op.address, now, completion, spec_checkpoint)
-        stats.busy += RETIRE_CYCLES
-        return now + RETIRE_CYCLES
+        stats.busy += cycles
+        return now + cycles
 
     def _retire_store_hit(self, op: MemOp, now: int, completion: int,
-                          spec_checkpoint: Optional[int]) -> int:
-        """Retire a store whose block already had write permission."""
+                          spec_checkpoint: Optional[int],
+                          cycles: int = RETIRE_CYCLES) -> int:
+        """Retire, in ``cycles``, a store whose block had write permission."""
         if completion <= now + self._hit_latency:
-            self.stats.busy += RETIRE_CYCLES
-            return now + RETIRE_CYCLES
+            self.stats.busy += cycles
+            return now + cycles
         # A speculative store to a dirty block waits for the cleaning
         # writeback inside the store buffer.
         now = self._wait_for_sb_slot(now)
         self.sb.add_store(op.address, now, completion, spec_checkpoint)
-        self.stats.busy += RETIRE_CYCLES
-        return now + RETIRE_CYCLES
+        self.stats.busy += cycles
+        return now + cycles
 
     def _do_atomic_blocking(self, op: MemOp, now: int,
                             category: str = "sb_drain") -> int:
@@ -323,39 +316,14 @@ class ConsistencyController:
         store buffer.
         """
         self.stats.atomics += 1
-        if self._mem_fast:
-            if not self.sb.has_block(op.address, now):
-                completion = self._store_hit_time(
-                    self.core_id, op.address, now, spec_checkpoint)
-                if completion is not None:
-                    return self._retire_atomic_hit(op, now, completion,
-                                                   spec_checkpoint)
-        elif self.mem.is_write_hit(self.core_id, op.address) \
-                and not self.sb.has_block(op.address, now):
-            completion, _ = self.mem.request(self.core_id, op.address, True,
-                                             now, spec_checkpoint)
-            return self._retire_atomic_hit(op, now, completion,
-                                           spec_checkpoint)
-        now = self._wait_for_sb_slot(now)
-        completion, forced = self.mem.request(self.core_id, op.address, True,
-                                              now, spec_checkpoint)
-        if forced:
-            self._account("sb_drain", forced)
-            now += forced
-        self.sb.add_store(op.address, now, completion, spec_checkpoint)
-        self._account("busy", 2 * RETIRE_CYCLES)
-        return now + 2 * RETIRE_CYCLES
-
-    def _retire_atomic_hit(self, op: MemOp, now: int, completion: int,
-                           spec_checkpoint: int) -> int:
-        """Retire a speculative atomic whose block had write permission."""
-        if completion <= now + self._hit_latency:
-            self._account("busy", 2 * RETIRE_CYCLES)
-            return now + 2 * RETIRE_CYCLES
-        now = self._wait_for_sb_slot(now)
-        self.sb.add_store(op.address, now, completion, spec_checkpoint)
-        self._account("busy", 2 * RETIRE_CYCLES)
-        return now + 2 * RETIRE_CYCLES
+        if not self.sb.has_block(op.address, now):
+            completion = self._store_hit_time(self.core_id, op.address, now,
+                                              spec_checkpoint)
+            if completion is not None:
+                return self._retire_store_hit(op, now, completion,
+                                              spec_checkpoint,
+                                              2 * RETIRE_CYCLES)
+        return self._store_miss(op, now, spec_checkpoint, 2 * RETIRE_CYCLES)
 
     def _do_fence_free(self, op: MemOp, now: int) -> int:
         """Retire a fence without any ordering stall."""

@@ -315,7 +315,7 @@ class SpeculativeController(ConsistencyController):
         """
         if not self._checkpoints:
             return None
-        block = self._l1().lookup(block_addr, touch=False)
+        block = self._l1().lookup(block_addr)
         ids = block.speculation_ids() if block is not None else set()
         if ids:
             for checkpoint in self._checkpoints:

@@ -7,9 +7,8 @@ retiring.  The core then schedules itself to process the next operation at
 that time.
 
 Two step implementations exist and are proven equivalent by the
-differential suite (``tests/test_differential.py``).  The core takes the
-one that matches its memory system's engine (``mem.fast``, set by
-``build_system``):
+differential suite (``tests/test_differential.py``).  ``build_system``
+picks one per engine through ``Core(batching=...)``:
 
 * the **reference path** schedules one heap event per operation, exactly
   as the original engine did, hands each op to the controller's layered
@@ -80,7 +79,8 @@ class Core:
     def __init__(self, core_id: int, trace: Trace, config: SystemConfig,
                  mem: "MemorySystem", events: "EventQueue",
                  warmup_ops: int = 0,
-                 phase_bounds: Optional[Sequence[int]] = None) -> None:
+                 phase_bounds: Optional[Sequence[int]] = None,
+                 batching: bool = True) -> None:
         self.core_id = core_id
         self.trace = trace
         self.config = config
@@ -94,9 +94,9 @@ class Core:
         self.obs = None
         #: True for the batched fast path, False for the one-event-per-op
         #: reference path (kept for differential equivalence testing).
-        self.batching = mem.fast
+        self.batching = batching
         #: the step method every scheduled step calls, ``fn(now, generation)``.
-        self._fire = self._step_fast if mem.fast else self._step_reference
+        self._fire = self._step_fast if batching else self._step_reference
         #: the trace's own op list (shared, so ops appended later are seen).
         self._ops = trace.ops
 

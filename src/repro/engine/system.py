@@ -93,10 +93,11 @@ class System:
 
 
 #: Engine variants accepted by :func:`build_system`.  ``"fast"`` batches
-#: core steps and runs the controllers' flat kernels over the memory
-#: system's hit probes; ``"reference"`` retains the original
-#: one-event-per-op, allocation-per-outcome execution path and exists so the
-#: differential suite can prove the fast path bitwise-equivalent.
+#: core steps and runs the controllers' flat kernels; ``"reference"``
+#: retains the original one-event-per-op step through the controllers'
+#: layered ``process_op`` and exists so the differential suite can prove
+#: the fast path bitwise-equivalent.  Only the core's step differs
+#: (``Core(batching=...)``), and with it the controller entry it calls.
 ENGINE_KINDS = ("fast", "reference")
 
 
@@ -147,16 +148,15 @@ def build_system(config: SystemConfig, trace: MultiThreadedTrace,
     validate_engine(engine)
     rec = active(recorder)
     events = EventQueue()
-    # The engine flag lives on the memory system; each core reads it there.
-    memory = MemorySystem(config, fast_path=engine != "reference",
-                          recorder=rec)
+    memory = MemorySystem(config, recorder=rec)
     cores: List[Core] = []
     phase_bounds = trace.phase_bounds
     for core_id in range(config.num_cores):
         thread_trace = trace[core_id]
         warmup_ops = int(len(thread_trace) * warmup_fraction)
         core = Core(core_id, thread_trace, config, memory, events,
-                    warmup_ops=warmup_ops, phase_bounds=phase_bounds)
+                    warmup_ops=warmup_ops, phase_bounds=phase_bounds,
+                    batching=engine == "fast")
         core.obs = rec
         controller = make_controller(core)
         core.attach_controller(controller)

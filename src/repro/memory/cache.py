@@ -58,8 +58,8 @@ class CacheArray:
         #: in O(speculative blocks) instead of O(cache size).  Blocks hold a
         #: reference to this dict, so it is mutated in place, never rebound.
         self._spec_marked: Dict[int, CacheBlock] = {}
-        #: LRU clock: bumped on every touching access, whose block records
-        #: the new value in ``last_use``.  The hit probes bump it directly.
+        #: LRU clock: bumped by every hit probe and every install, whose
+        #: block records the new value in ``last_use``.
         self.lru_clock = 0
 
     # -- geometry helpers -------------------------------------------------
@@ -74,21 +74,18 @@ class CacheArray:
 
     # -- lookups ----------------------------------------------------------
 
-    def lookup(self, addr: int, touch: bool = True) -> Optional[CacheBlock]:
-        """Return the valid block containing ``addr`` or ``None``."""
+    def lookup(self, addr: int) -> Optional[CacheBlock]:
+        """Return the valid block containing ``addr`` or ``None`` (no LRU stamp)."""
         block = self.lines.get(addr & self._block_mask)
         if block is None or block.state is _INVALID:
             return None
-        if touch:
-            self.lru_clock += 1
-            block.last_use = self.lru_clock
         return block
 
     def contains(self, addr: int) -> bool:
-        return self.lookup(addr, touch=False) is not None
+        return self.lookup(addr) is not None
 
     def is_writable(self, addr: int) -> bool:
-        block = self.lookup(addr, touch=False)
+        block = self.lookup(addr)
         if block is None:
             return False
         state = block.state

@@ -60,6 +60,14 @@ class TestLookupAndInstall:
         assert block.dirty
         assert len(cache) == 1
 
+    def test_lookup_never_stamps_the_lru(self):
+        cache = small_cache()
+        block, _ = cache.install(0, CoherenceState.SHARED)
+        clock, stamp = cache.lru_clock, block.last_use
+        assert cache.lookup(0) is block
+        assert cache.contains(0) and not cache.is_writable(0)
+        assert (cache.lru_clock, block.last_use) == (clock, stamp)
+
     def test_remove(self):
         cache = small_cache()
         cache.install(0, CoherenceState.SHARED)
@@ -84,7 +92,7 @@ class TestEviction:
         c = addr_in_set(cache, 0, 2)
         cache.install(a, CoherenceState.SHARED)
         cache.install(b, CoherenceState.SHARED)
-        cache.lookup(a)  # make b the LRU block
+        cache.install(a, CoherenceState.SHARED)  # make b the LRU block
         block, victim = cache.install(c, CoherenceState.SHARED)
         assert victim is not None
         assert victim.address == b

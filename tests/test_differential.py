@@ -99,8 +99,6 @@ class TestEngineSelection:
         ref_system = build_system(config, trace, engine="reference")
         assert all(core.batching for core in fast_system.cores)
         assert not any(core.batching for core in ref_system.cores)
-        assert fast_system.memory.fast
-        assert not ref_system.memory.fast
 
 
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)

@@ -121,7 +121,7 @@ class TestOwnerForwarding:
         mem.access(1, BLOCK, is_write=False, now=1000)
         assert dir_transactions(rec)[-1]["owner"] == 0
         # The previous owner is downgraded to Shared; directory tracks both.
-        owner_block = mem.l1(0).lookup(BLOCK, touch=False)
+        owner_block = mem.l1(0).lookup(BLOCK)
         assert owner_block.state is CoherenceState.SHARED
         assert not owner_block.dirty
         entry = mem.directory.entry(BLOCK)
@@ -224,9 +224,9 @@ class TestSpeculativeStores:
     def test_spec_bits_set_on_access(self):
         mem = make_mem()
         mem.access(0, BLOCK, is_write=False, now=0, spec_checkpoint=3)
-        assert mem.l1(0).lookup(BLOCK, touch=False).spec_read == 3
+        assert mem.l1(0).lookup(BLOCK).spec_read == 3
         mem.access(0, BLOCK + 64, is_write=True, now=0, spec_checkpoint=3)
-        assert mem.l1(0).lookup(BLOCK + 64, touch=False).spec_written == 3
+        assert mem.l1(0).lookup(BLOCK + 64).spec_written == 3
 
     def test_speculative_store_to_dirty_block_forces_clean_writeback(self):
         mem = make_mem()
@@ -238,7 +238,7 @@ class TestSpeculativeStores:
         assert out.completion_time == t + mem.config.clean_writeback_latency
         # The pre-speculative data is preserved in the L2.
         assert mem.l2.contains(BLOCK)
-        block = mem.l1(0).lookup(BLOCK, touch=False)
+        block = mem.l1(0).lookup(BLOCK)
         assert block.spec_written == 9
 
     def test_speculative_store_to_clean_block_is_fast(self):
@@ -364,7 +364,7 @@ class TestExactLatencies:
         self._assert_transaction(rec, out, start=1020, completion=1046,
                                  l2_hit=True, owner=1)
         assert out.state is CoherenceState.SHARED
-        owner_block = mem.l1(1).lookup(BLOCK, touch=False)
+        owner_block = mem.l1(1).lookup(BLOCK)
         assert owner_block.state is CoherenceState.SHARED
         assert not owner_block.dirty
 
@@ -534,15 +534,78 @@ class TestInvariants:
 class TestHitProbes:
     """``load_hit_time``/``store_hit_time`` answer hits; a decline is a no-op.
 
-    The fast engine probes before it falls back to :meth:`request`, so a
+    Every controller probes before it falls back to :meth:`request`, so a
     declined probe must leave the L1 exactly as it found it: no LRU stamp
-    on the block, no tick of the array's LRU clock, no hit counted.
+    on the block, no tick of the array's LRU clock, no hit counted.  A hit
+    that reaches :meth:`request` is answered by the same probe.
     """
+
+    @staticmethod
+    def _state(mem):
+        l1 = mem.l1(0)
+        block = l1.lookup(BLOCK)
+        return (l1.lru_clock, block.state, block.dirty, block.last_use,
+                block.spec_read, block.spec_written, list(mem.l1_hits),
+                list(mem.l1_misses), list(mem.upgrades),
+                mem.l2.contains(BLOCK))
+
+    def _hit_both_ways(self, setup, is_write, spec=None):
+        """One hit through ``request`` and, on a twin, through the probe."""
+        via_request, via_probe = make_mem(), make_mem()
+        for mem in (via_request, via_probe):
+            setup(mem)
+        hits = via_request.l1_hits[0]
+        completion, forced = via_request.request(0, BLOCK + 8, is_write,
+                                                 1000, spec)
+        probe = via_probe.store_hit_time if is_write \
+            else via_probe.load_hit_time
+        assert probe(0, BLOCK + 8, 1000, spec) == completion
+        assert forced == 0
+        assert self._state(via_request) == self._state(via_probe)
+        assert via_request.l1_hits[0] == hits + 1
+        return completion, via_request
+
+    def test_request_answers_a_load_hit_through_the_probe(self):
+        completion, mem = self._hit_both_ways(
+            lambda mem: mem.request(0, BLOCK, False, 0), False)
+        assert completion == 1000 + mem.config.l1.hit_latency
+
+    @pytest.mark.parametrize("fill_write", (False, True), ids=("E", "M"))
+    def test_request_answers_a_store_hit_through_the_probe(self, fill_write):
+        completion, mem = self._hit_both_ways(
+            lambda mem: mem.request(0, BLOCK, fill_write, 0), True)
+        assert completion == 1000 + mem.config.l1.hit_latency
+        block = mem.l1(0).lookup(BLOCK)
+        assert block.state is CoherenceState.MODIFIED and block.dirty
+
+    def test_request_answers_a_speculative_load_hit_through_the_probe(self):
+        _, mem = self._hit_both_ways(
+            lambda mem: mem.request(0, BLOCK, False, 0), False, spec=7)
+        block = mem.l1(0).lookup(BLOCK)
+        assert block.spec_read == 7 and block.spec_written is None
+
+    def test_first_speculative_store_to_a_dirty_block_cleans_it(self):
+        def setup(mem):
+            mem.request(0, BLOCK, True, 0)
+            # Push the block out of the L2, so the writeback shows there.
+            stride = mem.config.l2.num_sets * 64
+            for k in range(1, mem.config.l2.associativity + 1):
+                mem.request(1, BLOCK + k * stride, False, 100 * k)
+            assert not mem.l2.contains(BLOCK)
+
+        completion, mem = self._hit_both_ways(setup, True, spec=7)
+        assert completion == 1000 + mem.config.clean_writeback_latency
+        block = mem.l1(0).lookup(BLOCK)
+        assert block.spec_written == 7 and not block.dirty
+        assert mem.l2.contains(BLOCK)
+        # The block is clean now: the next speculative store is a plain hit.
+        assert mem.request(0, BLOCK, True, 2000, 7) == \
+            (2000 + mem.config.l1.hit_latency, 0)
 
     @staticmethod
     def _snapshot(mem, core=0):
         l1 = mem.l1(core)
-        block = l1.lookup(BLOCK, touch=False)
+        block = l1.lookup(BLOCK)
         return (l1.lru_clock, block.last_use if block is not None else None,
                 list(mem.l1_hits), list(mem.l1_misses))
 
@@ -553,7 +616,7 @@ class TestHitProbes:
         assert mem.load_hit_time(0, BLOCK + 8, 100) == \
             100 + mem.config.l1.hit_latency
         assert mem.l1(0).lru_clock == clock + 1
-        assert mem.l1(0).lookup(BLOCK, touch=False).last_use == clock + 1
+        assert mem.l1(0).lookup(BLOCK).last_use == clock + 1
 
     def test_declined_load_probe_leaves_no_trace(self):
         mem = make_mem()
@@ -561,7 +624,7 @@ class TestHitProbes:
         assert mem.load_hit_time(0, BLOCK, 0) is None  # absent
         assert self._snapshot(mem) == before
         mem.request(0, BLOCK, False, 0)
-        mem.l1(0).lookup(BLOCK, touch=False).invalidate()
+        mem.l1(0).lookup(BLOCK).invalidate()
         before = self._snapshot(mem)
         assert mem.load_hit_time(0, BLOCK, 10) is None  # invalid placeholder
         assert self._snapshot(mem) == before
@@ -570,7 +633,7 @@ class TestHitProbes:
         mem = make_mem()
         mem.request(0, BLOCK, False, 0)
         mem.request(1, BLOCK, False, 10)  # core 0's copy becomes Shared
-        block = mem.l1(0).lookup(BLOCK, touch=False)
+        block = mem.l1(0).lookup(BLOCK)
         assert block.state is CoherenceState.SHARED
         before = self._snapshot(mem)
         assert mem.store_hit_time(0, BLOCK, 1000, spec_checkpoint=7) is None
@@ -588,11 +651,3 @@ class TestHitProbes:
         assert probed.request(0, BLOCK, True, 1000) == \
             direct.request(0, BLOCK, True, 1000)
         assert self._snapshot(probed) == self._snapshot(direct)
-
-    def test_reference_memory_system_always_declines(self):
-        mem = MemorySystem(tiny_config(), fast_path=False)
-        mem.request(0, BLOCK, True, 0)
-        before = self._snapshot(mem)
-        assert mem.load_hit_time(0, BLOCK, 100) is None
-        assert mem.store_hit_time(0, BLOCK, 100) is None
-        assert self._snapshot(mem) == before
