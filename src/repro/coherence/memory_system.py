@@ -373,13 +373,14 @@ class MemorySystem:
         # Directory occupancy for the next transaction to this block.
         entry.busy_until = start + self._dir_latency
 
-        # Update directory state.  Exclusive fills are tracked as ownership so
-        # that a later silent E->M write hit cannot leave stale sharers.
+        # Update directory state; ``entry.owner`` is None here (a forward
+        # cleared it).  Exclusive fills are tracked as ownership so that a
+        # later silent E->M write hit cannot leave stale sharers.
         if is_write:
             sharers = 0
             entry.owner = core_id
             new_state = _MODIFIED
-        elif entry.owner is None and not sharers:
+        elif not sharers:
             entry.owner = core_id
             new_state = _EXCLUSIVE
         else:
@@ -422,8 +423,6 @@ class MemorySystem:
             earliest = now + self._hit_latency + forced_delay
             completion = max(earliest, completion - self._prefetch_lead)
 
-        if entry.owner is not None and sharers:
-            entry.check()  # raises: single writer or multiple readers
         if self._obs is not None:
             # The transaction's whole history, as one instant at its start:
             # one core's store misses overlap in time, so spans on its

@@ -8,12 +8,16 @@ relationships the paper's evaluation rests on, plus global invariants
 
 import pytest
 
+from repro.coherence.memory_system import MemorySystem
 from repro.config import ConsistencyModel, ViolationPolicy
 from repro.engine.simulator import simulate
-from repro.engine.system import build_system
+from repro.engine.system import ENGINE_KINDS, build_system
 from repro.engine.simulator import Simulator
 from repro.workloads.registry import build_trace
-from tests.conftest import continuous_config, selective_config, tiny_config
+from tests.conftest import (GRID_CORES, GRID_OPS, GRID_SEED, GRID_WORKLOADS,
+                            continuous_config, grid_configs, selective_config,
+                            tiny_config)
+from tests.test_golden_observables import VARIANT_WORKLOAD, tiny_configs
 
 CORES = 4
 OPS = 1200
@@ -93,6 +97,32 @@ class TestGlobalInvariants:
                               apache_trace)
         Simulator(system).run()
         system.memory.check_invariants()
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    def test_coherence_invariants_after_every_transaction(self, engine,
+                                                          monkeypatch):
+        """The engine grid and its tiny-cache variants, checked after each
+        coherence transaction rather than only at the end of a run."""
+        transaction = MemorySystem._transaction
+        checked = 0
+
+        def checking(memory, *args):
+            nonlocal checked
+            outcome = transaction(memory, *args)
+            memory.check_invariants()
+            checked += 1
+            return outcome
+
+        monkeypatch.setattr(MemorySystem, "_transaction", checking)
+        configs = grid_configs()
+        runs = [(workload, configs) for workload in GRID_WORKLOADS]
+        runs.append((VARIANT_WORKLOAD, tiny_configs(configs)))
+        for workload, named in runs:
+            trace = build_trace(workload, num_threads=GRID_CORES,
+                                ops_per_thread=GRID_OPS, seed=GRID_SEED)
+            for config in named.values():
+                simulate(config, trace, engine=engine)
+        assert checked > 10_000
 
     def test_no_speculative_state_left_behind(self, apache_trace):
         for config in (selective_config(ConsistencyModel.SC, num_cores=CORES),
