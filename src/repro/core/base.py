@@ -20,7 +20,8 @@ the paper, independent of the policy that decides *when* to speculate:
   block first commits the speculation (:meth:`forced_commit`).
 
 Subclasses provide the speculation policy by implementing
-:meth:`process_op` and may hook :meth:`_after_commit` / :meth:`_after_abort`.
+:meth:`process_op` and may hook :meth:`_after_abort` and
+:meth:`_commit_allowed`.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ class SpeculativeController(ConsistencyController):
         self._checkpoints.clear()
         self._defer_conflicts_until_commit = False
         self._end_episode()
-        self._after_commit(now)
 
     def commit_checkpoint(self, checkpoint: Checkpoint, now: int) -> None:
         """Commit a single (oldest) checkpoint, keeping younger ones alive."""
@@ -146,7 +146,6 @@ class SpeculativeController(ConsistencyController):
                     self.core_id, "spec.episode",
                     self._obs_episode_start, now, {"outcome": "commit"})
             self._end_episode()
-        self._after_commit(now)
 
     def abort_to(self, checkpoint: Checkpoint, now: int, cov: bool = False,
                  cause: str = "conflict") -> None:
@@ -210,9 +209,6 @@ class SpeculativeController(ConsistencyController):
         self.stats.spec_cycles += max(0, end - checkpoint.time)
 
     # -- subclass hooks ---------------------------------------------------
-
-    def _after_commit(self, now: int) -> None:
-        """Hook invoked after a commit (continuous mode reopens chunks)."""
 
     def _after_abort(self, now: int) -> None:
         """Hook invoked after an abort."""
@@ -376,15 +372,14 @@ class SpeculativeController(ConsistencyController):
     # Trace end
     # ------------------------------------------------------------------
 
-    def at_trace_end(self, now: int):
-        drain = self.sb.drain_time(now)
-        if drain > now:
-            self.stats.add_cycles("sb_drain", drain - now)
-            return ("wait", drain)
-        if self.speculating:
-            self.commit_all(now)
-        # Defensive cleanup: an operation in flight during a forced commit may
-        # have tagged its block with the just-committed checkpoint id; those
-        # bits belong to committed work and are cleared here.
-        self._l1().flash_clear_spec_bits()
-        return ("done", now)
+    def at_trace_end(self, now: int) -> Tuple[str, int]:
+        """Wait for the store buffer to drain, then commit what is left."""
+        status = super().at_trace_end(now)
+        if status[0] == "done":
+            if self.speculating:
+                self.commit_all(now)
+            # Defensive cleanup: an operation in flight during a forced
+            # commit may have tagged its block with the just-committed
+            # checkpoint id; those bits belong to committed work.
+            self._l1().flash_clear_spec_bits()
+        return status

@@ -196,23 +196,3 @@ class InvisiFenceContinuous(SpeculativeController):
                 and checkpoints[0].close_time is None:
             self._maybe_close_chunk(finish)
         return finish
-
-    # ------------------------------------------------------------------
-    # Trace end
-    # ------------------------------------------------------------------
-
-    def at_trace_end(self, now: int):
-        drain = self.sb.drain_time(now)
-        if drain > now:
-            self.stats.add_cycles("sb_drain", drain - now)
-            return ("wait", drain)
-        if self.speculating:
-            # All stores have completed; commit everything.
-            for checkpoint in list(self._checkpoints):
-                if checkpoint.close_time is None:
-                    checkpoint.close_time = now
-            self.commit_all(now)
-        # See SpeculativeController.at_trace_end: clear any bits tagged with
-        # already-committed checkpoint ids.
-        self._l1().flash_clear_spec_bits()
-        return ("done", now)

@@ -32,8 +32,10 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.studies import StudyCell, StudyRunner
+from repro.trace.ops import compute, load, store
 from repro.workloads.registry import build_trace
-from tests.conftest import dir_transactions
+from tests.conftest import (aso_config, block_addr, continuous_config,
+                            dir_transactions, make_trace, selective_config)
 
 #: a small contended cell that reliably aborts under selective speculation.
 _CONTENDED = dict(config="invisi_sc", workload="false-sharing-storm",
@@ -221,6 +223,25 @@ class TestChromeTraceExport:
                 assert t["invalidated"] == []
         reference, _ = _traced_contended_run(engine="reference")
         assert dir_transactions(reference) == transactions
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize("config_for", (
+        selective_config, continuous_config, aso_config),
+        ids=("selective", "continuous", "aso"))
+    def test_speculative_trace_end_drain_is_a_span(self, config_for,
+                                                   engine):
+        """A speculating core whose trace ends with stores in flight
+        records its trace-end drain, as a conventional core does."""
+        ops = [store(block_addr(1)), load(block_addr(2)), store(block_addr(3))]
+        recorder = TraceRecorder()
+        result = simulate(config_for(), make_trace([ops, [compute(1)]]),
+                          engine=engine, recorder=recorder)
+        stats = result.core_stats[0]
+        assert stats.speculations == stats.commits == 1
+        drains = [span for span in recorder.spans
+                  if span.name == "sb.drain" and span.tid == 0]
+        assert [span.args for span in drains] == [{"at": "trace-end"}]
+        assert drains[0].dur == stats.sb_drain > 0
 
     def test_written_trace_is_loadable_json(self, tmp_path):
         recorder, _ = _traced_contended_run()
