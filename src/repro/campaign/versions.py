@@ -17,8 +17,9 @@ Sources are therefore grouped by the machinery a cell can actually reach:
     workload generation, and the configuration model;
 ``selective`` / ``continuous`` / ``aso``
     the speculation controller selected by the cell's
-    :class:`~repro.config.SpeculationMode` (plus the shared checkpoint
-    machinery for the two InvisiFence controllers);
+    :class:`~repro.config.SpeculationMode`, plus the shared checkpoint
+    machinery (ASO's group also holds the selective controller it
+    subclasses);
 ``scenarios``
     the phase-splicing scenario engine, reached only by cells whose
     workload is a :class:`~repro.scenarios.spec.ScenarioSpec`.
@@ -68,7 +69,8 @@ SOURCE_GROUPS: Dict[str, Tuple[Path, ...]] = {
              + _files("core/__init__.py", "core/base.py")),
     "selective": _files("core/selective.py", "core/checkpoint.py"),
     "continuous": _files("core/continuous.py", "core/checkpoint.py"),
-    "aso": _tree("aso"),
+    # ASOController subclasses InvisiFenceSelective and takes checkpoints.
+    "aso": _tree("aso") + _files("core/selective.py", "core/checkpoint.py"),
     "scenarios": _tree("scenarios"),
 }
 

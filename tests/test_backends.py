@@ -16,14 +16,17 @@ import json
 import multiprocessing
 import signal
 import sqlite3
+import sys
 import threading
 import time
+from pathlib import Path
 from urllib.parse import urlencode
 
 import pytest
 
 from repro import compile_study_plan, open_cache
 from repro.campaign import (
+    DEFAULT_REGISTRY,
     DirectoryBackend,
     QueueWorker,
     SqliteBackend,
@@ -37,8 +40,10 @@ from repro.campaign.versions import (
     groups_for,
     kernel_versions,
 )
+from repro.config import SpeculationMode
 from repro.engine.results import RunResult
 from repro.engine.simulator import simulate
+from repro.engine.system import build_system
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import scaling_study, store_buffer_study
 from repro.experiments.common import ExperimentSettings, make_config
@@ -414,6 +419,26 @@ class TestKernelVersionInvalidation:
         report = run()
         assert report.cache_hits == 1
         assert report.simulated == 1
+
+    def test_groups_hold_every_module_a_cell_runs(self):
+        """Each config's controller and store-buffer classes, and for a
+        speculative mode the checkpoint, come from files its groups hash."""
+        spec = resolve_spec("apache", SETTINGS.ops_per_thread)
+        trace = build_trace("apache", num_threads=SETTINGS.num_cores,
+                            ops_per_thread=10, seed=1)
+        checkpoint = Path(sys.modules["repro.core.checkpoint"].__file__)
+        for name in DEFAULT_REGISTRY.names():
+            config = make_config(name, SETTINGS)
+            files = {path.resolve() for group in groups_for(config, spec)
+                     for path in SOURCE_GROUPS[group]}
+            controller = build_system(config, trace).cores[0].controller
+            needed = {Path(sys.modules[cls.__module__].__file__).resolve()
+                      for cls in (type(controller).__mro__
+                                  + type(controller.sb).__mro__)
+                      if cls.__module__.startswith("repro.")}
+            if config.speculation.mode is not SpeculationMode.NONE:
+                needed.add(checkpoint.resolve())
+            assert needed <= files, (name, sorted(map(str, needed - files)))
 
     def test_fingerprint_stable_within_process(self):
         assert group_fingerprint("base") == group_fingerprint("base")
