@@ -2,8 +2,10 @@
 
 ASO speculates selectively under sequential consistency, exactly like
 InvisiFence-Selective configured for SC, but with the design differences
-described in the package docstring: a per-store SSB, a drain-to-L2 commit,
-and periodic checkpoints that bound the work discarded by a violation.
+described in the package docstring: a per-store SSB (the 256-entry word
+FIFO that :func:`~repro.config.default_store_buffer` configures for ASO), a
+drain-to-L2 commit, and periodic checkpoints that bound the work discarded
+by a violation.
 
 The commit drain is modelled as overlapped with subsequent execution
 (ASO supports multiple in-flight sequences precisely to hide this
@@ -20,7 +22,6 @@ from ..config import ConsistencyModel
 from ..consistency.base import ConsistencyController
 from ..core.selective import InvisiFenceSelective
 from ..errors import ConfigurationError
-from .ssb import ScalableStoreBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.core import Core
@@ -38,11 +39,6 @@ class ASOController(InvisiFenceSelective):
             raise ConfigurationError(
                 "the ASO baseline is modelled for SC (ASOsc), as in the paper"
             )
-        # Replace the coalescing buffer with the Scalable Store Buffer.
-        self.sb = ScalableStoreBuffer(
-            drain_cycles_per_store=self.spec_config.aso_drain_cycles_per_store
-        )
-        self._sb_coalescing = False
         self._ops_since_checkpoint = 0
 
     # ASO overrides _note_ops and _maybe_take_second_checkpoint, both of
@@ -71,13 +67,3 @@ class ASOController(InvisiFenceSelective):
         if len(self._checkpoints) == 1:
             self._ops_since_checkpoint = 0
         return checkpoint
-
-    # -- commit: drain the SSB into the L2 ---------------------------------------
-
-    def commit_all(self, now: int, cov: bool = False) -> None:
-        if self.speculating:
-            # The drain occupies the cache's external interface; it is
-            # overlapped with execution, so it does not stall the core, but
-            # it is recorded for analysis.
-            self.sb.commit_drain_latency(now)
-        super().commit_all(now, cov=cov)

@@ -191,8 +191,6 @@ class SpeculationConfig:
     min_chunk_size: int = 100
     #: ASO takes an additional checkpoint every this many retired ops.
     aso_checkpoint_interval: int = 64
-    #: per-store drain cost when ASO commits its SSB into the L2.
-    aso_drain_cycles_per_store: int = 2
     #: instructions into a speculation after which a 2-checkpoint selective
     #: configuration takes its second checkpoint.
     second_checkpoint_threshold: int = 64
@@ -344,16 +342,14 @@ def default_store_buffer(
     SC and TSO conventionally use an 8-byte, 64-entry FIFO.  RMO and
     InvisiFence use a 64-byte coalescing buffer with 8 entries, enlarged to
     32 entries when two checkpoints may be in flight (which includes
-    InvisiFence-Continuous).  ASO's SSB is modelled separately; its L1-side
-    buffer matches the coalescing organisation.
+    InvisiFence-Continuous).  ASO's Scalable Store Buffer is a 256-entry
+    word FIFO.
     """
     if speculation.mode == SpeculationMode.NONE:
         if consistency in (ConsistencyModel.SC, ConsistencyModel.TSO):
             return StoreBufferConfig(StoreBufferKind.FIFO_WORD, 64, 8)
         return StoreBufferConfig(StoreBufferKind.COALESCING_BLOCK, 8, 64)
     if speculation.mode == SpeculationMode.ASO:
-        # ASO's Scalable Store Buffer: a large per-store FIFO (the controller
-        # replaces this with a ScalableStoreBuffer instance of the same shape).
         return StoreBufferConfig(StoreBufferKind.FIFO_WORD, 256, 8)
     if speculation.mode == SpeculationMode.CONTINUOUS:
         return StoreBufferConfig(StoreBufferKind.COALESCING_BLOCK, 32, 64)

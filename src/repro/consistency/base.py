@@ -60,8 +60,7 @@ class ConsistencyController:
         self.sb: StoreBufferBase = make_store_buffer(self.config.store_buffer)
         self.rules: OrderingRules = rules_for(self.config.consistency)
         self._load_drains = self.rules.load_requires_drain
-        #: cached ``isinstance`` check for the per-store dispatch; subclasses
-        #: that replace ``self.sb`` (ASO) must refresh it.
+        #: cached ``isinstance`` check for the per-store dispatch.
         self._sb_coalescing = isinstance(self.sb, CoalescingStoreBuffer)
         self._hit_latency = self.config.l1.hit_latency
         #: the memory system's hit probes, bound once for the op kernels.

@@ -27,7 +27,8 @@ from ..cpu.stats import BREAKDOWN_COMPONENTS, CoreStats
 #: the configuration's unused retirement width are gone.
 #: v4: the configuration lost ``l2_banks`` and the interconnect's
 #: ``contention`` and ``link_bandwidth``.
-RESULT_SCHEMA_VERSION = 4
+#: v5: the speculation config lost ``aso_drain_cycles_per_store``.
+RESULT_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)

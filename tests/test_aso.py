@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.aso.ssb import ScalableStoreBuffer
 from repro.config import ConsistencyModel, SpeculationConfig, SpeculationMode
+from repro.cpu.store_buffer import FIFOStoreBuffer
 from repro.errors import ConfigurationError
 from repro.trace.ops import compute, load, store
 from tests.conftest import aso_config, block_addr, make_system, run_ops, run_system, tiny_config
@@ -18,26 +18,6 @@ def single_core(ops, config):
     return result, result.core_stats[0]
 
 
-class TestScalableStoreBuffer:
-    def test_large_capacity(self):
-        ssb = ScalableStoreBuffer()
-        assert ssb.capacity >= 128
-
-    def test_commit_drain_latency_scales_with_store_count(self):
-        ssb = ScalableStoreBuffer(drain_cycles_per_store=2)
-        for i in range(5):
-            ssb.add_store(i * 8, now=0, completion_time=10_000, checkpoint_id=1)
-        assert ssb.speculative_store_count(0) == 5
-        assert ssb.commit_drain_latency(0) == 10
-        assert ssb.commit_drains == 1
-        assert ssb.committed_stores == 5
-
-    def test_non_speculative_stores_not_counted(self):
-        ssb = ScalableStoreBuffer()
-        ssb.add_store(0, 0, 10_000)
-        assert ssb.speculative_store_count(0) == 0
-
-
 class TestASOController:
     def test_requires_sc(self):
         spec = SpeculationConfig(mode=SpeculationMode.ASO)
@@ -46,8 +26,11 @@ class TestASOController:
             make_system([[compute(1)], [compute(1)]], config)
 
     def test_uses_scalable_store_buffer(self):
+        """ASO's SSB is the 256-entry word FIFO its config names."""
         system = make_system([[compute(1)], [compute(1)]], aso_config())
-        assert isinstance(system.cores[0].controller.sb, ScalableStoreBuffer)
+        sb = system.cores[0].controller.sb
+        assert type(sb) is FIFOStoreBuffer
+        assert sb.capacity == 256
 
     def test_speculates_on_sc_ordering_stalls(self):
         config = aso_config()

@@ -132,7 +132,7 @@ class TestResultSerialization:
         assert "l2_banks" not in data["config"]
         assert set(data["config"]["interconnect"]) == {
             "mesh_width", "mesh_height", "hop_latency"}
-        assert data["schema"] == 4
+        assert data["schema"] == 5
 
     def test_schema_mismatch_rejected(self, tiny_result):
         data = tiny_result.to_dict()

@@ -269,6 +269,10 @@ class TestSystemConfig:
             "store_prefetch_lead"}
         assert data["interconnect"] == {"mesh_width": 4, "mesh_height": 4,
                                         "hop_latency": 100}
+        assert set(data["speculation"]) == {
+            "mode", "violation_policy", "num_checkpoints", "cov_timeout",
+            "min_chunk_size", "aso_checkpoint_interval",
+            "second_checkpoint_threshold"}
 
     @pytest.mark.parametrize("cores", (1, 7, 64))
     def test_resolved_machines_round_trip_through_json(self, cores):

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aso.ssb import ScalableStoreBuffer
 from repro.config import StoreBufferConfig, StoreBufferKind
 from repro.cpu.store_buffer import (
     CoalescingStoreBuffer,
@@ -305,7 +304,7 @@ _FIFO_STEPS = st.lists(st.one_of(
 
 
 class TestFIFOAgainstListModel:
-    """The FIFO buffer and the SSB answer every query as the list model does."""
+    """The FIFO buffer answers every query as the list model does."""
 
     @staticmethod
     def _views(entries):
@@ -328,22 +327,15 @@ class TestFIFOAgainstListModel:
         assert sb.peak_occupancy == model.peak
         assert sb.total_inserted == model.inserted
         assert sb.flash_invalidated == model.invalidated
-        if hasattr(sb, "speculative_store_count"):
-            assert sb.speculative_store_count(now) == sum(
-                1 for e in live if e[2] is not None)
         expected = [(a, r, c is not None, c) for a, r, c in model.held]
         assert self._views(sb.entries()) == expected
         assert self._views(sb.entries(now)) == [
             view for view in expected if view[1] > now]
 
-    @pytest.mark.parametrize("make", [
-        lambda: fifo(entries=4),
-        lambda: ScalableStoreBuffer(entries=4),
-    ], ids=["fifo", "ssb"])
     @given(steps=_FIFO_STEPS)
     @settings(max_examples=150, deadline=None)
-    def test_matches_list_model(self, make, steps):
-        sb, model, now = make(), _FIFOModel(4), 0
+    def test_matches_list_model(self, steps):
+        sb, model, now = fifo(entries=4), _FIFOModel(4), 0
         for step in steps:
             kind = step[0]
             if kind == "advance":
