@@ -69,7 +69,6 @@ SOURCE_GROUPS: Dict[str, Tuple[Path, ...]] = {
              + _files("core/__init__.py", "core/base.py")),
     "selective": _files("core/selective.py", "core/checkpoint.py"),
     "continuous": _files("core/continuous.py", "core/checkpoint.py"),
-    # ASOController subclasses InvisiFenceSelective and takes checkpoints.
     "aso": _tree("aso") + _files("core/selective.py", "core/checkpoint.py"),
     "scenarios": _tree("scenarios"),
 }

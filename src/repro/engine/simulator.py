@@ -103,8 +103,8 @@ def simulate(config: SystemConfig, trace: MultiThreadedTrace,
     """Build a system for ``trace``, run it, and free it.
 
     ``engine`` selects the execution kernel: ``"fast"`` (batched steps,
-    flat controller kernels, allocation-free hit path) or ``"reference"``
-    (the original one-event-per-op path).  Results are bitwise identical
+    flat controller kernels) or ``"reference"`` (the original
+    one-event-per-op path).  Results are bitwise identical
     across both; an unknown name raises
     :class:`~repro.errors.ConfigurationError` naming the valid engines.
 
